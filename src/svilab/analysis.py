@@ -10,7 +10,7 @@ trajectories.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,44 +121,51 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> float:
     return out
 
 
-def energy_check(sol: PathSolution, x, f=None, delta: float | None = None,
-                 slack: float = ENERGY_SLACK_DEFAULT) -> EnergyReport:
+def _step_norms(sol: PathSolution) -> tuple[np.ndarray, ...]:
+    """|y|^2, |grad y|^2, |eta|^2 and |lap y|^2 at every stored node: the
+    rows of gridmod.inner, seminorm_h1^2 and apply_laplacian in one pass."""
+    g, w = sol.grid, sol.grid.weights
+    U = sol.y.reshape((-1,) + g.shape)
+    P = np.pad(U, [(0, 0)] + [(1, 1)] * g.dim,
+               mode="constant" if g.bc_kind == gridmod.DIRICHLET else "reflect")
+    lap = np.zeros_like(U)
+    h1_sq = 0.0
+    for axis in range(g.dim):
+        h = g.h[axis]
+        core = [slice(None)] + [slice(1, -1)] * g.dim
+        lo, hi, edges = list(core), list(core), list(core)
+        lo[axis + 1], hi[axis + 1], edges[axis + 1] = slice(0, -2), slice(2, None), slice(None)
+        lap += (P[tuple(lo)] - 2.0 * U + P[tuple(hi)]) / h**2
+        # edge differences; Dirichlet grids include the edges to the zero ghosts
+        du = np.diff(P[tuple(edges)] if g.bc_kind == gridmod.DIRICHLET else U, axis=axis + 1) / h
+        ew = np.full(du.shape[1:], h)  # edge length times transverse trapezoid weights
+        for ax in range(g.dim):
+            if ax != axis:
+                ew = ew * g.axis_weights(ax).reshape([g.n if a == ax else 1 for a in range(g.dim)])
+        h1_sq = h1_sq + (du * du).reshape(len(U), -1) @ ew.reshape(-1)
+    lap = lap.reshape(len(U), -1)
+    return (sol.y * sol.y) @ w, h1_sq, (sol.eta * sol.eta) @ w, (lap * lap) @ w
+
+
+def energy_check(sol: PathSolution, x, delta: float | None = None,
+                 slack: float = ENERGY_SLACK_DEFAULT, norms=None) -> EnergyReport:
+    """The source enters through the march's quadrature, diagnostics.cum_source_sq.
+    `norms`: the _step_norms of sol, when the caller already has them."""
     g = sol.grid
     tg = sol.tg
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     if delta is None:
         delta = sol.diagnostics.delta
     dt = tg.dt
-    n_nodes = tg.N + 1
-
-    y_sq = np.array([gridmod.inner(g, sol.y[n], sol.y[n]) for n in range(n_nodes)])
-    h1_sq = np.array([gridmod.seminorm_h1(g, sol.y[n]) ** 2 for n in range(n_nodes)])
+    y_sq, h1_sq, eta_sq, lap_sq = norms if norms is not None else _step_norms(sol)
     cum_h1 = np.concatenate([[0.0], np.cumsum(h1_sq[:-1]) * dt])
-
     source_sq = sol.diagnostics.cum_source_sq
-    if f is not None and not np.any(source_sq):
-        # fallback for externally built trajectories: rebuild e^{-mu} f
-        vals = np.zeros(n_nodes)
-        acc = 0.0
-        for n in range(n_nodes):
-            vals[n] = acc
-            if n < tg.N:
-                f_n = f.value(tg.nodes[n], g)
-                if not f.transformed:
-                    f_n = np.exp(-sol.mu[n]) * f_n
-                acc += dt * gridmod.inner(g, f_n, f_n)
-        source_sq = vals
 
     x_sq = gridmod.inner(g, x_field, x_field)
     lhs = y_sq + cum_h1
     rhs = x_sq + source_sq + delta**2
     energy_ratio = _ratio(lhs, np.broadcast_to(np.atleast_1d(rhs), lhs.shape))
 
-    eta_sq = np.array([gridmod.inner(g, sol.eta[n], sol.eta[n]) for n in range(n_nodes)])
-    lap_sq = np.array(
-        [gridmod.inner(g, lap := gridmod.apply_laplacian(g, sol.y[n]), lap)
-         for n in range(n_nodes)]
-    )
     cum_mult = np.concatenate([[0.0], np.cumsum((eta_sq + lap_sq)[:-1]) * dt])
     x_h1 = gridmod.seminorm_h1(g, x_field) ** 2
     rhs_mult = source_sq + tg.nodes * delta**2 + x_sq + x_h1
@@ -215,7 +222,7 @@ def cauchy_rate_study(spec: ProblemSpec, eps_list, path_id: int = 0) -> RateFit:
 
     def run(eps):
         return solve_path(g, tg, cs, spec.reaction, spec.forcing, spec.initial,
-                          cfg.with_eps(eps), paths)
+                          replace(cfg, eps=eps), paths)
 
     ref = run(eps_arr[-1] / 4.0)
     errors = np.empty(len(eps_arr))
@@ -260,20 +267,14 @@ class EnsembleStats:
 
 def path_functionals(sol: PathSolution, x, slack: float = ENERGY_SLACK_DEFAULT) -> dict:
     """The monitored functionals of one trajectory (left-endpoint quadrature)."""
-    g, tg = sol.grid, sol.tg
-    dt = tg.dt
-    y_sq = np.array([gridmod.inner(g, sol.y[n], sol.y[n]) for n in range(tg.N + 1)])
-    h1_sq = np.array([gridmod.seminorm_h1(g, sol.y[n]) ** 2 for n in range(tg.N)])
-    eta_sq = np.array([gridmod.inner(g, sol.eta[n], sol.eta[n]) for n in range(tg.N)])
-    lap_sq = np.array(
-        [gridmod.inner(g, lap := gridmod.apply_laplacian(g, sol.y[n]), lap)
-         for n in range(tg.N)]
-    )
+    dt = sol.tg.dt
+    norms = _step_norms(sol)
+    _, h1_sq, eta_sq, lap_sq = (a[:-1] for a in norms)
     dydt = np.diff(sol.y, axis=0) / dt
-    dydt_l2 = np.array([np.sqrt(gridmod.inner(g, z, z)) for z in dydt])
-    report = energy_check(sol, x, slack=slack)
+    dydt_l2 = np.sqrt((dydt * dydt) @ sol.grid.weights)
+    report = energy_check(sol, x, slack=slack, norms=norms)
     return {
-        "sup_y_l2_sq": float(y_sq.max()),
+        "sup_y_l2_sq": float(norms[0].max()),
         "int_h1_sq": float(h1_sq.sum() * dt),
         "int_beta_sq": float(eta_sq.sum() * dt),
         "int_lap_sq": float(lap_sq.sum() * dt),
@@ -283,6 +284,17 @@ def path_functionals(sol: PathSolution, x, slack: float = ENERGY_SLACK_DEFAULT) 
         "energy_ratio": report.energy_ratio,
         "multiplier_ratio": report.multiplier_ratio,
     }
+
+
+def map_paths(fn, jobs, workers: int = 1) -> list:
+    """fn over the jobs, on a pool of `workers` processes when there are
+    several, with results sorted by their first item (the path id)."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, jobs, chunksize=8))
+    else:
+        results = [fn(j) for j in jobs]
+    return sorted(results, key=lambda r: r[0])
 
 
 def _ensemble_worker(args):
@@ -303,8 +315,6 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, base_seed: int | None = None,
     if n_paths < 2:
         raise ValueError(f"ensemble needs n_paths >= 2, got {n_paths}")
     if base_seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=int(base_seed))
     names = tuple(functionals) if functionals else FUNCTIONAL_NAMES
     unknown = set(names) - set(FUNCTIONAL_NAMES)
@@ -312,14 +322,7 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, base_seed: int | None = None,
         raise ValueError(f"unknown functionals {sorted(unknown)}; "
                          f"catalog: {FUNCTIONAL_NAMES}")
 
-    jobs = [(spec, pid) for pid in range(n_paths)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ensemble_worker, jobs, chunksize=8))
-    else:
-        results = [_ensemble_worker(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-
+    results = map_paths(_ensemble_worker, [(spec, pid) for pid in range(n_paths)], workers)
     rows = [vals for _, vals, err in results if vals is not None]
     n_fail = sum(1 for _, vals, _ in results if vals is None)
     n_ok = len(rows)

@@ -25,13 +25,8 @@ from . import grid as gridmod
 from .analysis import complementarity_report, energy_check, ensemble_run
 from .errors import ConfigError, NumericalFailure
 from .noise import Coefficient, parse_coefficient
-from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, SolveConfig
-from .signorini import (
-    boundary_potential_check,
-    build_boundary_data,
-    probe_form_constants,
-    zero_coeffs,
-)
+from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
+from .signorini import boundary_potential_check, build_boundary_data, probe_form_constants
 from .stefan import StefanData, solve_stefan_svi
 from .transform import ReactionSpec
 
@@ -122,8 +117,12 @@ _SCHEMA = {
 }
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and validate; raises ConfigError listing every problem found."""
+def parse_config(path, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate; raises ConfigError listing every problem found.
+
+    overrides maps (section, key) to a value that replaces the file's
+    (the CLI flags) and is validated like it.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -158,6 +157,9 @@ def parse_config(path) -> RunConfig:
                 values[section][key] = known[key](text)
             except (ValueError, TypeError):
                 errors.append(f"{section}.{key}: cannot parse value {text!r}")
+
+    for (section, key), value in (overrides or {}).items():
+        values.setdefault(section, {})[key] = value
 
     def get(section, key, default):
         return values.get(section, {}).get(key, default)
@@ -212,10 +214,13 @@ def parse_config(path) -> RunConfig:
         errors.append(f"time.theta must lie in [0.5, 1], got {cfg.theta}")
     if cfg.m < 0:
         errors.append(f"noise.m must be >= 0, got {cfg.m}")
+    if cfg.seed < 0:
+        errors.append(f"noise.seed must be >= 0, got {cfg.seed}")
     if cfg.mode not in MODES:
         errors.append(f"run.mode must be one of {', '.join(MODES)}; got {cfg.mode!r}")
-    if cfg.n_paths < 1:
-        errors.append(f"run.n_paths must be >= 1, got {cfg.n_paths}")
+    min_paths = 2 if cfg.mode == "ensemble" else 1
+    if cfg.n_paths < min_paths:
+        errors.append(f"run.n_paths must be >= {min_paths} in {cfg.mode} mode, got {cfg.n_paths}")
     if cfg.workers < 1:
         errors.append(f"run.workers must be >= 1, got {cfg.workers}")
 
@@ -252,24 +257,21 @@ def parse_config(path) -> RunConfig:
                                   get("forcing", "width", 0.1))
     except ConfigError as exc:
         errors.extend(f"forcing: {m}" for m in exc.messages)
-    try:
-        center = get("initial", "center", ()) or None
+
+    def initial_data(section, prefix, kind, label):
+        center = get(section, f"{prefix}center", ()) or None
         if center is not None and len(center) != cfg.dim:
-            errors.append(f"initial.center needs {cfg.dim} value(s), got {len(center)}")
-        cfg.initial = InitialData(get("initial", "kind", "sine").lower(),
-                                  get("initial", "amplitude", 0.0),
-                                  center, get("initial", "radius", None))
-    except ConfigError as exc:
-        errors.extend(f"initial: {m}" for m in exc.messages)
-    try:
-        t0_center = get("stefan", "theta0_center", ()) or None
-        if t0_center is not None and len(t0_center) != cfg.dim:
-            errors.append(f"stefan.theta0_center needs {cfg.dim} value(s), got {len(t0_center)}")
-        cfg.theta0 = InitialData(get("stefan", "theta0_kind", "cone").lower(),
-                                 get("stefan", "theta0_amplitude", 0.0),
-                                 t0_center, get("stefan", "theta0_radius", None))
-    except ConfigError as exc:
-        errors.extend(f"stefan.theta0: {m}" for m in exc.messages)
+            errors.append(f"{section}.{prefix}center needs {cfg.dim} value(s), got {len(center)}")
+        try:
+            return InitialData(get(section, f"{prefix}kind", kind).lower(),
+                               get(section, f"{prefix}amplitude", 0.0),
+                               center, get(section, f"{prefix}radius", None))
+        except ConfigError as exc:
+            errors.extend(f"{label}: {m}" for m in exc.messages)
+            return InitialData()
+
+    cfg.initial = initial_data("initial", "", "sine", "initial")
+    cfg.theta0 = initial_data("stefan", "theta0_", "cone", "stefan.theta0")
     if cfg.rho <= 0:
         errors.append(f"stefan.rho must be > 0, got {cfg.rho}")
 
@@ -327,33 +329,25 @@ def trajectory_rows(sol: PathSolution):
             yield (t, j, xi0[j], xi1[j], sol.y[n, j], X[n, j], eta_X[n, j])
 
 
-def summary_rows_from_checks(checks) -> list[tuple]:
-    return [(name, value, threshold, "pass" if ok else "fail")
-            for name, value, threshold, ok in checks]
+def write_summary(writer: CsvWriter, checks):
+    """summary.csv from (check_name, value, threshold, passed) rows."""
+    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
+                 [(name, value, threshold, "pass" if ok else "fail")
+                  for name, value, threshold, ok in checks])
+
+
+def write_trajectory(writer: CsvWriter, sol: PathSolution):
+    writer.write("trajectory.csv", ["t", "node_index", "xi_0", "xi_1", "y", "X", "eta"],
+                 trajectory_rows(sol))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _single_solution(cfg: RunConfig) -> PathSolution:
-    spec = cfg.problem_spec()
-    return spec.solve(cfg.path_id)
-
-
 def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    try:
-        sol = _single_solution(cfg)
-    except NumericalFailure as exc:
-        writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                     [("numerical_failure", 1.0, 0.0, "fail"),
-                      ("message: " + str(exc).replace(",", ";"), 0.0, 0.0, "fail")])
-        if not quiet:
-            print(f"FAIL numerical: {exc}")
-        return 2
-    writer.write("trajectory.csv",
-                 ["t", "node_index", "xi_0", "xi_1", "y", "X", "eta"],
-                 trajectory_rows(sol))
+    sol = cfg.problem_spec().solve(cfg.path_id)
+    write_trajectory(writer, sol)
     rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
     erep = energy_check(sol, cfg.initial, slack=cfg.slack)
     checks = [
@@ -371,8 +365,7 @@ def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         ("newton_iters_max", int(np.max(sol.diagnostics.newton_iters, initial=0)),
          sol.grid.n_nodes, True),
     ]
-    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                 summary_rows_from_checks(checks))
+    write_summary(writer, checks)
     if not quiet:
         for name, value, threshold, ok in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.6g} (threshold {threshold:.6g})")
@@ -389,8 +382,7 @@ def _mode_ensemble(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     checks = [("failure_fraction", stats.failure_fraction, 0.10, stats.passed)]
     for name, c in sorted(stats.empirical_C.items()):
         checks.append((f"empirical_C_{name}", c, np.inf, True))
-    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                 summary_rows_from_checks(checks))
+    write_summary(writer, checks)
     if not quiet:
         print(f"{'PASS' if stats.passed else 'FAIL'} ensemble: "
               f"{stats.n_paths} paths, {stats.n_failures} failures")
@@ -418,8 +410,7 @@ def _mode_rate_eps(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         checks = [("cauchy_slope_degenerate", 0.0, 0.0, True)]
     else:
         checks = [("cauchy_slope", fit.slope, 0.45, fit.slope >= 0.45)]
-    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                 summary_rows_from_checks(checks))
+    write_summary(writer, checks)
     if not quiet:
         label = "degenerate (obstacle inactive)" if fit.degenerate else f"slope {fit.slope:.3f}"
         print(f"rate-eps: {label}")
@@ -429,8 +420,6 @@ def _mode_rate_eps(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 def _mode_rate_mesh(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     # nested Dirichlet grids n -> 2n+1, shared time grid and path; error
     # against the finest level, written with h in the schema's eps column
-    if cfg.bc != gridmod.DIRICHLET:
-        raise ConfigError("rate-mesh mode needs domain.bc = dirichlet")
     from dataclasses import replace
 
     ns = [cfg.n]
@@ -454,11 +443,11 @@ def _mode_rate_mesh(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    g, tg, cs, scfg = cfg.problem_spec().build()
+    spec = cfg.problem_spec()
+    g, tg, cs, scfg = spec.build()
     sd = StefanData(theta0=cfg.theta0.evaluate(g), rho=cfg.rho,
                     heated_boundary_temp=cfg.boundary_temp)
     tol_fb = cfg.tol_fb if cfg.tol_fb > 0 else None
-    spec = cfg.problem_spec()
     fronts = []
     measures = []
     last = None
@@ -482,26 +471,25 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     writer.write("front.csv", ["t", "front_position", "melted_measure"],
                  [(t, mean_front[n], mean_measure[n]) for n, t in enumerate(tg.nodes)])
     sol, theta, fb = last
-    writer.write("trajectory.csv", ["t", "node_index", "xi_0", "xi_1", "y", "X", "eta"],
-                 trajectory_rows(sol))
+    write_trajectory(writer, sol)
     checks = [("front_max_drop", fb.max_front_drop(), float(g.h[0]),
                fb.max_front_drop() <= g.h[0])]
     if cfg.n_paths > 1:
         finals = fronts[:, -1]
         finals = finals[~np.isnan(finals)]
         if finals.size:
+            var = float(finals.var(ddof=1)) if finals.size > 1 else 0.0
             stats_rows = [
-                ("front_at_T", float(finals.mean()), float(finals.var(ddof=1) if finals.size > 1 else 0.0),
-                 float(1.96 * np.sqrt((finals.var(ddof=1) if finals.size > 1 else 0.0) / finals.size)),
-                 int(finals.size), int(cfg.n_paths - finals.size)),
+                ("front_at_T", float(finals.mean()), var,
+                 float(1.96 * np.sqrt(var / finals.size)), int(finals.size),
+                 int(cfg.n_paths - finals.size)),
                 ("front_at_T_q25", float(np.quantile(finals, 0.25)), 0.0, 0.0, int(finals.size), 0),
                 ("front_at_T_q75", float(np.quantile(finals, 0.75)), 0.0, 0.0, int(finals.size), 0),
             ]
             writer.write("stats.csv",
                          ["functional", "mean", "variance", "ci_half_width", "n_paths",
                           "n_failures"], stats_rows)
-    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                 summary_rows_from_checks(checks))
+    write_summary(writer, checks)
     if not quiet:
         print(f"stefan: front(T) = {mean_front[-1]:.4f}, melted measure {mean_measure[-1]:.4f}")
     return 0
@@ -510,8 +498,7 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     spec = cfg.problem_spec(bc=gridmod.NEUMANN)
     sol = spec.solve(cfg.path_id)
-    writer.write("trajectory.csv", ["t", "node_index", "xi_0", "xi_1", "y", "X", "eta"],
-                 trajectory_rows(sol))
+    write_trajectory(writer, sol)
     g = sol.grid
     bd = build_boundary_data(g)
     trace_min = float(sol.y[:, g.boundary_mask].min())
@@ -528,8 +515,7 @@ def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         ("boundedness_c1", rep.c1, np.inf, True),
         ("monotonicity_c4", rep.c4, np.inf, True),
     ]
-    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                 summary_rows_from_checks(checks))
+    write_summary(writer, checks)
     if not quiet:
         for name, value, threshold, ok_ in checks:
             print(f"{'PASS' if ok_ else 'FAIL'} {name}: {value:.6g}")
@@ -540,8 +526,7 @@ def _mode_verify(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     from .verify import run_checks
 
     rows = run_checks(cfg.verify_checks, workers=cfg.workers, quiet=quiet)
-    writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                 summary_rows_from_checks(rows))
+    write_summary(writer, rows)
     return 0 if all(ok for *_, ok in rows) else 3
 
 
@@ -563,9 +548,8 @@ def dispatch(cfg: RunConfig, quiet: bool = False) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
-        writer.write("summary.csv", ["check_name", "value", "threshold", "status"],
-                     [("numerical_failure", 1.0, 0.0, "fail"),
-                      ("message: " + str(exc).replace(",", ";"), 0.0, 0.0, "fail")])
+        write_summary(writer, [("numerical_failure", 1.0, 0.0, False),
+                               ("message: " + str(exc).replace(",", ";"), 0.0, 0.0, False)])
         if not quiet:
             print(f"FAIL numerical: {exc}", file=sys.stderr)
         return 2
@@ -584,16 +568,13 @@ def main(argv=None) -> int:
     ap.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = ap.parse_args(argv)
 
+    overrides = {("noise", "seed"): args.seed, ("run", "n_paths"): args.paths}
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, {k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.paths is not None:
-        cfg.n_paths = args.paths
     if args.out is not None:
         cfg.out_dir = Path(args.out)
     return dispatch(cfg, quiet=args.quiet)

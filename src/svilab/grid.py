@@ -59,10 +59,6 @@ class Grid:
     def n_nodes(self) -> int:
         return self.n**self.dim
 
-    @property
-    def h_min(self) -> float:
-        return float(self.h.min())
-
     def reshape(self, u: np.ndarray) -> np.ndarray:
         if u.shape != (self.n_nodes,):
             raise ValueError(f"field has shape {u.shape}, grid expects ({self.n_nodes},)")
@@ -77,11 +73,16 @@ class Grid:
         return [g.reshape(-1) for g in grids]
 
     def axis_weights(self, axis: int) -> np.ndarray:
-        w = np.full(self.n, self.h[axis])
-        if self.bc_kind == NEUMANN:
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        return w
+        return _axis_weights(self.n, self.h[axis], self.bc_kind)
+
+
+def _axis_weights(n: int, h: float, bc_kind: str) -> np.ndarray:
+    """Trapezoid weights on one axis: halved at Neumann boundary nodes."""
+    w = np.full(n, h)
+    if bc_kind == NEUMANN:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    return w
 
 
 def build_grid(dim: int, lengths, n: int, bc_kind: str = DIRICHLET) -> Grid:
@@ -112,13 +113,7 @@ def build_grid(dim: int, lengths, n: int, bc_kind: str = DIRICHLET) -> Grid:
         h = np.array([L / (n - 1) for L in lengths])
         coords = tuple(np.linspace(0.0, L, n) for L in lengths)
 
-    axis_w = []
-    for axis in range(dim):
-        w = np.full(n, h[axis])
-        if bc_kind == NEUMANN:
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        axis_w.append(w)
+    axis_w = [_axis_weights(n, hx, bc_kind) for hx in h]
     weights = axis_w[0]
     for w in axis_w[1:]:
         weights = np.multiply.outer(weights, w)
@@ -243,10 +238,7 @@ def boundary_weights(grid: Grid) -> np.ndarray:
     if grid.bc_kind == DIRICHLET:
         return w.reshape(-1)
     for axis in range(grid.dim):
-        transverse = np.ones((grid.n,) * (grid.dim - 1)) if grid.dim > 1 else 1.0
-        if grid.dim == 2:
-            other = 1 - axis
-            transverse = grid.axis_weights(other)
+        transverse = grid.axis_weights(1 - axis) if grid.dim == 2 else 1.0
         for side in (0, -1):
             idx = [slice(None)] * grid.dim
             idx[axis] = side

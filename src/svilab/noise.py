@@ -27,6 +27,8 @@ __all__ = [
     "SpaceFactor",
     "Coefficient",
     "CoeffSpec",
+    "SpaceFields",
+    "space_fields",
     "sample_paths",
     "eval_mu",
     "eval_mu_tilde",
@@ -204,36 +206,21 @@ class Coefficient:
     time: TimeFactor
     space: tuple[SpaceFactor, ...]
 
-    def space_value(self, grid: Grid) -> np.ndarray:
-        xs = grid.meshes()
-        out = np.ones(grid.n_nodes)
-        for b, x in zip(self.space, xs):
-            out = out * b.value(x)
-        return out
-
-    def space_grad(self, grid: Grid) -> list[np.ndarray]:
-        xs = grid.meshes()
+    def space_fields(self, xs: list[np.ndarray]):
+        """(b, grad b, lap b) of the space factor at node coordinates xs."""
         vals = [b.value(x) for b, x in zip(self.space, xs)]
-        comps = []
-        for axis in range(grid.dim):
-            g = self.space[axis].d1(xs[axis])
-            for other in range(grid.dim):
+        value = np.ones(xs[0].shape)
+        for v in vals:
+            value = value * v
+        grad, lap = [], np.zeros(xs[0].shape)
+        for axis, (b, x) in enumerate(zip(self.space, xs)):
+            d1, d2 = b.d1(x), b.d2(x)
+            for other, v in enumerate(vals):
                 if other != axis:
-                    g = g * vals[other]
-            comps.append(g)
-        return comps
-
-    def space_lap(self, grid: Grid) -> np.ndarray:
-        xs = grid.meshes()
-        vals = [b.value(x) for b, x in zip(self.space, xs)]
-        out = np.zeros(grid.n_nodes)
-        for axis in range(grid.dim):
-            term = self.space[axis].d2(xs[axis])
-            for other in range(grid.dim):
-                if other != axis:
-                    term = term * vals[other]
-            out += term
-        return out
+                    d1, d2 = d1 * v, d2 * v
+            grad.append(d1)
+            lap += d2
+        return value, grad, lap
 
 
 @dataclass(frozen=True)
@@ -292,52 +279,75 @@ def parse_coefficient(text: str, lengths, label: str = "mu") -> Coefficient:
 # field evaluation
 
 
-def _check_m(cs: CoeffSpec, paths: BrownianPathSet):
-    if cs.m != paths.m:
-        raise ValueError(f"coefficient count {cs.m} does not match path count {paths.m}")
+@dataclass(frozen=True)
+class SpaceFields:
+    """b_k, grad b_k and lap b_k of every coefficient at the grid nodes.
+
+    They do not depend on time, so a solve builds them once and evaluates
+    mu and its derivatives at each time node from them.
+    """
+
+    coefficients: tuple[Coefficient, ...]
+    value: np.ndarray  # (m, n_nodes)
+    grad: np.ndarray   # (m, dim, n_nodes)
+    lap: np.ndarray    # (m, n_nodes)
+
+    @property
+    def m(self) -> int:
+        return len(self.coefficients)
 
 
-def _time_index(paths: BrownianPathSet, t_n: float) -> int:
-    n = int(round(t_n / paths.tg.dt))
-    if not (0 <= n <= paths.tg.N) or abs(n * paths.tg.dt - t_n) > 1e-9 * max(1.0, paths.tg.T):
-        raise ValueError(f"t={t_n} is not a node of the path time grid")
-    return n
+def space_fields(cs: CoeffSpec, grid: Grid) -> SpaceFields:
+    xs = grid.meshes()
+    parts = [c.space_fields(xs) for c in cs.coefficients]
+    return SpaceFields(
+        coefficients=cs.coefficients,
+        value=np.array([p[0] for p in parts]).reshape(cs.m, grid.n_nodes),
+        grad=np.array([p[1] for p in parts]).reshape(cs.m, grid.dim, grid.n_nodes),
+        lap=np.array([p[2] for p in parts]).reshape(cs.m, grid.n_nodes),
+    )
 
 
-def eval_mu(cs: CoeffSpec, paths: BrownianPathSet, t_n: float, grid: Grid) -> np.ndarray:
-    """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n)."""
-    _check_m(cs, paths)
-    n = _time_index(paths, t_n)
-    out = grid.zeros()
-    for k, c in enumerate(cs.coefficients):
-        out += paths.values[k, n] * c.time.value(t_n) * c.space_value(grid)
+def _check_m(fields: SpaceFields, paths: BrownianPathSet):
+    if fields.m != paths.m:
+        raise ValueError(f"coefficient count {fields.m} does not match path count {paths.m}")
+
+
+def eval_mu(fields: SpaceFields, paths: BrownianPathSet, n: int) -> np.ndarray:
+    """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at node n of the path's grid."""
+    _check_m(fields, paths)
+    t_n = n * paths.tg.dt
+    out = np.zeros(fields.value.shape[1])
+    for k, c in enumerate(fields.coefficients):
+        out += paths.values[k, n] * c.time.value(t_n) * fields.value[k]
     return out
 
 
-def eval_mu_tilde(cs: CoeffSpec, paths: BrownianPathSet, t_n: float, grid: Grid) -> np.ndarray:
+def eval_mu_tilde(fields: SpaceFields, paths: BrownianPathSet, n: int) -> np.ndarray:
     """mu~(t_n, xi) = sum_k (d_t mu_k * beta_k(t_n) + mu_k^2 / 2)."""
-    _check_m(cs, paths)
-    n = _time_index(paths, t_n)
-    out = grid.zeros()
-    for k, c in enumerate(cs.coefficients):
-        b = c.space_value(grid)
+    _check_m(fields, paths)
+    t_n = n * paths.tg.dt
+    out = np.zeros(fields.value.shape[1])
+    for k, c in enumerate(fields.coefficients):
+        b = fields.value[k]
         mu_k = c.time.value(t_n) * b
         out += paths.values[k, n] * c.time.dt_value(t_n) * b + 0.5 * mu_k * mu_k
     return out
 
 
-def eval_mu_derivs(cs: CoeffSpec, paths: BrownianPathSet, t_n: float, grid: Grid):
-    """Analytic (grad mu, lap mu, g = -2 grad mu) at t_n."""
-    _check_m(cs, paths)
-    n = _time_index(paths, t_n)
-    grad = [grid.zeros() for _ in range(grid.dim)]
-    lap = grid.zeros()
-    for k, c in enumerate(cs.coefficients):
+def eval_mu_derivs(fields: SpaceFields, paths: BrownianPathSet, n: int):
+    """Analytic (grad mu, lap mu, g = -2 grad mu) at node n."""
+    _check_m(fields, paths)
+    t_n = n * paths.tg.dt
+    _, dim, n_nodes = fields.grad.shape
+    grad = [np.zeros(n_nodes) for _ in range(dim)]
+    lap = np.zeros(n_nodes)
+    for k, c in enumerate(fields.coefficients):
         scale = paths.values[k, n] * c.time.value(t_n)
         if scale == 0.0:
             continue
-        for axis, comp in enumerate(c.space_grad(grid)):
-            grad[axis] += scale * comp
-        lap += scale * c.space_lap(grid)
+        for axis in range(dim):
+            grad[axis] += scale * fields.grad[k, axis]
+        lap += scale * fields.lap[k]
     g = [-2.0 * comp for comp in grad]
     return grad, lap, g

@@ -1,14 +1,28 @@
-"""Path-wise time integration of the penalized transformed equation, plus a
-direct Euler-Maruyama integrator on the original equation for cross-checks.
+"""Path-wise time integration: one march, three step rules.
 
-One step of the theta-scheme solves
+`_march` carries one Brownian path over the time grid for every solver.
+It validates the initial datum and the path set, picks the run grid,
+builds the time-independent coefficient fields once, assembles the
+coefficient record of each run-grid node (`step_coeffs`), stores the
+trajectory at stride 2^level, enforces the mu cap and fills `Diagnostics`.
+Only the step rule differs:
 
-    (I - dt theta Lap) y1 + dt beta_eps(y1)
-        = y0 + dt [ (1-theta) Lap y0 - F_eff(t, y0) - g . grad y0 + f~ ],
+- `step_interior` (solve_path) is the theta-scheme of the penalized
+  transformed equation,
 
-with the Laplacian and the penalty implicit and everything else explicit.
-The diagonal monotone penalty is resolved by a semismooth Newton / active
-set iteration (nodes with y < 0 get dt/eps added to the diagonal), which
+      (I - dt theta Lap) y1 + dt beta_eps(y1)
+          = y0 + dt [ (1-theta) Lap y0 - F_eff(t, y0) - g . grad y0 + f~ ],
+
+  with an optional BoundaryLift ghost value;
+- `signorini.step_signorini` (solve_signorini_path) moves the penalty and
+  a Robin diagonal to the boundary nodes of a Neumann grid;
+- the Euler-Maruyama rule of direct_em_solve integrates the original
+  equation for cross-checks: implicit Laplacian, explicit reaction,
+  penalty and noise.
+
+The Laplacian and the penalty are implicit, everything else explicit.  The
+diagonal monotone penalty is resolved by a semismooth Newton / active set
+iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system: tridiagonal solves in
 1D, conjugate gradients on the 5-point matrix in 2D.
 
@@ -21,7 +35,8 @@ realization, then reported as failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -33,7 +48,7 @@ from . import noise as noisemod
 from . import penalty, transform
 from .errors import ConfigError, NewtonError, NumericalFailure, StabilityError
 from .grid import Grid
-from .noise import BrownianPathSet, CoeffSpec, TimeGrid
+from .noise import BrownianPathSet, CoeffSpec, SpaceFields, TimeGrid
 from .transform import ReactionSpec
 
 
@@ -64,10 +79,6 @@ class SolveConfig:
             errors.append(f"newton_tol must be > 0, got {self.newton_tol}")
         if errors:
             raise ConfigError(errors)
-
-    def with_eps(self, eps: float) -> "SolveConfig":
-        return SolveConfig(self.dt, self.T, self.theta, eps, self.newton_tol,
-                           self.newton_max, self.mu_cap, self.max_halvings)
 
 
 @dataclass(frozen=True)
@@ -168,11 +179,31 @@ class BoundaryLift:
 
 @dataclass
 class StepCoeffs:
-    """Assembled explicit data for one step at the left time node."""
+    """Coefficients of the transformed equation at one run-grid node."""
 
-    reaction: np.ndarray
-    g: list[np.ndarray] | None
-    source: np.ndarray
+    t: float
+    rs: ReactionSpec
+    mu: np.ndarray
+    mu_tilde: np.ndarray
+    grad_mu: list[np.ndarray]
+    lap_mu: np.ndarray
+    g: list[np.ndarray] | None  # transport field -2 grad mu; None without noise
+    source: np.ndarray  # f~ = e^{-mu} f, or f itself when already transformed
+    dmu_dnu: np.ndarray | None = None  # Neumann grids only
+
+    def reaction(self, y: np.ndarray, mu_cap: float = transform.MU_CAP_DEFAULT) -> np.ndarray:
+        return transform.effective_reaction(
+            self.rs, self.mu, self.mu_tilde, self.grad_mu, self.lap_mu, self.t, y,
+            mu_cap=mu_cap,
+        )
+
+
+def zero_coeffs(grid: Grid, t: float = 0.0, rs: ReactionSpec | None = None,
+                source: np.ndarray | None = None) -> StepCoeffs:
+    z = grid.zeros()
+    return StepCoeffs(t=t, rs=rs or ReactionSpec(), mu=z, mu_tilde=z,
+                      grad_mu=[grid.zeros() for _ in range(grid.dim)], lap_mu=z, g=None,
+                      source=source if source is not None else z, dmu_dnu=z)
 
 
 @dataclass
@@ -208,11 +239,6 @@ class PathSolution:
     def eta_X(self) -> np.ndarray:
         """Multiplier in original variables, e^mu beta_eps(y)."""
         return np.exp(self.mu) * self.eta
-
-
-def recover_multiplier(sol: PathSolution) -> np.ndarray:
-    """Pointwise beta_eps of the stored trajectory (equals sol.eta)."""
-    return penalty.beta_eps(sol.y, sol.diagnostics.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -317,62 +343,67 @@ def stability_margin(grid: Grid, g: list[np.ndarray] | None, dt: float) -> float
     )
 
 
-def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
-                  solver: ImplicitSolver | None = None):
-    """One theta-step of the penalized interior obstacle problem.
-
-    Returns (y_next, newton_iterations, residual).  Raises StabilityError
-    when the explicit transport violates dt * sup|g| / h <= 1.
-    """
-    if y_n.shape != (grid.n_nodes,):
-        raise ValueError("state size mismatch")
-    margin = stability_margin(grid, coeffs.g, cfg.dt)
+def check_transport(grid: Grid, g: list[np.ndarray] | None, dt: float):
+    """The explicit transport guard of the transformed schemes."""
+    margin = stability_margin(grid, g, dt)
     if margin > 1.0 + 1e-9:
         raise StabilityError(
             f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1; "
-            f"reduce dt below {cfg.dt / margin:.3e}"
+            f"reduce dt below {dt / margin:.3e}"
         )
+
+
+def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
+                  solver: ImplicitSolver | None = None, lift: BoundaryLift | None = None,
+                  t_next: float | None = None):
+    """One theta-step of the penalized interior obstacle problem.
+
+    A BoundaryLift enters as its ghost value at the theta-weighted time
+    between coeffs.t and t_next.  Returns (y_next, newton_iterations,
+    residual).  Raises StabilityError when the explicit transport violates
+    dt * sup|g| / h <= 1.
+    """
+    if y_n.shape != (grid.n_nodes,):
+        raise ValueError("state size mismatch")
+    check_transport(grid, coeffs.g, cfg.dt)
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
+    source = coeffs.source
+    if lift is not None:
+        ghost = grid.zeros()
+        ghost[0] = (cfg.theta * lift.rate * t_next
+                    + (1.0 - cfg.theta) * lift.rate * coeffs.t) / grid.h[0] ** 2
+        source = source + ghost
     explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, y_n) if cfg.theta < 1.0 else 0.0
-    rhs = y_n + cfg.dt * (explicit - coeffs.reaction - _transport(grid, coeffs.g, y_n)
-                          + coeffs.source)
+    rhs = y_n + cfg.dt * (explicit - coeffs.reaction(y_n, cfg.mu_cap)
+                          - _transport(grid, coeffs.g, y_n) + source)
     dt_scale = np.full(grid.n_nodes, cfg.dt)
-    y, iters, resid = newton_penalized_solve(
+    return newton_penalized_solve(
         solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol, cfg.newton_max
     )
-    return y, iters, resid
 
 
 def _coarsen_to(paths: BrownianPathSet, tg: TimeGrid) -> BrownianPathSet:
     if paths.tg.N % tg.N != 0 or abs(paths.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
         raise ConfigError(
-            f"path set (N={paths.tg.N}, T={paths.tg.T}) is not a refinement of the "
-            f"run grid (N={tg.N}, T={tg.T})"
+            f"path set (N={paths.tg.N}, T={paths.tg.T}) must be sampled on the run grid "
+            f"(N={tg.N}, T={tg.T}) or a refinement of it"
         )
     return paths.coarsen(paths.tg.N // tg.N)
 
 
-def _transport_sup_bound(cs: CoeffSpec, grid: Grid, paths: BrownianPathSet) -> np.ndarray:
+def _transport_sup_bound(fields: SpaceFields, grid: Grid, paths: BrownianPathSet) -> np.ndarray:
     """Per-axis upper bound of sup_xi |g_a(t_n, xi)| over the path's nodes."""
-    if cs.m == 0:
+    if fields.m == 0:
         return np.zeros(grid.dim)
-    grad_sup = np.zeros((cs.m, grid.dim))
-    for k, c in enumerate(cs.coefficients):
-        for axis, comp in enumerate(c.space_grad(grid)):
-            grad_sup[k, axis] = np.max(np.abs(comp))
-    bounds = np.zeros(grid.dim)
+    grad_sup = np.abs(fields.grad).max(axis=2)  # (m, dim)
     times = paths.tg.nodes
-    for axis in range(grid.dim):
-        per_node = np.zeros(times.shape)
-        for k, c in enumerate(cs.coefficients):
-            a_vals = np.array([abs(c.time.value(t)) for t in times])
-            per_node += np.abs(paths.values[k]) * a_vals * grad_sup[k, axis]
-        bounds[axis] = 2.0 * per_node.max()
-    return bounds
+    a = np.array([np.broadcast_to(c.time.value(times), times.shape)
+                  for c in fields.coefficients])
+    return 2.0 * (np.abs(paths.values * a).T @ grad_sup).max(axis=0)
 
 
-def _pick_refinement(grid: Grid, tg: TimeGrid, cs: CoeffSpec, cfg: SolveConfig,
+def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields, cfg: SolveConfig,
                      paths: BrownianPathSet) -> tuple[int, BrownianPathSet]:
     """Smallest halving level satisfying the transport guard, or raise."""
     best_margin = np.inf
@@ -382,7 +413,7 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, cs: CoeffSpec, cfg: SolveConfig,
             break
         run_tg = tg.refined(factor)
         run_paths = _coarsen_to(paths, run_tg)
-        bounds = _transport_sup_bound(cs, grid, run_paths)
+        bounds = _transport_sup_bound(fields, grid, run_paths)
         margin = max(
             (run_tg.dt * b / grid.h[axis] for axis, b in enumerate(bounds)), default=0.0
         )
@@ -393,6 +424,107 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, cs: CoeffSpec, cfg: SolveConfig,
         f"transport guard dt*sup|g|/h <= 1 unreachable within the retry budget "
         f"(best margin {best_margin:.3f}); supply a finer path set or smaller dt"
     )
+
+
+def step_coeffs(grid: Grid, fields: SpaceFields, paths: BrownianPathSet, n: int,
+                rs: ReactionSpec, forcing: ForcingSpec, f: np.ndarray | None, mu_cap: float,
+                bd=None) -> StepCoeffs:
+    """The coefficient record at node n of `paths`.
+
+    f holds the values of the time-constant `forcing` (None when it is
+    zero); bd, the BoundaryData of a Neumann grid, adds dmu/dnu.
+    """
+    t = n * paths.tg.dt
+    mu = noisemod.eval_mu(fields, paths, n)
+    if f is None:
+        source = grid.zeros()
+    elif forcing.transformed:
+        source = f
+    else:
+        source = transform.effective_source(mu, f, mu_cap=mu_cap)
+    if fields.m == 0:
+        return zero_coeffs(grid, t, rs, source)
+    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, paths, n)
+    return StepCoeffs(t=t, rs=rs, mu=mu, mu_tilde=noisemod.eval_mu_tilde(fields, paths, n),
+                      grad_mu=grad_mu, lap_mu=lap_mu, g=g, source=source,
+                      dmu_dnu=None if bd is None else bd.normal_derivative(mu))
+
+
+class _Run(NamedTuple):
+    """What a step rule reads besides the state and the coefficient records."""
+
+    cfg: SolveConfig  # with the dt of the run grid
+    solver: ImplicitSolver
+    fields: SpaceFields
+    paths: BrownianPathSet  # on the run grid
+
+
+def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
+           x: InitialData | np.ndarray, cfg: SolveConfig, paths: BrownianPathSet,
+           refine, rule, bd=None, original: bool = False) -> PathSolution:
+    """March one Brownian path from x with a step rule.
+
+    refine(grid, tg, fields, cfg, paths) returns the halving level and the
+    path set on the run grid; without it the run grid is tg.
+    rule(n, y, c, c_next, run) advances the state from run-grid node n to
+    n + 1, given the coefficient records c and c_next at both nodes, and
+    returns (state, newton_iterations, residual).  The state is y, or
+    X = e^mu y when `original` is set.  The returned trajectories hold y on
+    the nodes of tg.
+    """
+    if cs.m != paths.m:
+        raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
+    run_paths = _coarsen_to(paths, tg)  # raises unless the path set refines tg
+    x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
+    if x_field.shape != (grid.n_nodes,):
+        raise ConfigError("initial data does not match the grid")
+    if np.min(x_field) < 0:
+        raise ConfigError("initial data must be nonnegative")
+
+    fields = noisemod.space_fields(cs, grid)
+    level, run_paths = refine(grid, tg, fields, cfg, paths) if refine else (0, run_paths)
+    stride, N, dt = 2**level, run_paths.tg.N, run_paths.tg.dt
+    run = _Run(replace(cfg, dt=dt), build_implicit_solver(grid, dt, cfg.theta), fields, run_paths)
+    f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
+
+    traj = np.zeros((tg.N + 1, grid.n_nodes))
+    mu_traj = np.zeros_like(traj)
+    cum_source = np.zeros(tg.N + 1)
+    iters = np.zeros(N, dtype=int)
+    resids = np.zeros(N)
+    worst_margin = mu_sup = source_sq = 0.0
+    y = x_field.copy()
+    c_next = step_coeffs(grid, fields, run_paths, 0, rs, forcing, f, cfg.mu_cap, bd)
+    for n in range(N + 1):
+        c = c_next
+        peak = float(np.max(np.abs(c.mu))) if c.mu.size else 0.0
+        if peak > cfg.mu_cap:
+            raise NumericalFailure(
+                f"|mu| reached {peak:.3g} at t={c.t:.4g}, beyond the cap {cfg.mu_cap}"
+            )
+        mu_sup = max(mu_sup, peak)
+        if n % stride == 0:
+            traj[n // stride], mu_traj[n // stride], cum_source[n // stride] = y, c.mu, source_sq
+        if n == N:
+            break
+        c_next = step_coeffs(grid, fields, run_paths, n + 1, rs, forcing, f, cfg.mu_cap, bd)
+        source_sq += dt * gridmod.inner(grid, c.source, c.source)
+        worst_margin = max(worst_margin, stability_margin(grid, c.g, dt))
+        y, iters[n], resids[n] = rule(n, y, c, c_next, run)
+
+    y_traj = np.exp(-mu_traj) * traj if original else traj
+    diag = Diagnostics(
+        newton_iters=iters,
+        residuals=resids,
+        stability_margin=worst_margin,
+        delta=noisemod.path_sup(run_paths),
+        refine_level=level,
+        mu_sup=mu_sup,
+        cum_source_sq=cum_source,
+        eps=cfg.eps,
+    )
+    eta = penalty.beta_eps(y_traj, cfg.eps)
+    return PathSolution(grid=grid, tg=tg, y=y_traj, eta=eta, mu=mu_traj, diagnostics=diag)
 
 
 def solve_path(
@@ -414,105 +546,13 @@ def solve_path(
     """
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("solve_path needs a Dirichlet grid")
-    if cs.m != paths.m:
-        raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
     if boundary_lift is not None and grid.dim != 1:
         raise ConfigError("boundary lift is only supported in 1D")
-    if paths.tg.N % tg.N != 0 or abs(paths.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
-        raise ConfigError(
-            f"path set (N={paths.tg.N}, T={paths.tg.T}) must be sampled on the run grid "
-            f"(N={tg.N}, T={tg.T}) or a refinement of it"
-        )
 
-    x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
-    if x_field.shape != (grid.n_nodes,):
-        raise ConfigError("initial data does not match the grid")
-    if np.min(x_field) < 0:
-        raise ConfigError("initial data must be nonnegative")
+    def rule(n, y, c, c_next, run):
+        return step_interior(grid, y, c, run.cfg, run.solver, boundary_lift, c_next.t)
 
-    level, run_paths = _pick_refinement(grid, tg, cs, cfg, paths)
-    stride = 2**level
-    run_tg = run_paths.tg
-    dt = run_tg.dt
-    run_cfg = SolveConfig(dt, cfg.T, cfg.theta, cfg.eps, cfg.newton_tol,
-                          cfg.newton_max, cfg.mu_cap, cfg.max_halvings)
-    solver = build_implicit_solver(grid, dt, cfg.theta)
-
-    n_store = tg.N + 1
-    y_traj = np.zeros((n_store, grid.n_nodes))
-    mu_traj = np.zeros((n_store, grid.n_nodes))
-    cum_source = np.zeros(n_store)
-    iters = np.zeros(run_tg.N, dtype=int)
-    resids = np.zeros(run_tg.N)
-    worst_margin = 0.0
-    mu_sup = 0.0
-    source_sq = 0.0
-
-    y = x_field.copy()
-    f_const = None
-    if forcing.kind != "zero":
-        f_const = forcing.value(0.0, grid)
-
-    for n in range(run_tg.N + 1):
-        t_n = n * dt
-        mu_n = noisemod.eval_mu(cs, run_paths, t_n, grid)
-        peak = float(np.max(np.abs(mu_n))) if mu_n.size else 0.0
-        if peak > cfg.mu_cap:
-            raise NumericalFailure(
-                f"|mu| reached {peak:.3g} at t={t_n:.4g}, beyond the cap {cfg.mu_cap}"
-            )
-        mu_sup = max(mu_sup, peak)
-        if n % stride == 0:
-            k = n // stride
-            y_traj[k] = y
-            mu_traj[k] = mu_n
-            cum_source[k] = source_sq
-        if n == run_tg.N:
-            break
-
-        if cs.m > 0:
-            mt = noisemod.eval_mu_tilde(cs, run_paths, t_n, grid)
-            grad_mu, lap_mu, g = noisemod.eval_mu_derivs(cs, run_paths, t_n, grid)
-        else:
-            mt = grid.zeros()
-            grad_mu, lap_mu, g = [grid.zeros() for _ in range(grid.dim)], grid.zeros(), None
-        reaction = transform.effective_reaction(rs, mu_n, mt, grad_mu, lap_mu, t_n, y,
-                                                mu_cap=cfg.mu_cap)
-        if f_const is None:
-            f_tilde = grid.zeros()
-        elif forcing.transformed:
-            f_tilde = f_const
-        else:
-            f_tilde = transform.effective_source(mu_n, f_const, mu_cap=cfg.mu_cap)
-        source_sq += dt * gridmod.inner(grid, f_tilde, f_tilde)
-
-        source = f_tilde
-        if boundary_lift is not None:
-            lift = grid.zeros()
-            t_next = (n + 1) * dt
-            g_val = cfg.theta * boundary_lift.rate * t_next \
-                + (1.0 - cfg.theta) * boundary_lift.rate * t_n
-            lift[0] = g_val / grid.h[0] ** 2
-            source = source + lift
-
-        coeffs = StepCoeffs(reaction=reaction, g=g, source=source)
-        worst_margin = max(worst_margin, stability_margin(grid, g, dt))
-        y, it, resid = step_interior(grid, y, coeffs, run_cfg, solver=solver)
-        iters[n] = it
-        resids[n] = resid
-
-    diag = Diagnostics(
-        newton_iters=iters,
-        residuals=resids,
-        stability_margin=worst_margin,
-        delta=noisemod.path_sup(run_paths),
-        refine_level=level,
-        mu_sup=mu_sup,
-        cum_source_sq=cum_source,
-        eps=cfg.eps,
-    )
-    eta = penalty.beta_eps(y_traj, cfg.eps)
-    return PathSolution(grid=grid, tg=tg, y=y_traj, eta=eta, mu=mu_traj, diagnostics=diag)
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
 
 
 def direct_em_solve(
@@ -531,59 +571,27 @@ def direct_em_solve(
     same path set."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("direct_em_solve needs a Dirichlet grid")
-    if cs.m != paths.m:
-        raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
-    x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
-    if np.min(x_field) < 0:
-        raise ConfigError("initial data must be nonnegative")
-
-    run_paths = _coarsen_to(paths, tg)
-    dt = tg.dt
-    solver = build_implicit_solver(grid, dt, cfg.theta)
-    no_penalty = np.zeros(grid.n_nodes)
-
-    X_traj = np.zeros((tg.N + 1, grid.n_nodes))
-    mu_traj = np.zeros((tg.N + 1, grid.n_nodes))
-    X = x_field.copy()
-    f_const = forcing.value(0.0, grid) if forcing.kind != "zero" else None
     if forcing.transformed:
         raise ConfigError("direct_em_solve integrates the original equation; "
                           "forcing must live in the original variables")
+    f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
+    no_penalty = np.zeros(grid.n_nodes)
 
-    mu_fields = [c.space_value(grid) for c in cs.coefficients]
-    for n in range(tg.N + 1):
-        t_n = n * dt
-        X_traj[n] = X
-        mu_traj[n] = noisemod.eval_mu(cs, run_paths, t_n, grid)
-        if n == tg.N:
-            break
+    def em_step(n, X, c, c_next, run):
+        cfg = run.cfg
         explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, X) if cfg.theta < 1.0 else 0.0
-        drift = explicit - rs.value(t_n, X) - penalty.beta_eps(X, cfg.eps)
-        if f_const is not None:
-            drift = drift + f_const
+        drift = explicit - rs.value(c.t, X) - penalty.beta_eps(X, cfg.eps)
+        if f is not None:
+            drift = drift + f
         noise_term = np.zeros(grid.n_nodes)
-        for k, b in enumerate(mu_fields):
-            noise_term += run_paths.increments[k, n] * cs.coefficients[k].time.value(t_n) * b
-        rhs = X + dt * drift + X * noise_term
-        X, _, _ = newton_penalized_solve(solver, rhs, no_penalty, cfg.eps, X,
-                                         max(cfg.newton_tol, 1e-12), cfg.newton_max)
+        for k, coeff in enumerate(run.fields.coefficients):
+            noise_term += run.paths.increments[k, n] * coeff.time.value(c.t) * run.fields.value[k]
+        rhs = X + cfg.dt * drift + X * noise_term
+        return newton_penalized_solve(run.solver, rhs, no_penalty, cfg.eps, X,
+                                      max(cfg.newton_tol, 1e-12), cfg.newton_max)
 
-    mu_cap_guard = float(np.max(np.abs(mu_traj))) if mu_traj.size else 0.0
-    if mu_cap_guard > cfg.mu_cap:
-        raise NumericalFailure(f"|mu| reached {mu_cap_guard:.3g}, beyond the cap {cfg.mu_cap}")
-    y_traj = np.exp(-mu_traj) * X_traj
-    diag = Diagnostics(
-        newton_iters=np.ones(tg.N, dtype=int),
-        residuals=np.zeros(tg.N),
-        stability_margin=0.0,
-        delta=noisemod.path_sup(run_paths),
-        refine_level=0,
-        mu_sup=mu_cap_guard,
-        cum_source_sq=np.zeros(tg.N + 1),
-        eps=cfg.eps,
-    )
-    eta = penalty.beta_eps(y_traj, cfg.eps)
-    return PathSolution(grid=grid, tg=tg, y=y_traj, eta=eta, mu=mu_traj, diagnostics=diag)
+    # no refinement: the Euler-Maruyama rule has no transport guard
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, None, em_step, original=True)
 
 
 # ---------------------------------------------------------------------------

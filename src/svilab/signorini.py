@@ -1,6 +1,10 @@
 """The boundary-constrained variant: Neumann-type grid with the unilateral
 condition  dy/dnu + (dmu/dnu) y + beta(y) = 0  on the boundary.
 
+Its solver is the shared march of `pathsolver` with the step rule
+`step_signorini`; the march also assembles dmu/dnu into every coefficient
+record, which the rule needs at the new time level.
+
 Boundary nodes are unknowns.  The penalized flux enters through the ghost
 value of the reflected Laplacian: at a boundary node the second difference
 along an outward axis picks up -(2/h) * [ (dmu/dnu) y + beta_eps(y) ].
@@ -12,7 +16,8 @@ With the half-cell quadrature weights this is exactly the discrete form
 corner nodes applying both axis ghosts (their boundary weight is the
 trapezoid weight (hx + hy)/2, and dmu/dnu averages the two one-sided axis
 stencils).  The boundary beta_eps sits inside the same semismooth Newton
-loop as the interior obstacle solver, restricted to boundary nodes.
+loop as the interior obstacle solver, restricted to boundary nodes, with
+the Robin term dt theta (2/h) dmu/dnu on the diagonal.
 """
 
 from __future__ import annotations
@@ -23,22 +28,23 @@ import numpy as np
 
 from . import grid as gridmod
 from . import noise as noisemod
-from . import transform
-from .errors import ConfigError, NumericalFailure, StabilityError
+from .errors import ConfigError
 from .grid import Grid
 from .noise import BrownianPathSet, CoeffSpec, TimeGrid
 from .pathsolver import (
-    Diagnostics,
     ForcingSpec,
     ImplicitSolver,
     InitialData,
     PathSolution,
     SolveConfig,
+    StepCoeffs,
+    _march,
     _pick_refinement,
     _transport,
     build_implicit_solver,
+    check_transport,
     newton_penalized_solve,
-    stability_margin,
+    step_coeffs,
 )
 from .penalty import beta_eps, j_eps
 from .transform import ReactionSpec
@@ -107,78 +113,33 @@ def build_boundary_data(grid: Grid) -> BoundaryData:
     )
 
 
-@dataclass
-class SignoriniCoeffs:
-    """Coefficient fields of the transformed equation at one time."""
-
-    t: float
-    rs: ReactionSpec
-    mu: np.ndarray
-    mu_tilde: np.ndarray
-    grad_mu: list[np.ndarray]
-    lap_mu: np.ndarray
-    g: list[np.ndarray] | None
-    dmu_dnu: np.ndarray
-    source: np.ndarray
-
-    def reaction(self, y: np.ndarray, mu_cap: float = transform.MU_CAP_DEFAULT) -> np.ndarray:
-        return transform.effective_reaction(
-            self.rs, self.mu, self.mu_tilde, self.grad_mu, self.lap_mu, self.t, y,
-            mu_cap=mu_cap,
-        )
-
-
-def zero_coeffs(grid: Grid, t: float = 0.0, rs: ReactionSpec | None = None,
-                source: np.ndarray | None = None) -> SignoriniCoeffs:
-    z = grid.zeros()
-    return SignoriniCoeffs(
-        t=t,
-        rs=rs or ReactionSpec(),
-        mu=z,
-        mu_tilde=z,
-        grad_mu=[grid.zeros() for _ in range(grid.dim)],
-        lap_mu=z,
-        g=None,
-        dmu_dnu=z,
-        source=source if source is not None else z,
-    )
-
-
 def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
-                    paths: BrownianPathSet, t: float, bd: BoundaryData,
-                    mu_cap: float) -> SignoriniCoeffs:
-    mu = noisemod.eval_mu(cs, paths, t, grid)
-    peak = float(np.max(np.abs(mu))) if mu.size else 0.0
-    if peak > mu_cap:
-        raise NumericalFailure(f"|mu| reached {peak:.3g} at t={t:.4g}, beyond the cap {mu_cap}")
-    if cs.m > 0:
-        mt = noisemod.eval_mu_tilde(cs, paths, t, grid)
-        grad_mu, lap_mu, g = noisemod.eval_mu_derivs(cs, paths, t, grid)
-    else:
-        mt = grid.zeros()
-        grad_mu, lap_mu, g = [grid.zeros() for _ in range(grid.dim)], grid.zeros(), None
-    f = forcing.value(t, grid) if forcing.kind != "zero" else grid.zeros()
-    if forcing.kind != "zero" and not forcing.transformed:
-        f = transform.effective_source(mu, f, mu_cap=mu_cap)
-    return SignoriniCoeffs(
-        t=t, rs=rs, mu=mu, mu_tilde=mt, grad_mu=grad_mu, lap_mu=lap_mu, g=g,
-        dmu_dnu=bd.normal_derivative(mu), source=f,
-    )
+                    paths: BrownianPathSet, n: int, bd: BoundaryData,
+                    mu_cap: float) -> StepCoeffs:
+    """The march's coefficient record at node n of `paths`, for the probes."""
+    f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
+    return step_coeffs(grid, noisemod.space_fields(cs, grid), paths, n, rs, forcing, f,
+                       mu_cap, bd)
 
 
-def apply_operator(grid: Grid, coeffs: SignoriniCoeffs, bd: BoundaryData, y: np.ndarray,
-                   eps: float) -> np.ndarray:
-    """Strong form of A_eps(t) y: -lap_BC y + F_eff(t, y) + g . grad y, the
-    penalized boundary flux folded into the Laplacian's ghost values."""
-    lap = gridmod.apply_laplacian(grid, y)
+def _laplacian_bc(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, y: np.ndarray,
+                  eps: float) -> np.ndarray:
+    """lap_BC y: the penalized boundary flux folded into the Laplacian's
+    ghost values."""
     flux = np.zeros_like(y)
     mask = grid.boundary_mask
     flux[mask] = coeffs.dmu_dnu[mask] * y[mask] + beta_eps(y[mask], eps)
-    lap = lap - bd.geom_factor * flux
-    return -lap + coeffs.reaction(y) + _transport(grid, coeffs.g, y)
+    return gridmod.apply_laplacian(grid, y) - bd.geom_factor * flux
 
 
-def assemble_form_value(grid: Grid, coeffs: SignoriniCoeffs, bd: BoundaryData,
+def apply_operator(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, y: np.ndarray,
+                   eps: float) -> np.ndarray:
+    """Strong form of A_eps(t) y: -lap_BC y + F_eff(t, y) + g . grad y."""
+    return (-_laplacian_bc(grid, coeffs, bd, y, eps) + coeffs.reaction(y)
+            + _transport(grid, coeffs.g, y))
+
+
+def assemble_form_value(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData,
                         y: np.ndarray, phi: np.ndarray, eps: float) -> float:
     """<A_eps(t) y, phi> by quadrature; agrees with inner(apply_operator, phi)
     to machine precision."""
@@ -193,39 +154,25 @@ def assemble_form_value(grid: Grid, coeffs: SignoriniCoeffs, bd: BoundaryData,
     return value
 
 
-def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: SignoriniCoeffs, bd: BoundaryData,
-                   cfg: SolveConfig, coeffs_new: SignoriniCoeffs | None = None,
+def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: BoundaryData,
+                   cfg: SolveConfig, coeffs_new: StepCoeffs | None = None,
                    solver: ImplicitSolver | None = None):
     """One theta-step; the boundary condition is enforced at the new time
     level (dmu/dnu from coeffs_new when given, else from coeffs)."""
-    margin = stability_margin(grid, coeffs.g, cfg.dt)
-    if margin > 1.0 + 1e-9:
-        raise StabilityError(
-            f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1"
-        )
+    check_transport(grid, coeffs.g, cfg.dt)
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     dmu_new = (coeffs_new or coeffs).dmu_dnu
     mask = grid.boundary_mask
-
-    if cfg.theta < 1.0:
-        lap_bc = gridmod.apply_laplacian(grid, y_n)
-        flux = np.zeros_like(y_n)
-        flux[mask] = coeffs.dmu_dnu[mask] * y_n[mask] + beta_eps(y_n[mask], cfg.eps)
-        lap_bc = lap_bc - bd.geom_factor * flux
-        explicit = (1.0 - cfg.theta) * lap_bc
-    else:
-        explicit = 0.0
+    explicit = ((1.0 - cfg.theta) * _laplacian_bc(grid, coeffs, bd, y_n, cfg.eps)
+                if cfg.theta < 1.0 else 0.0)
     rhs = y_n + cfg.dt * (
         explicit - coeffs.reaction(y_n, cfg.mu_cap) - _transport(grid, coeffs.g, y_n)
         + coeffs.source
     )
-    robin_diag = np.where(mask, cfg.dt * cfg.theta * bd.geom_factor * dmu_new, 0.0)
     dt_scale = np.where(mask, cfg.dt * cfg.theta * bd.geom_factor, 0.0)
-    y, iters, resid = newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, y_n,
-                                             cfg.newton_tol, cfg.newton_max,
-                                             linear_diag=robin_diag)
-    return y, iters, resid
+    return newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol,
+                                  cfg.newton_max, linear_diag=dt_scale * dmu_new)
 
 
 def solve_signorini_path(
@@ -241,63 +188,12 @@ def solve_signorini_path(
     """March the boundary-penalized problem along one Brownian path."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("solve_signorini_path needs a Neumann grid")
-    if cs.m != paths.m:
-        raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
-    if paths.tg.N % tg.N != 0 or abs(paths.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
-        raise ConfigError("path set must be sampled on the run grid or a refinement of it")
-    x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
-    if np.min(x_field) < 0:
-        raise ConfigError("initial data must be nonnegative")
-
     bd = build_boundary_data(grid)
-    level, run_paths = _pick_refinement(grid, tg, cs, cfg, paths)
-    stride = 2**level
-    run_tg = run_paths.tg
-    dt = run_tg.dt
-    run_cfg = SolveConfig(dt, cfg.T, cfg.theta, cfg.eps, cfg.newton_tol,
-                          cfg.newton_max, cfg.mu_cap, cfg.max_halvings)
-    solver = build_implicit_solver(grid, dt, cfg.theta)
 
-    n_store = tg.N + 1
-    y_traj = np.zeros((n_store, grid.n_nodes))
-    mu_traj = np.zeros((n_store, grid.n_nodes))
-    cum_source = np.zeros(n_store)
-    iters = np.zeros(run_tg.N, dtype=int)
-    resids = np.zeros(run_tg.N)
-    worst_margin = 0.0
-    source_sq = 0.0
+    def rule(n, y, c, c_next, run):
+        return step_signorini(grid, y, c, bd, run.cfg, c_next, run.solver)
 
-    y = x_field.copy()
-    coeffs = assemble_coeffs(grid, cs, rs, forcing, run_paths, 0.0, bd, cfg.mu_cap)
-    for n in range(run_tg.N + 1):
-        if n % stride == 0:
-            k = n // stride
-            y_traj[k] = y
-            mu_traj[k] = coeffs.mu
-            cum_source[k] = source_sq
-        if n == run_tg.N:
-            break
-        coeffs_next = assemble_coeffs(grid, cs, rs, forcing, run_paths, (n + 1) * dt, bd,
-                                      cfg.mu_cap)
-        source_sq += dt * gridmod.inner(grid, coeffs.source, coeffs.source)
-        worst_margin = max(worst_margin, stability_margin(grid, coeffs.g, dt))
-        y, it, resid = step_signorini(grid, y, coeffs, bd, run_cfg, coeffs_next, solver)
-        iters[n] = it
-        resids[n] = resid
-        coeffs = coeffs_next
-
-    diag = Diagnostics(
-        newton_iters=iters,
-        residuals=resids,
-        stability_margin=worst_margin,
-        delta=noisemod.path_sup(run_paths),
-        refine_level=level,
-        mu_sup=float(np.max(np.abs(mu_traj))) if mu_traj.size else 0.0,
-        cum_source_sq=cum_source,
-        eps=cfg.eps,
-    )
-    eta = beta_eps(y_traj, cfg.eps)
-    return PathSolution(grid=grid, tg=tg, y=y_traj, eta=eta, mu=mu_traj, diagnostics=diag)
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule, bd=bd)
 
 
 def recover_boundary_multiplier(sol: PathSolution) -> np.ndarray:
@@ -316,10 +212,8 @@ def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0,
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     bw = gridmod.boundary_weights(g)
     mask = g.boundary_mask
-    j_t = np.array([gridmod.inner(g, j_eps(sol.y[n], eps), np.ones(g.n_nodes))
-                    for n in range(tg.N + 1)])
-    b_sq = np.array([float(np.sum(bw[mask] * beta_eps(sol.y[n][mask], eps) ** 2))
-                     for n in range(tg.N + 1)])
+    j_t = j_eps(sol.y, eps) @ g.weights
+    b_sq = recover_boundary_multiplier(sol) ** 2 @ bw[mask]
     cum_b = np.concatenate([[0.0], np.cumsum(b_sq[:-1]) * tg.dt])
     lhs = j_t + cum_b
     rhs = slack * (float(np.sum(gridmod.inner(g, j_eps(x_field, eps), np.ones(g.n_nodes))))
@@ -372,7 +266,7 @@ def _random_fields(grid: Grid, rng: np.random.Generator, n: int) -> np.ndarray:
     return fields
 
 
-def probe_form_constants(grid: Grid, coeffs: SignoriniCoeffs, bd: BoundaryData, eps: float,
+def probe_form_constants(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: float,
                          n_samples: int = 128, seed: int = 0,
                          c2_target: float = 0.5) -> FormConstantsReport:
     if n_samples < 100:
@@ -427,7 +321,7 @@ def probe_form_constants(grid: Grid, coeffs: SignoriniCoeffs, bd: BoundaryData, 
                                n_samples=n_samples, violations=violations)
 
 
-def coercivity_probe(grid: Grid, coeffs: SignoriniCoeffs, bd: BoundaryData, eps: float,
+def coercivity_probe(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: float,
                      n_samples: int = 128, seed: int = 0) -> tuple[float, float]:
     """Fitted (C2, C3) of the Garding bound over random samples."""
     rep = probe_form_constants(grid, coeffs, bd, eps, n_samples, seed)

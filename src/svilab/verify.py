@@ -10,13 +10,12 @@ from __future__ import annotations
 import filecmp
 import tempfile
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import cauchy_rate_study, complementarity_report, energy_check
+from .analysis import cauchy_rate_study, complementarity_report, energy_check, map_paths
 from .errors import NumericalFailure
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
@@ -130,13 +129,7 @@ def check_energy(workers: int = 1):
         n=63, T=0.25, n_steps=250, coefficients=_c1("const(0.5) * sin(1)"), seed=3333,
         initial=InitialData("sine", 1.0),
     )
-    jobs = [(spec, pid) for pid in range(100)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_energy_worker, jobs, chunksize=8))
-    else:
-        results = [_energy_worker(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
+    results = map_paths(_energy_worker, [(spec, pid) for pid in range(100)], workers)
     worst_e = max(r[1] for r in results)
     worst_m = max(r[2] for r in results)
     rows = [
@@ -183,13 +176,8 @@ def check_transform_consistency(workers: int = 1):
         n=63, T=0.25, n_steps=n_coarse, coefficients=_c1("const(0.3) * sin(2)"),
         seed=4444, initial=InitialData("sine", 1.0), headroom=8,
     )
-    jobs = [(spec, pid, n_coarse) for pid in range(100)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_consistency_worker, jobs, chunksize=8))
-    else:
-        results = [_consistency_worker(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
+    results = map_paths(_consistency_worker, [(spec, pid, n_coarse) for pid in range(100)],
+                        workers)
     e1 = np.array([r[1] for r in results])
     e2 = np.array([r[2] for r in results])
     factor = float(e1.mean() / e2.mean())
@@ -239,8 +227,8 @@ def check_signorini(workers: int = 1):
     delta = path_sup(paths)
     cs = CoeffSpec(_c1("const(0.5) * cos(1)"))
     bd = build_boundary_data(g)
-    coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths,
-                             tgp.nodes[60], bd, 30.0)
+    coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths, 60,
+                             bd, 30.0)
     rep = probe_form_constants(g, coeffs, bd, eps=1e-3, n_samples=128, seed=1)
     rows.append(("signorini_delta_moderate", delta, 2.0, delta <= 2.0))
     rows.append(("signorini_coercivity_violations", rep.violations, 0.0, rep.violations == 0))

@@ -3,6 +3,7 @@ import pytest
 
 from svilab.analysis import (
     RateFit,
+    _step_norms,
     cauchy_rate_study,
     complementarity_report,
     energy_check,
@@ -10,15 +11,24 @@ from svilab.analysis import (
     fit_rate,
     path_functionals,
 )
-from svilab.grid import DIRICHLET, build_grid
+from svilab.grid import (
+    DIRICHLET,
+    NEUMANN,
+    apply_laplacian,
+    build_grid,
+    inner,
+    seminorm_h1,
+)
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
     ForcingSpec,
     InitialData,
+    PathSolution,
     ProblemSpec,
     SolveConfig,
     solve_path,
 )
+from svilab.penalty import beta_eps
 from svilab.transform import ReactionSpec
 
 EMPTY = CoeffSpec(())
@@ -201,3 +211,21 @@ def test_path_functionals_keys():
         "int_dydt_l2", "int_dydt_l2_sq", "energy_ratio", "multiplier_ratio",
     }
     assert vals["int_beta_sq"] > 0
+
+
+@pytest.mark.parametrize("dim, bc", [(1, DIRICHLET), (2, DIRICHLET), (1, NEUMANN), (2, NEUMANN)])
+def test_step_norms_match_per_row_operators(dim, bc):
+    g = build_grid(dim, [1.0, 1.5][:dim], 13, bc)
+    tg = TimeGrid(0.1, 6)
+    y = np.random.default_rng(11).normal(size=(tg.N + 1, g.n_nodes))
+    sol = PathSolution(grid=g, tg=tg, y=y, eta=beta_eps(y, 1e-2), mu=np.zeros_like(y),
+                       diagnostics=None)
+    expected = np.array([
+        [inner(g, row, row) for row in sol.y],
+        [seminorm_h1(g, row) ** 2 for row in sol.y],
+        [inner(g, row, row) for row in sol.eta],
+        [inner(g, lap, lap) for lap in (apply_laplacian(g, row) for row in sol.y)],
+    ])
+    got = np.array(_step_norms(sol))
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))

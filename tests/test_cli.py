@@ -354,3 +354,23 @@ def test_verify_mode_subset(tmp_path):
 
 def test_missing_config_file():
     assert main(["--config", "/nonexistent/x.cfg", "--quiet"]) == 1
+
+
+
+
+@pytest.mark.parametrize("flag, value, key, in_file", [
+    ("--paths", "1", "run.n_paths", ("n_paths = 4", "n_paths = 1")),
+    ("--seed", "-1", "noise.seed", ("seed = 7", "seed = -1")),
+])
+def test_overrides_validated_like_file_values(tmp_path, capsys, flag, value, key, in_file):
+    conf = FULL.format(out=tmp_path / "out").replace("mode = run", "mode = ensemble\nn_paths = 4")
+    code = main(["--config", str(write(tmp_path, conf)), "--quiet", flag, value])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("config error:")]
+    assert len(errors) == 1 and key in errors[0]
+    assert not (tmp_path / "out").exists()
+    # the same value written in the file gives the same message
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write(tmp_path, conf.replace(*in_file), name="file.cfg"))
+    assert [f"config error: {m}" for m in exc.value.messages] == errors

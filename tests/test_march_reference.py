@@ -1,0 +1,126 @@
+"""Regression of the time march against trajectories recorded before the
+three solvers (interior, Signorini, Euler-Maruyama) shared one driver.
+
+Regenerate the reference from a checkout of the solver to compare against:
+
+    PYTHONPATH=<checkout>/src python tests/test_march_reference.py
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from svilab.grid import DIRICHLET, NEUMANN, build_grid
+from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
+from svilab.pathsolver import (
+    BoundaryLift,
+    ForcingSpec,
+    InitialData,
+    SolveConfig,
+    direct_em_solve,
+    solve_path,
+)
+from svilab.signorini import solve_signorini_path
+from svilab.transform import ReactionSpec
+
+REFERENCE = Path(__file__).resolve().parent / "data" / "march_reference.npz"
+
+
+def _cs(text, lengths=(1.0,)):
+    return CoeffSpec((parse_coefficient(text, list(lengths)),))
+
+
+def _refined_1d():
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    tg = TimeGrid(0.2, 40)
+    return solve_path(g, tg, _cs("const(1.5) * sin(2)"), ReactionSpec("saturating", 0.5),
+                      ForcingSpec("const", -1.0), InitialData("sine", 0.5),
+                      SolveConfig(dt=tg.dt, T=tg.T, eps=1e-3),
+                      sample_paths(TimeGrid(0.2, 320), 1, seed=5))
+
+
+def _solve_2d():
+    g = build_grid(2, [1.0, 1.0], 9, DIRICHLET)
+    tg = TimeGrid(0.02, 20)
+    return solve_path(g, tg, _cs("const(0.5) * sin(1) * cos(1)", (1.0, 1.0)),
+                      ReactionSpec("linear", 0.3), ForcingSpec("const", -1.0),
+                      InitialData("cone", 0.3, center=(0.3, 0.3), radius=0.3),
+                      SolveConfig(dt=tg.dt, T=tg.T, eps=1e-3),
+                      sample_paths(TimeGrid(0.02, 160), 1, seed=7))
+
+
+def _lift():
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    tg = TimeGrid(0.05, 50)
+    return solve_path(g, tg, _cs("const(0.4) * sin(1)"), ReactionSpec(),
+                      ForcingSpec("sine", -0.3), InitialData("sine", 0.0),
+                      SolveConfig(dt=tg.dt, T=tg.T, theta=0.5, eps=1e-6),
+                      sample_paths(TimeGrid(0.05, 400), 1, seed=31),
+                      boundary_lift=BoundaryLift(0.4))
+
+
+def _signorini():
+    g = build_grid(1, [1.0], 31, NEUMANN)
+    tg = TimeGrid(0.1, 50)
+    return solve_signorini_path(g, tg, _cs("const(0.4) * cos(1)"), ReactionSpec("linear", 0.3),
+                                ForcingSpec("edge", -2.0, width=0.15),
+                                InitialData("cutoff", 1.0, radius=0.2),
+                                SolveConfig(dt=tg.dt, T=tg.T, theta=0.75, eps=1e-3),
+                                sample_paths(TimeGrid(0.1, 400), 1, seed=12))
+
+
+def _em():
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    tg = TimeGrid(0.1, 50)
+    return direct_em_solve(g, tg, _cs("cos(0.5,2.0) * sin(1)"), ReactionSpec("linear", 0.3),
+                           ForcingSpec("sine", 0.5), InitialData("sine", 1.0),
+                           SolveConfig(dt=tg.dt, T=tg.T, theta=0.75),
+                           sample_paths(TimeGrid(0.1, 200), 1, seed=11))
+
+
+# name -> (solve, also compare the diagnostics of the transformed schemes)
+CASES = {
+    "refined_1d": (_refined_1d, True),
+    "solve_2d": (_solve_2d, True),
+    "lift": (_lift, True),
+    "signorini": (_signorini, True),
+    "em": (_em, False),
+}
+
+
+def _record(sol) -> dict:
+    d = sol.diagnostics
+    return {"y": sol.y, "mu": sol.mu, "newton_iters": d.newton_iters,
+            "refine_level": np.array(d.refine_level), "cum_source_sq": d.cum_source_sq}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with np.load(REFERENCE) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_march_matches_reference(name, reference):
+    solve, transformed = CASES[name]
+    got = _record(solve())
+    # Euler-Maruyama recorded no Newton counts and no source quadrature
+    keys = ("y", "mu", "cum_source_sq", "newton_iters", "refine_level") if transformed \
+        else ("y", "mu")
+    for key in keys:
+        assert np.array_equal(got[key], reference[f"{name}/{key}"]), key
+
+
+def test_reference_covers_refinement():
+    with np.load(REFERENCE) as data:
+        assert int(data["refined_1d/refine_level"]) >= 1
+
+
+if __name__ == "__main__":
+    out = {f"{name}/{key}": value
+           for name, (solve, _) in CASES.items() for key, value in _record(solve()).items()}
+    REFERENCE.parent.mkdir(exist_ok=True)
+    np.savez_compressed(REFERENCE, **out)
+    print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)", file=sys.stderr)

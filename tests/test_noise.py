@@ -13,6 +13,7 @@ from svilab.noise import (
     parse_coefficient,
     path_sup,
     sample_paths,
+    space_fields,
 )
 
 
@@ -117,14 +118,14 @@ def test_eval_mu_trivial_cases():
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=3)
     cs0 = spec_1d("const(0.0) * const(1.0)")
-    assert np.all(eval_mu(cs0, p, 0.5, g) == 0.0)
+    assert np.all(eval_mu(space_fields(cs0, g), p, 5) == 0.0)
     cs = spec_1d("const(2.5) * const(1.0)")
-    assert np.all(eval_mu(cs, p, 0.0, g) == 0.0)  # beta(0) = 0
-    t = tg.nodes[4]
+    assert np.all(eval_mu(space_fields(cs, g), p, 0) == 0.0)  # beta(0) = 0
     expect = 2.5 * p.values[0, 4]
-    assert np.allclose(eval_mu(cs, p, t, g), expect)
+    assert np.allclose(eval_mu(space_fields(cs, g), p, 4), expect)
     with pytest.raises(ValueError):
-        eval_mu(spec_1d("const(1.0) * const(1.0)", "const(1.0) * const(1.0)"), p, t, g)
+        two = spec_1d("const(1.0) * const(1.0)", "const(1.0) * const(1.0)")
+        eval_mu(space_fields(two, g), p, 4)
 
 
 def test_eval_mu_tilde():
@@ -135,27 +136,26 @@ def test_eval_mu_tilde():
     c = 1.7
     cs = spec_1d(f"const({c}) * const(1.0)")
     t = tg.nodes[6]
-    assert np.allclose(eval_mu_tilde(cs, p, t, g), 0.5 * c * c)
+    assert np.allclose(eval_mu_tilde(space_fields(cs, g), p, 6), 0.5 * c * c)
     # mu = t * b(xi): mu~ = b*beta(t) + t^2 b^2 / 2
     cs2 = spec_1d("linear(0.0,1.0) * sin(1)")
     x = g.meshes()[0]
     b = np.sin(np.pi * x)
     expect = b * p.values[0, 6] + 0.5 * t * t * b * b
-    assert np.allclose(eval_mu_tilde(cs2, p, t, g), expect)
-    assert np.all(eval_mu_tilde(spec_1d("const(0.0) * const(1.0)"), p, t, g) == 0.0)
+    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), p, 6), expect)
+    assert np.all(eval_mu_tilde(space_fields(spec_1d("const(0.0) * const(1.0)"), g), p, 6) == 0.0)
 
 
 def test_eval_mu_derivs_analytic():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=5)
-    t = tg.nodes[3]
     # spatially constant coefficient: all derivatives vanish
-    grad, lap, gvec = eval_mu_derivs(spec_1d("const(2.0) * const(3.0)"), p, t, g)
+    grad, lap, gvec = eval_mu_derivs(space_fields(spec_1d("const(2.0) * const(3.0)"), g), p, 3)
     assert np.all(grad[0] == 0.0) and np.all(lap == 0.0) and np.all(gvec[0] == 0.0)
     # sine mode: exact analytic derivatives
     cs = spec_1d("const(1.0) * sin(1)")
-    grad, lap, gvec = eval_mu_derivs(cs, p, t, g)
+    grad, lap, gvec = eval_mu_derivs(space_fields(cs, g), p, 3)
     x = g.meshes()[0]
     beta = p.values[0, 3]
     assert np.allclose(grad[0], np.pi * np.cos(np.pi * x) * beta)
@@ -169,9 +169,9 @@ def test_analytic_derivs_match_grid_operators():
     tg = TimeGrid(1.0, 8)
     p = sample_paths(tg, 2, seed=6)
     cs = spec_1d("const(0.7) * sin(2)", "linear(0.2,0.5) * poly(0.1,0.3,-0.2)")
-    t = tg.nodes[5]
-    mu = eval_mu(cs, p, t, g)
-    grad, lap, _ = eval_mu_derivs(cs, p, t, g)
+    fields = space_fields(cs, g)
+    mu = eval_mu(fields, p, 5)
+    grad, lap, _ = eval_mu_derivs(fields, p, 5)
     fd_grad = apply_gradient(g, mu)[0]
     fd_lap = apply_laplacian(g, mu)
     scale = max(np.max(np.abs(grad[0])), 1e-12)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,13 @@ from svilab.pathsolver import (
     InitialData,
     ProblemSpec,
     SolveConfig,
-    StepCoeffs,
     build_implicit_solver,
     direct_em_solve,
-    recover_multiplier,
     solve_path,
     step_interior,
+    zero_coeffs,
 )
+from svilab.penalty import beta_eps
 from svilab.transform import ReactionSpec
 
 EMPTY = CoeffSpec(())
@@ -26,16 +28,12 @@ def coeffs1(text):
     return CoeffSpec((parse_coefficient(text, [1.0]),))
 
 
-def zero_coeffs(g):
-    return StepCoeffs(reaction=g.zeros(), g=None, source=g.zeros())
-
-
 def march(grid, x, cfg, n_steps, source=None):
     solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     y = x.copy()
     src = source if source is not None else grid.zeros()
     for _ in range(n_steps):
-        y, _, _ = step_interior(grid, y, StepCoeffs(grid.zeros(), None, src), cfg, solver)
+        y, _, _ = step_interior(grid, y, zero_coeffs(grid, source=src), cfg, solver)
     return y
 
 
@@ -93,7 +91,7 @@ def test_stability_guard_raises():
     cfg = SolveConfig(dt=0.1, T=1.0)
     gfield = [np.full(g.n_nodes, 5.0)]  # dt*sup|g|/h = 0.1*5/(1/32) = 16
     with pytest.raises(StabilityError):
-        step_interior(g, g.zeros(), StepCoeffs(g.zeros(), gfield, g.zeros()), cfg)
+        step_interior(g, g.zeros(), replace(zero_coeffs(g), g=gfield), cfg)
 
 
 def test_solve_path_zero_data():
@@ -151,8 +149,8 @@ def test_recover_multiplier_matches_and_sign():
     paths = sample_paths(tg, 0, seed=0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec("const", -1.0),
                      InitialData("sine", 0.0), cfg, paths)
-    eta = recover_multiplier(sol)
-    assert np.array_equal(eta, sol.eta)
+    eta = sol.eta
+    assert np.array_equal(eta, beta_eps(sol.y, cfg.eps))
     assert np.all(eta <= 0.0)
     # penalized complementarity is exact: eta * max(y, 0) = 0 at every node
     assert np.all(eta * np.maximum(sol.y, 0.0) == 0.0)

@@ -4,7 +4,7 @@ import pytest
 from svilab.errors import ConfigError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, inner, stiffness_inner
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
-from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig
+from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig, zero_coeffs
 from svilab.penalty import graph_contains
 from svilab.signorini import (
     apply_operator,
@@ -17,7 +17,6 @@ from svilab.signorini import (
     probe_form_constants,
     recover_boundary_multiplier,
     solve_signorini_path,
-    zero_coeffs,
 )
 from svilab.transform import ReactionSpec
 
@@ -91,7 +90,7 @@ def test_form_matches_operator_route():
     cs = CoeffSpec((parse_coefficient("const(0.8) * poly(0.5,0.3,-0.2)", [1.0]),))
     bd = build_boundary_data(g)
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.5), ForcingSpec(), paths,
-                             tg.nodes[20], bd, 30.0)
+                             20, bd, 30.0)
     rng = np.random.default_rng(1)
     eps = 1e-2
     for _ in range(5):
@@ -106,7 +105,7 @@ def test_form_matches_operator_route():
     cs2 = CoeffSpec((parse_coefficient("const(0.5) * poly(0.2,0.4,0.0) * cos(1)", [1.0, 1.5]),))
     paths2 = sample_paths(tg, 1, seed=4)
     coeffs2 = assemble_coeffs(g2, cs2, ReactionSpec(), ForcingSpec(), paths2,
-                              tg.nodes[10], bd2, 30.0)
+                              10, bd2, 30.0)
     y = rng.normal(size=g2.n_nodes)
     phi = rng.normal(size=g2.n_nodes)
     form = assemble_form_value(g2, coeffs2, bd2, y, phi, eps)
@@ -237,7 +236,7 @@ def test_coercivity_probe_noisy_coefficients_no_violations():
     cs = CoeffSpec((parse_coefficient("const(0.5) * cos(1)", [1.0]),))
     bd = build_boundary_data(g)
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths,
-                             tg.nodes[60], bd, 30.0)
+                             60, bd, 30.0)
     rep = probe_form_constants(g, coeffs, bd, eps=1e-3, n_samples=128, seed=1)
     assert rep.violations == 0
     assert rep.c2 > 0.0

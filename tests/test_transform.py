@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from svilab.errors import ConfigError, NumericalFailure
 from svilab.grid import DIRICHLET, build_grid
-from svilab.noise import TimeGrid, parse_coefficient, CoeffSpec, sample_paths, eval_mu, eval_mu_tilde, eval_mu_derivs
+from svilab.noise import TimeGrid, parse_coefficient, CoeffSpec, sample_paths, eval_mu, eval_mu_tilde, eval_mu_derivs, space_fields
 from svilab.penalty import beta_eps
 from svilab.transform import ReactionSpec, effective_reaction, effective_source, forward, inverse
 
@@ -86,9 +86,10 @@ def test_effective_reaction_term_oracle():
         parse_coefficient("cos(0.5,2.0) * poly(0.2,0.1,0.4)", [1.0]),
     ))
     t = tg.nodes[5]
-    mu = eval_mu(cs, p, t, g)
-    mt = eval_mu_tilde(cs, p, t, g)
-    grad, lap, _ = eval_mu_derivs(cs, p, t, g)
+    fields = space_fields(cs, g)
+    mu = eval_mu(fields, p, 5)
+    mt = eval_mu_tilde(fields, p, 5)
+    grad, lap, _ = eval_mu_derivs(fields, p, 5)
     rng = np.random.default_rng(3)
     y = rng.normal(size=g.n_nodes)
     out = effective_reaction(ReactionSpec("zero"), mu, mt, grad, lap, t, y)
@@ -106,9 +107,10 @@ def test_effective_reaction_linear_growth_bound():
     rng = np.random.default_rng(4)
     for idx in (2, 5, 8):
         t = tg.nodes[idx]
-        mu = eval_mu(cs, p, t, g)
-        mt = eval_mu_tilde(cs, p, t, g)
-        grad, lap, _ = eval_mu_derivs(cs, p, t, g)
+        fields = space_fields(cs, g)
+        mu = eval_mu(fields, p, idx)
+        mt = eval_mu_tilde(fields, p, idx)
+        grad, lap, _ = eval_mu_derivs(fields, p, idx)
         alpha_bar = rs.alpha + np.max(np.abs(mt)) + np.max(grad[0] ** 2 + np.abs(lap))
         y = rng.normal(size=g.n_nodes)
         out = effective_reaction(rs, mu, mt, grad, lap, t, y)
