@@ -19,7 +19,6 @@ from .errors import NumericalFailure
 from .grid import Grid
 from .noise import TimeGrid
 from .pathsolver import InitialData, PathSolution, ProblemSpec, solve_path
-from .penalty import beta_eps
 
 ENERGY_SLACK_DEFAULT = 10.0
 
@@ -306,28 +305,20 @@ def _ensemble_worker(args):
     return path_id, path_functionals(sol, spec.initial), None
 
 
-def ensemble_run(spec: ProblemSpec, n_paths: int, base_seed: int | None = None,
-                 functionals=None, workers: int = 1) -> EnsembleStats:
+def ensemble_run(spec: ProblemSpec, n_paths: int, workers: int = 1) -> EnsembleStats:
     """Monte Carlo over paths; failures are excluded and counted, and more
     than 10% of them marks the whole run as failed (stats still reported).
     Reduction is keyed by path_id, so the worker count never changes the
     result."""
     if n_paths < 2:
         raise ValueError(f"ensemble needs n_paths >= 2, got {n_paths}")
-    if base_seed is not None:
-        spec = replace(spec, seed=int(base_seed))
-    names = tuple(functionals) if functionals else FUNCTIONAL_NAMES
-    unknown = set(names) - set(FUNCTIONAL_NAMES)
-    if unknown:
-        raise ValueError(f"unknown functionals {sorted(unknown)}; "
-                         f"catalog: {FUNCTIONAL_NAMES}")
 
     results = map_paths(_ensemble_worker, [(spec, pid) for pid in range(n_paths)], workers)
     rows = [vals for _, vals, err in results if vals is not None]
     n_fail = sum(1 for _, vals, _ in results if vals is None)
     n_ok = len(rows)
     stats = {}
-    for name in names:
+    for name in FUNCTIONAL_NAMES:
         if n_ok == 0:
             stats[name] = FunctionalStats(np.nan, np.nan, np.nan)
             continue
@@ -345,7 +336,7 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, base_seed: int | None = None,
         f_field = spec.forcing.value(0.0, g)
         denom = gridmod.inner(g, x_field, x_field) + tg.T * gridmod.inner(g, f_field, f_field)
         if denom > 0:
-            for name in names:
+            for name in FUNCTIONAL_NAMES:
                 if name.startswith(("sup_", "int_")):
                     empirical[name] = stats[name].mean / denom
     return EnsembleStats(n_paths=n_ok, n_failures=n_fail, stats=stats,

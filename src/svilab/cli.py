@@ -14,21 +14,23 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import grid as gridmod
-from .analysis import complementarity_report, energy_check, ensemble_run
+from .analysis import cauchy_rate_study, complementarity_report, energy_check, ensemble_run
 from .errors import ConfigError, NumericalFailure
-from .noise import Coefficient, parse_coefficient
+from .noise import parse_coefficient
 from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
 from .signorini import boundary_potential_check, build_boundary_data, probe_form_constants
 from .stefan import StefanData, solve_stefan_svi
 from .transform import ReactionSpec
+from .verify import CHECKS, run_checks
 
 MODES = ("run", "ensemble", "rate-eps", "rate-mesh", "stefan", "signorini", "verify")
 
@@ -39,252 +41,224 @@ MODES = ("run", "ensemble", "rate-eps", "rate-mesh", "stefan", "signorini", "ver
 
 @dataclass
 class RunConfig:
-    """Validated run description (defaults already filled in)."""
+    """A validated run: the problem it solves and what its mode needs besides."""
 
-    dim: int = 1
-    lengths: tuple[float, ...] = (1.0,)
-    n: int = 63
-    bc: str = gridmod.DIRICHLET
-    T: float = 0.1
-    dt: float = 1e-3
-    n_steps: int = 100
-    theta: float = 1.0
-    m: int = 0
-    seed: int = 0
-    coefficients: tuple[Coefficient, ...] = ()
-    reaction: ReactionSpec = field(default_factory=ReactionSpec)
-    eps_list: tuple[float, ...] = (1e-3,)
-    forcing: ForcingSpec = field(default_factory=ForcingSpec)
-    initial: InitialData = field(default_factory=InitialData)
-    rho: float = 1.0
-    theta0: InitialData = field(default_factory=InitialData)
-    boundary_temp: float = 0.0
-    tol_fb: float = 0.0
-    mode: str = "run"
-    n_paths: int = 1
-    path_id: int = 0
-    workers: int = 1
-    slack: float = 10.0
-    newton_tol: float = 1e-10
-    newton_max: int = 200
-    mu_cap: float = 30.0
-    headroom: int = 8
-    mesh_levels: int = 3
-    verify_checks: tuple[str, ...] = ("all",)
-    out_dir: Path = Path("out")
-    config_sha: str = ""
+    spec: ProblemSpec
+    mode: str
+    eps_list: tuple[float, ...]
+    n_paths: int
+    path_id: int
+    workers: int
+    slack: float
+    mesh_levels: int
+    verify_checks: tuple[str, ...]
+    rho: float
+    theta0: InitialData
+    boundary_temp: float
+    tol_fb: float
+    out_dir: Path
+    config_sha: str
 
-    @property
-    def eps(self) -> float:
-        return self.eps_list[0]
-
-    def problem_spec(self, eps: float | None = None, bc: str | None = None) -> ProblemSpec:
-        return ProblemSpec(
-            dim=self.dim, lengths=self.lengths, n=self.n, bc_kind=bc or self.bc,
-            T=self.T, n_steps=self.n_steps, theta=self.theta,
-            coefficients=self.coefficients, seed=self.seed,
-            reaction=self.reaction, forcing=self.forcing, initial=self.initial,
-            eps=eps if eps is not None else self.eps,
-            newton_tol=self.newton_tol, newton_max=self.newton_max,
-            mu_cap=self.mu_cap, headroom=self.headroom,
-        )
+    def problem_spec(self) -> ProblemSpec:
+        return self.spec
 
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _positive(x) -> bool:
+    return 0 < x < math.inf
+
+
+def _at_least(lo):
+    return lambda x: x >= lo
+
+
+# (parser, default) of every key; lengths None means 1.0 per axis
 _SCHEMA = {
-    "domain": {"dim": int, "lengths": _floats, "n": int, "bc": str},
-    "time": {"t": float, "dt": float, "theta": float},
-    "noise": {"m": int, "seed": int},  # mu1..muK handled separately
-    "reaction": {"kind": str, "alpha": float},
-    "penalty": {"eps": _floats},
-    "forcing": {"kind": str, "amplitude": float, "width": float},
-    "initial": {"kind": str, "amplitude": float, "center": _floats, "radius": float},
+    "domain": {"dim": (int, 1), "lengths": (_floats, None), "n": (int, 63),
+               "bc": (str.lower, gridmod.DIRICHLET)},
+    "time": {"t": (float, 0.1), "dt": (float, 1e-3), "theta": (float, 1.0)},
+    "noise": {"m": (int, 0), "seed": (int, 0)},  # mu1..muK handled separately
+    "reaction": {"kind": (str.lower, "zero"), "alpha": (float, 0.0)},
+    "penalty": {"eps": (_floats, (1e-3,))},
+    "forcing": {"kind": (str.lower, "zero"), "amplitude": (float, 0.0), "width": (float, 0.1)},
+    "initial": {"kind": (str.lower, "sine"), "amplitude": (float, 0.0), "center": (_floats, ()),
+                "radius": (float, None)},
     "stefan": {
-        "rho": float, "theta0_kind": str, "theta0_amplitude": float,
-        "theta0_center": _floats, "theta0_radius": float,
-        "boundary_temp": float, "tol_fb": float,
+        "rho": (float, 1.0), "theta0_kind": (str.lower, "cone"), "theta0_amplitude": (float, 0.0),
+        "theta0_center": (_floats, ()), "theta0_radius": (float, None),
+        "boundary_temp": (float, 0.0), "tol_fb": (float, 0.0),
     },
     "run": {
-        "mode": str, "n_paths": int, "path_id": int, "workers": int, "slack": float,
-        "newton_tol": float, "newton_max": int, "mu_cap": float, "headroom": int,
-        "mesh_levels": int,
+        "mode": (str.lower, "run"), "n_paths": (int, 1), "path_id": (int, 0), "workers": (int, 1),
+        "slack": (float, 10.0), "newton_tol": (float, 1e-10), "newton_max": (int, 200),
+        "mu_cap": (float, 30.0), "headroom": (int, 8), "mesh_levels": (int, 3),
     },
-    "verify": {"checks": str},
-    "output": {"dir": str},
+    "verify": {"checks": (_names, ("all",))},
+    "output": {"dir": (str, "out")},
+}
+
+# (test, requirement) of single effective values
+_RULES = {
+    "domain.dim": (lambda x: x in (1, 2), "be 1 or 2"),
+    "domain.lengths": (lambda x: all(map(_positive, x)), "be > 0 and finite"),
+    "domain.n": (_at_least(3), "be >= 3"),
+    "domain.bc": (lambda x: x in (gridmod.DIRICHLET, gridmod.NEUMANN),
+                  "be dirichlet or neumann"),
+    "time.t": (_positive, "be > 0 and finite"),
+    "time.dt": (_positive, "be > 0 and finite"),
+    "time.theta": (lambda x: 0.5 <= x <= 1.0, "lie in [0.5, 1]"),
+    "noise.m": (_at_least(0), "be >= 0"),
+    "noise.seed": (_at_least(0), "be >= 0"),
+    "penalty.eps": (lambda x: x and all(map(_positive, x)), "be > 0 and finite"),
+    "stefan.rho": (_positive, "be > 0 and finite"),
+    "stefan.boundary_temp": (lambda x: 0 <= x < math.inf, "be >= 0 and finite"),
+    "stefan.tol_fb": (lambda x: 0 <= x < math.inf, "be >= 0 and finite"),
+    "run.mode": (lambda x: x in MODES, f"be one of {', '.join(MODES)}"),
+    "run.path_id": (_at_least(0), "be >= 0"),
+    "run.workers": (_at_least(1), "be >= 1"),
+    "run.slack": (_positive, "be > 0 and finite"),
+    "run.newton_tol": (_positive, "be > 0 and finite"),
+    "run.newton_max": (_at_least(1), "be >= 1"),
+    "run.mu_cap": (_positive, "be > 0 and finite"),
+    "run.headroom": (_at_least(1), "be >= 1"),
+    "run.mesh_levels": (_at_least(1), "be >= 1"),
+    "verify.checks": (lambda x: x and set(x) <= {"all", *CHECKS},
+                      f"name checks among all, {', '.join(CHECKS)}"),
 }
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate; raises ConfigError listing every problem found.
 
-    overrides maps (section, key) to a value that replaces the file's
-    (the CLI flags) and is validated like it.
+    overrides maps (section, key) to a value that replaces the file's (the
+    CLI flags).  File values over defaults, then overrides, make one table
+    of effective values; it is validated, hashed and becomes the run.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), strict=True)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), strict=True,
+                                       interpolation=None)
     try:
         parser.read_string(raw.decode("utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config syntax: {exc}")
 
     errors: list[str] = []
-    values: dict[str, dict] = {}
+    v = {f"{sec}.{key}": default for sec, keys in _SCHEMA.items()
+         for key, (_, default) in keys.items()}
     mu_texts: dict[int, str] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             errors.append(f"unknown section [{section}]")
             continue
-        known = _SCHEMA[section]
-        values[section] = {}
         for key, text in parser.items(section):
             if section == "noise" and key.startswith("mu"):
                 try:
-                    mu_texts[int(key[2:])] = text
+                    k = int(key[2:])
                 except ValueError:
+                    k = None
+                if k is None or key != f"mu{k}":  # mu01 would stand in for mu1
                     errors.append(f"noise.{key}: coefficient keys are mu1..muK")
+                else:
+                    mu_texts[k] = text
                 continue
-            if key not in known:
+            if key not in _SCHEMA[section]:
                 errors.append(f"unknown key {section}.{key}")
                 continue
             try:
-                values[section][key] = known[key](text)
+                v[f"{section}.{key}"] = _SCHEMA[section][key][0](text)
             except (ValueError, TypeError):
                 errors.append(f"{section}.{key}: cannot parse value {text!r}")
-
     for (section, key), value in (overrides or {}).items():
-        values.setdefault(section, {})[key] = value
+        v[f"{section}.{key}"] = value
+    dim, mode, m = v["domain.dim"], v["run.mode"], v["noise.m"]
+    if v["domain.lengths"] is None:
+        v["domain.lengths"] = (1.0,) * dim if dim in (1, 2) else ()
 
-    def get(section, key, default):
-        return values.get(section, {}).get(key, default)
-
-    cfg = RunConfig(config_sha=hashlib.sha256(raw).hexdigest())
-    cfg.dim = get("domain", "dim", 1)
-    cfg.lengths = get("domain", "lengths", (1.0,) * max(cfg.dim, 1))
-    cfg.n = get("domain", "n", 63)
-    cfg.bc = get("domain", "bc", gridmod.DIRICHLET).lower()
-    cfg.T = get("time", "t", 0.1)
-    cfg.dt = get("time", "dt", 1e-3)
-    cfg.theta = get("time", "theta", 1.0)
-    cfg.m = get("noise", "m", 0)
-    cfg.seed = get("noise", "seed", 0)
-    cfg.rho = get("stefan", "rho", 1.0)
-    cfg.boundary_temp = get("stefan", "boundary_temp", 0.0)
-    cfg.tol_fb = get("stefan", "tol_fb", 0.0)
-    cfg.mode = get("run", "mode", "run").lower()
-    cfg.n_paths = get("run", "n_paths", 1)
-    cfg.path_id = get("run", "path_id", 0)
-    cfg.workers = get("run", "workers", 1)
-    cfg.slack = get("run", "slack", 10.0)
-    cfg.newton_tol = get("run", "newton_tol", 1e-10)
-    cfg.newton_max = get("run", "newton_max", 200)
-    cfg.mu_cap = get("run", "mu_cap", 30.0)
-    cfg.headroom = get("run", "headroom", 8)
-    cfg.mesh_levels = get("run", "mesh_levels", 3)
-    cfg.verify_checks = tuple(
-        c.strip() for c in get("verify", "checks", "all").split(",") if c.strip()
-    )
-    cfg.out_dir = Path(get("output", "dir", "out"))
-
-    if cfg.dim not in (1, 2):
-        errors.append(f"domain.dim must be 1 or 2, got {cfg.dim}")
-    if cfg.dim in (1, 2) and len(cfg.lengths) != cfg.dim:
-        errors.append(f"domain.lengths needs {cfg.dim} value(s), got {len(cfg.lengths)}")
-    if any(L <= 0 for L in cfg.lengths):
-        errors.append("domain.lengths must be positive")
-    if cfg.n < 3:
-        errors.append(f"domain.n must be >= 3, got {cfg.n}")
-    if cfg.bc not in (gridmod.DIRICHLET, gridmod.NEUMANN):
-        errors.append(f"domain.bc must be dirichlet or neumann, got {cfg.bc!r}")
-    if cfg.T <= 0:
-        errors.append(f"time.t must be > 0, got {cfg.T}")
-    if cfg.dt <= 0:
-        errors.append(f"time.dt must be > 0, got {cfg.dt}")
-    else:
-        cfg.n_steps = max(1, int(round(cfg.T / cfg.dt)))
-        if abs(cfg.n_steps * cfg.dt - cfg.T) > cfg.dt:
-            errors.append(f"time.dt = {cfg.dt} does not divide t = {cfg.T} within one step")
-    if not 0.5 <= cfg.theta <= 1.0:
-        errors.append(f"time.theta must lie in [0.5, 1], got {cfg.theta}")
-    if cfg.m < 0:
-        errors.append(f"noise.m must be >= 0, got {cfg.m}")
-    if cfg.seed < 0:
-        errors.append(f"noise.seed must be >= 0, got {cfg.seed}")
-    if cfg.mode not in MODES:
-        errors.append(f"run.mode must be one of {', '.join(MODES)}; got {cfg.mode!r}")
-    min_paths = 2 if cfg.mode == "ensemble" else 1
-    if cfg.n_paths < min_paths:
-        errors.append(f"run.n_paths must be >= {min_paths} in {cfg.mode} mode, got {cfg.n_paths}")
-    if cfg.workers < 1:
-        errors.append(f"run.workers must be >= 1, got {cfg.workers}")
-
-    eps_list = get("penalty", "eps", (1e-3,))
-    if any(e <= 0 for e in eps_list):
-        errors.append("penalty.eps must be > 0")
-    elif list(eps_list) != sorted(eps_list, reverse=True):
+    for key, (ok, requirement) in _RULES.items():
+        if not ok(v[key]):
+            errors.append(f"{key} must {requirement}, got {v[key]!r}")
+    lengths, T, dt, eps_list = v["domain.lengths"], v["time.t"], v["time.dt"], v["penalty.eps"]
+    if dim in (1, 2) and len(lengths) != dim:
+        errors.append(f"domain.lengths needs {dim} value(s), got {len(lengths)}")
+    n_steps = 1
+    if _positive(T) and _positive(dt):
+        n_steps = max(1, round(T / dt)) if T / dt < math.inf else 0  # t / dt may overflow
+        if abs(n_steps * dt - T) > dt:
+            errors.append(f"time.dt = {dt} does not divide t = {T} within one step")
+    if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         errors.append("penalty.eps list must be strictly decreasing")
-    else:
-        cfg.eps_list = tuple(eps_list)
+    min_paths = 2 if mode == "ensemble" else 1
+    if v["run.n_paths"] < min_paths:
+        errors.append(f"run.n_paths must be >= {min_paths} in {mode} mode, "
+                      f"got {v['run.n_paths']}")
 
-    coeffs = []
-    for k in range(1, cfg.m + 1):
-        if k not in mu_texts:
-            errors.append(f"noise.mu{k} missing (m = {cfg.m})")
-            continue
-        try:
-            coeffs.append(parse_coefficient(mu_texts[k], cfg.lengths, label=f"noise.mu{k}"))
-        except ConfigError as exc:
-            errors.extend(exc.messages)
-    extra = sorted(set(mu_texts) - set(range(1, cfg.m + 1)))
+    # the first missing key lies in 1..len(mu_texts) + 1 when any is missing
+    missing = [k for k in range(1, min(m, len(mu_texts) + 1) + 1) if k not in mu_texts]
+    if missing:
+        errors.append(f"noise.mu{missing[0]} missing (m = {m})")
+    extra = sorted(k for k in mu_texts if not 1 <= k <= m)
     if extra:
-        errors.append(f"noise.mu{extra[0]} given but m = {cfg.m}")
-    cfg.coefficients = tuple(coeffs)
+        errors.append(f"noise.mu{extra[0]} given but m = {m}")
 
-    try:
-        cfg.reaction = ReactionSpec(get("reaction", "kind", "zero").lower(),
-                                    get("reaction", "alpha", 0.0))
-    except ConfigError as exc:
-        errors.extend(f"reaction: {m}" for m in exc.messages)
-    try:
-        cfg.forcing = ForcingSpec(get("forcing", "kind", "zero").lower(),
-                                  get("forcing", "amplitude", 0.0),
-                                  get("forcing", "width", 0.1))
-    except ConfigError as exc:
-        errors.extend(f"forcing: {m}" for m in exc.messages)
-
-    def initial_data(section, prefix, kind, label):
-        center = get(section, f"{prefix}center", ()) or None
-        if center is not None and len(center) != cfg.dim:
-            errors.append(f"{section}.{prefix}center needs {cfg.dim} value(s), got {len(center)}")
+    def make(cls, prefix, *args):
         try:
-            return InitialData(get(section, f"{prefix}kind", kind).lower(),
-                               get(section, f"{prefix}amplitude", 0.0),
-                               center, get(section, f"{prefix}radius", None))
+            return cls(*args)
         except ConfigError as exc:
-            errors.extend(f"{label}: {m}" for m in exc.messages)
-            return InitialData()
+            errors.extend(prefix + msg for msg in exc.messages)
 
-    cfg.initial = initial_data("initial", "", "sine", "initial")
-    cfg.theta0 = initial_data("stefan", "theta0_", "cone", "stefan.theta0")
-    if cfg.rho <= 0:
-        errors.append(f"stefan.rho must be > 0, got {cfg.rho}")
+    coeffs = tuple(make(parse_coefficient, "", mu_texts[k], lengths, f"noise.mu{k}")
+                   for k in sorted(mu_texts) if 1 <= k <= m)
+    reaction = make(ReactionSpec, "reaction.", v["reaction.kind"], v["reaction.alpha"])
+    forcing = make(ForcingSpec, "forcing.", v["forcing.kind"], v["forcing.amplitude"],
+                   v["forcing.width"])
+    initial, theta0 = (
+        make(InitialData, f"{sec}.{pre}", v[f"{sec}.{pre}kind"], v[f"{sec}.{pre}amplitude"],
+             v[f"{sec}.{pre}center"] or None, v[f"{sec}.{pre}radius"])
+        for sec, pre in (("initial", ""), ("stefan", "theta0_")))
+    for key in ("initial.center", "stefan.theta0_center"):
+        if v[key] and len(v[key]) != dim:
+            errors.append(f"{key} needs {dim} value(s), got {len(v[key])}")
 
-    if cfg.mode == "rate-eps" and len(cfg.eps_list) < 4:
+    bc = v["domain.bc"]
+    if mode == "rate-eps" and len(eps_list) < 4:
         errors.append("rate-eps mode needs at least 4 penalty.eps values")
-    if cfg.mode == "signorini" and cfg.bc != gridmod.NEUMANN:
+    if mode == "signorini" and bc != gridmod.NEUMANN:
         errors.append("signorini mode needs domain.bc = neumann")
-    if cfg.mode in ("rate-mesh", "stefan") and cfg.bc != gridmod.DIRICHLET:
-        errors.append(f"{cfg.mode} mode needs domain.bc = dirichlet")
-
+    if mode in ("rate-eps", "rate-mesh", "stefan") and bc != gridmod.DIRICHLET:
+        errors.append(f"{mode} mode needs domain.bc = dirichlet")
+    if mode == "rate-mesh" and dim != 1:  # the restriction to coarse nodes is 1D
+        errors.append("rate-mesh mode needs domain.dim = 1")
+    if mode == "stefan" and v["stefan.boundary_temp"] > 0 and dim != 1:
+        errors.append("stefan.boundary_temp > 0 needs domain.dim = 1")
     if errors:
         raise ConfigError(errors)
-    return cfg
+
+    # the hash covers what the run computes: every effective value but the output dir
+    canonical = [f"{key}={value!r}" for key, value in v.items() if key != "output.dir"]
+    canonical += [f"noise.mu{k}={''.join(text.split())}" for k, text in mu_texts.items()]
+    spec = ProblemSpec(
+        dim=dim, lengths=lengths, n=v["domain.n"], bc_kind=bc, T=T, n_steps=n_steps,
+        theta=v["time.theta"], coefficients=coeffs, seed=v["noise.seed"], reaction=reaction,
+        forcing=forcing, initial=initial, eps=eps_list[0], newton_tol=v["run.newton_tol"],
+        newton_max=v["run.newton_max"], mu_cap=v["run.mu_cap"], headroom=v["run.headroom"])
+    return RunConfig(
+        spec=spec, mode=mode, eps_list=eps_list, n_paths=v["run.n_paths"],
+        path_id=v["run.path_id"], workers=v["run.workers"], slack=v["run.slack"],
+        mesh_levels=v["run.mesh_levels"], verify_checks=v["verify.checks"],
+        rho=v["stefan.rho"], theta0=theta0, boundary_temp=v["stefan.boundary_temp"],
+        tol_fb=v["stefan.tol_fb"], out_dir=Path(v["output.dir"]),
+        config_sha=hashlib.sha256("\n".join(sorted(canonical)).encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +320,23 @@ def write_trajectory(writer: CsvWriter, sol: PathSolution):
 
 
 def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    sol = cfg.problem_spec().solve(cfg.path_id)
+    spec = cfg.problem_spec()
+    sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
-    erep = energy_check(sol, cfg.initial, slack=cfg.slack)
+    erep = energy_check(sol, spec.initial, slack=cfg.slack)
+    tol = cfg.slack * spec.eps
     checks = [
-        ("min_X", rep.min_X, -cfg.slack * cfg.eps, rep.min_X >= -cfg.slack * cfg.eps),
+        ("min_X", rep.min_X, -tol, rep.min_X >= -tol),
         ("max_eta", rep.max_eta, 1e-12, rep.max_eta <= 1e-12),
-        ("pairing_abs", abs(rep.pairing), cfg.slack * cfg.eps,
-         abs(rep.pairing) <= cfg.slack * cfg.eps),
+        ("pairing_abs", abs(rep.pairing), tol, abs(rep.pairing) <= tol),
         ("energy_ratio", erep.energy_ratio, cfg.slack, erep.energy_ratio <= cfg.slack),
         ("multiplier_ratio", erep.multiplier_ratio, cfg.slack,
          erep.multiplier_ratio <= cfg.slack),
         ("delta", sol.diagnostics.delta, np.inf, True),
         ("stability_margin", sol.diagnostics.stability_margin, 1.0,
          sol.diagnostics.stability_margin <= 1.0),
-        ("refine_level", sol.diagnostics.refine_level, cfg.headroom, True),
+        ("refine_level", sol.diagnostics.refine_level, spec.headroom, True),
         ("newton_iters_max", int(np.max(sol.diagnostics.newton_iters, initial=0)),
          sol.grid.n_nodes, True),
     ]
@@ -401,8 +376,6 @@ def _rates_rows(eps_vals, errors):
 
 
 def _mode_rate_eps(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    from .analysis import cauchy_rate_study
-
     fit = cauchy_rate_study(cfg.problem_spec(), cfg.eps_list, path_id=cfg.path_id)
     writer.write("rates.csv", ["eps", "error_l2", "slope_running"],
                  _rates_rows(fit.eps, fit.errors))
@@ -420,12 +393,10 @@ def _mode_rate_eps(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 def _mode_rate_mesh(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     # nested Dirichlet grids n -> 2n+1, shared time grid and path; error
     # against the finest level, written with h in the schema's eps column
-    from dataclasses import replace
-
-    ns = [cfg.n]
+    spec = cfg.problem_spec()
+    ns = [spec.n]
     for _ in range(cfg.mesh_levels):
         ns.append(2 * ns[-1] + 1)
-    spec = cfg.problem_spec()
     sols = {n: replace(spec, n=n).solve(cfg.path_id) for n in ns}
     ref = sols[ns[-1]]
     hs, errors = [], []
@@ -496,18 +467,18 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    spec = cfg.problem_spec(bc=gridmod.NEUMANN)
+    spec = cfg.problem_spec()
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     g = sol.grid
     bd = build_boundary_data(g)
     trace_min = float(sol.y[:, g.boundary_mask].min())
-    ratio, ok = boundary_potential_check(sol, cfg.initial, slack=cfg.slack)
-    coeffs = zero_coeffs(g, rs=cfg.reaction)
-    rep = probe_form_constants(g, coeffs, bd, cfg.eps, n_samples=128, seed=cfg.seed)
+    ratio, ok = boundary_potential_check(sol, spec.initial, slack=cfg.slack)
+    coeffs = zero_coeffs(g, rs=spec.reaction)
+    rep = probe_form_constants(g, coeffs, bd, spec.eps, n_samples=128, seed=spec.seed)
+    tol = cfg.slack * spec.eps
     checks = [
-        ("boundary_trace_min", trace_min, cfg.slack * cfg.eps,
-         trace_min >= -cfg.slack * cfg.eps),
+        ("boundary_trace_min", trace_min, tol, trace_min >= -tol),
         ("boundary_potential_ratio", ratio, cfg.slack, ok),
         ("coercivity_violations", rep.violations, 0, rep.violations == 0),
         ("coercivity_c2", rep.c2, np.inf, rep.c2 > 0),
@@ -523,8 +494,6 @@ def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def _mode_verify(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    from .verify import run_checks
-
     rows = run_checks(cfg.verify_checks, workers=cfg.workers, quiet=quiet)
     write_summary(writer, rows)
     return 0 if all(ok for *_, ok in rows) else 3
@@ -568,15 +537,14 @@ def main(argv=None) -> int:
     ap.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = ap.parse_args(argv)
 
-    overrides = {("noise", "seed"): args.seed, ("run", "n_paths"): args.paths}
+    overrides = {("noise", "seed"): args.seed, ("run", "n_paths"): args.paths,
+                 ("output", "dir"): args.out}
     try:
         cfg = parse_config(args.config, {k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
     return dispatch(cfg, quiet=args.quiet)
 
 

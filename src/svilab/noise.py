@@ -249,8 +249,10 @@ def _parse_factor(text: str, arity: dict, label: str):
         raise ConfigError(f"{label}: unknown factor kind {kind!r} (catalog: {sorted(arity)})")
     try:
         params = tuple(float(a) for a in argstr.split(",")) if argstr.strip() else ()
+        if not np.all(np.isfinite(params)):
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"{label}: non-numeric arguments in {text!r}")
+        raise ConfigError(f"{label}: non-numeric or non-finite arguments in {text!r}")
     if len(params) != arity[kind]:
         raise ConfigError(f"{label}: {kind} takes {arity[kind]} argument(s), got {len(params)}")
     return kind, params

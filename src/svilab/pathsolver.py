@@ -29,7 +29,7 @@ terminates finitely on this piecewise-linear system: tridiagonal solves in
 The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
 the guard is evaluated before marching; violating paths are rerun at
-halved dt (up to max_halvings) using a finer restriction of the same path
+halved dt (up to MAX_HALVINGS) using a finer restriction of the same path
 realization, then reported as failures.
 """
 
@@ -51,32 +51,32 @@ from .grid import Grid
 from .noise import BrownianPathSet, CoeffSpec, SpaceFields, TimeGrid
 from .transform import ReactionSpec
 
+MAX_HALVINGS = 3  # dt halvings a path may take to meet the transport guard
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Numerical parameters of one path-wise solve."""
 
     dt: float
-    T: float
     theta: float = 1.0
     eps: float = 1e-3
     newton_tol: float = 1e-10
     newton_max: int = 100
     mu_cap: float = 30.0
-    max_halvings: int = 3
 
     def __post_init__(self):
         errors = []
-        if self.dt <= 0:
+        if not self.dt > 0:
             errors.append(f"dt must be > 0, got {self.dt}")
-        if self.T <= 0:
-            errors.append(f"T must be > 0, got {self.T}")
         if not 0.5 <= self.theta <= 1.0:
             errors.append(f"theta must lie in [0.5, 1], got {self.theta}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             errors.append(f"eps must be > 0, got {self.eps}")
-        if self.newton_tol <= 0:
+        if not self.newton_tol > 0:
             errors.append(f"newton_tol must be > 0, got {self.newton_tol}")
+        if self.newton_max < 1:
+            errors.append(f"newton_max must be >= 1, got {self.newton_max}")
         if errors:
             raise ConfigError(errors)
 
@@ -95,10 +95,17 @@ class InitialData:
     radius: float | None = None
 
     def __post_init__(self):
+        errors = []
         if self.kind not in ("sine", "cone", "cutoff"):
-            raise ConfigError(f"initial data kind must be sine|cone|cutoff, got {self.kind!r}")
-        if self.amplitude < 0:
-            raise ConfigError(f"initial amplitude must be >= 0, got {self.amplitude}")
+            errors.append(f"kind must be sine|cone|cutoff, got {self.kind!r}")
+        if not 0 <= self.amplitude < np.inf:
+            errors.append(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if self.center is not None and not np.all(np.isfinite(self.center)):
+            errors.append(f"center must be finite, got {self.center}")
+        if self.radius is not None and not 0 < self.radius < np.inf:
+            errors.append(f"radius must be finite and > 0, got {self.radius}")
+        if errors:
+            raise ConfigError(errors)
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         xs = grid.meshes()
@@ -136,12 +143,17 @@ class ForcingSpec:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        errors = []
         if self.kind not in ("zero", "const", "sine", "edge", "field"):
-            raise ConfigError(
-                f"forcing kind must be zero|const|sine|edge|field, got {self.kind!r}"
-            )
+            errors.append(f"kind must be zero|const|sine|edge|field, got {self.kind!r}")
         if self.kind == "field" and self.values is None:
-            raise ConfigError("forcing kind 'field' needs explicit values")
+            errors.append("kind 'field' needs explicit values")
+        if not np.isfinite(self.amplitude):
+            errors.append(f"amplitude must be finite, got {self.amplitude}")
+        if not 0 <= self.width < np.inf:
+            errors.append(f"width must be finite and >= 0, got {self.width}")
+        if errors:
+            raise ConfigError(errors)
 
     def value(self, t: float, grid: Grid) -> np.ndarray:
         if self.kind == "zero":
@@ -403,11 +415,11 @@ def _transport_sup_bound(fields: SpaceFields, grid: Grid, paths: BrownianPathSet
     return 2.0 * (np.abs(paths.values * a).T @ grad_sup).max(axis=0)
 
 
-def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields, cfg: SolveConfig,
+def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
                      paths: BrownianPathSet) -> tuple[int, BrownianPathSet]:
     """Smallest halving level satisfying the transport guard, or raise."""
     best_margin = np.inf
-    for level in range(cfg.max_halvings + 1):
+    for level in range(MAX_HALVINGS + 1):
         factor = 2**level
         if (tg.N * factor) > paths.tg.N or paths.tg.N % (tg.N * factor) != 0:
             break
@@ -464,7 +476,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
            refine, rule, bd=None, original: bool = False) -> PathSolution:
     """March one Brownian path from x with a step rule.
 
-    refine(grid, tg, fields, cfg, paths) returns the halving level and the
+    refine(grid, tg, fields, paths) returns the halving level and the
     path set on the run grid; without it the run grid is tg.
     rule(n, y, c, c_next, run) advances the state from run-grid node n to
     n + 1, given the coefficient records c and c_next at both nodes, and
@@ -482,7 +494,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
         raise ConfigError("initial data must be nonnegative")
 
     fields = noisemod.space_fields(cs, grid)
-    level, run_paths = refine(grid, tg, fields, cfg, paths) if refine else (0, run_paths)
+    level, run_paths = refine(grid, tg, fields, paths) if refine else (0, run_paths)
     stride, N, dt = 2**level, run_paths.tg.N, run_paths.tg.dt
     run = _Run(replace(cfg, dt=dt), build_implicit_solver(grid, dt, cfg.theta), fields, run_paths)
     f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
@@ -625,8 +637,8 @@ class ProblemSpec:
         g = gridmod.build_grid(self.dim, list(self.lengths), self.n, self.bc_kind)
         tg = TimeGrid(self.T, self.n_steps)
         cs = CoeffSpec(tuple(self.coefficients))
-        cfg = SolveConfig(tg.dt, self.T, self.theta, self.eps, self.newton_tol,
-                          self.newton_max, self.mu_cap)
+        cfg = SolveConfig(tg.dt, self.theta, self.eps, self.newton_tol, self.newton_max,
+                          self.mu_cap)
         return g, tg, cs, cfg
 
     def sample(self, path_id: int) -> BrownianPathSet:

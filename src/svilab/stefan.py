@@ -18,7 +18,7 @@ theta_b * t, supplied to the solver as an exact ghost-value lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf

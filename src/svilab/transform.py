@@ -35,10 +35,13 @@ class ReactionSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
+        errors = []
         if self.kind not in ("zero", "linear", "saturating"):
-            raise ConfigError(f"reaction kind must be zero|linear|saturating, got {self.kind!r}")
-        if self.alpha < 0:
-            raise ConfigError(f"reaction alpha must be >= 0, got {self.alpha}")
+            errors.append(f"kind must be zero|linear|saturating, got {self.kind!r}")
+        if not 0 <= self.alpha < np.inf:
+            errors.append(f"alpha must be finite and >= 0, got {self.alpha}")
+        if errors:
+            raise ConfigError(errors)
 
     def value(self, t: float, r: np.ndarray) -> np.ndarray:
         if self.kind == "zero" or self.alpha == 0.0:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import cauchy_rate_study, complementarity_report, energy_check, map_paths
-from .errors import NumericalFailure
+from .errors import ConfigError
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
 from .pathsolver import (
@@ -27,13 +27,7 @@ from .pathsolver import (
     direct_em_solve,
     solve_path,
 )
-from .signorini import (
-    assemble_coeffs,
-    build_boundary_data,
-    mass,
-    probe_form_constants,
-    solve_signorini_path,
-)
+from .signorini import assemble_coeffs, build_boundary_data, mass, probe_form_constants
 from .stefan import StefanData, baiocchi_forward, similarity_oracle, solve_stefan_svi
 from .transform import ReactionSpec
 
@@ -47,12 +41,8 @@ def _c1(text):
 
 def check_heat_oracle(workers: int = 1):
     """Deterministic heat decay against separation of variables."""
-    g = build_grid(1, [1.0], 255, DIRICHLET)
-    tg = TimeGrid(0.1, 1000)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, theta=1.0, eps=1e-3)
-    sol = solve_path(g, tg, CoeffSpec(()), ReactionSpec(), ForcingSpec(),
-                     InitialData("sine", 1.0), cfg, sample_paths(tg, 0, seed=0))
-    x = g.meshes()[0]
+    sol = ProblemSpec(n=255, T=0.1, n_steps=1000, initial=InitialData("sine", 1.0)).solve(0)
+    x = sol.grid.meshes()[0]
     err = float(np.max(np.abs(sol.y[-1] - np.exp(-np.pi**2 * 0.1) * np.sin(np.pi * x))))
     return [("heat_oracle_sup_error", err, 5e-3, err <= 5e-3)]
 
@@ -137,14 +127,10 @@ def check_energy(workers: int = 1):
         ("multiplier_ratio_max_100paths", worst_m, 10.0, worst_m <= 10.0),
     ]
     # deterministic pure diffusion: the discrete energy identity is sharp
-    g = build_grid(1, [1.0], 127, DIRICHLET)
-    tg = TimeGrid(0.1, 500)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
-    x = InitialData("sine", 1.0)
-    sol = solve_path(g, tg, CoeffSpec(()), ReactionSpec(), ForcingSpec(), x, cfg,
-                     sample_paths(tg, 0, seed=0))
-    ratio = energy_check(sol, x).energy_ratio
-    bound = 1.0 + 10.0 * tg.dt
+    diffusion = ProblemSpec(n=127, T=0.1, n_steps=500, initial=InitialData("sine", 1.0))
+    sol = diffusion.solve(0)
+    ratio = energy_check(sol, diffusion.initial).energy_ratio
+    bound = 1.0 + 10.0 * sol.tg.dt
     rows.append(("energy_ratio_pure_diffusion", ratio, bound, ratio <= bound))
     return rows
 
@@ -153,13 +139,11 @@ def check_energy(workers: int = 1):
 
 
 def _consistency_worker(args):
-    spec, pid, n_coarse = args
-    g, _, cs, _ = spec.build()
+    spec, pid = args
     master = spec.sample(pid)
     gaps = []
-    for n_steps in (n_coarse, 2 * n_coarse):
-        tg = TimeGrid(spec.T, n_steps)
-        cfg = SolveConfig(dt=tg.dt, T=spec.T, theta=spec.theta, eps=spec.eps)
+    for n_steps in (spec.n_steps, 2 * spec.n_steps):
+        g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
         args_ = (g, tg, cs, spec.reaction, spec.forcing, spec.initial, cfg, master)
         tr = solve_path(*args_)
         em = direct_em_solve(*args_)
@@ -171,13 +155,11 @@ def check_transform_consistency(workers: int = 1):
     """Direct Euler-Maruyama vs the transform route with shared increments:
     the T-time X gap shrinks by a factor in [1.5, 3] when dt halves,
     averaged over 100 paths."""
-    n_coarse = 125
     spec = ProblemSpec(
-        n=63, T=0.25, n_steps=n_coarse, coefficients=_c1("const(0.3) * sin(2)"),
+        n=63, T=0.25, n_steps=125, coefficients=_c1("const(0.3) * sin(2)"),
         seed=4444, initial=InitialData("sine", 1.0), headroom=8,
     )
-    results = map_paths(_consistency_worker, [(spec, pid, n_coarse) for pid in range(100)],
-                        workers)
+    results = map_paths(_consistency_worker, [(spec, pid) for pid in range(100)], workers)
     e1 = np.array([r[1] for r in results])
     e2 = np.array([r[2] for r in results])
     factor = float(e1.mean() / e2.mean())
@@ -196,29 +178,23 @@ def check_signorini(workers: int = 1):
     rows = []
     # boundary trace >= -C eps across the sweep
     ratios = []
+    sweep = ProblemSpec(n=63, bc_kind=NEUMANN, T=0.3, n_steps=300,
+                        forcing=ForcingSpec("edge", -2.0, width=0.15),
+                        initial=InitialData("sine", 0.0))
     for eps in EPS_SWEEP:
-        g = build_grid(1, [1.0], 63, NEUMANN)
-        tg = TimeGrid(0.3, 300)
-        cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=eps)
-        sol = solve_signorini_path(g, tg, CoeffSpec(()), ReactionSpec(),
-                                   ForcingSpec("edge", -2.0, width=0.15),
-                                   InitialData("sine", 0.0), cfg,
-                                   sample_paths(tg, 0, seed=0))
-        ratios.append(max(-float(sol.y[:, g.boundary_mask].min()), 0.0) / eps)
+        sol = replace(sweep, eps=eps).solve(0)
+        ratios.append(max(-float(sol.y[:, sol.grid.boundary_mask].min()), 0.0) / eps)
     anchor = max(ratios[0], 1e-12)
     worst = max(ratios) / anchor
     rows.append(("signorini_trace_fitted_C", max(ratios), np.inf, np.isfinite(max(ratios))))
     rows.append(("signorini_trace_scaling", worst, 3.0, worst <= 3.0))
 
     # mass conservation in the pure-Neumann inactive regime
-    g = build_grid(1, [1.0], 63, NEUMANN)
-    tg = TimeGrid(1.0, 400)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
-    sol = solve_signorini_path(g, tg, CoeffSpec(()), ReactionSpec(), ForcingSpec(),
-                               InitialData("cutoff", 1.0, radius=0.2), cfg,
-                               sample_paths(tg, 0, seed=0))
-    masses = np.array([mass(g, sol.y[k]) for k in range(tg.N + 1)])
-    drift = float(np.max(np.abs(masses - masses[0]))) / tg.T
+    sol = ProblemSpec(n=63, bc_kind=NEUMANN, T=1.0, n_steps=400,
+                      initial=InitialData("cutoff", 1.0, radius=0.2)).solve(0)
+    g = sol.grid
+    masses = np.array([mass(g, y) for y in sol.y])
+    drift = float(np.max(np.abs(masses - masses[0]))) / sol.tg.T
     rows.append(("signorini_mass_drift_per_time", drift, 1e-6, drift <= 1e-6))
 
     # coercivity probe at moderate path sup
@@ -244,7 +220,7 @@ def check_stefan(workers: int = 1):
     st = 1.0
     g = build_grid(1, [1.0], 255, DIRICHLET)
     tg = TimeGrid(0.1, 1000)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-6)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0, heated_boundary_temp=st)
     sol, theta, fb = solve_stefan_svi(g, tg, CoeffSpec(()), sd, cfg,
                                       sample_paths(tg, 0, seed=0))
@@ -257,7 +233,7 @@ def check_stefan(workers: int = 1):
     # interior melting: noisy fronts monotone, Baiocchi round trip O(dt)
     gi = build_grid(1, [1.0], 127, DIRICHLET)
     tgi = TimeGrid(0.05, 500)
-    cfgi = SolveConfig(dt=tgi.dt, T=tgi.T, eps=1e-6)
+    cfgi = SolveConfig(dt=tgi.dt, eps=1e-6)
     x = gi.meshes()[0]
     theta0 = 4.0 * np.clip(1.0 - np.abs(x - 0.35) / 0.15, 0.0, 1.0)
     sdi = StefanData(theta0=theta0, rho=1.0)
@@ -385,10 +361,10 @@ CHECKS = {
 
 
 def run_checks(names=("all",), workers: int = 1, quiet: bool = False):
-    selected = list(CHECKS) if "all" in names else [n for n in names]
+    selected = list(CHECKS) if "all" in names else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
-        raise NumericalFailure(f"unknown verify checks: {unknown}; catalog {sorted(CHECKS)}")
+        raise ConfigError(f"verify.checks: unknown checks {unknown}; catalog {sorted(CHECKS)}")
     rows = []
     for name in selected:
         for row in CHECKS[name](workers=workers):

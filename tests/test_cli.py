@@ -1,10 +1,12 @@
+import configparser
+import io
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svilab.cli import dispatch, main, parse_config
+from svilab.cli import _SCHEMA, MODES, RunConfig, dispatch, main, parse_config
 from svilab.errors import ConfigError
 
 MINIMAL = textwrap.dedent(
@@ -70,11 +72,11 @@ def write(tmp_path, text, name="run.cfg"):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL.format(out=tmp_path / "o")))
-    assert cfg.theta == 1.0
+    assert cfg.problem_spec().theta == 1.0
     assert cfg.slack == 10.0
-    assert cfg.eps == 1e-3
+    assert cfg.problem_spec().eps == 1e-3
     assert cfg.mode == "run"
-    assert cfg.n_steps == 50
+    assert cfg.problem_spec().n_steps == 50
 
 
 def test_validation_collects_all_errors(tmp_path):
@@ -374,3 +376,120 @@ def test_overrides_validated_like_file_values(tmp_path, capsys, flag, value, key
     with pytest.raises(ConfigError) as exc:
         parse_config(write(tmp_path, conf.replace(*in_file), name="file.cfg"))
     assert [f"config error: {m}" for m in exc.value.messages] == errors
+
+
+def set_key(text, section, key, value):
+    """Config text with section.key set to value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("key, value, mode", [
+    ("time.t", "nan", "run"),
+    ("time.t", "inf", "run"),
+    ("time.dt", "nan", "run"),
+    ("run.path_id", "-1", "run"),
+    ("run.newton_max", "0", "run"),
+    ("initial.radius", "0", "run"),
+    ("domain.lengths", "nan", "run"),
+    ("penalty.eps", "nan", "run"),
+    ("run.mu_cap", "-1", "run"),
+    ("verify.checks", "bogus", "verify"),
+    ("verify.checks", ",", "verify"),
+    ("run.mesh_levels", "0", "rate-mesh"),
+    ("run.slack", "nan", "run"),
+    ("run.headroom", "0", "run"),
+    ("noise.mu01", "const(9.0) * sin(1)", "run"),
+])
+def test_bad_value_is_one_config_error_naming_its_key(tmp_path, capsys, key, value, mode):
+    out = tmp_path / "out"
+    conf = set_key(FULL.format(out=out), "run", "mode", mode)
+    conf = set_key(conf, *key.split("."), value)
+    code = main(["--config", str(write(tmp_path, conf)), "--quiet"])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("config error:") and key in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, key, value, message", [
+    ("rate-eps", "bc", "neumann", "rate-eps mode needs domain.bc = dirichlet"),
+    ("rate-mesh", "dim", "2", "rate-mesh mode needs domain.dim = 1"),
+])
+def test_mode_rejects_a_domain_it_cannot_run(tmp_path, mode, key, value, message):
+    conf = set_key(MINIMAL.format(out=tmp_path / "out"), "run", "mode", mode)
+    conf = set_key(set_key(conf, "domain", key, value), "penalty", "eps", "0.1, 0.01, 1e-3, 1e-4")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write(tmp_path, conf))
+    assert exc.value.messages == [message]
+
+
+def test_config_hash_covers_the_effective_run(tmp_path):
+    conf = write(tmp_path, FULL.format(out=tmp_path / "a"))
+    base = parse_config(conf).config_sha
+    assert parse_config(conf, {("noise", "seed"): 8}).config_sha != base
+    assert parse_config(conf, {("noise", "seed"): 7}).config_sha == base  # the file's seed
+    assert parse_config(conf, {("output", "dir"): str(tmp_path / "b")}).config_sha == base
+    # whitespace, comments, spelled-out defaults and the output dir do not count
+    edited = (FULL.format(out=tmp_path / "c").replace("t = 0.05", "t=5e-2   # shorter")
+              .replace("const(0.5) * sin(1)", "const(0.5)*sin(1)")
+              .replace("[run]", "# a comment\n[run]\npath_id = 0"))
+    assert parse_config(write(tmp_path, edited, name="edited.cfg")).config_sha == base
+
+
+def test_main_writes_the_overridden_hash(tmp_path):
+    conf = str(write(tmp_path, FULL.format(out=tmp_path / "a")))
+    heads = []
+    for seed in ("7", "8"):
+        assert main(["--config", conf, "--quiet", "--seed", seed, "--out",
+                     str(tmp_path / seed)]) == 0
+        heads.append((tmp_path / seed / "summary.csv").read_text().splitlines()[0])
+    assert f"config_sha256={parse_config(conf).config_sha} " in heads[0]
+    assert heads[1] != heads[0]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parent.parent
+                                        .joinpath("configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_parses_and_builds(path):
+    cfg = parse_config(path)
+    cfg.problem_spec().build()
+    assert parse_config(path).config_sha == cfg.config_sha
+
+
+_FUZZ_VALUES = ["nan", "inf", "-inf", "", ",", "0", "-1", "1", "2", "3", "1e-3", "0.5", "1e400",
+                "99999999999999999999", "1.0, 2.0", "0.3,", "1,,2", "%", "x", "dirichlet",
+                "neumann", "zero", "const", "sine", "cone", "cutoff", "edge", "field", "linear",
+                "saturating", "all", "heat_oracle", *MODES]
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=st.lists(st.tuples(
+           st.sampled_from([f"{sec}.{key}" for sec, keys in _SCHEMA.items() for key in keys]
+                           + ["noise.mu1", "noise.mu2"]),
+           st.one_of(st.sampled_from(_FUZZ_VALUES), st.integers(-5, 300).map(str),
+                     st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                     st.sampled_from(["const(0.5) * sin(1)", "cos(1,2) * sin(1) * cos(2)",
+                                      "const(nan) * sin(1)", "sin(1)"]))),
+           max_size=12, unique_by=lambda e: e[0]),
+       seed=st.none() | st.integers(-3, 10), paths=st.none() | st.integers(-3, 10))
+def test_parse_config_accepts_or_raises_config_error(tmp_path_factory, entries, seed, paths):
+    sections: dict[str, list[str]] = {}
+    for key, value in entries:
+        sec, name = key.split(".")
+        sections.setdefault(sec, []).append(f"{name} = {value}")
+    text = "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+    path.write_text(text)
+    overrides = {k: v for k, v in ((("noise", "seed"), seed), (("run", "n_paths"), paths))
+                 if v is not None}
+    try:
+        cfg = parse_config(path, overrides)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig) and len(cfg.config_sha) == 64

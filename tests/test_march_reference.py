@@ -37,7 +37,7 @@ def _refined_1d():
     tg = TimeGrid(0.2, 40)
     return solve_path(g, tg, _cs("const(1.5) * sin(2)"), ReactionSpec("saturating", 0.5),
                       ForcingSpec("const", -1.0), InitialData("sine", 0.5),
-                      SolveConfig(dt=tg.dt, T=tg.T, eps=1e-3),
+                      SolveConfig(dt=tg.dt, eps=1e-3),
                       sample_paths(TimeGrid(0.2, 320), 1, seed=5))
 
 
@@ -47,7 +47,7 @@ def _solve_2d():
     return solve_path(g, tg, _cs("const(0.5) * sin(1) * cos(1)", (1.0, 1.0)),
                       ReactionSpec("linear", 0.3), ForcingSpec("const", -1.0),
                       InitialData("cone", 0.3, center=(0.3, 0.3), radius=0.3),
-                      SolveConfig(dt=tg.dt, T=tg.T, eps=1e-3),
+                      SolveConfig(dt=tg.dt, eps=1e-3),
                       sample_paths(TimeGrid(0.02, 160), 1, seed=7))
 
 
@@ -56,7 +56,7 @@ def _lift():
     tg = TimeGrid(0.05, 50)
     return solve_path(g, tg, _cs("const(0.4) * sin(1)"), ReactionSpec(),
                       ForcingSpec("sine", -0.3), InitialData("sine", 0.0),
-                      SolveConfig(dt=tg.dt, T=tg.T, theta=0.5, eps=1e-6),
+                      SolveConfig(dt=tg.dt, theta=0.5, eps=1e-6),
                       sample_paths(TimeGrid(0.05, 400), 1, seed=31),
                       boundary_lift=BoundaryLift(0.4))
 
@@ -67,7 +67,7 @@ def _signorini():
     return solve_signorini_path(g, tg, _cs("const(0.4) * cos(1)"), ReactionSpec("linear", 0.3),
                                 ForcingSpec("edge", -2.0, width=0.15),
                                 InitialData("cutoff", 1.0, radius=0.2),
-                                SolveConfig(dt=tg.dt, T=tg.T, theta=0.75, eps=1e-3),
+                                SolveConfig(dt=tg.dt, theta=0.75, eps=1e-3),
                                 sample_paths(TimeGrid(0.1, 400), 1, seed=12))
 
 
@@ -76,7 +76,7 @@ def _em():
     tg = TimeGrid(0.1, 50)
     return direct_em_solve(g, tg, _cs("cos(0.5,2.0) * sin(1)"), ReactionSpec("linear", 0.3),
                            ForcingSpec("sine", 0.5), InitialData("sine", 1.0),
-                           SolveConfig(dt=tg.dt, T=tg.T, theta=0.75),
+                           SolveConfig(dt=tg.dt, theta=0.75),
                            sample_paths(TimeGrid(0.1, 200), 1, seed=11))
 
 

@@ -39,7 +39,7 @@ def march(grid, x, cfg, n_steps, source=None):
 
 def test_step_zero_fixed_point():
     g = build_grid(1, [1.0], 31, DIRICHLET)
-    cfg = SolveConfig(dt=1e-3, T=1.0)
+    cfg = SolveConfig(dt=1e-3)
     y1, iters, resid = step_interior(g, g.zeros(), zero_coeffs(g), cfg)
     assert np.all(y1 == 0.0)
     assert resid <= cfg.newton_tol
@@ -54,7 +54,7 @@ def test_step_heat_eigen_decay_oracle():
         h = g.h[0]
         lam_h = -4.0 * np.sin(np.pi * h / 2.0) ** 2 / h**2
         dt = 2e-4
-        cfg = SolveConfig(dt=dt, T=1.0, theta=theta)
+        cfg = SolveConfig(dt=dt, theta=theta)
         x = np.sin(np.pi * g.meshes()[0])
         y1, _, _ = step_interior(g, x, zero_coeffs(g), cfg)
         factor_h = (1.0 + (1.0 - theta) * dt * lam_h) / (1.0 - theta * dt * lam_h)
@@ -74,7 +74,7 @@ def steady_pinned_oracle(x, eps):
 def test_step_pinned_by_negative_forcing():
     g = build_grid(1, [1.0], 127, DIRICHLET)
     eps = 1e-3
-    cfg = SolveConfig(dt=5e-3, T=1.0, eps=eps)
+    cfg = SolveConfig(dt=5e-3, eps=eps)
     y = march(g, g.zeros(), cfg, 400, source=np.full(g.n_nodes, -1.0))
     x = g.meshes()[0]
     expected = steady_pinned_oracle(x, eps)
@@ -88,7 +88,7 @@ def test_step_pinned_by_negative_forcing():
 
 def test_stability_guard_raises():
     g = build_grid(1, [1.0], 31, DIRICHLET)
-    cfg = SolveConfig(dt=0.1, T=1.0)
+    cfg = SolveConfig(dt=0.1)
     gfield = [np.full(g.n_nodes, 5.0)]  # dt*sup|g|/h = 0.1*5/(1/32) = 16
     with pytest.raises(StabilityError):
         step_interior(g, g.zeros(), replace(zero_coeffs(g), g=gfield), cfg)
@@ -97,7 +97,7 @@ def test_stability_guard_raises():
 def test_solve_path_zero_data():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(0.05, 50)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
+    cfg = SolveConfig(dt=tg.dt)
     paths = sample_paths(tg, 0, seed=0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                      InitialData("sine", 0.0), cfg, paths)
@@ -110,7 +110,7 @@ def test_solve_path_heat_decay_oracle():
     # separation of variables: y(t) = exp(-pi^2 t) sin(pi x)
     g = build_grid(1, [1.0], 255, DIRICHLET)
     tg = TimeGrid(0.1, 1000)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, theta=1.0)
+    cfg = SolveConfig(dt=tg.dt, theta=1.0)
     paths = sample_paths(tg, 0, seed=0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                      InitialData("sine", 1.0), cfg, paths)
@@ -126,7 +126,7 @@ def test_solve_path_factorized_noise_oracle():
     c = 0.8
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.2, 200)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, theta=1.0)
+    cfg = SolveConfig(dt=tg.dt, theta=1.0)
     paths = sample_paths(TimeGrid(0.2, 1600), 1, seed=21)
     cs = coeffs1(f"const({c}) * const(1.0)")
     sol = solve_path(g, tg, cs, ReactionSpec(), ForcingSpec(),
@@ -145,7 +145,7 @@ def test_solve_path_factorized_noise_oracle():
 def test_recover_multiplier_matches_and_sign():
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.2, 100)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-3)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-3)
     paths = sample_paths(tg, 0, seed=0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec("const", -1.0),
                      InitialData("sine", 0.0), cfg, paths)
@@ -167,7 +167,7 @@ def test_positivity_preservation():
     # theta=1, f >= 0, x >= 0, no reaction/transport: M-matrix keeps y >= 0
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.1, 100)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, theta=1.0)
+    cfg = SolveConfig(dt=tg.dt, theta=1.0)
     paths = sample_paths(tg, 0, seed=0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec("sine", 2.0),
                      InitialData("cone", 1.0), cfg, paths)
@@ -178,7 +178,7 @@ def test_penalty_dissipativity():
     # f = 0, F = 0, g = 0: the L2 norm is nonincreasing step to step
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.1, 100)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
+    cfg = SolveConfig(dt=tg.dt)
     paths = sample_paths(tg, 0, seed=0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                      InitialData("cutoff", 1.0), cfg, paths)
@@ -189,7 +189,7 @@ def test_penalty_dissipativity():
 def test_newton_iteration_bound():
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.2, 100)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-4)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-4)
     paths = sample_paths(TimeGrid(0.2, 800), 1, seed=3)
     cs = coeffs1("const(0.5) * sin(1)")
     sol = solve_path(g, tg, cs, ReactionSpec("linear", 0.5), ForcingSpec("const", -2.0),
@@ -201,7 +201,7 @@ def test_newton_iteration_bound():
 def test_direct_em_matches_transform_when_deterministic():
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.1, 200)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
+    cfg = SolveConfig(dt=tg.dt)
     paths = sample_paths(tg, 0, seed=0)
     args = (g, tg, EMPTY, ReactionSpec("linear", 0.7), ForcingSpec("sine", 0.5),
             InitialData("sine", 1.0), cfg, paths)
@@ -220,7 +220,7 @@ def test_direct_em_self_convergence_in_dt():
     gaps = []
     for n_steps in (250, 500):
         tg = TimeGrid(0.25, n_steps)
-        cfg = SolveConfig(dt=tg.dt, T=tg.T)
+        cfg = SolveConfig(dt=tg.dt)
         args = (g, tg, cs, ReactionSpec(), ForcingSpec(), InitialData("sine", 1.0), cfg, master)
         tr = solve_path(*args)
         em = direct_em_solve(*args)
@@ -232,7 +232,7 @@ def test_solve_path_retries_on_stiff_transport():
     # large coefficient gradient forces the guard to refine dt
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.2, 40)  # dt = 5e-3, h ~ 1/64: sup|g| > 3 triggers
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
+    cfg = SolveConfig(dt=tg.dt)
     cs = coeffs1("const(1.5) * sin(2)")
     paths = sample_paths(TimeGrid(0.2, 40 * 8), 1, seed=5)
     sol = solve_path(g, tg, cs, ReactionSpec(), ForcingSpec(),
@@ -249,7 +249,7 @@ def test_solve_path_retries_on_stiff_transport():
 def test_solve_path_rejects_bad_input():
     g = build_grid(1, [1.0], 31, NEUMANN)
     tg = TimeGrid(0.1, 10)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
+    cfg = SolveConfig(dt=tg.dt)
     paths = sample_paths(tg, 0, seed=0)
     with pytest.raises(ConfigError):
         solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
@@ -266,7 +266,7 @@ def test_solve_path_rejects_bad_input():
 def test_solve_path_2d_smoke():
     g = build_grid(2, [1.0, 1.0], 15, DIRICHLET)
     tg = TimeGrid(0.02, 20)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T)
+    cfg = SolveConfig(dt=tg.dt)
     paths = sample_paths(TimeGrid(0.02, 160), 1, seed=7)
     cs = CoeffSpec((parse_coefficient("const(0.5) * sin(1) * cos(1)", [1.0, 1.0]),))
     sol = solve_path(g, tg, cs, ReactionSpec(), ForcingSpec(),
@@ -287,7 +287,7 @@ def test_boundary_lift_linear_profile():
     # solution tends to the linear interpolant r*t*(1 - x) plus O(dt) lag
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.5, 2000)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-6)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     paths = sample_paths(tg, 0, seed=0)
     rate = 0.4
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
@@ -308,3 +308,10 @@ def test_problem_spec_roundtrip():
     a = spec.solve(3)
     b = spec2.solve(3)
     assert np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("kw", [{"newton_max": 0}, {"dt": float("nan")}, {"eps": float("nan")},
+                                {"newton_tol": 0.0}])
+def test_solve_config_rejects_bad_values(kw):
+    with pytest.raises(ConfigError):
+        SolveConfig(**{"dt": 1e-3, **kw})

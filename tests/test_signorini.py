@@ -26,7 +26,7 @@ EMPTY = CoeffSpec(())
 def neumann_setup(n=63, T=0.1, nt=100, eps=1e-3, **cfg_kw):
     g = build_grid(1, [1.0], n, NEUMANN)
     tg = TimeGrid(T, nt)
-    cfg = SolveConfig(dt=tg.dt, T=T, eps=eps, **cfg_kw)
+    cfg = SolveConfig(dt=tg.dt, eps=eps, **cfg_kw)
     return g, tg, cfg
 
 

@@ -41,7 +41,7 @@ def test_all_solid_stays_pinned():
     # theta0 = 0: complementarity pins the state, eta absorbs -rho
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.1, 100)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-4)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-4)
     sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0)
     sol, theta, fb = solve_stefan_svi(g, tg, EMPTY, sd, cfg, sample_paths(tg, 0, seed=0))
     assert np.max(np.abs(sol.y)) <= cfg.eps * sd.rho + 1e-12
@@ -112,7 +112,7 @@ def test_similarity_benchmark_front():
     st = 1.0
     g = build_grid(1, [1.0], 255, DIRICHLET)
     tg = TimeGrid(0.1, 1000)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-6)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0, heated_boundary_temp=st)
     sol, theta, fb = solve_stefan_svi(g, tg, EMPTY, sd, cfg, sample_paths(tg, 0, seed=0))
     front_exact, profile = similarity_oracle(st, tg.T)
@@ -131,7 +131,7 @@ def test_temperature_positive_on_liquid_and_refinement_consistency():
     for n, nt in ((127, 500), (255, 1000)):
         g = build_grid(1, [1.0], n, DIRICHLET)
         tg = TimeGrid(0.1, nt)
-        cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-6)
+        cfg = SolveConfig(dt=tg.dt, eps=1e-6)
         sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0, heated_boundary_temp=st)
         sol, theta, fb = solve_stefan_svi(g, tg, EMPTY, sd, cfg, sample_paths(tg, 0, seed=0))
         # the first-step transient dips by ~ eps*rho/dt; later slices sit at
@@ -152,7 +152,7 @@ def test_interior_melting_monotone_and_round_trip():
     # compactly supported hot region, no boundary heating
     g = build_grid(1, [1.0], 127, DIRICHLET)
     tg = TimeGrid(0.05, 500)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-6)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     x = g.meshes()[0]
     theta0 = 4.0 * np.clip(1.0 - np.abs(x - 0.35) / 0.15, 0.0, 1.0)
     sd = StefanData(theta0=theta0, rho=1.0)
@@ -186,7 +186,7 @@ def test_round_trip_trivials():
 def test_noisy_stefan_fronts_monotone():
     g = build_grid(1, [1.0], 127, DIRICHLET)
     tg = TimeGrid(0.05, 250)
-    cfg = SolveConfig(dt=tg.dt, T=tg.T, eps=1e-6)
+    cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     x = g.meshes()[0]
     theta0 = 4.0 * np.clip(1.0 - np.abs(x - 0.35) / 0.15, 0.0, 1.0)
     sd = StefanData(theta0=theta0, rho=1.0)
