@@ -282,25 +282,44 @@ class CsvWriter:
         self.comment = f"# config_sha256={config_sha} version={__version__}\n"
 
     def write(self, name: str, header: list[str], rows) -> Path:
+        """rows holds value tuples, one per line, or text blocks of whole lines."""
         path = self.out_dir / name
         with open(path, "w", newline="\n") as fh:
             fh.write(self.comment)
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(row if isinstance(row, str) else (",".join(map(_fmt, row)) + "\n"))
         return path
 
 
-def trajectory_rows(sol: PathSolution):
+# rows per text block of trajectory.csv; a block holds whole time steps
+# (at least one), so memory stays flat however long the trajectory is
+_BLOCK_ROWS = 8192
+
+
+def _trajectory_blocks(sol: PathSolution):
+    """trajectory.csv lines in blocks, bytes equal to formatting each cell by _fmt.
+
+    "%.17g" % x and format(x, ".17g") print a float alike, and "%d" % j is
+    str(j).  t and the node columns repeat, so they are formatted once.
+    """
     g = sol.grid
     xs = g.meshes()
-    xi0 = xs[0]
     xi1 = xs[1] if g.dim == 2 else np.zeros(g.n_nodes)
-    X = sol.X
-    eta_X = sol.eta_X
-    for n, t in enumerate(sol.tg.nodes):
-        for j in range(g.n_nodes):
-            yield (t, j, xi0[j], xi1[j], sol.y[n, j], X[n, j], eta_X[n, j])
+    nodes = ["%d,%.17g,%.17g," % c for c in zip(range(g.n_nodes), xs[0].tolist(), xi1.tolist())]
+    times = ["%.17g" % t for t in sol.tg.nodes.tolist()]
+    columns = (sol.y, sol.X, sol.eta_X)
+    steps = max(1, _BLOCK_ROWS // g.n_nodes)
+    line = "%s,%s%.17g,%.17g,%.17g\n"
+    for n0 in range(0, len(times), steps):
+        block = times[n0:n0 + steps]
+        rows = len(block) * g.n_nodes
+        values = [None] * (5 * rows)
+        values[0::5] = [t for t in block for _ in nodes]
+        values[1::5] = nodes * len(block)
+        for k, col in enumerate(columns, start=2):
+            values[k::5] = col[n0:n0 + len(block)].ravel().tolist()
+        yield (line * rows) % tuple(values)
 
 
 def write_summary(writer: CsvWriter, checks):
@@ -312,7 +331,7 @@ def write_summary(writer: CsvWriter, checks):
 
 def write_trajectory(writer: CsvWriter, sol: PathSolution):
     writer.write("trajectory.csv", ["t", "node_index", "xi_0", "xi_1", "y", "X", "eta"],
-                 trajectory_rows(sol))
+                 _trajectory_blocks(sol))
 
 
 # ---------------------------------------------------------------------------

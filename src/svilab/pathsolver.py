@@ -310,19 +310,23 @@ def newton_penalized_solve(
     dt_scale is the per-node nonnegative coefficient in front of the
     penalty (dt for the interior obstacle; the boundary geometric factor
     for Signorini, zero elsewhere).  Finite termination: the system is
-    piecewise linear with a monotone diagonal nonlinearity.
+    piecewise linear with a monotone diagonal nonlinearity.  A step is
+    accepted once the active set is stable and the residual is at most
+    newton_tol * max(1, max|rhs|): round-off in the residual grows with
+    the scale of the data, so an absolute bound fails on large data.
     """
     penalized = dt_scale > 0.0
     active = (y_init < 0.0) & penalized
     y = y_init
     base_diag = linear_diag if linear_diag is not None else 0.0
+    tol = newton_tol * max(1.0, float(np.abs(rhs).max(initial=0.0)))
     for it in range(1, newton_max + 1):
         extra = base_diag + np.where(active, dt_scale / eps, 0.0)
         y = solver.solve(extra, rhs, x0=y)
         new_active = (y < 0.0) & penalized
         resid = solver.apply(y) + base_diag * y + dt_scale * penalty.beta_eps(y, eps) - rhs
         resid_inf = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if np.array_equal(new_active, active) and resid_inf <= newton_tol:
+        if np.array_equal(new_active, active) and resid_inf <= tol:
             return y, it, resid_inf
         active = new_active
     raise NewtonError(

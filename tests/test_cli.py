@@ -1,13 +1,19 @@
 import configparser
+import contextlib
 import io
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svilab.cli import _SCHEMA, MODES, RunConfig, dispatch, main, parse_config
+from svilab import cli
+from svilab.cli import (_SCHEMA, MODES, CsvWriter, RunConfig, dispatch, main, parse_config,
+                        write_trajectory)
 from svilab.errors import ConfigError
+from svilab.noise import parse_coefficient
+from svilab.pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec
 
 MINIMAL = textwrap.dedent(
     """
@@ -156,6 +162,56 @@ def test_byte_identical_reruns(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _cell(v) -> str:
+    return str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+
+
+def per_cell_trajectory(sol) -> bytes:
+    """trajectory.csv data formatted one cell at a time: the reference for the block writer."""
+    g, X, eta = sol.grid, sol.X, sol.eta_X
+    xs = g.meshes() + [np.zeros(g.n_nodes)]  # xi_1 is 0 in 1D
+    return "".join(",".join(_cell(v) for v in (t, j, xs[0][j], xs[1][j], sol.y[n, j], X[n, j],
+                                                eta[n, j])) + "\n"
+                   for n, t in enumerate(sol.tg.nodes) for j in range(g.n_nodes)).encode()
+
+
+def assert_trajectory_bytes(tmp_path, sol):
+    write_trajectory(CsvWriter(tmp_path, "0" * 64), sol)
+    data = (tmp_path / "trajectory.csv").read_bytes().split(b"\n", 2)[2]
+    assert data == per_cell_trajectory(sol)
+
+
+@pytest.mark.parametrize("dim, n, n_steps", [(1, 63, 300), (2, 9, 20)])
+def test_trajectory_blocks_match_per_cell_format(tmp_path, dim, n, n_steps):
+    coeff = "const(0.5) * sin(1)" + " * cos(1)" * (dim - 1)
+    spec = ProblemSpec(dim=dim, lengths=(1.0,) * dim, n=n, T=0.1, n_steps=n_steps, seed=3,
+                       coefficients=(parse_coefficient(coeff, [1.0] * dim),),
+                       forcing=ForcingSpec("const", -2.0), initial=InitialData("sine", 0.5))
+    sol = spec.solve(0)
+    assert sol.eta.min() < 0  # the obstacle is active, so the eta column is not all zero
+    assert_trajectory_bytes(tmp_path, sol)
+
+
+@pytest.mark.parametrize("dim, n, n_steps", [
+    (1, 63, 300),  # 301 time steps are not a whole number of blocks
+    (2, 91, 2),    # 8281 nodes: one time step is more rows than a block
+])
+def test_trajectory_blocks_match_per_cell_format_on_special_values(tmp_path, dim, n, n_steps):
+    g, tg, _, _ = ProblemSpec(dim=dim, lengths=(1.0,) * dim, n=n, n_steps=n_steps).build()
+    steps_per_block = max(1, cli._BLOCK_ROWS // g.n_nodes)
+    assert (tg.N + 1) % steps_per_block or g.n_nodes > cli._BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    shape = (tg.N + 1, g.n_nodes)
+    y, eta, mu = rng.standard_normal(shape), rng.random(shape), rng.standard_normal(shape)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+    for n0 in (0, steps_per_block, tg.N):  # first, second and last block
+        y[n0, :len(special)] = special
+        eta[n0, -len(special):] = special
+        mu[n0, :len(special)] = mu[n0, -len(special):] = 0.0  # e^mu keeps them as they are
+    sol = PathSolution(grid=g, tg=tg, y=y, eta=eta, mu=mu, diagnostics=None)
+    assert_trajectory_bytes(tmp_path, sol)
+
+
 def test_seed_and_paths_overrides(tmp_path):
     conf = write(tmp_path, FULL.format(out=tmp_path / "a"))
     assert main(["--config", str(conf), "--quiet", "--seed", "123",
@@ -193,6 +249,16 @@ def test_stability_failure_exit_2(tmp_path):
     assert code == 2
     summary = (out / "summary.csv").read_text()
     assert "numerical_failure" in summary and "fail" in summary
+
+
+def test_newton_tolerance_scales_with_the_data(tmp_path):
+    # an absolute residual bound of 1e-10 is below the round-off of data of size 1e7
+    big = set_key(set_key(MINIMAL.format(out=tmp_path / "out"), "domain", "n", "7"),
+                  "time", "t", "0.01")
+    big = set_key(set_key(big, "initial", "kind", "sine"), "initial", "amplitude", "1e7")
+    assert main(["--config", str(write(tmp_path, big)), "--quiet"]) == 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[2:]
+    assert rows and all(row.endswith(",pass") for row in rows)
 
 
 def test_ensemble_mode(tmp_path):
@@ -493,3 +559,63 @@ def test_parse_config_accepts_or_raises_config_error(tmp_path_factory, entries, 
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig) and len(cfg.config_sha) == 64
+
+
+_DISPATCH_MODES = [m for m in MODES if m != "verify"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(_DISPATCH_MODES), dim=st.sampled_from([1, 2]),
+       n=st.integers(3, 7), neumann=st.booleans(), t=st.sampled_from(["0.01", "0.05"]),
+       steps=st.integers(1, 5), eps=st.sampled_from(["1e-3", "1e-6"]),
+       mu1=st.sampled_from(["", "const(0.5)", "cos(1,2)", "const(9.0)"]),
+       initial=st.sampled_from(["0", "0.5", "1e7"]),
+       forcing=st.sampled_from(["zero", "const", "edge"]), paths=st.integers(1, 3),
+       headroom=st.sampled_from(["1", "8"]), stefan_temp=st.sampled_from(["0", "1"]))
+def test_dispatch_exits_with_a_code_and_no_traceback(tmp_path_factory, mode, dim, n, neumann, t,
+                                                    steps, eps, mu1, initial, forcing, paths,
+                                                    headroom, stefan_temp):
+    # each mode gets the boundary and eps list it needs; rate-mesh in 2D, ensemble with one
+    # path and Stefan heating in 2D still end in config errors
+    bc = {"signorini": "neumann", "run": "neumann" if neumann else "dirichlet",
+          "ensemble": "neumann" if neumann else "dirichlet"}.get(mode, "dirichlet")
+    if mode == "rate-eps":
+        eps = "0.1, 0.01, 1e-3, 1e-4"
+    noise = f"m = 1\nmu1 = {mu1} * sin(1)" + " * cos(2)" * (dim - 1) if mu1 else "m = 0"
+    tmp = tmp_path_factory.mktemp("dispatch")
+    out = tmp / "out"
+    text = textwrap.dedent(f"""
+        [domain]
+        dim = {dim}
+        n = {n}
+        bc = {bc}
+        [time]
+        t = {t}
+        dt = {float(t) / steps!r}
+        [noise]
+        {{noise}}
+        [penalty]
+        eps = {eps}
+        [forcing]
+        kind = {forcing}
+        amplitude = -1.0
+        [initial]
+        amplitude = {initial}
+        [stefan]
+        theta0_amplitude = 0.5
+        boundary_temp = {stefan_temp}
+        [run]
+        mode = {mode}
+        n_paths = {paths}
+        headroom = {headroom}
+        mesh_levels = 1
+        [output]
+        dir = {out}
+        """).format(noise=noise)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(write(tmp, text)), "--quiet"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert not out.exists()
