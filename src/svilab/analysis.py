@@ -43,46 +43,23 @@ FUNCTIONAL_NAMES = (
 class ComplementarityReport:
     """Pointwise complementarity of (X, eta) with the eta <= 0 convention.
 
-    pairing is the space-time integral of X * (-eta); eta_flipped is -eta's
-    extreme so either sign convention can be read off.
+    pairing is the space-time integral of X * (-eta).
     """
 
     min_X: float
     max_eta: float
     pairing: float
-    min_X_per_t: np.ndarray
-    max_eta_per_t: np.ndarray
-    pairing_per_t: np.ndarray
-    t_of_min_X: float
-    eta_flipped_min: float
-
-    def passes(self, tol_X: float, tol_eta: float, tol_pair: float) -> bool:
-        return (
-            self.min_X >= -tol_X
-            and self.max_eta <= tol_eta
-            and abs(self.pairing) <= tol_pair
-        )
 
 
 def complementarity_report(traj_X: np.ndarray, traj_eta: np.ndarray,
                            grid: Grid, tg: TimeGrid) -> ComplementarityReport:
     if traj_X.shape != traj_eta.shape or traj_X.shape[0] != tg.N + 1:
         raise ValueError("trajectories are not aligned")
-    min_per_t = traj_X.min(axis=1)
-    max_eta_per_t = traj_eta.max(axis=1)
-    pair_fields = traj_X * (-traj_eta)
-    pairing_per_t = pair_fields @ grid.weights
-    pairing = float(np.sum(pairing_per_t[:-1]) * tg.dt)
-    n_min = int(np.argmin(min_per_t))
+    pairing_per_t = gridmod.inner(grid, traj_X, -traj_eta)
     return ComplementarityReport(
-        min_X=float(min_per_t.min()),
-        max_eta=float(max_eta_per_t.max()),
-        pairing=pairing,
-        min_X_per_t=min_per_t,
-        max_eta_per_t=max_eta_per_t,
-        pairing_per_t=pairing_per_t,
-        t_of_min_X=float(tg.nodes[n_min]),
-        eta_flipped_min=float((-traj_eta).min()),
+        min_X=float(traj_X.min()),
+        max_eta=float(traj_eta.max()),
+        pairing=float(np.sum(pairing_per_t[:-1]) * tg.dt),
     )
 
 
@@ -121,29 +98,11 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> float:
 
 
 def _step_norms(sol: PathSolution) -> tuple[np.ndarray, ...]:
-    """|y|^2, |grad y|^2, |eta|^2 and |lap y|^2 at every stored node: the
-    rows of gridmod.inner, seminorm_h1^2 and apply_laplacian in one pass."""
-    g, w = sol.grid, sol.grid.weights
-    U = sol.y.reshape((-1,) + g.shape)
-    P = np.pad(U, [(0, 0)] + [(1, 1)] * g.dim,
-               mode="constant" if g.bc_kind == gridmod.DIRICHLET else "reflect")
-    lap = np.zeros_like(U)
-    h1_sq = 0.0
-    for axis in range(g.dim):
-        h = g.h[axis]
-        core = [slice(None)] + [slice(1, -1)] * g.dim
-        lo, hi, edges = list(core), list(core), list(core)
-        lo[axis + 1], hi[axis + 1], edges[axis + 1] = slice(0, -2), slice(2, None), slice(None)
-        lap += (P[tuple(lo)] - 2.0 * U + P[tuple(hi)]) / h**2
-        # edge differences; Dirichlet grids include the edges to the zero ghosts
-        du = np.diff(P[tuple(edges)] if g.bc_kind == gridmod.DIRICHLET else U, axis=axis + 1) / h
-        ew = np.full(du.shape[1:], h)  # edge length times transverse trapezoid weights
-        for ax in range(g.dim):
-            if ax != axis:
-                ew = ew * g.axis_weights(ax).reshape([g.n if a == ax else 1 for a in range(g.dim)])
-        h1_sq = h1_sq + (du * du).reshape(len(U), -1) @ ew.reshape(-1)
-    lap = lap.reshape(len(U), -1)
-    return (sol.y * sol.y) @ w, h1_sq, (sol.eta * sol.eta) @ w, (lap * lap) @ w
+    """|y|^2, |grad y|^2, |eta|^2 and |lap y|^2 at every stored node."""
+    g = sol.grid
+    lap = gridmod.apply_laplacian(g, sol.y)
+    return (gridmod.inner(g, sol.y, sol.y), gridmod.stiffness_inner(g, sol.y, sol.y),
+            gridmod.inner(g, sol.eta, sol.eta), gridmod.inner(g, lap, lap))
 
 
 def energy_check(sol: PathSolution, x, delta: float | None = None,
@@ -227,10 +186,7 @@ def cauchy_rate_study(spec: ProblemSpec, eps_list, path_id: int = 0) -> RateFit:
     errors = np.empty(len(eps_arr))
     for i, eps in enumerate(eps_arr):
         sol = run(eps)
-        diffs = sol.y - ref.y
-        errors[i] = max(
-            np.sqrt(gridmod.inner(g, d, d)) for d in diffs
-        )
+        errors[i] = np.max(gridmod.norm_l2(g, sol.y - ref.y))
     return fit_rate(eps_arr, errors)
 
 
@@ -247,12 +203,17 @@ class FunctionalStats:
 
 @dataclass
 class EnsembleStats:
-    """Per-functional Monte Carlo statistics over path_id = 0..n_paths-1."""
+    """Per-functional Monte Carlo statistics over path_id = 0..n_paths-1:
+    n_paths paths were solved, failures maps each other id to its reason."""
 
     n_paths: int
-    n_failures: int
     stats: dict[str, FunctionalStats]
+    failures: dict[int, str] = field(default_factory=dict)
     empirical_C: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def n_failures(self) -> int:
+        return len(self.failures)
 
     @property
     def failure_fraction(self) -> float:
@@ -269,8 +230,7 @@ def path_functionals(sol: PathSolution, x, slack: float = ENERGY_SLACK_DEFAULT) 
     dt = sol.tg.dt
     norms = _step_norms(sol)
     _, h1_sq, eta_sq, lap_sq = (a[:-1] for a in norms)
-    dydt = np.diff(sol.y, axis=0) / dt
-    dydt_l2 = np.sqrt((dydt * dydt) @ sol.grid.weights)
+    dydt_l2 = gridmod.norm_l2(sol.grid, np.diff(sol.y, axis=0) / dt)
     report = energy_check(sol, x, slack=slack, norms=norms)
     return {
         "sup_y_l2_sq": float(norms[0].max()),
@@ -314,8 +274,8 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, workers: int = 1) -> EnsembleS
         raise ValueError(f"ensemble needs n_paths >= 2, got {n_paths}")
 
     results = map_paths(_ensemble_worker, [(spec, pid) for pid in range(n_paths)], workers)
-    rows = [vals for _, vals, err in results if vals is not None]
-    n_fail = sum(1 for _, vals, _ in results if vals is None)
+    rows = [vals for _, vals, _ in results if vals is not None]
+    failures = {pid: err for pid, vals, err in results if vals is None}
     n_ok = len(rows)
     stats = {}
     for name in FUNCTIONAL_NAMES:
@@ -339,5 +299,5 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, workers: int = 1) -> EnsembleS
             for name in FUNCTIONAL_NAMES:
                 if name.startswith(("sup_", "int_")):
                     empirical[name] = stats[name].mean / denom
-    return EnsembleStats(n_paths=n_ok, n_failures=n_fail, stats=stats,
+    return EnsembleStats(n_paths=n_ok, stats=stats, failures=failures,
                          empirical_C=empirical)

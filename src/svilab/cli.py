@@ -34,6 +34,9 @@ from .verify import CHECKS, run_checks
 
 MODES = ("run", "ensemble", "rate-eps", "rate-mesh", "stefan", "signorini", "verify")
 
+# largest array a run may allocate, in float64 values (512 MiB)
+MAX_ARRAY_VALUES = 2**26
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -132,6 +135,23 @@ _RULES = {
     "verify.checks": (lambda x: x and set(x) <= {"all", *CHECKS},
                       f"name checks among all, {', '.join(CHECKS)}"),
 }
+
+
+def _size_errors(v: dict, n_steps: int) -> list[str]:
+    """One error naming the keys that size an array of the run beyond
+    MAX_ARRAY_VALUES: the stored trajectory, (n_steps + 1) x the nodes of the
+    finest grid the mode builds, or the sampled path, m x (n_steps * headroom + 1)."""
+    n, traj_keys = v["domain.n"], ["domain.n", "domain.dim", "time.t", "time.dt"]
+    if v["run.mode"] == "rate-mesh":  # n -> 2n+1 per level; 64 levels are over already
+        n = (n + 1) * 2 ** min(v["run.mesh_levels"], 64) - 1
+        traj_keys.append("run.mesh_levels")
+    over = [keys for size, keys in (
+        ((n_steps + 1) * n ** v["domain.dim"], traj_keys),
+        (v["noise.m"] * (n_steps * v["run.headroom"] + 1),
+         ["noise.m", "time.t", "time.dt", "run.headroom"])) if size > MAX_ARRAY_VALUES]
+    named = ", ".join(dict.fromkeys(k for keys in over for k in keys))
+    return [f"{named}: an array of the run would hold more than {MAX_ARRAY_VALUES} "
+            "float64 values (512 MiB)"] if over else []
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
@@ -241,6 +261,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         errors.append("rate-mesh mode needs domain.dim = 1")
     if mode == "stefan" and v["stefan.boundary_temp"] > 0 and dim != 1:
         errors.append("stefan.boundary_temp > 0 needs domain.dim = 1")
+    if not errors:  # sizes are computed from values that passed every other rule
+        errors += _size_errors(v, n_steps)
     if errors:
         raise ConfigError(errors)
 
@@ -378,6 +400,8 @@ def _mode_ensemble(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         checks.append((f"empirical_C_{name}", c, np.inf, True))
     write_summary(writer, checks)
     if not quiet:
+        for path_id, reason in stats.failures.items():
+            print(f"path {path_id} failed: {reason}", file=sys.stderr)
         print(f"{'PASS' if stats.passed else 'FAIL'} ensemble: "
               f"{stats.n_paths} paths, {stats.n_failures} failures")
     return 0 if stats.passed else 2
@@ -425,7 +449,7 @@ def _mode_rate_mesh(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         diff = sols[n].y[-1] - restricted
         g = sols[n].grid
         hs.append(g.h[0])
-        errors.append(float(np.sqrt(np.sum(g.weights * diff * diff))))
+        errors.append(gridmod.norm_l2(g, diff))
     writer.write("rates.csv", ["eps", "error_l2", "slope_running"], _rates_rows(hs, errors))
     if not quiet:
         print(f"rate-mesh: errors {['%.3e' % e for e in errors]}")

@@ -10,7 +10,9 @@ symmetric and the discrete divergence theorem holds (mass conservation to
 machine precision for the pure reflected operator).
 
 Fields are flat float arrays of length ``grid.n_nodes`` in C order of the
-per-axis index.  Vector fields are lists with one field per axis.
+per-axis index.  Vector fields are lists with one field per axis.  The
+Laplacian, quadratures and norms also act on each row of a stack
+``(..., n_nodes)``, giving exactly what the call on that row alone gives.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ class Grid:
         return self.n**self.dim
 
     def reshape(self, u: np.ndarray) -> np.ndarray:
-        if u.shape != (self.n_nodes,):
-            raise ValueError(f"field has shape {u.shape}, grid expects ({self.n_nodes},)")
-        return u.reshape(self.shape)
+        """A field (n_nodes,) or a stack (..., n_nodes) as (..., *shape)."""
+        if u.shape[-1:] != (self.n_nodes,):
+            raise ValueError(f"field has shape {u.shape}, grid expects (..., {self.n_nodes})")
+        return u.reshape(u.shape[:-1] + self.shape)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.n_nodes)
@@ -141,29 +144,46 @@ def build_grid(dim: int, lengths, n: int, bc_kind: str = DIRICHLET) -> Grid:
 
 
 def _pad(grid: Grid, U: np.ndarray) -> np.ndarray:
-    if grid.bc_kind == DIRICHLET:
-        return np.pad(U, 1, mode="constant")
-    # reflect across the boundary node: ghost mirrors the first interior node
-    return np.pad(U, 1, mode="reflect")
+    """One ghost layer on each grid axis of a reshaped field or stack: zero
+    on Dirichlet grids, the first interior node mirrored on Neumann grids
+    (filled by slices: np.pad takes several times as long on small stacks)."""
+    P = np.empty(U.shape[: U.ndim - grid.dim] + tuple(n + 2 for n in grid.shape))
+    P[(..., *[slice(1, -1)] * grid.dim)] = U
+    for axis in range(grid.dim):
+        for side, inside in ((0, 2), (-1, -3)):
+            ghost, mirror = [slice(None)] * grid.dim, [slice(None)] * grid.dim
+            ghost[axis], mirror[axis] = side, inside
+            P[(..., *ghost)] = 0.0 if grid.bc_kind == DIRICHLET else P[(..., *mirror)]
+    return P
 
 
 def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Second-order centered Laplacian with the grid's ghost convention."""
+    """Second-order centered Laplacian with the grid's ghost convention,
+    of a field or of each row of a stack."""
     U = grid.reshape(u)
     P = _pad(grid, U)
-    out = np.zeros_like(U)
-    core = (slice(1, -1),) * grid.dim
+    core = [slice(1, -1)] * grid.dim
     for axis in range(grid.dim):
         lo = list(core)
         hi = list(core)
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
-        out += (P[tuple(lo)] - 2.0 * U + P[tuple(hi)]) / grid.h[axis] ** 2
-    return out.reshape(-1)
+        term = 2.0 * U
+        np.subtract(P[(..., *lo)], term, out=term)
+        term += P[(..., *hi)]
+        term /= grid.h[axis] ** 2
+        if axis == 0:
+            term += 0.0  # the sum over axes starts from +0.0: -0.0 + 0.0 is +0.0
+            out = term
+        else:
+            out += term
+    return out.reshape(u.shape)
 
 
 def apply_gradient(grid: Grid, u: np.ndarray) -> list[np.ndarray]:
     """Centered gradient, second-order one-sided at the outermost nodes."""
+    if u.shape != (grid.n_nodes,):
+        raise ValueError(f"field has shape {u.shape}, grid expects ({grid.n_nodes},)")
     U = grid.reshape(u)
     comps = []
     for axis in range(grid.dim):
@@ -179,53 +199,67 @@ def apply_gradient(grid: Grid, u: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    if u.shape != v.shape or u.shape != (grid.n_nodes,):
+def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Weighted quadrature of u * v over the last axis: a float for two
+    fields, one value per row for stacks (leading axes broadcast)."""
+    if u.shape[-1:] != (grid.n_nodes,) or v.shape[-1:] != (grid.n_nodes,):
         raise ValueError("field size mismatch in inner product")
-    return float(np.sum(grid.weights * u * v))
+    prod = grid.weights * u
+    # in place unless v broadcasts the product to a larger shape
+    prod = np.multiply(prod, v, out=prod if v.ndim == 1 or v.shape == u.shape else None)
+    s = prod.sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
-def norm_l2(grid: Grid, u: np.ndarray) -> float:
-    return float(np.sqrt(inner(grid, u, u)))
+def norm_l2(grid: Grid, u: np.ndarray) -> float | np.ndarray:
+    r = np.sqrt(inner(grid, u, u))
+    return float(r) if r.ndim == 0 else r
 
 
-def stiffness_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
+def stiffness_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Edge-difference quadrature of the Dirichlet form, integral of
-    grad u . grad v.
+    grad u . grad v, per row of a stack like `inner`.
 
     Consistent with the Laplacian: stiffness_inner(u, v) equals
     -inner(lap u, v) exactly, for either boundary kind.  Dirichlet grids
     include the edges to the zero ghost values.
     """
-    if u.shape != v.shape or u.shape != (grid.n_nodes,):
+    if u.shape[-1:] != (grid.n_nodes,) or v.shape[-1:] != (grid.n_nodes,):
         raise ValueError("field size mismatch in stiffness form")
-    U = grid.reshape(u)
-    V = grid.reshape(v)
+    dirichlet = grid.bc_kind == DIRICHLET
+    ghosted = lambda f: _pad(grid, grid.reshape(f)) if dirichlet else grid.reshape(f)
+    U = ghosted(u)
+    V = U if v is u else ghosted(v)
     total = 0.0
     for axis in range(grid.dim):
-        if grid.bc_kind == DIRICHLET:
-            pad = [(1, 1) if ax == axis else (0, 0) for ax in range(grid.dim)]
-            Ua, Va = np.pad(U, pad), np.pad(V, pad)
+        # the edges along `axis`, including the ghost edges on Dirichlet grids
+        hi = [slice(1, -1) if dirichlet else slice(None)] * grid.dim
+        lo = list(hi)
+        hi[axis], lo[axis] = slice(1, None), slice(None, -1)
+        du = np.subtract(U[(..., *hi)], U[(..., *lo)], dtype=float)
+        du /= grid.h[axis]
+        if V is U:
+            dv = du
         else:
-            Ua, Va = U, V
-        du = np.diff(Ua, axis=axis) / grid.h[axis]
-        dv = np.diff(Va, axis=axis) / grid.h[axis]
-        # transverse trapezoid weights, edge length h along the axis
-        w = grid.h[axis] * np.ones(du.shape)
+            dv = np.subtract(V[(..., *hi)], V[(..., *lo)], dtype=float)
+            dv /= grid.h[axis]
+        # edge length h along the axis times the transverse trapezoid weights
+        w = grid.h[axis]
         for ax in range(grid.dim):
-            if ax == axis:
-                continue
-            tw = grid.axis_weights(ax)
-            shape = [1] * grid.dim
-            shape[ax] = grid.n
-            w = w * tw.reshape(shape)
-        total += float(np.sum(w * du * dv))
+            if ax != axis:
+                w = w * grid.axis_weights(ax).reshape([grid.n if a == ax else 1
+                                                       for a in range(grid.dim)])
+        terms = w * du
+        terms = np.multiply(terms, dv, out=terms if v.ndim == 1 or v.shape == u.shape else None)
+        s = terms.reshape(terms.shape[: -grid.dim] + (-1,)).sum(axis=-1)
+        total = total + (float(s) if s.ndim == 0 else s)
     return total
 
 
-def seminorm_h1(grid: Grid, u: np.ndarray) -> float:
+def seminorm_h1(grid: Grid, u: np.ndarray) -> float | np.ndarray:
     """Discrete H1 seminorm, the square root of the Dirichlet form."""
-    return float(np.sqrt(max(stiffness_inner(grid, u, u), 0.0)))
+    r = np.sqrt(np.maximum(stiffness_inner(grid, u, u), 0.0))
+    return float(r) if r.ndim == 0 else r
 
 
 def boundary_weights(grid: Grid) -> np.ndarray:

@@ -285,12 +285,9 @@ class ImplicitSolver:
         return x
 
 
-def build_implicit_solver(grid: Grid, dt: float, theta: float,
-                          extra_linear_diag: np.ndarray | None = None) -> ImplicitSolver:
+def build_implicit_solver(grid: Grid, dt: float, theta: float) -> ImplicitSolver:
     L = gridmod.laplacian_csr(grid)
     A = sparse.identity(grid.n_nodes, format="csr") - (dt * theta) * L
-    if extra_linear_diag is not None:
-        A = A + sparse.diags(extra_linear_diag)
     return ImplicitSolver(A.tocsr(), grid.dim)
 
 

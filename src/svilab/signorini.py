@@ -61,7 +61,6 @@ class BoundaryData:
     """
 
     grid: Grid
-    indices: np.ndarray
     geom_factor: np.ndarray
     bweights: np.ndarray
 
@@ -107,7 +106,6 @@ def build_boundary_data(grid: Grid) -> BoundaryData:
     geom = geom.reshape(-1)
     return BoundaryData(
         grid=grid,
-        indices=np.flatnonzero(grid.boundary_mask),
         geom_factor=geom,
         bweights=gridmod.boundary_weights(grid),
     )
@@ -212,18 +210,18 @@ def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0,
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     bw = gridmod.boundary_weights(g)
     mask = g.boundary_mask
-    j_t = j_eps(sol.y, eps) @ g.weights
+    j_t = mass(g, j_eps(sol.y, eps))
     b_sq = recover_boundary_multiplier(sol) ** 2 @ bw[mask]
     cum_b = np.concatenate([[0.0], np.cumsum(b_sq[:-1]) * tg.dt])
     lhs = j_t + cum_b
-    rhs = slack * (float(np.sum(gridmod.inner(g, j_eps(x_field, eps), np.ones(g.n_nodes))))
-                   + sol.diagnostics.cum_source_sq) + abs_tol
+    rhs = slack * (mass(g, j_eps(x_field, eps)) + sol.diagnostics.cum_source_sq) + abs_tol
     ok = bool(np.all(lhs <= rhs))
     ratios = lhs / np.maximum(rhs, 1e-300)
     return float(ratios.max()), ok
 
 
-def mass(grid: Grid, y: np.ndarray) -> float:
+def mass(grid: Grid, y: np.ndarray) -> float | np.ndarray:
+    """Quadrature of a field, or of each row of a stack."""
     return gridmod.inner(grid, y, np.ones(grid.n_nodes))
 
 
@@ -284,45 +282,30 @@ def probe_form_constants(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: 
     c3_theory = 2.0 * (sup_reac + sup_g**2 + sup_dmu * 2.0 * dim / min_l
                        + 16.0 * dim**2 * sup_dmu**2 + 4.0 * dim * sup_dmu)
 
-    a_vals = np.empty(n_samples)
-    s_vals = np.empty(n_samples)
-    h_vals = np.empty(n_samples)
-    for i, y in enumerate(fields):
-        a_vals[i] = assemble_form_value(grid, coeffs, bd, y, y, eps)
-        s_vals[i] = gridmod.stiffness_inner(grid, y, y)
-        h_vals[i] = gridmod.inner(grid, y, y)
+    a_vals = np.array([assemble_form_value(grid, coeffs, bd, y, y, eps) for y in fields])
+    s_vals = gridmod.stiffness_inner(grid, fields, fields)
+    h_vals = gridmod.inner(grid, fields, fields)
     violations = int(np.sum(a_vals < c2_target * s_vals - c3_theory * h_vals - 1e-9))
     c3_hat = float(max(0.0, np.max((c2_target * s_vals - a_vals) / np.maximum(h_vals, 1e-300))))
     with np.errstate(divide="ignore"):
         ratios = (a_vals + c3_hat * h_vals) / np.where(s_vals > 1e-12, s_vals, np.inf)
     c2_hat = float(min(1.0, np.min(ratios)))
 
-    # boundedness on pairs
+    # boundedness and quasi-monotonicity on pairs of samples
+    ys, phis = fields[0 : n_samples - 1 : 2], fields[1::2]
+    v_norms = np.sqrt(s_vals + h_vals)
     c1 = 0.0
-    for i in range(0, n_samples - 1, 2):
-        y, phi = fields[i], fields[i + 1]
+    for y, phi, ny, nphi in zip(ys, phis, v_norms[0::2], v_norms[1::2]):
         val = assemble_form_value(grid, coeffs, bd, y, phi, eps)
-        ny = np.sqrt(gridmod.stiffness_inner(grid, y, y) + gridmod.inner(grid, y, y))
-        nphi = np.sqrt(gridmod.stiffness_inner(grid, phi, phi) + gridmod.inner(grid, phi, phi))
         c1 = max(c1, abs(val) / max(ny * nphi, 1e-300))
-
-    # quasi-monotonicity on pairs
     c4 = 0.0
-    for i in range(0, n_samples - 1, 2):
-        y, ybar = fields[i], fields[i + 1]
-        d = y - ybar
+    diffs = ys - phis
+    for y, ybar, d, hd in zip(ys, phis, diffs, gridmod.inner(grid, diffs, diffs)):
         val = (assemble_form_value(grid, coeffs, bd, y, d, eps)
                - assemble_form_value(grid, coeffs, bd, ybar, d, eps))
-        hd = gridmod.inner(grid, d, d)
         if hd > 1e-14:
             c4 = max(c4, -val / hd)
 
     return FormConstantsReport(c1=c1, c2=c2_hat, c3=c3_hat, c4=c4, c3_theory=c3_theory,
                                n_samples=n_samples, violations=violations)
 
-
-def coercivity_probe(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: float,
-                     n_samples: int = 128, seed: int = 0) -> tuple[float, float]:
-    """Fitted (C2, C3) of the Garding bound over random samples."""
-    rep = probe_form_constants(grid, coeffs, bd, eps, n_samples, seed)
-    return rep.c2, rep.c3

@@ -11,6 +11,7 @@ from svilab.analysis import (
     fit_rate,
     path_functionals,
 )
+from svilab.errors import NumericalFailure
 from svilab.grid import (
     DIRICHLET,
     NEUMANN,
@@ -193,6 +194,26 @@ def test_ensemble_ci_scaling():
     hw_s = small.stats["delta_sq"].ci_half_width
     hw_l = large.stats["delta_sq"].ci_half_width
     assert 2.0 * 0.75 <= hw_s / hw_l <= 2.0 * 1.25
+
+
+def test_ensemble_keeps_the_reason_each_path_failed():
+    # mu = W(t), so the paths whose |W| passes the cap fail and the others do not
+    spec = ProblemSpec(
+        n=15, T=0.1, n_steps=20,
+        coefficients=(parse_coefficient("const(1.0) * const(1.0)", [1.0]),),
+        seed=3, initial=InitialData("sine", 1.0), mu_cap=0.25,
+    )
+    failed = []
+    for pid in range(10):
+        try:
+            spec.solve(pid)
+        except NumericalFailure:
+            failed.append(pid)
+    assert 0 < len(failed) < 10
+    stats = ensemble_run(spec, n_paths=10, workers=2)
+    assert sorted(stats.failures) == failed
+    assert stats.n_failures == len(failed) and stats.n_paths == 10 - len(failed)
+    assert all("beyond the cap 0.25" in reason for reason in stats.failures.values())
 
 
 def test_ensemble_input_validation():

@@ -291,6 +291,18 @@ def test_ensemble_mode(tmp_path):
     assert any(line.startswith("sup_y_l2_sq,") for line in stats)
 
 
+def test_ensemble_mode_reports_why_paths_failed(tmp_path, capsys):
+    conf = set_key(FULL.format(out=tmp_path / "out"), "run", "mode", "ensemble")
+    conf = set_key(set_key(conf, "run", "n_paths", "6"), "run", "mu_cap", "0.05")
+    assert main(["--config", str(write(tmp_path, conf))]) == 2
+    reasons = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert reasons and all(line.startswith("path ") and "cap 0.05" in line for line in reasons)
+    n_failures = int((tmp_path / "out" / "stats.csv").read_text().splitlines()[2].split(",")[-1])
+    assert len(reasons) == n_failures
+    assert main(["--config", str(write(tmp_path, conf)), "--quiet"]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_rate_eps_mode(tmp_path):
     conf = textwrap.dedent(
         """
@@ -472,6 +484,11 @@ def set_key(text, section, key, value):
     ("run.slack", "nan", "run"),
     ("run.headroom", "0", "run"),
     ("noise.mu01", "const(9.0) * sin(1)", "run"),
+    # arrays larger than cli.MAX_ARRAY_VALUES (FULL has m = 1 and dt = 1e-3)
+    ("domain.n", "1000000000000", "run"),
+    ("time.t", "1e6", "run"),
+    ("run.headroom", "100000000000", "run"),
+    ("run.mesh_levels", "60", "rate-mesh"),
 ])
 def test_bad_value_is_one_config_error_naming_its_key(tmp_path, capsys, key, value, mode):
     out = tmp_path / "out"

@@ -13,6 +13,7 @@ from svilab.grid import (
     laplacian_csr,
     norm_l2,
     seminorm_h1,
+    stiffness_inner,
 )
 
 
@@ -173,6 +174,45 @@ def test_size_mismatch_raises():
         lambda: norm_l2(g, bad),
         lambda: boundary_norm_l2(g, bad),
         lambda: inner(g, bad, bad),
+    ):
+        with pytest.raises(ValueError):
+            fn()
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_operators_equal_per_row_calls(bc, dim):
+    g = build_grid(dim, [1.0, 1.5][:dim], 9, bc)
+    rng = np.random.default_rng(7)
+    U = rng.normal(size=(2, 5, g.n_nodes))
+    V = rng.normal(size=(2, 5, g.n_nodes))
+    for got, one in (
+        (inner(g, U, V), lambda u, v: inner(g, u, v)),
+        (stiffness_inner(g, U, V), lambda u, v: stiffness_inner(g, u, v)),
+        (stiffness_inner(g, U, U), lambda u, v: stiffness_inner(g, u, u)),
+        (norm_l2(g, U), lambda u, v: norm_l2(g, u)),
+        (seminorm_h1(g, U), lambda u, v: seminorm_h1(g, u)),
+        (apply_laplacian(g, U), lambda u, v: apply_laplacian(g, u)),
+    ):
+        assert got.shape == U.shape[: got.ndim]
+        assert np.array_equal(got, [[one(u, v) for u, v in zip(us, vs)]
+                                    for us, vs in zip(U, V)])
+    # a single field against a stack: the field is paired with every row
+    assert np.array_equal(inner(g, U[0], V[0, 0]), [inner(g, u, V[0, 0]) for u in U[0]])
+    assert np.array_equal(stiffness_inner(g, U[0], V[0, 0]),
+                          [stiffness_inner(g, u, V[0, 0]) for u in U[0]])
+    assert isinstance(inner(g, U[0, 0], V[0, 0]), float)
+    assert isinstance(stiffness_inner(g, U[0, 0], V[0, 0]), float)
+    bad = np.zeros((3, g.n_nodes + 1))
+    for fn in (
+        lambda: inner(g, bad, bad),
+        lambda: inner(g, U[0], bad),
+        lambda: norm_l2(g, bad),
+        lambda: stiffness_inner(g, bad, bad),
+        lambda: stiffness_inner(g, U[0], bad),
+        lambda: seminorm_h1(g, bad),
+        lambda: apply_laplacian(g, bad),
+        lambda: apply_gradient(g, U[0]),
     ):
         with pytest.raises(ValueError):
             fn()
