@@ -87,14 +87,14 @@ class EnergyReport:
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> float:
-    out = 0.0
-    for a, b in zip(num, den):
-        if a <= 1e-300:
-            continue
-        if b <= 0.0:
-            return np.inf
-        out = max(out, a / b)
-    return out
+    """max over entries of num / den, from 0: entries with num <= 1e-300 are
+    skipped, any other with den <= 0 gives inf, and NaN quotients are ignored."""
+    keep = ~(num <= 1e-300)
+    if np.any(den[keep] <= 0.0):
+        return np.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = num[keep] / den[keep]
+    return float(np.max(q, initial=0.0, where=~np.isnan(q)))
 
 
 def _step_norms(sol: PathSolution) -> tuple[np.ndarray, ...]:

@@ -188,13 +188,10 @@ def apply_gradient(grid: Grid, u: np.ndarray) -> list[np.ndarray]:
     comps = []
     for axis in range(grid.dim):
         g = np.zeros_like(U)
-        h = grid.h[axis]
-        sl = lambda a, b=None: tuple(
-            slice(a, b) if ax == axis else slice(None) for ax in range(grid.dim)
-        )
-        g[sl(1, -1)] = (U[sl(2, None)] - U[sl(0, -2)]) / (2.0 * h)
-        g[sl(0, 1)] = (-3.0 * U[sl(0, 1)] + 4.0 * U[sl(1, 2)] - U[sl(2, 3)]) / (2.0 * h)
-        g[sl(-1, None)] = (3.0 * U[sl(-1, None)] - 4.0 * U[sl(-2, -1)] + U[sl(-3, -2)]) / (2.0 * h)
+        d, v, h = np.moveaxis(g, axis, 0), np.moveaxis(U, axis, 0), grid.h[axis]  # axis first
+        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
         comps.append(g.reshape(-1))
     return comps
 
@@ -273,19 +270,24 @@ def boundary_weights(grid: Grid) -> np.ndarray:
         return w.reshape(-1)
     for axis in range(grid.dim):
         transverse = grid.axis_weights(1 - axis) if grid.dim == 2 else 1.0
-        for side in (0, -1):
-            idx = [slice(None)] * grid.dim
-            idx[axis] = side
-            w[tuple(idx)] += transverse
+        np.moveaxis(w, axis, 0)[[0, -1]] += transverse
     return w.reshape(-1)
 
 
-def boundary_norm_l2(grid: Grid, u: np.ndarray) -> float:
+def boundary_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Boundary quadrature of u * v over the last axis, per row of a stack
+    like `inner`; zero on Dirichlet grids."""
+    if u.shape[-1:] != (grid.n_nodes,) or v.shape[-1:] != (grid.n_nodes,):
+        raise ValueError("field size mismatch in boundary quadrature")
+    mask = grid.boundary_mask
+    s = (boundary_weights(grid)[mask] * u[..., mask] * v[..., mask]).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
+
+
+def boundary_norm_l2(grid: Grid, u: np.ndarray) -> float | np.ndarray:
     """L2 norm of the boundary trace; zero on Dirichlet grids."""
-    if u.shape != (grid.n_nodes,):
-        raise ValueError("field size mismatch in boundary norm")
-    bw = boundary_weights(grid)
-    return float(np.sqrt(np.sum(bw * u * u)))
+    r = np.sqrt(boundary_inner(grid, u, u))
+    return float(r) if r.ndim == 0 else r
 
 
 def laplacian_csr(grid: Grid):

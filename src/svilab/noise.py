@@ -33,6 +33,7 @@ __all__ = [
     "eval_mu",
     "eval_mu_tilde",
     "eval_mu_derivs",
+    "eval_noise",
     "path_sup",
 ]
 
@@ -286,7 +287,7 @@ class SpaceFields:
     """b_k, grad b_k and lap b_k of every coefficient at the grid nodes.
 
     They do not depend on time, so a solve builds them once and evaluates
-    mu and its derivatives at each time node from them.
+    mu and its derivatives from them for a block of time nodes at a time.
     """
 
     coefficients: tuple[Coefficient, ...]
@@ -310,46 +311,57 @@ def space_fields(cs: CoeffSpec, grid: Grid) -> SpaceFields:
     )
 
 
-def _check_m(fields: SpaceFields, paths: BrownianPathSet):
+def _times(fields: SpaceFields, paths: BrownianPathSet, rows: range) -> np.ndarray:
+    """t_n at the nodes n in rows, once the coefficient and path counts agree."""
     if fields.m != paths.m:
         raise ValueError(f"coefficient count {fields.m} does not match path count {paths.m}")
+    return np.arange(rows.start, rows.stop) * paths.tg.dt
 
 
-def eval_mu(fields: SpaceFields, paths: BrownianPathSet, n: int) -> np.ndarray:
-    """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at node n of the path's grid."""
-    _check_m(fields, paths)
-    t_n = n * paths.tg.dt
-    out = np.zeros(fields.value.shape[1])
+def _combine(fields: SpaceFields, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] a_k(t) b_k, one row per time: weights (m, rows)."""
+    out = np.zeros((t.size, fields.value.shape[1]))
     for k, c in enumerate(fields.coefficients):
-        out += paths.values[k, n] * c.time.value(t_n) * fields.value[k]
+        out += (weights[k] * c.time.value(t))[:, None] * fields.value[k]
     return out
 
 
-def eval_mu_tilde(fields: SpaceFields, paths: BrownianPathSet, n: int) -> np.ndarray:
-    """mu~(t_n, xi) = sum_k (d_t mu_k * beta_k(t_n) + mu_k^2 / 2)."""
-    _check_m(fields, paths)
-    t_n = n * paths.tg.dt
-    out = np.zeros(fields.value.shape[1])
+def eval_mu(fields: SpaceFields, paths: BrownianPathSet, rows: range) -> np.ndarray:
+    """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at the path's nodes n in
+    rows: shape (len(rows), n_nodes)."""
+    return _combine(fields, paths.values[:, rows.start:rows.stop], _times(fields, paths, rows))
+
+
+def eval_noise(fields: SpaceFields, paths: BrownianPathSet, rows: range) -> np.ndarray:
+    """sum_k mu_k(t_n, xi) (beta_k(t_{n+1}) - beta_k(t_n)) at the nodes n in
+    rows, the noise factor of an Euler-Maruyama step; zero at the last node."""
+    inc = paths.increments[:, rows.start:rows.stop]
+    inc = np.pad(inc, ((0, 0), (0, len(rows) - inc.shape[1])))
+    return _combine(fields, inc, _times(fields, paths, rows))
+
+
+def eval_mu_tilde(fields: SpaceFields, paths: BrownianPathSet, rows: range) -> np.ndarray:
+    """mu~(t_n, xi) = sum_k (d_t mu_k * beta_k(t_n) + mu_k^2 / 2) at the nodes n
+    in rows."""
+    t = _times(fields, paths, rows)
+    out = np.zeros((t.size, fields.value.shape[1]))
     for k, c in enumerate(fields.coefficients):
         b = fields.value[k]
-        mu_k = c.time.value(t_n) * b
-        out += paths.values[k, n] * c.time.dt_value(t_n) * b + 0.5 * mu_k * mu_k
+        mu_k = np.broadcast_to(c.time.value(t), t.shape)[:, None] * b
+        out += (paths.values[k, rows.start:rows.stop] * c.time.dt_value(t))[:, None] * b \
+            + 0.5 * mu_k * mu_k
     return out
 
 
-def eval_mu_derivs(fields: SpaceFields, paths: BrownianPathSet, n: int):
-    """Analytic (grad mu, lap mu, g = -2 grad mu) at node n."""
-    _check_m(fields, paths)
-    t_n = n * paths.tg.dt
+def eval_mu_derivs(fields: SpaceFields, paths: BrownianPathSet, rows: range):
+    """Analytic (grad mu, lap mu, g = -2 grad mu) at the nodes n in rows:
+    shapes (len(rows), dim, n_nodes), (len(rows), n_nodes) and that of grad."""
+    t = _times(fields, paths, rows)
     _, dim, n_nodes = fields.grad.shape
-    grad = [np.zeros(n_nodes) for _ in range(dim)]
-    lap = np.zeros(n_nodes)
+    grad = np.zeros((t.size, dim, n_nodes))
+    lap = np.zeros((t.size, n_nodes))
     for k, c in enumerate(fields.coefficients):
-        scale = paths.values[k, n] * c.time.value(t_n)
-        if scale == 0.0:
-            continue
-        for axis in range(dim):
-            grad[axis] += scale * fields.grad[k, axis]
-        lap += scale * fields.lap[k]
-    g = [-2.0 * comp for comp in grad]
-    return grad, lap, g
+        scale = paths.values[k, rows.start:rows.stop] * c.time.value(t)
+        grad += scale[:, None, None] * fields.grad[k]
+        lap += scale[:, None] * fields.lap[k]
+    return grad, lap, -2.0 * grad

@@ -2,10 +2,11 @@
 
 `_march` carries one Brownian path over the time grid for every solver.
 It validates the initial datum and the path set, picks the run grid,
-builds the time-independent coefficient fields once, assembles the
-coefficient record of each run-grid node (`step_coeffs`), stores the
-trajectory at stride 2^level, enforces the mu cap and fills `Diagnostics`.
-Only the step rule differs:
+builds the time-independent coefficient fields once, evaluates the
+coefficients for blocks of consecutive run-grid nodes (`coeff_block`),
+checks the mu cap, stores the trajectory at stride 2^level and fills
+`Diagnostics`.  Only the step rule, which reads row views of the blocks,
+differs:
 
 - `step_interior` (solve_path) is the theta-scheme of the penalized
   transformed equation,
@@ -36,7 +37,6 @@ realization, then reported as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -189,32 +189,45 @@ class BoundaryLift:
     rate: float
 
 
+BLOCK_VALUES = 2**14  # coefficient values per field in one block of run-grid rows
+
+
 @dataclass
 class StepCoeffs:
-    """Coefficients of the transformed equation at one run-grid node."""
+    """Coefficients of the transformed equation at one run-grid node, or at
+    a block of consecutive nodes, where t and every array have a leading
+    row axis and `row(i)` is node i as a record of row views."""
 
     t: float
     rs: ReactionSpec
     mu: np.ndarray
     mu_tilde: np.ndarray
-    grad_mu: list[np.ndarray]
+    grad_mu: np.ndarray  # (dim, n_nodes)
     lap_mu: np.ndarray
-    g: list[np.ndarray] | None  # transport field -2 grad mu; None without noise
+    zero_order: np.ndarray  # mu~ - |grad mu|^2 - lap mu
+    exp_mu: np.ndarray
+    exp_neg_mu: np.ndarray
+    g: np.ndarray | None  # transport field -2 grad mu; None without noise
+    g_sup: np.ndarray | None  # sup over nodes of |g_a|, per axis
     source: np.ndarray  # f~ = e^{-mu} f, or f itself when already transformed
     dmu_dnu: np.ndarray | None = None  # Neumann grids only
+    noise: np.ndarray | None = None  # sum_k mu_k dbeta_k, Euler-Maruyama only
 
-    def reaction(self, y: np.ndarray, mu_cap: float = transform.MU_CAP_DEFAULT) -> np.ndarray:
-        return transform.effective_reaction(
-            self.rs, self.mu, self.mu_tilde, self.grad_mu, self.lap_mu, self.t, y,
-            mu_cap=mu_cap,
-        )
+    def row(self, i: int) -> "StepCoeffs":
+        return StepCoeffs(**{k: v if k == "rs" or v is None else v[i]
+                             for k, v in vars(self).items()})
+
+    def reaction(self, y: np.ndarray) -> np.ndarray:
+        return transform.effective_reaction(self.rs, self.zero_order, self.exp_mu,
+                                            self.exp_neg_mu, self.t, y)
 
 
 def zero_coeffs(grid: Grid, t: float = 0.0, rs: ReactionSpec | None = None,
                 source: np.ndarray | None = None) -> StepCoeffs:
-    z = grid.zeros()
+    z, one = grid.zeros(), np.ones(grid.n_nodes)
     return StepCoeffs(t=t, rs=rs or ReactionSpec(), mu=z, mu_tilde=z,
-                      grad_mu=[grid.zeros() for _ in range(grid.dim)], lap_mu=z, g=None,
+                      grad_mu=np.zeros((grid.dim, grid.n_nodes)), lap_mu=z, zero_order=z,
+                      exp_mu=one, exp_neg_mu=one, g=None, g_sup=None,
                       source=source if source is not None else z, dmu_dnu=z)
 
 
@@ -346,19 +359,12 @@ def _transport(grid: Grid, g: list[np.ndarray] | None, y: np.ndarray) -> np.ndar
     return out
 
 
-def stability_margin(grid: Grid, g: list[np.ndarray] | None, dt: float) -> float:
-    """max over axes of dt * sup|g_a| / h_a; must stay <= 1."""
-    if g is None:
-        return 0.0
-    return max(
-        dt * float(np.max(np.abs(ga))) / grid.h[axis] if ga.size else 0.0
-        for axis, ga in enumerate(g)
-    )
-
-
-def check_transport(grid: Grid, g: list[np.ndarray] | None, dt: float):
-    """The explicit transport guard of the transformed schemes."""
-    margin = stability_margin(grid, g, dt)
+def check_transport(grid: Grid, g_sup: np.ndarray | None, dt: float):
+    """The explicit transport guard of the transformed schemes, dt * sup|g_a| / h_a
+    <= 1 on every axis a, from the sups g_sup of the transport field."""
+    if g_sup is None:
+        return
+    margin = max(dt * float(s) / grid.h[axis] for axis, s in enumerate(g_sup))
     if margin > 1.0 + 1e-9:
         raise StabilityError(
             f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1; "
@@ -378,7 +384,7 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCon
     """
     if y_n.shape != (grid.n_nodes,):
         raise ValueError("state size mismatch")
-    check_transport(grid, coeffs.g, cfg.dt)
+    check_transport(grid, coeffs.g_sup, cfg.dt)
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     source = coeffs.source
@@ -388,7 +394,7 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCon
                     + (1.0 - cfg.theta) * lift.rate * coeffs.t) / grid.h[0] ** 2
         source = source + ghost
     explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, y_n) if cfg.theta < 1.0 else 0.0
-    rhs = y_n + cfg.dt * (explicit - coeffs.reaction(y_n, cfg.mu_cap)
+    rhs = y_n + cfg.dt * (explicit - coeffs.reaction(y_n)
                           - _transport(grid, coeffs.g, y_n) + source)
     dt_scale = np.full(grid.n_nodes, cfg.dt)
     return newton_penalized_solve(
@@ -439,37 +445,40 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
     )
 
 
-def step_coeffs(grid: Grid, fields: SpaceFields, paths: BrownianPathSet, n: int,
-                rs: ReactionSpec, forcing: ForcingSpec, f: np.ndarray | None, mu_cap: float,
-                bd=None) -> StepCoeffs:
-    """The coefficient record at node n of `paths`.
+def coeff_block(grid: Grid, fields: SpaceFields, paths: BrownianPathSet, rows: range,
+                rs: ReactionSpec, forcing: ForcingSpec, bd=None,
+                em: bool = False) -> StepCoeffs:
+    """The coefficients at the nodes `rows` of `paths`, one row per node.
 
-    f holds the values of the time-constant `forcing` (None when it is
-    zero); bd, the BoundaryData of a Neumann grid, adds dmu/dnu.
+    bd, the BoundaryData of a Neumann grid, adds dmu/dnu; `em` adds the
+    noise factor of the Euler-Maruyama rule.  Nodes beyond the mu cap are
+    evaluated too, without overflow warnings: the march stops at the first.
     """
-    t = n * paths.tg.dt
-    mu = noisemod.eval_mu(fields, paths, n)
-    if f is None:
-        source = grid.zeros()
-    elif forcing.transformed:
-        source = f
-    else:
-        source = transform.effective_source(mu, f, mu_cap=mu_cap)
-    if fields.m == 0:
-        return zero_coeffs(grid, t, rs, source)
-    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, paths, n)
-    return StepCoeffs(t=t, rs=rs, mu=mu, mu_tilde=noisemod.eval_mu_tilde(fields, paths, n),
-                      grad_mu=grad_mu, lap_mu=lap_mu, g=g, source=source,
-                      dmu_dnu=None if bd is None else bd.normal_derivative(mu))
+    t = np.arange(rows.start, rows.stop) * paths.tg.dt
+    mu = noisemod.eval_mu(fields, paths, rows)
+    mu_tilde = noisemod.eval_mu_tilde(fields, paths, rows)
+    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, paths, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp_mu, exp_neg_mu = np.exp(mu), np.exp(-mu)
+        if forcing.kind == "zero":
+            source = np.zeros_like(mu)
+        elif forcing.transformed:
+            source = np.broadcast_to(forcing.value(0.0, grid), mu.shape)
+        else:
+            source = transform.effective_source(mu, forcing.value(0.0, grid))
+    noisy = fields.m > 0
+    return StepCoeffs(
+        t=t, rs=rs, mu=mu, mu_tilde=mu_tilde, grad_mu=grad_mu, lap_mu=lap_mu,
+        zero_order=transform.zero_order(mu_tilde, grad_mu, lap_mu),
+        exp_mu=exp_mu, exp_neg_mu=exp_neg_mu,
+        g=g if noisy else None, g_sup=np.abs(g).max(axis=-1) if noisy else None,
+        source=source, dmu_dnu=None if bd is None else bd.normal_derivative(mu),
+        noise=noisemod.eval_noise(fields, paths, rows) if em else None,
+    )
 
 
-class _Run(NamedTuple):
-    """What a step rule reads besides the state and the coefficient records."""
-
-    cfg: SolveConfig  # with the dt of the run grid
-    solver: ImplicitSolver
-    fields: SpaceFields
-    paths: BrownianPathSet  # on the run grid
+def mu_cap_failure(peak: float, t: float, mu_cap: float) -> NumericalFailure:
+    return NumericalFailure(f"|mu| reached {peak:.3g} at t={t:.4g}, beyond the cap {mu_cap}")
 
 
 def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
@@ -479,11 +488,11 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
 
     refine(grid, tg, fields, paths) returns the halving level and the
     path set on the run grid; without it the run grid is tg.
-    rule(n, y, c, c_next, run) advances the state from run-grid node n to
-    n + 1, given the coefficient records c and c_next at both nodes, and
-    returns (state, newton_iterations, residual).  The state is y, or
-    X = e^mu y when `original` is set.  The returned trajectories hold y on
-    the nodes of tg.
+    rule(y, c, c_next, cfg, solver) advances the state from run-grid node n
+    to n + 1, given the coefficient records c and c_next of both nodes and
+    the run's SolveConfig and ImplicitSolver, and returns (state,
+    newton_iterations, residual).  The state is y, or X = e^mu y when
+    `original` is set.  The returned trajectories hold y on the nodes of tg.
     """
     if cs.m != paths.m:
         raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
@@ -497,8 +506,9 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     fields = noisemod.space_fields(cs, grid)
     level, run_paths = refine(grid, tg, fields, paths) if refine else (0, run_paths)
     stride, N, dt = 2**level, run_paths.tg.N, run_paths.tg.dt
-    run = _Run(replace(cfg, dt=dt), build_implicit_solver(grid, dt, cfg.theta), fields, run_paths)
-    f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
+    run_cfg = replace(cfg, dt=dt)
+    solver = build_implicit_solver(grid, dt, cfg.theta)
+    block_rows = max(2, BLOCK_VALUES // grid.n_nodes)
 
     traj = np.zeros((tg.N + 1, grid.n_nodes))
     mu_traj = np.zeros_like(traj)
@@ -507,23 +517,33 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     resids = np.zeros(N)
     worst_margin = mu_sup = source_sq = 0.0
     y = x_field.copy()
-    c_next = step_coeffs(grid, fields, run_paths, 0, rs, forcing, f, cfg.mu_cap, bd)
-    for n in range(N + 1):
-        c = c_next
-        peak = float(np.max(np.abs(c.mu))) if c.mu.size else 0.0
-        if peak > cfg.mu_cap:
-            raise NumericalFailure(
-                f"|mu| reached {peak:.3g} at t={c.t:.4g}, beyond the cap {cfg.mu_cap}"
-            )
-        mu_sup = max(mu_sup, peak)
-        if n % stride == 0:
-            traj[n // stride], mu_traj[n // stride], cum_source[n // stride] = y, c.mu, source_sq
-        if n == N:
-            break
-        c_next = step_coeffs(grid, fields, run_paths, n + 1, rs, forcing, f, cfg.mu_cap, bd)
-        source_sq += dt * gridmod.inner(grid, c.source, c.source)
-        worst_margin = max(worst_margin, stability_margin(grid, c.g, dt))
-        y, iters[n], resids[n] = rule(n, y, c, c_next, run)
+    for lo in range(0, N + 1, block_rows):
+        rows = range(lo, min(lo + block_rows, N + 1))
+        blk = coeff_block(grid, fields, run_paths, rows, rs, forcing, bd, em=original)
+        peaks = np.abs(blk.mu).max(axis=1)
+        beyond = np.flatnonzero(peaks > cfg.mu_cap)
+        # the march raises at the first row beyond the cap, so no later row is used
+        stop = beyond[0] + 1 if beyond.size else len(rows)
+        mu_sup = max(mu_sup, float(peaks.max()))
+        if blk.g_sup is not None:  # the margins of the steps that start in this block
+            margins = (dt * blk.g_sup[:stop] / grid.h).max(axis=1)[: N - lo]
+            worst_margin = float(margins.max(initial=worst_margin))
+        # running quadrature of |f~|^2 before each row, summed in row order
+        sq = dt * gridmod.inner(grid, blk.source[:stop], blk.source[:stop])
+        before = np.cumsum(np.concatenate([[source_sq], sq]))
+        source_sq = before[-1]
+        keep = np.arange(-lo % stride, stop, stride)  # the rows on nodes of tg
+        mu_traj[(lo + keep) // stride] = blk.mu[keep]
+        cum_source[(lo + keep) // stride] = before[keep]
+        for i, n in enumerate(rows[:stop]):
+            c_next = blk.row(i)
+            if n > 0:  # the step from node n - 1, which may lie in the previous block
+                y, iters[n - 1], resids[n - 1] = rule(y, c, c_next, run_cfg, solver)
+            if peaks[i] > cfg.mu_cap:
+                raise mu_cap_failure(peaks[i], c_next.t, cfg.mu_cap)
+            if n % stride == 0:
+                traj[n // stride] = y
+            c = c_next
 
     y_traj = np.exp(-mu_traj) * traj if original else traj
     diag = Diagnostics(
@@ -562,8 +582,8 @@ def solve_path(
     if boundary_lift is not None and grid.dim != 1:
         raise ConfigError("boundary lift is only supported in 1D")
 
-    def rule(n, y, c, c_next, run):
-        return step_interior(grid, y, c, run.cfg, run.solver, boundary_lift, c_next.t)
+    def rule(y, c, c_next, cfg, solver):
+        return step_interior(grid, y, c, cfg, solver, boundary_lift, c_next.t)
 
     return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
 
@@ -590,17 +610,13 @@ def direct_em_solve(
     f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
     no_penalty = np.zeros(grid.n_nodes)
 
-    def em_step(n, X, c, c_next, run):
-        cfg = run.cfg
+    def em_step(X, c, c_next, cfg, solver):
         explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, X) if cfg.theta < 1.0 else 0.0
         drift = explicit - rs.value(c.t, X) - penalty.beta_eps(X, cfg.eps)
         if f is not None:
             drift = drift + f
-        noise_term = np.zeros(grid.n_nodes)
-        for k, coeff in enumerate(run.fields.coefficients):
-            noise_term += run.paths.increments[k, n] * coeff.time.value(c.t) * run.fields.value[k]
-        rhs = X + cfg.dt * drift + X * noise_term
-        return newton_penalized_solve(run.solver, rhs, no_penalty, cfg.eps, X,
+        rhs = X + cfg.dt * drift + X * c.noise
+        return newton_penalized_solve(solver, rhs, no_penalty, cfg.eps, X,
                                       max(cfg.newton_tol, 1e-12), cfg.newton_max)
 
     # no refinement: the Euler-Maruyama rule has no transport guard

@@ -2,8 +2,9 @@
 condition  dy/dnu + (dmu/dnu) y + beta(y) = 0  on the boundary.
 
 Its solver is the shared march of `pathsolver` with the step rule
-`step_signorini`; the march also assembles dmu/dnu into every coefficient
-record, which the rule needs at the new time level.
+`step_signorini`; the march's coefficient blocks also hold dmu/dnu at every
+node, which the rule needs at the new time level (the next row, which may
+open the next block).
 
 Boundary nodes are unknowns.  The penalized flux enters through the ghost
 value of the reflected Laplacian: at a boundary node the second difference
@@ -43,8 +44,9 @@ from .pathsolver import (
     _transport,
     build_implicit_solver,
     check_transport,
+    coeff_block,
+    mu_cap_failure,
     newton_penalized_solve,
-    step_coeffs,
 )
 from .penalty import beta_eps, j_eps
 from .transform import ReactionSpec
@@ -54,43 +56,31 @@ from .transform import ReactionSpec
 class BoundaryData:
     """Boundary node bookkeeping for a Neumann grid.
 
-    geom_factor holds sum over outward axes of 2/h (zero off the boundary);
-    bweights the boundary quadrature weights.  geom_factor * node_weight
-    equals bweights, which is what makes the ghost-value route and the
-    variational form agree to machine precision.
+    geom_factor holds sum over outward axes of 2/h (zero off the boundary).
+    geom_factor * node_weight equals grid.boundary_weights, which is what
+    makes the ghost-value route and the variational form agree to machine
+    precision.
     """
 
     grid: Grid
     geom_factor: np.ndarray
-    bweights: np.ndarray
 
     def normal_derivative(self, field: np.ndarray) -> np.ndarray:
         """dmu/dnu at boundary nodes by second-order one-sided stencils,
-        averaged over the outward axes at corners; zero off the boundary."""
+        averaged over the outward axes at corners; zero off the boundary.
+        Of a field, or of each row of a stack."""
         g = self.grid
         U = g.reshape(field)
-        acc = np.zeros(g.shape)
-        cnt = np.zeros(g.shape)
+        acc, cnt = np.zeros(U.shape), np.zeros(g.shape)
         for axis in range(g.dim):
-            h = g.h[axis]
-
-            def take(i):
-                sel = [slice(None)] * g.dim
-                sel[axis] = i
-                return U[tuple(sel)]
-
-            def put(i, values):
-                sel = [slice(None)] * g.dim
-                sel[axis] = i
-                acc[tuple(sel)] += values
-                cnt[tuple(sel)] += 1.0
-
-            # left side: outward normal is -e_axis
-            put(0, (3.0 * take(0) - 4.0 * take(1) + take(2)) / (2.0 * h))
-            put(-1, (3.0 * take(-1) - 4.0 * take(-2) + take(-3)) / (2.0 * h))
-        out = np.zeros(g.shape)
+            # views with the axis first; the outward normal at index 0 is -e_axis
+            u, a = (np.moveaxis(A, A.ndim - g.dim + axis, 0) for A in (U, acc))
+            a[0] += (3.0 * u[0] - 4.0 * u[1] + u[2]) / (2.0 * g.h[axis])
+            a[-1] += (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * g.h[axis])
+            np.moveaxis(cnt, axis, 0)[[0, -1]] += 1.0
+        out = np.zeros(U.shape)
         np.divide(acc, cnt, out=out, where=cnt > 0)
-        return out.reshape(-1)
+        return out.reshape(field.shape)
 
 
 def build_boundary_data(grid: Grid) -> BoundaryData:
@@ -98,26 +88,21 @@ def build_boundary_data(grid: Grid) -> BoundaryData:
         raise ConfigError("Signorini problems need a Neumann grid (boundary nodes included)")
     geom = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        sel = [slice(None)] * grid.dim
-        for side in (0, -1):
-            sel[axis] = side
-            geom[tuple(sel)] += 2.0 / grid.h[axis]
-        sel[axis] = slice(None)
-    geom = geom.reshape(-1)
-    return BoundaryData(
-        grid=grid,
-        geom_factor=geom,
-        bweights=gridmod.boundary_weights(grid),
-    )
+        np.moveaxis(geom, axis, 0)[[0, -1]] += 2.0 / grid.h[axis]
+    return BoundaryData(grid=grid, geom_factor=geom.reshape(-1))
 
 
 def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
                     paths: BrownianPathSet, n: int, bd: BoundaryData,
                     mu_cap: float) -> StepCoeffs:
-    """The march's coefficient record at node n of `paths`, for the probes."""
-    f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
-    return step_coeffs(grid, noisemod.space_fields(cs, grid), paths, n, rs, forcing, f,
-                       mu_cap, bd)
+    """The march's coefficient record at node n of `paths`, for the probes;
+    raises like the march when |mu| passes mu_cap there."""
+    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), paths, range(n, n + 1), rs,
+                         forcing, bd).row(0)
+    peak = float(np.max(np.abs(coeffs.mu)))
+    if peak > mu_cap:
+        raise mu_cap_failure(peak, coeffs.t, mu_cap)
+    return coeffs
 
 
 def _laplacian_bc(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, y: np.ndarray,
@@ -146,9 +131,7 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData,
     value = gridmod.stiffness_inner(grid, y, phi)
     bulk = coeffs.reaction(y) + _transport(grid, coeffs.g, y)
     value += gridmod.inner(grid, bulk, phi)
-    mask = grid.boundary_mask
-    tr = beta_eps(y[mask], eps) + coeffs.dmu_dnu[mask] * y[mask]
-    value += float(np.sum(bd.bweights[mask] * tr * phi[mask]))
+    value += gridmod.boundary_inner(grid, beta_eps(y, eps) + coeffs.dmu_dnu * y, phi)
     return value
 
 
@@ -157,7 +140,7 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: Boundary
                    solver: ImplicitSolver | None = None):
     """One theta-step; the boundary condition is enforced at the new time
     level (dmu/dnu from coeffs_new when given, else from coeffs)."""
-    check_transport(grid, coeffs.g, cfg.dt)
+    check_transport(grid, coeffs.g_sup, cfg.dt)
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     dmu_new = (coeffs_new or coeffs).dmu_dnu
@@ -165,7 +148,7 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: Boundary
     explicit = ((1.0 - cfg.theta) * _laplacian_bc(grid, coeffs, bd, y_n, cfg.eps)
                 if cfg.theta < 1.0 else 0.0)
     rhs = y_n + cfg.dt * (
-        explicit - coeffs.reaction(y_n, cfg.mu_cap) - _transport(grid, coeffs.g, y_n)
+        explicit - coeffs.reaction(y_n) - _transport(grid, coeffs.g, y_n)
         + coeffs.source
     )
     dt_scale = np.where(mask, cfg.dt * cfg.theta * bd.geom_factor, 0.0)
@@ -188,8 +171,8 @@ def solve_signorini_path(
         raise ConfigError("solve_signorini_path needs a Neumann grid")
     bd = build_boundary_data(grid)
 
-    def rule(n, y, c, c_next, run):
-        return step_signorini(grid, y, c, bd, run.cfg, c_next, run.solver)
+    def rule(y, c, c_next, cfg, solver):
+        return step_signorini(grid, y, c, bd, cfg, c_next, solver)
 
     return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule, bd=bd)
 
@@ -208,10 +191,9 @@ def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0,
     g, tg = sol.grid, sol.tg
     eps = sol.diagnostics.eps
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
-    bw = gridmod.boundary_weights(g)
-    mask = g.boundary_mask
     j_t = mass(g, j_eps(sol.y, eps))
-    b_sq = recover_boundary_multiplier(sol) ** 2 @ bw[mask]
+    eta = beta_eps(sol.y, eps)
+    b_sq = gridmod.boundary_inner(g, eta, eta)
     cum_b = np.concatenate([[0.0], np.cumsum(b_sq[:-1]) * tg.dt])
     lhs = j_t + cum_b
     rhs = slack * (mass(g, j_eps(x_field, eps)) + sol.diagnostics.cum_source_sq) + abs_tol
@@ -249,18 +231,14 @@ class FormConstantsReport:
 
 
 def _random_fields(grid: Grid, rng: np.random.Generator, n: int) -> np.ndarray:
-    xs = grid.meshes()
+    modes = [np.prod([np.cos(mode * np.pi * x / L) for x, L in zip(grid.meshes(), grid.lengths)],
+                     axis=0) for mode in range(4)]
     fields = np.empty((n, grid.n_nodes))
     for i in range(n):
         f = np.zeros(grid.n_nodes)
-        for mode in range(4):
-            amp = rng.normal(scale=1.0 / (1 + mode))
-            term = np.ones(grid.n_nodes)
-            for x, L in zip(xs, grid.lengths):
-                term = term * np.cos(mode * np.pi * x / L)
-            f += amp * term
-        f += 0.1 * rng.normal(size=grid.n_nodes)
-        fields[i] = f
+        for mode, term in enumerate(modes):
+            f += rng.normal(scale=1.0 / (1 + mode)) * term
+        fields[i] = f + 0.1 * rng.normal(size=grid.n_nodes)
     return fields
 
 
@@ -276,7 +254,7 @@ def probe_form_constants(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: 
     # theory-side c3 via the trace-interpolation mechanism, with slack 2
     sup_reac = coeffs.rs.alpha + float(np.max(np.abs(coeffs.mu_tilde)))
     sup_reac += float(np.max(sum(c * c for c in coeffs.grad_mu) + np.abs(coeffs.lap_mu)))
-    sup_g = max((float(np.max(np.abs(c))) for c in (coeffs.g or [])), default=0.0)
+    sup_g = 0.0 if coeffs.g_sup is None else float(np.max(coeffs.g_sup))
     sup_dmu = float(np.max(np.abs(coeffs.dmu_dnu)))
     dim, min_l = grid.dim, min(grid.lengths)
     c3_theory = 2.0 * (sup_reac + sup_g**2 + sup_dmu * 2.0 * dim / min_l

@@ -92,17 +92,8 @@ def build_svi_source(sd: StefanData, grid: Grid) -> np.ndarray:
 
 def _components_1d(mask: np.ndarray):
     """Connected runs of True values: list of (start, stop) index pairs."""
-    runs = []
-    start = None
-    for i, m in enumerate(mask):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(np.int8), [0]])))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 def extract_free_boundary(traj_y: np.ndarray, tol_fb: float, grid: Grid,

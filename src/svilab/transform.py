@@ -6,10 +6,14 @@ formula leaves the path-wise parabolic problem
 
     dy/dt - lap y + F_eff(t, y) + g . grad y + beta(y)  contains  e^{-mu} f,
 
-with F_eff(t, y) = e^{-mu} F(t, xi, e^mu y) + mu~ y - (|grad mu|^2 + lap mu) y
-and g = -2 grad mu.  The e^{-mu} factor on the source is what makes the
-transformed solve agree with a direct Euler-Maruyama integration of the
-original equation.
+with F_eff(t, y) = e^{-mu} F(t, xi, e^mu y) + c0 y, the zero-order
+coefficient c0 = mu~ - |grad mu|^2 - lap mu, and g = -2 grad mu.  The
+e^{-mu} factor on the source is what makes the transformed solve agree with
+a direct Euler-Maruyama integration of the original equation.
+
+The coefficients depend on the Brownian path alone, so the solver evaluates
+them for blocks of time nodes and checks the mu cap there; `forward` and
+`inverse` check the cap themselves.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ class ReactionSpec:
         return self.alpha * np.tanh(r)
 
 
-def _check_cap(mu: np.ndarray, mu_cap: float):
+def _check(mu: np.ndarray, field: np.ndarray, mu_cap: float):
+    if mu.shape != field.shape:
+        raise ValueError("mu and field size mismatch")
     peak = float(np.max(np.abs(mu))) if mu.size else 0.0
     if peak > mu_cap:
         raise NumericalFailure(
@@ -62,45 +68,38 @@ def _check_cap(mu: np.ndarray, mu_cap: float):
 
 def forward(mu: np.ndarray, y: np.ndarray, mu_cap: float = MU_CAP_DEFAULT) -> np.ndarray:
     """X = e^mu y, pointwise."""
-    if mu.shape != y.shape:
-        raise ValueError("mu and y size mismatch")
-    _check_cap(mu, mu_cap)
+    _check(mu, y, mu_cap)
     return np.exp(mu) * y
 
 
 def inverse(mu: np.ndarray, X: np.ndarray, mu_cap: float = MU_CAP_DEFAULT) -> np.ndarray:
     """y = e^{-mu} X, pointwise inverse of forward."""
-    if mu.shape != X.shape:
-        raise ValueError("mu and X size mismatch")
-    _check_cap(mu, mu_cap)
+    _check(mu, X, mu_cap)
     return np.exp(-mu) * X
 
 
-def effective_source(mu: np.ndarray, f: np.ndarray, mu_cap: float = MU_CAP_DEFAULT) -> np.ndarray:
+def effective_source(mu: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Source of the transformed equation: e^{-mu} f."""
-    return inverse(mu, f, mu_cap)
+    return np.exp(-mu) * f
 
 
-def effective_reaction(
-    rs: ReactionSpec,
-    mu: np.ndarray,
-    mu_tilde: np.ndarray,
-    grad_mu: list[np.ndarray],
-    lap_mu: np.ndarray,
-    t: float,
-    y: np.ndarray,
-    mu_cap: float = MU_CAP_DEFAULT,
-) -> np.ndarray:
-    """F_eff(t, y) = e^{-mu} F(t, xi, e^mu y) + mu~ y - (|grad mu|^2 + lap mu) y."""
-    for f in (mu_tilde, lap_mu, y, *grad_mu):
-        if f.shape != mu.shape:
-            raise ValueError("coefficient field size mismatch")
-    grad_sq = np.zeros_like(mu)
-    for comp in grad_mu:
+def zero_order(mu_tilde: np.ndarray, grad_mu: np.ndarray, lap_mu: np.ndarray) -> np.ndarray:
+    """mu~ - |grad mu|^2 - lap mu, the factor of y in F_eff; grad_mu holds
+    one component per axis along its second-to-last axis."""
+    grad_sq = np.zeros_like(mu_tilde)
+    for axis in range(grad_mu.shape[-2]):
+        comp = grad_mu[..., axis, :]
         grad_sq += comp * comp
-    out = (mu_tilde - grad_sq - lap_mu) * y
+    return mu_tilde - grad_sq - lap_mu
+
+
+def effective_reaction(rs: ReactionSpec, c0: np.ndarray, exp_mu: np.ndarray,
+                       exp_neg_mu: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+    """F_eff(t, y) = c0 y + e^{-mu} F(t, xi, e^mu y) with c0 = zero_order(...)
+    and e^mu, e^{-mu} at the same node."""
+    if y.shape != c0.shape:
+        raise ValueError("coefficient field size mismatch")
+    out = c0 * y
     if rs.kind != "zero" and rs.alpha != 0.0:
-        _check_cap(mu, mu_cap)
-        emu = np.exp(mu)
-        out = out + np.exp(-mu) * rs.value(t, emu * y)
+        out = out + exp_neg_mu * rs.value(t, exp_mu * y)
     return out

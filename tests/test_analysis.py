@@ -3,6 +3,7 @@ import pytest
 
 from svilab.analysis import (
     RateFit,
+    _ratio,
     _step_norms,
     cauchy_rate_study,
     complementarity_report,
@@ -196,12 +197,15 @@ def test_ensemble_ci_scaling():
     assert 2.0 * 0.75 <= hw_s / hw_l <= 2.0 * 1.25
 
 
-def test_ensemble_keeps_the_reason_each_path_failed():
-    # mu = W(t), so the paths whose |W| passes the cap fail and the others do not
+@pytest.mark.parametrize("forcing", [ForcingSpec(), ForcingSpec("const", -1.0)],
+                         ids=["zero", "const"])
+def test_ensemble_keeps_the_reason_each_path_failed(forcing):
+    # mu = W(t), so the paths whose |W| passes the cap fail and the others do
+    # not; the source e^-mu f must not check the cap before the march does
     spec = ProblemSpec(
         n=15, T=0.1, n_steps=20,
         coefficients=(parse_coefficient("const(1.0) * const(1.0)", [1.0]),),
-        seed=3, initial=InitialData("sine", 1.0), mu_cap=0.25,
+        seed=3, forcing=forcing, initial=InitialData("sine", 1.0), mu_cap=0.25,
     )
     failed = []
     for pid in range(10):
@@ -214,6 +218,36 @@ def test_ensemble_keeps_the_reason_each_path_failed():
     assert sorted(stats.failures) == failed
     assert stats.n_failures == len(failed) and stats.n_paths == 10 - len(failed)
     assert all("beyond the cap 0.25" in reason for reason in stats.failures.values())
+
+
+def _ratio_loop(num, den):
+    """The per-entry loop _ratio replaces, kept as its reference."""
+    out = 0.0
+    for a, b in zip(num, den):
+        if a <= 1e-300:
+            continue
+        if b <= 0.0:
+            return np.inf
+        out = max(out, a / b)
+    return out
+
+
+def test_ratio_matches_the_loop_on_special_values():
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-300, 2e-300, -1.0,
+                     1e-310, 1.0, 3.5, 1e300, 1e-20])
+    rng = np.random.default_rng(17)
+    results = set()
+    with np.errstate(all="ignore"):
+        for size in [0, 1, 2, 3, 5, 8, 13] * 300:
+            num = rng.choice(pool, size) * rng.choice([1.0, 0.7], size)
+            den = rng.choice(pool, size) * rng.choice([1.0, 1.3], size)
+            if rng.random() < 0.5:  # mostly positive denominators, so ratios get through
+                den = np.abs(den) + rng.choice([0.0, 0.5], size)
+            want, got = _ratio_loop(num, den), _ratio(num, den)
+            assert type(got) is float and not np.isnan(got)
+            assert got == want and np.signbit(got) == np.signbit(want), (num, den, got, want)
+            results.add("inf" if got == np.inf else "zero" if got == 0.0 else "finite")
+    assert results == {"inf", "zero", "finite"}
 
 
 def test_ensemble_input_validation():

@@ -1,9 +1,13 @@
-"""Regression of the time march against trajectories recorded before the
-three solvers (interior, Signorini, Euler-Maruyama) shared one driver.
+"""Regression of the time march against recorded trajectories: the first
+five cases from before the three solvers (interior, Signorini,
+Euler-Maruyama) shared one march, the `seams_*` cases from before the
+march evaluated its coefficients in blocks of run-grid rows.  Each
+`seams_*` run grid spans several blocks, so steps cross block seams.
 
-Regenerate the reference from a checkout of the solver to compare against:
+Record cases (all of them without names) from a checkout of the solver to
+compare against; the file keeps the arrays of the cases not named:
 
-    PYTHONPATH=<checkout>/src python tests/test_march_reference.py
+    PYTHONPATH=<checkout>/src python tests/test_march_reference.py [case ...]
 """
 
 import sys
@@ -15,6 +19,7 @@ import pytest
 from svilab.grid import DIRICHLET, NEUMANN, build_grid
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
+    BLOCK_VALUES,
     BoundaryLift,
     ForcingSpec,
     InitialData,
@@ -28,8 +33,8 @@ from svilab.transform import ReactionSpec
 REFERENCE = Path(__file__).resolve().parent / "data" / "march_reference.npz"
 
 
-def _cs(text, lengths=(1.0,)):
-    return CoeffSpec((parse_coefficient(text, list(lengths)),))
+def _cs(*texts, lengths=(1.0,)):
+    return CoeffSpec(tuple(parse_coefficient(t, list(lengths)) for t in texts))
 
 
 def _refined_1d():
@@ -44,7 +49,7 @@ def _refined_1d():
 def _solve_2d():
     g = build_grid(2, [1.0, 1.0], 9, DIRICHLET)
     tg = TimeGrid(0.02, 20)
-    return solve_path(g, tg, _cs("const(0.5) * sin(1) * cos(1)", (1.0, 1.0)),
+    return solve_path(g, tg, _cs("const(0.5) * sin(1) * cos(1)", lengths=(1.0, 1.0)),
                       ReactionSpec("linear", 0.3), ForcingSpec("const", -1.0),
                       InitialData("cone", 0.3, center=(0.3, 0.3), radius=0.3),
                       SolveConfig(dt=tg.dt, eps=1e-3),
@@ -80,6 +85,35 @@ def _em():
                            sample_paths(TimeGrid(0.1, 200), 1, seed=11))
 
 
+def _seams_1d():
+    g = build_grid(1, [1.0], 127, DIRICHLET)
+    tg = TimeGrid(0.1, 40)
+    return solve_path(g, tg, _cs("cos(3.0,3.0) * sin(2)", "linear(0.5,2.0) * poly(0.1,0.5,-0.3)"),
+                      ReactionSpec("saturating", 0.5), ForcingSpec("const", -8.0),
+                      InitialData("sine", 0.5), SolveConfig(dt=tg.dt, eps=1e-3),
+                      sample_paths(TimeGrid(0.1, 320), 2, seed=3))
+
+
+def _seams_signorini():
+    g = build_grid(1, [1.0], 127, NEUMANN)
+    tg = TimeGrid(0.1, 40)
+    return solve_signorini_path(g, tg, _cs("const(3.0) * cos(1)",
+                                           "cos(0.3,5.0) * poly(0.2,-0.4,0.3)"),
+                                ReactionSpec("linear", 0.3), ForcingSpec("edge", -2.0, width=0.15),
+                                InitialData("cutoff", 1.0, radius=0.2),
+                                SolveConfig(dt=tg.dt, theta=0.75, eps=1e-3),
+                                sample_paths(TimeGrid(0.1, 320), 2, seed=3))
+
+
+def _seams_em():
+    g = build_grid(1, [1.0], 127, DIRICHLET)
+    tg = TimeGrid(0.1, 140)
+    return direct_em_solve(g, tg, _cs("cos(0.5,2.0) * sin(1)", "linear(0.3,-1.0) * poly(0.0,1.0,-1.0)"),
+                           ReactionSpec("linear", 0.3), ForcingSpec("sine", 0.5),
+                           InitialData("sine", 1.0), SolveConfig(dt=tg.dt, theta=0.75),
+                           sample_paths(TimeGrid(0.1, 280), 2, seed=1))
+
+
 # name -> (solve, also compare the diagnostics of the transformed schemes)
 CASES = {
     "refined_1d": (_refined_1d, True),
@@ -87,7 +121,12 @@ CASES = {
     "lift": (_lift, True),
     "signorini": (_signorini, True),
     "em": (_em, False),
+    "seams_1d": (_seams_1d, True),
+    "seams_signorini": (_seams_signorini, True),
+    "seams_em": (_seams_em, False),
 }
+# the fewest coefficient blocks each seams_* run grid must span
+SEAMS = {"seams_1d": 3, "seams_signorini": 2, "seams_em": 2}
 
 
 def _record(sol) -> dict:
@@ -116,11 +155,24 @@ def test_march_matches_reference(name, reference):
 def test_reference_covers_refinement():
     with np.load(REFERENCE) as data:
         assert int(data["refined_1d/refine_level"]) >= 1
+        assert int(data["seams_1d/refine_level"]) >= 1
+
+
+@pytest.mark.parametrize("name", sorted(SEAMS))
+def test_seams_span_several_blocks(name):
+    sol = CASES[name][0]()
+    run_rows = sol.tg.N * 2**sol.diagnostics.refine_level + 1
+    block_rows = max(2, BLOCK_VALUES // sol.grid.n_nodes)
+    assert -(-run_rows // block_rows) >= SEAMS[name]
 
 
 if __name__ == "__main__":
-    out = {f"{name}/{key}": value
-           for name, (solve, _) in CASES.items() for key, value in _record(solve()).items()}
+    out = {}
+    if REFERENCE.exists():
+        with np.load(REFERENCE) as data:
+            out = dict(data)
+    for name in sys.argv[1:] or CASES:
+        out.update({f"{name}/{key}": value for key, value in _record(CASES[name][0]()).items()})
     REFERENCE.parent.mkdir(exist_ok=True)
     np.savez_compressed(REFERENCE, **out)
     print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)", file=sys.stderr)

@@ -1,9 +1,11 @@
 from dataclasses import replace
 
+import warnings
+
 import numpy as np
 import pytest
 
-from svilab.errors import ConfigError, StabilityError
+from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
@@ -89,9 +91,24 @@ def test_step_pinned_by_negative_forcing():
 def test_stability_guard_raises():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     cfg = SolveConfig(dt=0.1)
-    gfield = [np.full(g.n_nodes, 5.0)]  # dt*sup|g|/h = 0.1*5/(1/32) = 16
+    gfield = np.full((1, g.n_nodes), 5.0)  # dt*sup|g|/h = 0.1*5/(1/32) = 16
     with pytest.raises(StabilityError):
-        step_interior(g, g.zeros(), replace(zero_coeffs(g), g=gfield), cfg)
+        step_interior(g, g.zeros(), replace(zero_coeffs(g), g=gfield, g_sup=np.array([5.0])), cfg)
+
+
+@pytest.mark.parametrize("forcing", [ForcingSpec(), ForcingSpec("const", -1.0)],
+                         ids=["zero", "const"])
+def test_mu_cap_stops_the_march_without_overflow_warnings(forcing):
+    # mu = 5000 W(t) passes the cap 0.25 early and e^{+-mu} overflows in
+    # later rows of the same coefficient block, which the march never reaches
+    g = build_grid(1, [1.0], 15, DIRICHLET)
+    tg = TimeGrid(0.1, 20)
+    cs = CoeffSpec((parse_coefficient("const(5000.0) * const(1.0)", [1.0]),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"at t=.*beyond the cap 0.25"):
+            solve_path(g, tg, cs, ReactionSpec("linear", 1.0), forcing, InitialData("sine", 1.0),
+                       SolveConfig(dt=tg.dt, mu_cap=0.25), sample_paths(tg, 1, seed=2))
 
 
 def test_solve_path_zero_data():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svilab.errors import ConfigError
-from svilab.grid import DIRICHLET, NEUMANN, build_grid, inner, stiffness_inner
+from svilab.grid import DIRICHLET, NEUMANN, boundary_weights, build_grid, inner, stiffness_inner
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig, zero_coeffs
 from svilab.penalty import graph_contains
@@ -40,7 +40,7 @@ def test_boundary_data_geometry():
     assert np.all(geom[1:-1, 1:-1] == 0.0)
     # geom * node weight equals the boundary quadrature weight
     w = (bd.geom_factor * g.weights)[g.boundary_mask]
-    assert np.allclose(w, bd.bweights[g.boundary_mask])
+    assert np.allclose(w, boundary_weights(g)[g.boundary_mask])
     with pytest.raises(ConfigError):
         build_boundary_data(build_grid(1, [1.0], 9, DIRICHLET))
 

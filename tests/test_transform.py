@@ -6,7 +6,8 @@ from svilab.errors import ConfigError, NumericalFailure
 from svilab.grid import DIRICHLET, build_grid
 from svilab.noise import TimeGrid, parse_coefficient, CoeffSpec, sample_paths, eval_mu, eval_mu_tilde, eval_mu_derivs, space_fields
 from svilab.penalty import beta_eps
-from svilab.transform import ReactionSpec, effective_reaction, effective_source, forward, inverse
+from svilab.transform import (ReactionSpec, effective_reaction, effective_source, forward, inverse,
+                              zero_order)
 
 
 def test_forward_basic():
@@ -67,12 +68,18 @@ def test_effective_source():
     assert np.all(effective_source(np.ones(2), np.zeros(2)) == 0.0)
 
 
+def _reaction(rs, mu, mt, grad, lap, t, y):
+    """effective_reaction from mu, mu~, grad mu and lap mu at one node."""
+    return effective_reaction(rs, zero_order(mt, np.asarray(grad), lap), np.exp(mu), np.exp(-mu),
+                              t, y)
+
+
 def test_effective_reaction_trivial_linear():
     n = 50
     zero = np.zeros(n)
     y = np.linspace(-1, 1, n)
     rs = ReactionSpec("linear", 2.5)
-    out = effective_reaction(rs, zero, zero, [zero], zero, 0.0, y)
+    out = _reaction(rs, zero, zero, [zero], zero, 0.0, y)
     assert np.allclose(out, 2.5 * y)
 
 
@@ -87,12 +94,12 @@ def test_effective_reaction_term_oracle():
     ))
     t = tg.nodes[5]
     fields = space_fields(cs, g)
-    mu = eval_mu(fields, p, 5)
-    mt = eval_mu_tilde(fields, p, 5)
-    grad, lap, _ = eval_mu_derivs(fields, p, 5)
+    mu = eval_mu(fields, p, range(5, 6))[0]
+    mt = eval_mu_tilde(fields, p, range(5, 6))[0]
+    grad, lap, _ = (a[0] for a in eval_mu_derivs(fields, p, range(5, 6)))
     rng = np.random.default_rng(3)
     y = rng.normal(size=g.n_nodes)
-    out = effective_reaction(ReactionSpec("zero"), mu, mt, grad, lap, t, y)
+    out = _reaction(ReactionSpec("zero"), mu, mt, grad, lap, t, y)
     coeff = mt - grad[0] ** 2 - lap
     assert np.allclose(out, coeff * y, rtol=1e-13)
 
@@ -108,12 +115,12 @@ def test_effective_reaction_linear_growth_bound():
     for idx in (2, 5, 8):
         t = tg.nodes[idx]
         fields = space_fields(cs, g)
-        mu = eval_mu(fields, p, idx)
-        mt = eval_mu_tilde(fields, p, idx)
-        grad, lap, _ = eval_mu_derivs(fields, p, idx)
+        mu = eval_mu(fields, p, range(idx, idx + 1))[0]
+        mt = eval_mu_tilde(fields, p, range(idx, idx + 1))[0]
+        grad, lap, _ = (a[0] for a in eval_mu_derivs(fields, p, range(idx, idx + 1)))
         alpha_bar = rs.alpha + np.max(np.abs(mt)) + np.max(grad[0] ** 2 + np.abs(lap))
         y = rng.normal(size=g.n_nodes)
-        out = effective_reaction(rs, mu, mt, grad, lap, t, y)
+        out = _reaction(rs, mu, mt, grad, lap, t, y)
         assert np.all(np.abs(out) <= alpha_bar * np.abs(y) + 1e-12)
 
 
@@ -123,7 +130,7 @@ def test_effective_reaction_linear_in_y():
     mu, mt, gm, lm = rng.normal(size=(4, n))
     y1, y2 = rng.normal(size=(2, n))
     rs = ReactionSpec("linear", 1.1)
-    f = lambda y: effective_reaction(rs, mu, mt, [gm], lm, 0.3, y)
+    f = lambda y: _reaction(rs, mu, mt, [gm], lm, 0.3, y)
     assert np.allclose(f(2.0 * y1 + 3.0 * y2), 2.0 * f(y1) + 3.0 * f(y2), atol=1e-10)
 
 
