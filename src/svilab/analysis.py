@@ -22,6 +22,9 @@ from .pathsolver import InitialData, PathSolution, ProblemSpec, solve_path
 
 ENERGY_SLACK_DEFAULT = 10.0
 
+# stored trajectory values per field (y, eta, mu) in one batch of paths: 8 MiB
+BATCH_VALUES = 2**20
+
 FUNCTIONAL_NAMES = (
     "sup_y_l2_sq",
     "int_h1_sq",
@@ -245,35 +248,44 @@ def path_functionals(sol: PathSolution, x, slack: float = ENERGY_SLACK_DEFAULT) 
     }
 
 
+def path_batches(spec: ProblemSpec, n_paths: int, workers: int = 1) -> list:
+    """Jobs (spec, first_id, stop) covering path ids 0..n_paths-1 in
+    contiguous batches: as many paths as BATCH_VALUES holds of one stored
+    trajectory, at most ceil(n_paths / workers) so every worker gets one."""
+    per_path = (spec.n_steps + 1) * spec.n**spec.dim
+    size = max(1, min(-(-n_paths // workers), BATCH_VALUES // per_path))
+    return [(spec, lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
 def map_paths(fn, jobs, workers: int = 1) -> list:
     """fn over the jobs, on a pool of `workers` processes when there are
-    several, with results sorted by their first item (the path id)."""
+    several.  Each call returns a list of results whose first item is a path
+    id; all of them come back sorted by it."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, jobs, chunksize=8))
+            results = list(pool.map(fn, jobs))
     else:
         results = [fn(j) for j in jobs]
-    return sorted(results, key=lambda r: r[0])
+    return sorted((r for batch in results for r in batch), key=lambda r: r[0])
 
 
 def _ensemble_worker(args):
-    spec, path_id = args
-    try:
-        sol = spec.solve(path_id)
-    except NumericalFailure as exc:
-        return path_id, None, str(exc)
-    return path_id, path_functionals(sol, spec.initial), None
+    spec, first, stop = args
+    ids = range(first, stop)
+    return [(pid, None, str(sol)) if isinstance(sol, NumericalFailure)
+            else (pid, path_functionals(sol, spec.initial), None)
+            for pid, sol in zip(ids, spec.solve_paths(ids))]
 
 
 def ensemble_run(spec: ProblemSpec, n_paths: int, workers: int = 1) -> EnsembleStats:
     """Monte Carlo over paths; failures are excluded and counted, and more
     than 10% of them marks the whole run as failed (stats still reported).
     Reduction is keyed by path_id, so the worker count never changes the
-    result."""
+    result, and neither does the batch size."""
     if n_paths < 2:
         raise ValueError(f"ensemble needs n_paths >= 2, got {n_paths}")
 
-    results = map_paths(_ensemble_worker, [(spec, pid) for pid in range(n_paths)], workers)
+    results = map_paths(_ensemble_worker, path_batches(spec, n_paths, workers), workers)
     rows = [vals for _, vals, _ in results if vals is not None]
     failures = {pid: err for pid, vals, err in results if vals is None}
     n_ok = len(rows)

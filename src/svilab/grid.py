@@ -11,7 +11,7 @@ machine precision for the pure reflected operator).
 
 Fields are flat float arrays of length ``grid.n_nodes`` in C order of the
 per-axis index.  Vector fields are lists with one field per axis.  The
-Laplacian, quadratures and norms also act on each row of a stack
+Laplacian, gradient, quadratures and norms also act on each row of a stack
 ``(..., n_nodes)``, giving exactly what the call on that row alone gives.
 """
 
@@ -181,18 +181,19 @@ def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def apply_gradient(grid: Grid, u: np.ndarray) -> list[np.ndarray]:
-    """Centered gradient, second-order one-sided at the outermost nodes."""
-    if u.shape != (grid.n_nodes,):
-        raise ValueError(f"field has shape {u.shape}, grid expects ({grid.n_nodes},)")
+    """Centered gradient, second-order one-sided at the outermost nodes: one
+    component per axis, each shaped like u (a field or a stack)."""
     U = grid.reshape(u)
     comps = []
     for axis in range(grid.dim):
         g = np.zeros_like(U)
-        d, v, h = np.moveaxis(g, axis, 0), np.moveaxis(U, axis, 0), grid.h[axis]  # axis first
+        # views with the grid axis first
+        d, v = (np.moveaxis(A, A.ndim - grid.dim + axis, 0) for A in (g, U))
+        h = grid.h[axis]
         d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
         d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
         d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        comps.append(g.reshape(-1))
+        comps.append(g.reshape(u.shape))
     return comps
 
 

@@ -1,12 +1,16 @@
 """Path-wise time integration: one march, three step rules.
 
-`_march` carries one Brownian path over the time grid for every solver.
-It validates the initial datum and the path set, picks the run grid,
-builds the time-independent coefficient fields once, evaluates the
-coefficients for blocks of consecutive run-grid nodes (`coeff_block`),
-checks the mu cap, stores the trajectory at stride 2^level and fills
-`Diagnostics`.  Only the step rule, which reads row views of the blocks,
-differs:
+`_march` carries a batch of Brownian paths over the time grid for every
+solver; the single-path solvers are batches of one.  The state is a stack
+with one row per path.  The march validates the initial datum and the path
+sets, picks each path's run grid (paths at different halving levels march
+apart), builds the time-independent coefficient fields once, evaluates the
+coefficients of all its paths for blocks of consecutive run-grid nodes
+(`coeff_block`), checks the mu cap and the transport guard there, stores
+the trajectories at stride 2^level and fills each path's `Diagnostics`.
+Every row gets the bits that its path gets alone, and a path that fails
+leaves the batch with the error its own solve raises.  Only the step rule,
+which reads row views of the blocks, differs:
 
 - `step_interior` (solve_path) is the theta-scheme of the penalized
   transformed equation,
@@ -24,8 +28,9 @@ differs:
 The Laplacian and the penalty are implicit, everything else explicit.  The
 diagonal monotone penalty is resolved by a semismooth Newton / active set
 iteration (nodes with y < 0 get dt/eps added to the diagonal), which
-terminates finitely on this piecewise-linear system: tridiagonal solves in
-1D, conjugate gradients on the 5-point matrix in 2D.
+terminates finitely on this piecewise-linear system, row by row of the
+stack: tridiagonal LAPACK solves in 1D, conjugate gradients on the 5-point
+matrix in 2D.
 
 The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
@@ -37,10 +42,11 @@ realization, then reported as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import cg as sparse_cg
 
 from . import grid as gridmod
@@ -196,7 +202,9 @@ BLOCK_VALUES = 2**14  # coefficient values per field in one block of run-grid ro
 class StepCoeffs:
     """Coefficients of the transformed equation at one run-grid node, or at
     a block of consecutive nodes, where t and every array have a leading
-    row axis and `row(i)` is node i as a record of row views."""
+    row axis and `row(i)` is node i as a record of row views.  For a batch
+    of paths every array has a path axis, after the row axis of a block, and
+    `take(keep)` keeps the paths `keep`."""
 
     t: float
     rs: ReactionSpec
@@ -215,6 +223,11 @@ class StepCoeffs:
 
     def row(self, i: int) -> "StepCoeffs":
         return StepCoeffs(**{k: v if k == "rs" or v is None else v[i]
+                             for k, v in vars(self).items()})
+
+    def take(self, keep: np.ndarray) -> "StepCoeffs":
+        axis = np.ndim(self.t)  # a block's rows come before its paths
+        return StepCoeffs(**{k: v if k in ("t", "rs") or v is None else np.take(v, keep, axis)
                              for k, v in vars(self).items()})
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
@@ -281,15 +294,34 @@ class ImplicitSolver:
             self._upper = self.A.diagonal(1).copy()
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.A @ y
+        """A y, of a field or of each row of a stack."""
+        return (self.A @ y.T).T
 
     def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None) -> np.ndarray:
+        """x with (A + diag(extra_diag)) x = b, for a field or for each row of
+        a stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one
+        sub- and one super-diagonal, without its argument checks), in one
+        call for all rows without an extra diagonal; conjugate gradients from
+        x0 in 2D, row by row."""
+        if b.ndim == 1:
+            return self._solve_one(extra_diag, b, x0)
+        x = np.empty_like(b)
+        plain = ~extra_diag.any(axis=-1) if self.dim == 1 else np.zeros(len(b), dtype=bool)
+        if plain.any():  # gtsv solves each of several right-hand sides as it solves it alone
+            x[plain] = self._gtsv(self._main, b[plain].T).T
+        for row in np.flatnonzero(~plain).tolist():
+            x[row] = self._solve_one(extra_diag[row], b[row], None if x0 is None else x0[row])
+        return x
+
+    def _gtsv(self, main: np.ndarray, b: np.ndarray) -> np.ndarray:
+        *_, x, info = dgtsv(self._lower, main, self._upper, b)
+        if info != 0:
+            raise NumericalFailure(f"tridiagonal solve failed (info={info})")
+        return x
+
+    def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
         if self.dim == 1:
-            ab = np.zeros((3, self.n))
-            ab[0, 1:] = self._upper
-            ab[1] = self._main + extra_diag
-            ab[2, :-1] = self._lower
-            return solve_banded((1, 1), ab, b)
+            return self._gtsv(self._main + extra_diag, b)
         M = self.A.copy()
         M.setdiag(M.diagonal() + extra_diag)
         x, info = sparse_cg(M, b, x0=x0, rtol=1e-12, atol=0.0, maxiter=20 * self.n)
@@ -304,85 +336,135 @@ def build_implicit_solver(grid: Grid, dt: float, theta: float) -> ImplicitSolver
     return ImplicitSolver(A.tocsr(), grid.dim)
 
 
+class NewtonResult(NamedTuple):
+    """The solution, shaped like the right-hand side; the iterations summed
+    over its rows; the final residual and the iterations of each row (scalars
+    for a field); and the rows of a stack that failed, each with the error
+    its solve alone raises."""
+
+    y: np.ndarray
+    iters: int
+    residual: float | np.ndarray
+    row_iters: int | np.ndarray
+    failures: dict[int, NumericalFailure]
+
+
 def newton_penalized_solve(
     solver: ImplicitSolver,
     rhs: np.ndarray,
-    dt_scale: np.ndarray,
+    dt_scale: float | np.ndarray,
     eps: float,
     y_init: np.ndarray,
     newton_tol: float,
     newton_max: int,
     linear_diag: np.ndarray | None = None,
-):
+) -> NewtonResult:
     """Solve  (A + diag(linear_diag)) y + dt_scale * beta_eps(y) = rhs  by
-    active-set Newton.
+    active-set Newton, for a field or for each row of a stack.
 
-    dt_scale is the per-node nonnegative coefficient in front of the
-    penalty (dt for the interior obstacle; the boundary geometric factor
-    for Signorini, zero elsewhere).  Finite termination: the system is
-    piecewise linear with a monotone diagonal nonlinearity.  A step is
-    accepted once the active set is stable and the residual is at most
-    newton_tol * max(1, max|rhs|): round-off in the residual grows with
-    the scale of the data, so an absolute bound fails on large data.
+    dt_scale is the nonnegative coefficient in front of the penalty, a
+    scalar or one per node (dt for the interior obstacle; the boundary
+    geometric factor for Signorini, zero elsewhere).  Finite termination:
+    the system is piecewise linear with a monotone diagonal nonlinearity.  A
+    row is accepted once its active set is stable and its residual is at
+    most newton_tol * max(1, max|rhs|) over the row: round-off in the
+    residual grows with the scale of the data, so an absolute bound fails
+    on large data.  Every row keeps its own active set and tolerance and is
+    solved until it is accepted, so it sees the iterates of its own solve.
+    A field that does not converge raises; the rows of a stack that do not
+    (or whose linear solve fails) go to `failures`.
     """
+    R = np.atleast_2d(rhs)
+    y = np.array(y_init, dtype=float, ndmin=2)  # a copy
     penalized = dt_scale > 0.0
-    active = (y_init < 0.0) & penalized
-    y = y_init
-    base_diag = linear_diag if linear_diag is not None else 0.0
-    tol = newton_tol * max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    active = (y < 0.0) & penalized
+    base = 0.0 if linear_diag is None else np.broadcast_to(linear_diag, R.shape)
+    tol = newton_tol * np.maximum(1.0, np.abs(R).max(axis=-1, initial=0.0))
+    iters = np.zeros(len(R), dtype=int)
+    resid = np.zeros(len(R))
+    failures = {}
+    todo = np.arange(len(R))
     for it in range(1, newton_max + 1):
-        extra = base_diag + np.where(active, dt_scale / eps, 0.0)
-        y = solver.solve(extra, rhs, x0=y)
-        new_active = (y < 0.0) & penalized
-        resid = solver.apply(y) + base_diag * y + dt_scale * penalty.beta_eps(y, eps) - rhs
-        resid_inf = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if np.array_equal(new_active, active) and resid_inf <= tol:
-            return y, it, resid_inf
-        active = new_active
-    raise NewtonError(
-        f"semismooth Newton did not converge in {newton_max} iterations "
-        f"(last residual {resid_inf:.3e})"
-    )
+        sel = todo if todo.size < len(R) else slice(None)
+        b = base if np.ndim(base) == 0 else base[sel]
+        extra = b + np.where(active[sel], dt_scale / eps, 0.0)
+        try:
+            y[sel] = solver.solve(extra, R[sel], x0=y[sel])
+        except NumericalFailure:  # solve row by row, to find the rows that fail
+            for j, row in enumerate(todo.tolist()):
+                try:
+                    y[row] = solver.solve(extra[j], R[row], x0=y[row])
+                except NumericalFailure as exc:
+                    failures[row] = exc
+        y_sel = y[sel]
+        new_active = (y_sel < 0.0) & penalized
+        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.beta_eps(y_sel, eps) - R[sel]
+        resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
+        iters[sel] = it
+        going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))
+        if failures:
+            going &= ~np.isin(todo, list(failures))
+        active[sel] = new_active
+        todo = todo[going]
+        if not todo.size:
+            break
+    for row in todo.tolist():
+        failures[row] = NewtonError(
+            f"semismooth Newton did not converge in {newton_max} iterations "
+            f"(last residual {resid[row]:.3e})"
+        )
+    if rhs.ndim == 1:
+        if failures:
+            raise failures[0]
+        return NewtonResult(y[0], int(iters[0]), float(resid[0]), int(iters[0]), {})
+    return NewtonResult(y, int(iters.sum()), resid, iters, failures)
 
 
 # ---------------------------------------------------------------------------
 # single step and full march
 
 
-def _transport(grid: Grid, g: list[np.ndarray] | None, y: np.ndarray) -> np.ndarray:
-    if g is None:
-        return np.zeros_like(y)
-    grads = gridmod.apply_gradient(grid, y)
+def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
+    """g . grad y, with g holding one component per axis along its
+    second-to-last axis."""
     out = np.zeros_like(y)
-    for ga, dya in zip(g, grads):
-        out += ga * dya
+    if g is None:
+        return out
+    for axis, dya in enumerate(gridmod.apply_gradient(grid, y)):
+        out += g[..., axis, :] * dya
     return out
+
+
+def transport_failure(margin: float, dt: float) -> StabilityError:
+    return StabilityError(
+        f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1; "
+        f"reduce dt below {dt / margin:.3e}"
+    )
 
 
 def check_transport(grid: Grid, g_sup: np.ndarray | None, dt: float):
     """The explicit transport guard of the transformed schemes, dt * sup|g_a| / h_a
-    <= 1 on every axis a, from the sups g_sup of the transport field."""
+    <= 1 on every axis a, from the sups g_sup of the transport field (per
+    axis, or per row and axis of a stack)."""
     if g_sup is None:
         return
-    margin = max(dt * float(s) / grid.h[axis] for axis, s in enumerate(g_sup))
+    margin = float((dt * np.asarray(g_sup) / grid.h).max())
     if margin > 1.0 + 1e-9:
-        raise StabilityError(
-            f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1; "
-            f"reduce dt below {dt / margin:.3e}"
-        )
+        raise transport_failure(margin, dt)
 
 
 def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
                   solver: ImplicitSolver | None = None, lift: BoundaryLift | None = None,
-                  t_next: float | None = None):
-    """One theta-step of the penalized interior obstacle problem.
+                  t_next: float | None = None) -> NewtonResult:
+    """One theta-step of the penalized interior obstacle problem, of a state
+    or of each row of a stack of states (with coefficients stacked alike).
 
     A BoundaryLift enters as its ghost value at the theta-weighted time
-    between coeffs.t and t_next.  Returns (y_next, newton_iterations,
-    residual).  Raises StabilityError when the explicit transport violates
-    dt * sup|g| / h <= 1.
+    between coeffs.t and t_next.  Returns Newton's result.  Raises
+    StabilityError when the explicit transport violates dt * sup|g| / h <= 1
+    (the march checks that per block and hands rows without g_sup).
     """
-    if y_n.shape != (grid.n_nodes,):
+    if y_n.shape[-1:] != (grid.n_nodes,):
         raise ValueError("state size mismatch")
     check_transport(grid, coeffs.g_sup, cfg.dt)
     if solver is None:
@@ -396,9 +478,8 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCon
     explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, y_n) if cfg.theta < 1.0 else 0.0
     rhs = y_n + cfg.dt * (explicit - coeffs.reaction(y_n)
                           - _transport(grid, coeffs.g, y_n) + source)
-    dt_scale = np.full(grid.n_nodes, cfg.dt)
     return newton_penalized_solve(
-        solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol, cfg.newton_max
+        solver, rhs, cfg.dt, cfg.eps, y_n, cfg.newton_tol, cfg.newton_max
     )
 
 
@@ -445,16 +526,19 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
     )
 
 
-def coeff_block(grid: Grid, fields: SpaceFields, paths: BrownianPathSet, rows: range,
+def coeff_block(grid: Grid, fields: SpaceFields, paths, rows: range,
                 rs: ReactionSpec, forcing: ForcingSpec, bd=None,
                 em: bool = False) -> StepCoeffs:
-    """The coefficients at the nodes `rows` of `paths`, one row per node.
+    """The coefficients at the nodes `rows` of `paths`, one row per node: a
+    path set, or a sequence of path sets on one time grid, which adds a path
+    axis after the row axis.
 
     bd, the BoundaryData of a Neumann grid, adds dmu/dnu; `em` adds the
     noise factor of the Euler-Maruyama rule.  Nodes beyond the mu cap are
     evaluated too, without overflow warnings: the march stops at the first.
     """
-    t = np.arange(rows.start, rows.stop) * paths.tg.dt
+    run_tg = paths.tg if isinstance(paths, BrownianPathSet) else paths[0].tg
+    t = np.arange(rows.start, rows.stop) * run_tg.dt
     mu = noisemod.eval_mu(fields, paths, rows)
     mu_tilde = noisemod.eval_mu_tilde(fields, paths, rows)
     grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, paths, rows)
@@ -482,21 +566,31 @@ def mu_cap_failure(peak: float, t: float, mu_cap: float) -> NumericalFailure:
 
 
 def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
-           x: InitialData | np.ndarray, cfg: SolveConfig, paths: BrownianPathSet,
-           refine, rule, bd=None, original: bool = False) -> PathSolution:
-    """March one Brownian path from x with a step rule.
+           x: InitialData | np.ndarray, cfg: SolveConfig, paths, refine, rule, bd=None,
+           original: bool = False) -> list:
+    """March a batch of Brownian paths, a sequence of path sets, from x with
+    a step rule.
 
-    refine(grid, tg, fields, paths) returns the halving level and the
-    path set on the run grid; without it the run grid is tg.
-    rule(y, c, c_next, cfg, solver) advances the state from run-grid node n
-    to n + 1, given the coefficient records c and c_next of both nodes and
-    the run's SolveConfig and ImplicitSolver, and returns (state,
-    newton_iterations, residual).  The state is y, or X = e^mu y when
-    `original` is set.  The returned trajectories hold y on the nodes of tg.
+    Returns, per path, its PathSolution or the NumericalFailure that stopped
+    it.  A path leaves the batch at its failure with the error its solve
+    alone raises, and the others go on; every path gets the bits it gets in
+    a batch of one.
+    refine(grid, tg, fields, paths) returns a path's halving level and its
+    path set on the run grid, or raises; without it the run grid is tg.
+    Paths at different levels march as separate batches.  The transport
+    guard, which refinement serves, is checked here once per coefficient
+    block, so the rules get rows without g_sup.
+    rule(y, c, c_next, cfg, solver) advances the stack of states, one row
+    per path, from run-grid node n to n + 1, given the coefficient records c
+    and c_next of both nodes and the run's SolveConfig and ImplicitSolver,
+    and returns newton_penalized_solve's result.  The state is y, or
+    X = e^mu y when `original` is set.  The returned trajectories hold y on
+    the nodes of tg.
     """
-    if cs.m != paths.m:
-        raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
-    run_paths = _coarsen_to(paths, tg)  # raises unless the path set refines tg
+    for p in paths:
+        if cs.m != p.m:
+            raise ConfigError(f"coefficient count {cs.m} != path component count {p.m}")
+    run_paths = [_coarsen_to(p, tg) for p in paths]  # raises unless a path set refines tg
     x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     if x_field.shape != (grid.n_nodes,):
         raise ConfigError("initial data does not match the grid")
@@ -504,60 +598,130 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
         raise ConfigError("initial data must be nonnegative")
 
     fields = noisemod.space_fields(cs, grid)
-    level, run_paths = refine(grid, tg, fields, paths) if refine else (0, run_paths)
-    stride, N, dt = 2**level, run_paths.tg.N, run_paths.tg.dt
-    run_cfg = replace(cfg, dt=dt)
-    solver = build_implicit_solver(grid, dt, cfg.theta)
-    block_rows = max(2, BLOCK_VALUES // grid.n_nodes)
+    out = [None] * len(paths)
+    levels = {}
+    for i, p in enumerate(paths):
+        try:
+            level, run = refine(grid, tg, fields, p) if refine else (0, run_paths[i])
+        except NumericalFailure as exc:
+            out[i] = exc
+            continue
+        levels.setdefault(level, []).append((i, run))
 
-    traj = np.zeros((tg.N + 1, grid.n_nodes))
-    mu_traj = np.zeros_like(traj)
-    cum_source = np.zeros(tg.N + 1)
-    iters = np.zeros(N, dtype=int)
-    resids = np.zeros(N)
-    worst_margin = mu_sup = source_sq = 0.0
-    y = x_field.copy()
-    for lo in range(0, N + 1, block_rows):
-        rows = range(lo, min(lo + block_rows, N + 1))
-        blk = coeff_block(grid, fields, run_paths, rows, rs, forcing, bd, em=original)
-        peaks = np.abs(blk.mu).max(axis=1)
-        beyond = np.flatnonzero(peaks > cfg.mu_cap)
-        # the march raises at the first row beyond the cap, so no later row is used
-        stop = beyond[0] + 1 if beyond.size else len(rows)
-        mu_sup = max(mu_sup, float(peaks.max()))
-        if blk.g_sup is not None:  # the margins of the steps that start in this block
-            margins = (dt * blk.g_sup[:stop] / grid.h).max(axis=1)[: N - lo]
-            worst_margin = float(margins.max(initial=worst_margin))
-        # running quadrature of |f~|^2 before each row, summed in row order
-        sq = dt * gridmod.inner(grid, blk.source[:stop], blk.source[:stop])
-        before = np.cumsum(np.concatenate([[source_sq], sq]))
-        source_sq = before[-1]
-        keep = np.arange(-lo % stride, stop, stride)  # the rows on nodes of tg
-        mu_traj[(lo + keep) // stride] = blk.mu[keep]
-        cum_source[(lo + keep) // stride] = before[keep]
-        for i, n in enumerate(rows[:stop]):
-            c_next = blk.row(i)
-            if n > 0:  # the step from node n - 1, which may lie in the previous block
-                y, iters[n - 1], resids[n - 1] = rule(y, c, c_next, run_cfg, solver)
-            if peaks[i] > cfg.mu_cap:
-                raise mu_cap_failure(peaks[i], c_next.t, cfg.mu_cap)
-            if n % stride == 0:
-                traj[n // stride] = y
-            c = c_next
+    for level, members in levels.items():
+        run = [r for _, r in members]
+        P, stride, N, dt = len(run), 2**level, run[0].tg.N, run[0].tg.dt
+        run_cfg = replace(cfg, dt=dt)
+        solver = build_implicit_solver(grid, dt, cfg.theta)
+        block_rows = max(2, BLOCK_VALUES // (P * grid.n_nodes))
 
-    y_traj = np.exp(-mu_traj) * traj if original else traj
-    diag = Diagnostics(
-        newton_iters=iters,
-        residuals=resids,
-        stability_margin=worst_margin,
-        delta=noisemod.path_sup(run_paths),
-        refine_level=level,
-        mu_sup=mu_sup,
-        cum_source_sq=cum_source,
-        eps=cfg.eps,
-    )
-    eta = penalty.beta_eps(y_traj, cfg.eps)
-    return PathSolution(grid=grid, tg=tg, y=y_traj, eta=eta, mu=mu_traj, diagnostics=diag)
+        traj = np.zeros((P, tg.N + 1, grid.n_nodes))
+        mu_traj = np.zeros_like(traj)
+        cum_source = np.zeros((P, tg.N + 1))
+        iters = np.zeros((P, N), dtype=int)
+        resids = np.zeros((P, N))
+        worst_margin, mu_sup, source_sq = np.zeros(P), np.zeros(P), np.zeros(P)
+        failed = {}
+        live = np.arange(P)  # the paths still marching, one per row of the state
+        y = np.repeat(x_field[None], P, axis=0)
+        for lo in range(0, N + 1, block_rows):
+            if not live.size:
+                break
+            rows = range(lo, min(lo + block_rows, N + 1))
+            blk = coeff_block(grid, fields, [run[j] for j in live], rows, rs, forcing, bd,
+                              em=original)
+            peaks = np.abs(blk.mu).max(axis=-1)
+            capped = peaks > cfg.mu_cap
+            # a path fails at its first row beyond the cap, so no later row of it is used
+            stop = int(np.where(capped.any(axis=0), capped.argmax(axis=0) + 1, len(rows)).max())
+            mu_sup[live] = np.fmax(mu_sup[live], peaks.max(axis=0))
+            # row i -> {path: its failure there}: a failed Newton step into node n
+            # comes first, then the cap at n, then the transport guard of the step from n
+            ends = {}
+            with np.errstate(over="ignore", invalid="ignore"):  # rows past a path's cap
+                if blk.g_sup is not None:  # the margins of the steps that start in this block
+                    margins = (dt * blk.g_sup[:stop] / grid.h).max(axis=-1)[: N - lo]
+                    worst_margin[live] = np.concatenate([worst_margin[live][None], margins]).max(0)
+                    if refine is not None:  # the transport guard of the step from node n
+                        for i, j in np.argwhere(margins > 1.0 + 1e-9).tolist():
+                            ends.setdefault(i, {})[int(live[j])] = transport_failure(margins[i, j],
+                                                                                     dt)
+                    blk.g_sup = None
+                # running quadrature of |f~|^2 before each row, summed in row order
+                sq = dt * gridmod.inner(grid, blk.source[:stop], blk.source[:stop])
+            for i, j in np.argwhere(capped[:stop]).tolist():
+                ends.setdefault(i, {})[int(live[j])] = mu_cap_failure(peaks[i, j], blk.t[i],
+                                                                      cfg.mu_cap)
+            before = np.cumsum(np.concatenate([source_sq[live][None], sq]), axis=0)
+            source_sq[live] = before[-1]
+            keep = np.arange(-lo % stride, stop, stride)  # the rows on nodes of tg
+            stored = np.ix_(live, (lo + keep) // stride)
+            mu_traj[stored] = blk.mu[keep].swapaxes(0, 1)
+            cum_source[stored] = before[keep].T
+            for i, n in enumerate(rows[:stop]):
+                c_next = blk.row(i)
+                errors = {}
+                if n > 0:  # the step from node n - 1, which may lie in the previous block
+                    step = rule(y, c, c_next, run_cfg, solver)
+                    y = step.y
+                    iters[live, n - 1] = step.row_iters
+                    resids[live, n - 1] = step.residual
+                    errors = {int(live[j]): exc for j, exc in step.failures.items()}
+                for j, exc in ends.get(i, {}).items():
+                    if j in live:
+                        errors.setdefault(j, exc)
+                if errors:
+                    failed.update(errors)
+                    kept = np.flatnonzero(~np.isin(live, list(errors)))
+                    live, y, blk, c_next = live[kept], y[kept], blk.take(kept), c_next.take(kept)
+                    if not live.size:
+                        break
+                if n % stride == 0:
+                    traj[live, n // stride] = y
+                c = c_next
+
+        for j, (i, _) in enumerate(members):
+            if j in failed:
+                out[i] = failed[j]
+                continue
+            y_traj = np.exp(-mu_traj[j]) * traj[j] if original else traj[j]
+            diag = Diagnostics(
+                newton_iters=iters[j],
+                residuals=resids[j],
+                stability_margin=float(worst_margin[j]),
+                delta=noisemod.path_sup(run[j]),
+                refine_level=level,
+                mu_sup=float(mu_sup[j]),
+                cum_source_sq=cum_source[j],
+                eps=cfg.eps,
+            )
+            out[i] = PathSolution(grid=grid, tg=tg, y=y_traj, eta=penalty.beta_eps(y_traj, cfg.eps),
+                                  mu=mu_traj[j], diagnostics=diag)
+    return out
+
+
+def _one(outcomes: list) -> PathSolution:
+    """The solution of a batch of one path, or raise its failure."""
+    (out,) = outcomes
+    if isinstance(out, NumericalFailure):
+        raise out
+    return out
+
+
+def solve_path_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
+                     forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
+                     paths, boundary_lift: BoundaryLift | None = None) -> list:
+    """solve_path for a sequence of path sets in one march: per path its
+    PathSolution or the NumericalFailure its solve_path raises."""
+    if grid.bc_kind != gridmod.DIRICHLET:
+        raise ConfigError("solve_path needs a Dirichlet grid")
+    if boundary_lift is not None and grid.dim != 1:
+        raise ConfigError("boundary lift is only supported in 1D")
+
+    def rule(y, c, c_next, cfg, solver):
+        return step_interior(grid, y, c, cfg, solver, boundary_lift, c_next.t)
+
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
 
 
 def solve_path(
@@ -577,31 +741,14 @@ def solve_path(
     halved dt restrict the same realization.  The returned trajectories
     live on the nodes of `tg` regardless of the internal refinement.
     """
-    if grid.bc_kind != gridmod.DIRICHLET:
-        raise ConfigError("solve_path needs a Dirichlet grid")
-    if boundary_lift is not None and grid.dim != 1:
-        raise ConfigError("boundary lift is only supported in 1D")
-
-    def rule(y, c, c_next, cfg, solver):
-        return step_interior(grid, y, c, cfg, solver, boundary_lift, c_next.t)
-
-    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
+    return _one(solve_path_batch(grid, tg, cs, rs, forcing, x, cfg, [paths], boundary_lift))
 
 
-def direct_em_solve(
-    grid: Grid,
-    tg: TimeGrid,
-    cs: CoeffSpec,
-    rs: ReactionSpec,
-    forcing: ForcingSpec,
-    x: InitialData | np.ndarray,
-    cfg: SolveConfig,
-    paths: BrownianPathSet,
-) -> PathSolution:
-    """Euler-Maruyama on the original equation: implicit Laplacian, explicit
-    reaction and penalty, noise X_n * sum_k mu_k(t_n) dbeta_k(n) at the left
-    endpoint.  Shares the Brownian increments of solve_path when handed the
-    same path set."""
+def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
+                    forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
+                    paths) -> list:
+    """direct_em_solve for a sequence of path sets in one march: per path
+    its PathSolution or the NumericalFailure its solve raises."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("direct_em_solve needs a Dirichlet grid")
     if forcing.transformed:
@@ -621,6 +768,23 @@ def direct_em_solve(
 
     # no refinement: the Euler-Maruyama rule has no transport guard
     return _march(grid, tg, cs, rs, forcing, x, cfg, paths, None, em_step, original=True)
+
+
+def direct_em_solve(
+    grid: Grid,
+    tg: TimeGrid,
+    cs: CoeffSpec,
+    rs: ReactionSpec,
+    forcing: ForcingSpec,
+    x: InitialData | np.ndarray,
+    cfg: SolveConfig,
+    paths: BrownianPathSet,
+) -> PathSolution:
+    """Euler-Maruyama on the original equation: implicit Laplacian, explicit
+    reaction and penalty, noise X_n * sum_k mu_k(t_n) dbeta_k(n) at the left
+    endpoint.  Shares the Brownian increments of solve_path when handed the
+    same path set."""
+    return _one(direct_em_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
 
 # ---------------------------------------------------------------------------
@@ -671,3 +835,16 @@ class ProblemSpec:
             return solve_signorini_path(g, tg, cs, self.reaction, self.forcing,
                                         self.initial, cfg, paths)
         return solve_path(g, tg, cs, self.reaction, self.forcing, self.initial, cfg, paths)
+
+    def solve_paths(self, path_ids) -> list:
+        """Per path id, its PathSolution or the NumericalFailure that its
+        solve raises, from one march over all of them."""
+        g, tg, cs, cfg = self.build()
+        paths = [self.sample(pid) for pid in path_ids]
+        if self.bc_kind == gridmod.NEUMANN:
+            from .signorini import solve_signorini_batch
+
+            return solve_signorini_batch(g, tg, cs, self.reaction, self.forcing,
+                                         self.initial, cfg, paths)
+        return solve_path_batch(g, tg, cs, self.reaction, self.forcing, self.initial, cfg,
+                                paths)

@@ -40,6 +40,7 @@ from .pathsolver import (
     SolveConfig,
     StepCoeffs,
     _march,
+    _one,
     _pick_refinement,
     _transport,
     build_implicit_solver,
@@ -108,10 +109,10 @@ def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: Forcin
 def _laplacian_bc(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, y: np.ndarray,
                   eps: float) -> np.ndarray:
     """lap_BC y: the penalized boundary flux folded into the Laplacian's
-    ghost values."""
+    ghost values, of a field or of each row of a stack."""
     flux = np.zeros_like(y)
     mask = grid.boundary_mask
-    flux[mask] = coeffs.dmu_dnu[mask] * y[mask] + beta_eps(y[mask], eps)
+    flux[..., mask] = coeffs.dmu_dnu[..., mask] * y[..., mask] + beta_eps(y[..., mask], eps)
     return gridmod.apply_laplacian(grid, y) - bd.geom_factor * flux
 
 
@@ -138,8 +139,9 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData,
 def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: BoundaryData,
                    cfg: SolveConfig, coeffs_new: StepCoeffs | None = None,
                    solver: ImplicitSolver | None = None):
-    """One theta-step; the boundary condition is enforced at the new time
-    level (dmu/dnu from coeffs_new when given, else from coeffs)."""
+    """One theta-step of a state or of each row of a stack; the boundary
+    condition is enforced at the new time level (dmu/dnu from coeffs_new
+    when given, else from coeffs).  Returns Newton's result."""
     check_transport(grid, coeffs.g_sup, cfg.dt)
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
@@ -156,6 +158,21 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: Boundary
                                   cfg.newton_max, linear_diag=dt_scale * dmu_new)
 
 
+def solve_signorini_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
+                          forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
+                          paths) -> list:
+    """solve_signorini_path for a sequence of path sets in one march: per
+    path its PathSolution or the NumericalFailure its solve raises."""
+    if grid.bc_kind != gridmod.NEUMANN:
+        raise ConfigError("solve_signorini_path needs a Neumann grid")
+    bd = build_boundary_data(grid)
+
+    def rule(y, c, c_next, cfg, solver):
+        return step_signorini(grid, y, c, bd, cfg, c_next, solver)
+
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule, bd=bd)
+
+
 def solve_signorini_path(
     grid: Grid,
     tg: TimeGrid,
@@ -167,14 +184,7 @@ def solve_signorini_path(
     paths: BrownianPathSet,
 ) -> PathSolution:
     """March the boundary-penalized problem along one Brownian path."""
-    if grid.bc_kind != gridmod.NEUMANN:
-        raise ConfigError("solve_signorini_path needs a Neumann grid")
-    bd = build_boundary_data(grid)
-
-    def rule(y, c, c_next, cfg, solver):
-        return step_signorini(grid, y, c, bd, cfg, c_next, solver)
-
-    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule, bd=bd)
+    return _one(solve_signorini_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
 
 def recover_boundary_multiplier(sol: PathSolution) -> np.ndarray:

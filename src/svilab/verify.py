@@ -15,8 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import cauchy_rate_study, complementarity_report, energy_check, map_paths
-from .errors import ConfigError
+from .analysis import (
+    cauchy_rate_study,
+    complementarity_report,
+    energy_check,
+    map_paths,
+    path_batches,
+)
+from .errors import ConfigError, NumericalFailure
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
 from .pathsolver import (
@@ -108,10 +114,14 @@ def check_cauchy_rate(workers: int = 1):
 
 
 def _energy_worker(args):
-    spec, pid = args
-    sol = spec.solve(pid)
-    rep = energy_check(sol, spec.initial)
-    return pid, rep.energy_ratio, rep.multiplier_ratio
+    spec, first, stop = args
+    rows = []
+    for pid, sol in zip(range(first, stop), spec.solve_paths(range(first, stop))):
+        if isinstance(sol, NumericalFailure):
+            raise sol
+        rep = energy_check(sol, spec.initial)
+        rows.append((pid, rep.energy_ratio, rep.multiplier_ratio))
+    return rows
 
 
 def check_energy(workers: int = 1):
@@ -119,7 +129,7 @@ def check_energy(workers: int = 1):
         n=63, T=0.25, n_steps=250, coefficients=_c1("const(0.5) * sin(1)"), seed=3333,
         initial=InitialData("sine", 1.0),
     )
-    results = map_paths(_energy_worker, [(spec, pid) for pid in range(100)], workers)
+    results = map_paths(_energy_worker, path_batches(spec, 100, workers), workers)
     worst_e = max(r[1] for r in results)
     worst_m = max(r[2] for r in results)
     rows = [
@@ -138,8 +148,7 @@ def check_energy(workers: int = 1):
 # 5 --------------------------------------------------------------------------
 
 
-def _consistency_worker(args):
-    spec, pid = args
+def _consistency_gaps(spec, pid):
     master = spec.sample(pid)
     gaps = []
     for n_steps in (spec.n_steps, 2 * spec.n_steps):
@@ -151,6 +160,11 @@ def _consistency_worker(args):
     return pid, gaps[0], gaps[1]
 
 
+def _consistency_worker(args):
+    spec, first, stop = args
+    return [_consistency_gaps(spec, pid) for pid in range(first, stop)]
+
+
 def check_transform_consistency(workers: int = 1):
     """Direct Euler-Maruyama vs the transform route with shared increments:
     the T-time X gap shrinks by a factor in [1.5, 3] when dt halves,
@@ -159,7 +173,7 @@ def check_transform_consistency(workers: int = 1):
         n=63, T=0.25, n_steps=125, coefficients=_c1("const(0.3) * sin(2)"),
         seed=4444, initial=InitialData("sine", 1.0), headroom=8,
     )
-    results = map_paths(_consistency_worker, [(spec, pid) for pid in range(100)], workers)
+    results = map_paths(_consistency_worker, path_batches(spec, 100, workers), workers)
     e1 = np.array([r[1] for r in results])
     e2 = np.array([r[2] for r in results])
     factor = float(e1.mean() / e2.mean())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svilab import analysis
 from svilab.analysis import (
     RateFit,
     _ratio,
@@ -10,6 +11,7 @@ from svilab.analysis import (
     energy_check,
     ensemble_run,
     fit_rate,
+    path_batches,
     path_functionals,
 )
 from svilab.errors import NumericalFailure
@@ -166,7 +168,7 @@ def test_ensemble_deterministic_problem_zero_variance():
     assert stats.passed
 
 
-def test_ensemble_statistics_and_reduction_order():
+def test_ensemble_statistics_and_reduction_order(monkeypatch):
     spec = ProblemSpec(
         n=31, T=0.1, n_steps=100,
         coefficients=(parse_coefficient("const(0.6) * sin(1)", [1.0]),),
@@ -176,6 +178,18 @@ def test_ensemble_statistics_and_reduction_order():
     b = ensemble_run(spec, n_paths=12, workers=2)
     for name in a.stats:
         assert a.stats[name].mean == b.stats[name].mean, name
+    # the batch split of the path ids changes nothing either
+    assert [job[1:] for job in path_batches(spec, 12, 1)] == [(0, 12)]
+    assert [job[1:] for job in path_batches(spec, 12, 2)] == [(0, 6), (6, 12)]
+    splits = []
+    for size in (5, 1):
+        monkeypatch.setattr(analysis, "BATCH_VALUES", size * (spec.n_steps + 1) * spec.n)
+        assert path_batches(spec, 12, 1)[0][1:] == (0, size)
+        splits.append(ensemble_run(spec, n_paths=12, workers=1))
+    for other in [b] + splits:
+        assert other.n_paths == a.n_paths and other.failures == a.failures
+        for name in a.stats:
+            assert other.stats[name] == a.stats[name], name
     assert a.stats["delta_sq"].mean > 0
     assert "sup_y_l2_sq" in a.empirical_C
     assert a.stats["sup_y_l2_sq"].ci_half_width == pytest.approx(

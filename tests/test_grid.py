@@ -197,6 +197,10 @@ def test_stacked_operators_equal_per_row_calls(bc, dim):
         assert got.shape == U.shape[: got.ndim]
         assert np.array_equal(got, [[one(u, v) for u, v in zip(us, vs)]
                                     for us, vs in zip(U, V)])
+    grads = apply_gradient(g, U)  # one component per axis, each shaped like U
+    assert len(grads) == dim
+    for axis, comp in enumerate(grads):
+        assert np.array_equal(comp, [[apply_gradient(g, u)[axis] for u in us] for us in U])
     # a single field against a stack: the field is paired with every row
     assert np.array_equal(inner(g, U[0], V[0, 0]), [inner(g, u, V[0, 0]) for u in U[0]])
     assert np.array_equal(stiffness_inner(g, U[0], V[0, 0]),
@@ -212,7 +216,7 @@ def test_stacked_operators_equal_per_row_calls(bc, dim):
         lambda: stiffness_inner(g, U[0], bad),
         lambda: seminorm_h1(g, bad),
         lambda: apply_laplacian(g, bad),
-        lambda: apply_gradient(g, U[0]),
+        lambda: apply_gradient(g, bad),
     ):
         with pytest.raises(ValueError):
             fn()
