@@ -89,6 +89,19 @@ def test_batch_mixes_refine_levels():
     _assert_same(spec.solve_paths(ids), solo)
 
 
+def test_2d_batch_with_contact():
+    spec = ProblemSpec(
+        dim=2, lengths=(1.0, 1.0), n=9, T=0.02, n_steps=20, seed=7,
+        coefficients=(parse_coefficient("const(0.5) * sin(1) * cos(1)", [1.0, 1.0]),),
+        reaction=ReactionSpec("linear", 0.3), forcing=ForcingSpec("const", -1.0),
+        initial=InitialData("cone", 0.3, center=(0.3, 0.3), radius=0.3),
+    )
+    ids = range(3)
+    solo = [spec.solve(pid) for pid in ids]
+    assert all(np.any(s.eta < 0) for s in solo)
+    _assert_same(spec.solve_paths(ids), solo)
+
+
 def test_batch_failures_keep_their_solo_messages():
     # mu = 3 W(t): three paths pass the cap; with one Newton iteration a path
     # fails at its first contact, and the others never touch the obstacle
