@@ -186,13 +186,16 @@ def apply_gradient(grid: Grid, u: np.ndarray) -> list[np.ndarray]:
     U = grid.reshape(u)
     comps = []
     for axis in range(grid.dim):
+        tail = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after this one
+
+        def at(s):
+            return (..., s, *tail)
+
         g = np.zeros_like(U)
-        # views with the grid axis first
-        d, v = (np.moveaxis(A, A.ndim - grid.dim + axis, 0) for A in (g, U))
         h = grid.h[axis]
-        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        g[at(slice(1, -1))] = (U[at(slice(2, None))] - U[at(slice(None, -2))]) / (2.0 * h)
+        g[at(0)] = (-3.0 * U[at(0)] + 4.0 * U[at(1)] - U[at(2)]) / (2.0 * h)
+        g[at(-1)] = (3.0 * U[at(-1)] - 4.0 * U[at(-2)] + U[at(-3)]) / (2.0 * h)
         comps.append(g.reshape(u.shape))
     return comps
 

@@ -312,40 +312,35 @@ def space_fields(cs: CoeffSpec, grid: Grid) -> SpaceFields:
 
 
 def _path_rows(fields: SpaceFields, paths, attr: str, rows: range):
-    """t_n at the nodes n in rows, and `attr` (values or increments) of the
-    path set there, (m, len(rows)), or of a sequence of path sets on one time
-    grid, (m, len(rows), P) with the path axis last."""
-    batch = [paths] if isinstance(paths, BrownianPathSet) else list(paths)
-    bad = [p.m for p in batch if p.m != fields.m]
+    """t_n at the nodes n in rows, and `attr` (values or increments) there of
+    a sequence of P path sets on one time grid: (m, len(rows), P)."""
+    bad = [p.m for p in paths if p.m != fields.m]
     if bad:
         raise ValueError(f"coefficient count {fields.m} does not match path count {bad[0]}")
-    if any(p.tg != batch[0].tg for p in batch):
+    if any(p.tg != paths[0].tg for p in paths):
         raise ValueError("path sets of one evaluation must share their time grid")
-    parts = [getattr(p, attr)[:, rows.start:rows.stop] for p in batch]
-    vals = parts[0] if isinstance(paths, BrownianPathSet) else np.stack(parts, axis=-1)
-    return np.arange(rows.start, rows.stop) * batch[0].tg.dt, vals
+    vals = np.stack([getattr(p, attr)[:, rows.start:rows.stop] for p in paths], axis=-1)
+    return np.arange(rows.start, rows.stop) * paths[0].tg.dt, vals
 
 
-def _column(a, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """a, a scalar or one value per time t, as a column against weights whose
-    first axis is time."""
-    return np.broadcast_to(a, t.shape).reshape(t.shape + (1,) * (weights.ndim - 1))
+def _column(a, t: np.ndarray) -> np.ndarray:
+    """a, a scalar or one value per time t, as a column against the paths."""
+    return np.broadcast_to(a, t.shape)[:, None]
 
 
 def _combine(fields: SpaceFields, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] a_k(t) b_k, one row per time (and path): weights
-    (m, rows) or (m, rows, P)."""
+    """sum_k weights[k] a_k(t) b_k, one row per time and path: weights
+    (m, rows, P)."""
     out = np.zeros(weights.shape[1:] + fields.value.shape[1:])
     for k, c in enumerate(fields.coefficients):
-        out += (weights[k] * _column(c.time.value(t), t, weights[k]))[..., None] \
-            * fields.value[k]
+        out += (weights[k] * _column(c.time.value(t), t))[..., None] * fields.value[k]
     return out
 
 
 def eval_mu(fields: SpaceFields, paths, rows: range) -> np.ndarray:
-    """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at the path's nodes n in
-    rows: shape (len(rows), n_nodes), or (len(rows), P, n_nodes) for a
-    sequence of P path sets (likewise for the other evaluators)."""
+    """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at the nodes n in rows of
+    a sequence of P path sets: shape (len(rows), P, n_nodes), the path axis
+    after the row axis (likewise for the other evaluators)."""
     t, values = _path_rows(fields, paths, "values", rows)
     return _combine(fields, values, t)
 
@@ -354,9 +349,7 @@ def eval_noise(fields: SpaceFields, paths, rows: range) -> np.ndarray:
     """sum_k mu_k(t_n, xi) (beta_k(t_{n+1}) - beta_k(t_n)) at the nodes n in
     rows, the noise factor of an Euler-Maruyama step; zero at the last node."""
     t, inc = _path_rows(fields, paths, "increments", rows)
-    pad = [(0, 0)] * inc.ndim
-    pad[1] = (0, len(rows) - inc.shape[1])
-    return _combine(fields, np.pad(inc, pad), t)
+    return _combine(fields, np.pad(inc, ((0, 0), (0, len(rows) - inc.shape[1]), (0, 0))), t)
 
 
 def eval_mu_tilde(fields: SpaceFields, paths, rows: range) -> np.ndarray:
@@ -366,22 +359,21 @@ def eval_mu_tilde(fields: SpaceFields, paths, rows: range) -> np.ndarray:
     out = np.zeros(values.shape[1:] + fields.value.shape[1:])
     for k, c in enumerate(fields.coefficients):
         b = fields.value[k]
-        mu_k = _column(c.time.value(t), t, values[k])[..., None] * b
-        out += (values[k] * _column(c.time.dt_value(t), t, values[k]))[..., None] * b \
-            + 0.5 * mu_k * mu_k
+        mu_k = _column(c.time.value(t), t)[..., None] * b
+        out += (values[k] * _column(c.time.dt_value(t), t))[..., None] * b + 0.5 * mu_k * mu_k
     return out
 
 
 def eval_mu_derivs(fields: SpaceFields, paths, rows: range):
     """Analytic (grad mu, lap mu, g = -2 grad mu) at the nodes n in rows:
-    shapes (len(rows), dim, n_nodes), (len(rows), n_nodes) and that of grad,
-    with the path axis after the row axis for a sequence of path sets."""
+    shapes (len(rows), P, dim, n_nodes), (len(rows), P, n_nodes) and that of
+    grad."""
     t, values = _path_rows(fields, paths, "values", rows)
     _, dim, n_nodes = fields.grad.shape
     grad = np.zeros(values.shape[1:] + (dim, n_nodes))
     lap = np.zeros(values.shape[1:] + (n_nodes,))
     for k, c in enumerate(fields.coefficients):
-        scale = values[k] * _column(c.time.value(t), t, values[k])
+        scale = values[k] * _column(c.time.value(t), t)
         grad += scale[..., None, None] * fields.grad[k]
         lap += scale[..., None] * fields.lap[k]
     return grad, lap, -2.0 * grad

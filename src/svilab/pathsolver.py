@@ -34,9 +34,10 @@ matrix in 2D.
 
 The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
-the guard is evaluated before marching; violating paths are rerun at
-halved dt (up to MAX_HALVINGS) using a finer restriction of the same path
-realization, then reported as failures.
+a bound of it picks each path's dt before marching: violating paths are run
+at halved dt (up to MAX_HALVINGS) using a finer restriction of the same
+path realization, then reported as failures.  The march itself checks the
+guard on every coefficient block; the step rules do not.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ class StepCoeffs:
     a block of consecutive nodes, where t and every array have a leading
     row axis and `row(i)` is node i as a record of row views.  For a batch
     of paths every array has a path axis, after the row axis of a block, and
-    `take(keep)` keeps the paths `keep`."""
+    `take(keep)` keeps the paths `keep` (an index array), or path `keep`
+    alone without the path axis (an int)."""
 
     t: float
     rs: ReactionSpec
@@ -297,21 +299,30 @@ class ImplicitSolver:
         """A y, of a field or of each row of a stack."""
         return (self.A @ y.T).T
 
-    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None) -> np.ndarray:
-        """x with (A + diag(extra_diag)) x = b, for a field or for each row of
-        a stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one
-        sub- and one super-diagonal, without its argument checks), in one
-        call for all rows without an extra diagonal; conjugate gradients from
-        x0 in 2D, row by row."""
-        if b.ndim == 1:
-            return self._solve_one(extra_diag, b, x0)
-        x = np.empty_like(b)
-        plain = ~extra_diag.any(axis=-1) if self.dim == 1 else np.zeros(len(b), dtype=bool)
-        if plain.any():  # gtsv solves each of several right-hand sides as it solves it alone
-            x[plain] = self._gtsv(self._main, b[plain].T).T
-        for row in np.flatnonzero(~plain).tolist():
-            x[row] = self._solve_one(extra_diag[row], b[row], None if x0 is None else x0[row])
-        return x
+    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None):
+        """x with (A + diag(extra_diag[r])) x[r] = b[r] for each row r of a
+        stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
+        and one super-diagonal, without its argument checks), in one call for
+        all rows without an extra diagonal; conjugate gradients from x0 in 2D,
+        row by row.  Returns x and the rows whose solve failed, each with its
+        error (their rows of x are meaningless)."""
+        x = np.zeros_like(b)
+        rows = range(len(b))  # the rows solved one at a time
+        if self.dim == 1:
+            rows = np.flatnonzero(extra_diag.any(axis=-1)).tolist()
+            if len(rows) < len(b):
+                # A is an M-matrix, so this cannot fail; gtsv solves each of several
+                # right-hand sides as it solves it alone, and the rows with an extra
+                # diagonal are solved again below
+                x = self._gtsv(self._main, b.T).T
+        failures = {}
+        for row in rows:
+            try:
+                x[row] = self._solve_one(extra_diag[row], b[row],
+                                         None if x0 is None else x0[row])
+            except NumericalFailure as exc:
+                failures[row] = exc
+        return x, failures
 
     def _gtsv(self, main: np.ndarray, b: np.ndarray) -> np.ndarray:
         *_, x, info = dgtsv(self._lower, main, self._upper, b)
@@ -320,8 +331,8 @@ class ImplicitSolver:
         return x
 
     def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
-        if self.dim == 1:
-            return self._gtsv(self._main + extra_diag, b)
+        if self.dim == 1:  # b as a column, which gtsv takes without a copy
+            return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
         M = self.A.copy()
         M.setdiag(M.diagonal() + extra_diag)
         x, info = sparse_cg(M, b, x0=x0, rtol=1e-12, atol=0.0, maxiter=20 * self.n)
@@ -337,15 +348,14 @@ def build_implicit_solver(grid: Grid, dt: float, theta: float) -> ImplicitSolver
 
 
 class NewtonResult(NamedTuple):
-    """The solution, shaped like the right-hand side; the iterations summed
-    over its rows; the final residual and the iterations of each row (scalars
-    for a field); and the rows of a stack that failed, each with the error
-    its solve alone raises."""
+    """The stack of solutions; the iterations summed over its rows; each
+    row's final residual and iterations; and the rows that failed, each with
+    the error its solve alone raises."""
 
     y: np.ndarray
     iters: int
-    residual: float | np.ndarray
-    row_iters: int | np.ndarray
+    residual: np.ndarray
+    row_iters: np.ndarray
     failures: dict[int, NumericalFailure]
 
 
@@ -360,7 +370,7 @@ def newton_penalized_solve(
     linear_diag: np.ndarray | None = None,
 ) -> NewtonResult:
     """Solve  (A + diag(linear_diag)) y + dt_scale * beta_eps(y) = rhs  by
-    active-set Newton, for a field or for each row of a stack.
+    active-set Newton, for each row of a stack.
 
     dt_scale is the nonnegative coefficient in front of the penalty, a
     scalar or one per node (dt for the interior obstacle; the boundary
@@ -371,39 +381,33 @@ def newton_penalized_solve(
     residual grows with the scale of the data, so an absolute bound fails
     on large data.  Every row keeps its own active set and tolerance and is
     solved until it is accepted, so it sees the iterates of its own solve.
-    A field that does not converge raises; the rows of a stack that do not
-    (or whose linear solve fails) go to `failures`.
+    Rows that do not converge, or whose linear solve fails, go to
+    `failures`.
     """
-    R = np.atleast_2d(rhs)
-    y = np.array(y_init, dtype=float, ndmin=2)  # a copy
+    y = np.array(y_init, dtype=float)  # a copy
+    P = len(rhs)
     penalized = dt_scale > 0.0
     active = (y < 0.0) & penalized
-    base = 0.0 if linear_diag is None else np.broadcast_to(linear_diag, R.shape)
-    tol = newton_tol * np.maximum(1.0, np.abs(R).max(axis=-1, initial=0.0))
-    iters = np.zeros(len(R), dtype=int)
-    resid = np.zeros(len(R))
+    base = 0.0 if linear_diag is None else np.broadcast_to(linear_diag, rhs.shape)
+    tol = newton_tol * np.maximum(1.0, np.abs(rhs).max(axis=-1, initial=0.0))
+    iters = np.zeros(P, dtype=int)
+    resid = np.zeros(P)
     failures = {}
-    todo = np.arange(len(R))
+    todo = np.arange(P)  # the rows not yet accepted
     for it in range(1, newton_max + 1):
-        sel = todo if todo.size < len(R) else slice(None)
-        b = base if np.ndim(base) == 0 else base[sel]
-        extra = b + np.where(active[sel], dt_scale / eps, 0.0)
-        try:
-            y[sel] = solver.solve(extra, R[sel], x0=y[sel])
-        except NumericalFailure:  # solve row by row, to find the rows that fail
-            for j, row in enumerate(todo.tolist()):
-                try:
-                    y[row] = solver.solve(extra[j], R[row], x0=y[row])
-                except NumericalFailure as exc:
-                    failures[row] = exc
-        y_sel = y[sel]
+        sel = todo if todo.size < P else slice(None)
+        b = base if linear_diag is None else base[sel]
+        y_sel, bad = solver.solve(b + np.where(active[sel], dt_scale / eps, 0.0), rhs[sel],
+                                  x0=y[sel])
+        y[sel] = y_sel
         new_active = (y_sel < 0.0) & penalized
-        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.beta_eps(y_sel, eps) - R[sel]
+        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.beta_eps(y_sel, eps) - rhs[sel]
         resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
         iters[sel] = it
         going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))
-        if failures:
-            going &= ~np.isin(todo, list(failures))
+        for j, exc in bad.items():
+            failures[int(todo[j])] = exc
+            going[j] = False
         active[sel] = new_active
         todo = todo[going]
         if not todo.size:
@@ -413,10 +417,6 @@ def newton_penalized_solve(
             f"semismooth Newton did not converge in {newton_max} iterations "
             f"(last residual {resid[row]:.3e})"
         )
-    if rhs.ndim == 1:
-        if failures:
-            raise failures[0]
-        return NewtonResult(y[0], int(iters[0]), float(resid[0]), int(iters[0]), {})
     return NewtonResult(y, int(iters.sum()), resid, iters, failures)
 
 
@@ -436,37 +436,26 @@ def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
 
 
 def transport_failure(margin: float, dt: float) -> StabilityError:
+    """The error of a step that breaks the explicit transport guard of the
+    transformed schemes, dt * sup|g_a| / h_a <= 1 on every axis a."""
     return StabilityError(
         f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1; "
         f"reduce dt below {dt / margin:.3e}"
     )
 
 
-def check_transport(grid: Grid, g_sup: np.ndarray | None, dt: float):
-    """The explicit transport guard of the transformed schemes, dt * sup|g_a| / h_a
-    <= 1 on every axis a, from the sups g_sup of the transport field (per
-    axis, or per row and axis of a stack)."""
-    if g_sup is None:
-        return
-    margin = float((dt * np.asarray(g_sup) / grid.h).max())
-    if margin > 1.0 + 1e-9:
-        raise transport_failure(margin, dt)
-
-
 def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
                   solver: ImplicitSolver | None = None, lift: BoundaryLift | None = None,
                   t_next: float | None = None) -> NewtonResult:
-    """One theta-step of the penalized interior obstacle problem, of a state
-    or of each row of a stack of states (with coefficients stacked alike).
+    """One theta-step of the penalized interior obstacle problem, of each row
+    of a stack of states, with coefficients stacked alike.
 
     A BoundaryLift enters as its ghost value at the theta-weighted time
-    between coeffs.t and t_next.  Returns Newton's result.  Raises
-    StabilityError when the explicit transport violates dt * sup|g| / h <= 1
-    (the march checks that per block and hands rows without g_sup).
+    between coeffs.t and t_next.  Returns Newton's result.  The transport
+    guard dt * sup|g| / h <= 1 is the march's.
     """
-    if y_n.shape[-1:] != (grid.n_nodes,):
+    if y_n.ndim != 2 or y_n.shape[1] != grid.n_nodes:
         raise ValueError("state size mismatch")
-    check_transport(grid, coeffs.g_sup, cfg.dt)
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     source = coeffs.source
@@ -529,16 +518,14 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
 def coeff_block(grid: Grid, fields: SpaceFields, paths, rows: range,
                 rs: ReactionSpec, forcing: ForcingSpec, bd=None,
                 em: bool = False) -> StepCoeffs:
-    """The coefficients at the nodes `rows` of `paths`, one row per node: a
-    path set, or a sequence of path sets on one time grid, which adds a path
-    axis after the row axis.
+    """The coefficients at the nodes `rows` of `paths`, a sequence of path
+    sets on one time grid: one row per node, with a path axis after it.
 
     bd, the BoundaryData of a Neumann grid, adds dmu/dnu; `em` adds the
     noise factor of the Euler-Maruyama rule.  Nodes beyond the mu cap are
     evaluated too, without overflow warnings: the march stops at the first.
     """
-    run_tg = paths.tg if isinstance(paths, BrownianPathSet) else paths[0].tg
-    t = np.arange(rows.start, rows.stop) * run_tg.dt
+    t = np.arange(rows.start, rows.stop) * paths[0].tg.dt
     mu = noisemod.eval_mu(fields, paths, rows)
     mu_tilde = noisemod.eval_mu_tilde(fields, paths, rows)
     grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, paths, rows)
@@ -578,8 +565,8 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     refine(grid, tg, fields, paths) returns a path's halving level and its
     path set on the run grid, or raises; without it the run grid is tg.
     Paths at different levels march as separate batches.  The transport
-    guard, which refinement serves, is checked here once per coefficient
-    block, so the rules get rows without g_sup.
+    guard, which refinement serves, is checked here, once per coefficient
+    block, and only here.
     rule(y, c, c_next, cfg, solver) advances the stack of states, one row
     per path, from run-grid node n to n + 1, given the coefficient records c
     and c_next of both nodes and the run's SolveConfig and ImplicitSolver,
@@ -623,6 +610,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
         worst_margin, mu_sup, source_sq = np.zeros(P), np.zeros(P), np.zeros(P)
         failed = {}
         live = np.arange(P)  # the paths still marching, one per row of the state
+        at = slice(None)  # their rows in the per-path arrays: all of them, until one fails
         y = np.repeat(x_field[None], P, axis=0)
         for lo in range(0, N + 1, block_rows):
             if not live.size:
@@ -646,7 +634,6 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                         for i, j in np.argwhere(margins > 1.0 + 1e-9).tolist():
                             ends.setdefault(i, {})[int(live[j])] = transport_failure(margins[i, j],
                                                                                      dt)
-                    blk.g_sup = None
                 # running quadrature of |f~|^2 before each row, summed in row order
                 sq = dt * gridmod.inner(grid, blk.source[:stop], blk.source[:stop])
             for i, j in np.argwhere(capped[:stop]).tolist():
@@ -664,8 +651,8 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                 if n > 0:  # the step from node n - 1, which may lie in the previous block
                     step = rule(y, c, c_next, run_cfg, solver)
                     y = step.y
-                    iters[live, n - 1] = step.row_iters
-                    resids[live, n - 1] = step.residual
+                    iters[at, n - 1] = step.row_iters
+                    resids[at, n - 1] = step.residual
                     errors = {int(live[j]): exc for j, exc in step.failures.items()}
                 for j, exc in ends.get(i, {}).items():
                     if j in live:
@@ -674,10 +661,11 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                     failed.update(errors)
                     kept = np.flatnonzero(~np.isin(live, list(errors)))
                     live, y, blk, c_next = live[kept], y[kept], blk.take(kept), c_next.take(kept)
+                    at = live
                     if not live.size:
                         break
                 if n % stride == 0:
-                    traj[live, n // stride] = y
+                    traj[at, n // stride] = y
                 c = c_next
 
         for j, (i, _) in enumerate(members):

@@ -44,7 +44,6 @@ from .pathsolver import (
     _pick_refinement,
     _transport,
     build_implicit_solver,
-    check_transport,
     coeff_block,
     mu_cap_failure,
     newton_penalized_solve,
@@ -98,8 +97,8 @@ def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: Forcin
                     mu_cap: float) -> StepCoeffs:
     """The march's coefficient record at node n of `paths`, for the probes;
     raises like the march when |mu| passes mu_cap there."""
-    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), paths, range(n, n + 1), rs,
-                         forcing, bd).row(0)
+    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), [paths], range(n, n + 1), rs,
+                         forcing, bd).row(0).take(0)
     peak = float(np.max(np.abs(coeffs.mu)))
     if peak > mu_cap:
         raise mu_cap_failure(peak, coeffs.t, mu_cap)
@@ -139,10 +138,10 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData,
 def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: BoundaryData,
                    cfg: SolveConfig, coeffs_new: StepCoeffs | None = None,
                    solver: ImplicitSolver | None = None):
-    """One theta-step of a state or of each row of a stack; the boundary
+    """One theta-step of each row of a stack of states; the boundary
     condition is enforced at the new time level (dmu/dnu from coeffs_new
-    when given, else from coeffs).  Returns Newton's result."""
-    check_transport(grid, coeffs.g_sup, cfg.dt)
+    when given, else from coeffs).  Returns Newton's result.  The transport
+    guard is the march's."""
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     dmu_new = (coeffs_new or coeffs).dmu_dnu

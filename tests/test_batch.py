@@ -20,11 +20,11 @@ from svilab.pathsolver import (
     SolveConfig,
     _march,
     build_implicit_solver,
-    check_transport,
     coeff_block,
     direct_em_batch,
     direct_em_solve,
     step_interior,
+    transport_failure,
 )
 from svilab.signorini import solve_signorini_batch, solve_signorini_path
 from svilab.transform import ReactionSpec
@@ -72,8 +72,24 @@ def test_gtsv_rows_equal_solve_banded(n):
     for d, rhs in zip(extra, b):
         ab[1] = solver._main + d
         want.append(solve_banded((1, 1), ab, rhs))
-    assert np.array_equal(solver.solve(extra, b), want)
-    assert all(np.array_equal(solver.solve(d, rhs), w) for d, rhs, w in zip(extra, b, want))
+    x, failures = solver.solve(extra, b)
+    assert np.array_equal(x, want) and not failures
+    for d, rhs, w in zip(extra, b, want):
+        x, failures = solver.solve(d[None], rhs[None])
+        assert np.array_equal(x[0], w) and not failures
+
+
+def test_linear_solve_reports_the_rows_that_fail():
+    g = build_grid(1, [1.0], 3, DIRICHLET)
+    solver = build_implicit_solver(g, 0.7, 1.0)
+    b = np.ones((3, 3))
+    extra = np.zeros((3, 3))
+    extra[1] = -solver._main  # a zero diagonal: singular
+    extra[2, 0] = 2.0
+    x, failures = solver.solve(extra, b)
+    assert list(failures) == [1] and isinstance(failures[1], NumericalFailure)
+    for row in (0, 2):
+        assert np.array_equal(x[row], solver.solve(extra[row:row + 1], b[row:row + 1])[0][0])
 
 
 def test_batch_mixes_refine_levels():
@@ -122,8 +138,8 @@ def test_batch_failures_keep_their_solo_messages():
 
 
 def test_transport_guard_stops_the_paths_that_break_it():
-    # without refinement, the march's check per block fails the path and
-    # step that step_interior's own check fails, with its message
+    # without refinement, the march's check per block fails each path at
+    # its first step from a node where dt * sup|g| / h > 1, and only those
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(0.2, 40)
     cs = CoeffSpec((parse_coefficient("const(1.5) * sin(2)", [1.0]),))
@@ -136,13 +152,10 @@ def test_transport_guard_stops_the_paths_that_break_it():
                  SolveConfig(dt=tg.dt), paths, lambda grid, tg, fields, p: (0, p), rule)
     want = []
     for p in paths:
-        blk = coeff_block(g, space_fields(cs, g), p, range(tg.N), ReactionSpec(), ForcingSpec())
-        try:
-            for g_sup in blk.g_sup:
-                check_transport(g, g_sup, tg.dt)
-            want.append(None)
-        except StabilityError as exc:
-            want.append(str(exc))
+        blk = coeff_block(g, space_fields(cs, g), [p], range(tg.N), ReactionSpec(), ForcingSpec())
+        margins = tg.dt * blk.g_sup[:, 0, 0] / g.h[0]
+        over = np.flatnonzero(margins > 1.0 + 1e-9)
+        want.append(str(transport_failure(margins[over[0]], tg.dt)) if over.size else None)
     assert 0 < sum(w is not None for w in want) < len(paths)
     assert [str(r) if isinstance(r, StabilityError) else None for r in got] == want
 

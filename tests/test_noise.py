@@ -119,14 +119,14 @@ def test_eval_mu_trivial_cases():
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=3)
     cs0 = spec_1d("const(0.0) * const(1.0)")
-    assert np.all(eval_mu(space_fields(cs0, g), p, range(5, 6))[0] == 0.0)
+    assert np.all(eval_mu(space_fields(cs0, g), [p], range(5, 6))[0, 0] == 0.0)
     cs = spec_1d("const(2.5) * const(1.0)")
-    assert np.all(eval_mu(space_fields(cs, g), p, range(0, 1))[0] == 0.0)  # beta(0) = 0
+    assert np.all(eval_mu(space_fields(cs, g), [p], range(0, 1))[0, 0] == 0.0)  # beta(0) = 0
     expect = 2.5 * p.values[0, 4]
-    assert np.allclose(eval_mu(space_fields(cs, g), p, range(4, 5))[0], expect)
+    assert np.allclose(eval_mu(space_fields(cs, g), [p], range(4, 5))[0, 0], expect)
     with pytest.raises(ValueError):
         two = spec_1d("const(1.0) * const(1.0)", "const(1.0) * const(1.0)")
-        eval_mu(space_fields(two, g), p, range(4, 5))[0]
+        eval_mu(space_fields(two, g), [p], range(4, 5))[0, 0]
 
 
 def test_eval_mu_tilde():
@@ -137,15 +137,15 @@ def test_eval_mu_tilde():
     c = 1.7
     cs = spec_1d(f"const({c}) * const(1.0)")
     t = tg.nodes[6]
-    assert np.allclose(eval_mu_tilde(space_fields(cs, g), p, range(6, 7))[0], 0.5 * c * c)
+    assert np.allclose(eval_mu_tilde(space_fields(cs, g), [p], range(6, 7))[0, 0], 0.5 * c * c)
     # mu = t * b(xi): mu~ = b*beta(t) + t^2 b^2 / 2
     cs2 = spec_1d("linear(0.0,1.0) * sin(1)")
     x = g.meshes()[0]
     b = np.sin(np.pi * x)
     expect = b * p.values[0, 6] + 0.5 * t * t * b * b
-    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), p, range(6, 7))[0], expect)
+    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), [p], range(6, 7))[0, 0], expect)
     zero = space_fields(spec_1d("const(0.0) * const(1.0)"), g)
-    assert np.all(eval_mu_tilde(zero, p, range(6, 7))[0] == 0.0)
+    assert np.all(eval_mu_tilde(zero, [p], range(6, 7))[0, 0] == 0.0)
 
 
 def test_eval_mu_derivs_analytic():
@@ -154,11 +154,11 @@ def test_eval_mu_derivs_analytic():
     p = sample_paths(tg, 1, seed=5)
     # spatially constant coefficient: all derivatives vanish
     fields = space_fields(spec_1d("const(2.0) * const(3.0)"), g)
-    grad, lap, gvec = (a[0] for a in eval_mu_derivs(fields, p, range(3, 4)))
+    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(3, 4)))
     assert np.all(grad[0] == 0.0) and np.all(lap == 0.0) and np.all(gvec[0] == 0.0)
     # sine mode: exact analytic derivatives
     cs = spec_1d("const(1.0) * sin(1)")
-    grad, lap, gvec = (a[0] for a in eval_mu_derivs(space_fields(cs, g), p, range(3, 4)))
+    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(space_fields(cs, g), [p], range(3, 4)))
     x = g.meshes()[0]
     beta = p.values[0, 3]
     assert np.allclose(grad[0], np.pi * np.cos(np.pi * x) * beta)
@@ -173,8 +173,8 @@ def test_analytic_derivs_match_grid_operators():
     p = sample_paths(tg, 2, seed=6)
     cs = spec_1d("const(0.7) * sin(2)", "linear(0.2,0.5) * poly(0.1,0.3,-0.2)")
     fields = space_fields(cs, g)
-    mu = eval_mu(fields, p, range(5, 6))[0]
-    grad, lap, _ = (a[0] for a in eval_mu_derivs(fields, p, range(5, 6)))
+    mu = eval_mu(fields, [p], range(5, 6))[0, 0]
+    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(5, 6)))
     fd_grad = apply_gradient(g, mu)[0]
     fd_lap = apply_laplacian(g, mu)
     scale = max(np.max(np.abs(grad[0])), 1e-12)
@@ -204,17 +204,21 @@ def test_block_rows_equal_one_row_blocks(dim, texts):
     lengths = [1.0, 1.5][:dim]
     g = build_grid(dim, lengths, 9, NEUMANN)
     fields = space_fields(CoeffSpec(tuple(parse_coefficient(t, lengths) for t in texts)), g)
-    p = sample_paths(TimeGrid(0.3, 12), len(texts), seed=21)
+    p, q = (sample_paths(TimeGrid(0.3, 12), len(texts), seed=21, path_id=i) for i in (0, 1))
     for fn in (eval_mu, eval_mu_tilde, eval_noise, lambda *a: eval_mu_derivs(*a)[0],
                lambda *a: eval_mu_derivs(*a)[1], lambda *a: eval_mu_derivs(*a)[2]):
-        block = fn(fields, p, range(3, 13))  # through the last node
-        assert block.shape[0] == 10 and block.shape[-1] == g.n_nodes
+        block = fn(fields, [p], range(3, 13))  # through the last node
+        assert block.shape[:2] == (10, 1) and block.shape[-1] == g.n_nodes
         for i, n in enumerate(range(3, 13)):
-            assert np.array_equal(block[i], fn(fields, p, range(n, n + 1))[0])
+            assert np.array_equal(block[i], fn(fields, [p], range(n, n + 1))[0])
+        # each path of a stack gets what it gets alone
+        both = fn(fields, [p, q], range(3, 13))
+        assert np.array_equal(both[:, :1], block)
+        assert np.array_equal(both[:, 1:], fn(fields, [q], range(3, 13)))
     # the noise factor of node n uses the increment to n + 1, and none at the last node
-    last = eval_noise(fields, p, range(12, 13))[0]
+    last = eval_noise(fields, [p], range(12, 13))[0, 0]
     assert np.all(last == 0.0)
-    one = eval_noise(fields, p, range(4, 5))[0]
+    one = eval_noise(fields, [p], range(4, 5))[0, 0]
     expect = sum(p.increments[k, 4] * c.time.value(4 * p.tg.dt) * fields.value[k]
                  for k, c in enumerate(fields.coefficients))
     assert np.allclose(one, expect, rtol=1e-14, atol=0.0)

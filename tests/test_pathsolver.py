@@ -14,6 +14,7 @@ from svilab.pathsolver import (
     InitialData,
     ProblemSpec,
     SolveConfig,
+    _march,
     build_implicit_solver,
     direct_em_solve,
     solve_path,
@@ -30,21 +31,27 @@ def coeffs1(text):
     return CoeffSpec((parse_coefficient(text, [1.0]),))
 
 
+def zero_stack(grid, source=None):
+    """zero_coeffs as the record of a stack of one state."""
+    c = zero_coeffs(grid, source=source)
+    return replace(c, **{k: v[None] for k, v in vars(c).items() if isinstance(v, np.ndarray)})
+
+
 def march(grid, x, cfg, n_steps, source=None):
     solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
-    y = x.copy()
+    y = x[None]
     src = source if source is not None else grid.zeros()
     for _ in range(n_steps):
-        y = step_interior(grid, y, zero_coeffs(grid, source=src), cfg, solver).y
-    return y
+        y = step_interior(grid, y, zero_stack(grid, source=src), cfg, solver).y
+    return y[0]
 
 
 def test_step_zero_fixed_point():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     cfg = SolveConfig(dt=1e-3)
-    y1, iters, resid = step_interior(g, g.zeros(), zero_coeffs(g), cfg)[:3]
+    y1, iters, resid = step_interior(g, g.zeros()[None], zero_stack(g), cfg)[:3]
     assert np.all(y1 == 0.0)
-    assert resid <= cfg.newton_tol
+    assert resid[0] <= cfg.newton_tol
 
 
 def test_step_heat_eigen_decay_oracle():
@@ -58,7 +65,7 @@ def test_step_heat_eigen_decay_oracle():
         dt = 2e-4
         cfg = SolveConfig(dt=dt, theta=theta)
         x = np.sin(np.pi * g.meshes()[0])
-        y1 = step_interior(g, x, zero_coeffs(g), cfg).y
+        y1 = step_interior(g, x[None], zero_stack(g), cfg).y[0]
         factor_h = (1.0 + (1.0 - theta) * dt * lam_h) / (1.0 - theta * dt * lam_h)
         assert np.allclose(y1, factor_h * x, atol=1e-12)
         # continuous-eigenvalue version agrees within spatial error
@@ -89,11 +96,20 @@ def test_step_pinned_by_negative_forcing():
 
 
 def test_stability_guard_raises():
+    # without refinement the march's guard stops the path: mu = 50 W(t) sin(2 pi x)
+    # has dt*sup|g|/h well above 1 once W leaves 0
     g = build_grid(1, [1.0], 31, DIRICHLET)
-    cfg = SolveConfig(dt=0.1)
-    gfield = np.full((1, g.n_nodes), 5.0)  # dt*sup|g|/h = 0.1*5/(1/32) = 16
-    with pytest.raises(StabilityError):
-        step_interior(g, g.zeros(), replace(zero_coeffs(g), g=gfield, g_sup=np.array([5.0])), cfg)
+    tg = TimeGrid(0.1, 20)
+    paths = sample_paths(tg, 1, seed=1)
+
+    def rule(y, c, c_next, cfg, solver):
+        return step_interior(g, y, c, cfg, solver)
+
+    (out,) = _march(g, tg, coeffs1("const(50.0) * sin(2)"), ReactionSpec(), ForcingSpec(),
+                    InitialData("sine", 1.0), SolveConfig(dt=tg.dt, mu_cap=1e3), [paths],
+                    lambda grid, tg, fields, p: (0, p), rule)
+    assert isinstance(out, StabilityError)
+    assert str(out).startswith("time step violates the transport restriction")
 
 
 @pytest.mark.parametrize("forcing", [ForcingSpec(), ForcingSpec("const", -1.0)],

@@ -94,9 +94,9 @@ def test_effective_reaction_term_oracle():
     ))
     t = tg.nodes[5]
     fields = space_fields(cs, g)
-    mu = eval_mu(fields, p, range(5, 6))[0]
-    mt = eval_mu_tilde(fields, p, range(5, 6))[0]
-    grad, lap, _ = (a[0] for a in eval_mu_derivs(fields, p, range(5, 6)))
+    mu = eval_mu(fields, [p], range(5, 6))[0, 0]
+    mt = eval_mu_tilde(fields, [p], range(5, 6))[0, 0]
+    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(5, 6)))
     rng = np.random.default_rng(3)
     y = rng.normal(size=g.n_nodes)
     out = _reaction(ReactionSpec("zero"), mu, mt, grad, lap, t, y)
@@ -115,9 +115,9 @@ def test_effective_reaction_linear_growth_bound():
     for idx in (2, 5, 8):
         t = tg.nodes[idx]
         fields = space_fields(cs, g)
-        mu = eval_mu(fields, p, range(idx, idx + 1))[0]
-        mt = eval_mu_tilde(fields, p, range(idx, idx + 1))[0]
-        grad, lap, _ = (a[0] for a in eval_mu_derivs(fields, p, range(idx, idx + 1)))
+        mu = eval_mu(fields, [p], range(idx, idx + 1))[0, 0]
+        mt = eval_mu_tilde(fields, [p], range(idx, idx + 1))[0, 0]
+        grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(idx, idx + 1)))
         alpha_bar = rs.alpha + np.max(np.abs(mt)) + np.max(grad[0] ** 2 + np.abs(lap))
         y = rng.normal(size=g.n_nodes)
         out = _reaction(rs, mu, mt, grad, lap, t, y)
