@@ -30,8 +30,10 @@ from .pathsolver import (
     InitialData,
     ProblemSpec,
     SolveConfig,
-    direct_em_solve,
-    solve_path,
+    direct_em_batch,
+    direct_em_solve,  # noqa: F401  (bound here for perfbench's tracer, whose selftest wraps it)
+    solve_path,  # noqa: F401  (likewise)
+    solve_path_batch,
 )
 from .signorini import assemble_coeffs, build_boundary_data, mass, probe_form_constants
 from .stefan import StefanData, baiocchi_forward, similarity_oracle, solve_stefan_svi
@@ -148,32 +150,37 @@ def check_energy(workers: int = 1):
 # 5 --------------------------------------------------------------------------
 
 
-def _consistency_gaps(spec, pid):
-    master = spec.sample(pid)
-    gaps = []
-    for n_steps in (spec.n_steps, 2 * spec.n_steps):
-        g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
-        args_ = (g, tg, cs, spec.reaction, spec.forcing, spec.initial, cfg, master)
-        tr = solve_path(*args_)
-        em = direct_em_solve(*args_)
-        gaps.append(norm_l2(g, em.X[-1] - tr.X[-1]))
-    return pid, gaps[0], gaps[1]
-
-
 def _consistency_worker(args):
     spec, first, stop = args
-    return [_consistency_gaps(spec, pid) for pid in range(first, stop)]
+    masters = [spec.sample(pid) for pid in range(first, stop)]
+    marches = []  # transform, then EM, at n_steps and at 2 n_steps: a path's solo order
+    for n_steps in (spec.n_steps, 2 * spec.n_steps):
+        g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
+        args_ = (g, tg, cs, spec.reaction, spec.forcing, spec.initial, cfg, masters)
+        marches += [solve_path_batch(*args_), direct_em_batch(*args_)]
+    rows = []
+    for pid, (tr1, em1, tr2, em2) in zip(range(first, stop), zip(*marches)):
+        for out in (tr1, em1, tr2, em2):  # what the four solves one by one would raise first
+            if isinstance(out, NumericalFailure):
+                raise out
+        rows.append((pid, norm_l2(g, em1.X[-1] - tr1.X[-1]), norm_l2(g, em2.X[-1] - tr2.X[-1])))
+    return rows
 
 
 def check_transform_consistency(workers: int = 1):
     """Direct Euler-Maruyama vs the transform route with shared increments:
     the T-time X gap shrinks by a factor in [1.5, 3] when dt halves,
-    averaged over 100 paths."""
+    averaged over 100 paths.  Each job of contiguous path ids makes four
+    batched marches, transform and EM at both dt, over the master paths of
+    the whole job; jobs are sized on the finer march."""
     spec = ProblemSpec(
         n=63, T=0.25, n_steps=125, coefficients=_c1("const(0.3) * sin(2)"),
         seed=4444, initial=InitialData("sine", 1.0), headroom=8,
     )
-    results = map_paths(_consistency_worker, path_batches(spec, 100, workers), workers)
+    # every job carries this spec: its master paths have n_steps * headroom nodes
+    fine = path_batches(replace(spec, n_steps=2 * spec.n_steps), 100, workers)
+    jobs = [(spec, lo, stop) for _, lo, stop in fine]
+    results = map_paths(_consistency_worker, jobs, workers)
     e1 = np.array([r[1] for r in results])
     e2 = np.array([r[2] for r in results])
     factor = float(e1.mean() / e2.mean())

@@ -3,15 +3,16 @@ alone: y, eta, mu, Newton counts and residuals by np.array_equal, and a
 failing path leaves the batch with the error its own solve raises."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from svilab import analysis
+from svilab import analysis, verify
 from svilab.errors import NumericalFailure, StabilityError
-from svilab.grid import DIRICHLET, NEUMANN, build_grid
+from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths, space_fields
 from svilab.pathsolver import (
     ForcingSpec,
@@ -23,6 +24,7 @@ from svilab.pathsolver import (
     coeff_block,
     direct_em_batch,
     direct_em_solve,
+    solve_path,
     step_interior,
     transport_failure,
 )
@@ -180,6 +182,66 @@ def test_em_batch_of_three():
             SolveConfig(dt=tg.dt, theta=0.75))
     paths = [sample_paths(TimeGrid(0.1, 200), 1, seed=11, path_id=pid) for pid in range(3)]
     _assert_same(direct_em_batch(*args, paths), [direct_em_solve(*args, p) for p in paths])
+
+
+def _solo_gaps(spec, pid):
+    """A path's consistency gaps from four solo solves on its master path:
+    transform, then EM, at n_steps and at 2 n_steps."""
+    master = spec.sample(pid)
+    gaps = []
+    for n_steps in (spec.n_steps, 2 * spec.n_steps):
+        g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
+        args = (g, tg, cs, spec.reaction, spec.forcing, spec.initial, cfg, master)
+        tr = solve_path(*args)
+        em = direct_em_solve(*args)
+        gaps.append(norm_l2(g, em.X[-1] - tr.X[-1]))
+    return pid, gaps[0], gaps[1]
+
+
+def test_consistency_worker_gaps_equal_solo_solves():
+    spec = ProblemSpec(
+        n=31, T=0.2, n_steps=40, seed=5,
+        coefficients=(parse_coefficient("const(1.5) * sin(2)", [1.0]),),
+        reaction=ReactionSpec("saturating", 0.5), initial=InitialData("sine", 1.0),
+    )
+    solo = [_solo_gaps(spec, pid) for pid in range(7)]
+    levels = {spec.solve(pid).diagnostics.refine_level for pid in range(7)}
+    assert levels >= {0, 1, 2}  # the transform marches mix halving levels
+    split = verify._consistency_worker((spec, 0, 3)) + verify._consistency_worker((spec, 3, 7))
+    assert split == solo
+    assert verify._consistency_worker((spec, 0, 7)) == solo
+
+
+def test_transform_consistency_rows_do_not_depend_on_workers():
+    one = verify.check_transform_consistency(workers=1)
+    assert all(passed for *_, passed in one)
+    # the values of four solo solves per path, each on the path's master path
+    assert (one[0][1], one[2][1]) == (1.7671980670322074, 0.96)
+    assert repr(verify.check_transform_consistency(workers=2)) == repr(one)
+
+
+def test_consistency_worker_raises_the_solo_loops_first_failure():
+    # the check's spec with mu = 0.3 W(t) sin(2 pi x) capped at 0.11: path 26
+    # peaks at 0.104 on the n_steps grid and at 0.114 on the finer one, so it
+    # fails only at 2 n_steps, while paths 27-31 fail already at n_steps and
+    # path 32 passes
+    spec = ProblemSpec(
+        n=63, T=0.25, n_steps=125,
+        coefficients=(parse_coefficient("const(0.3) * sin(2)", [1.0]),), seed=4444,
+        initial=InitialData("sine", 1.0), headroom=8, mu_cap=0.11,
+    )
+    ids = range(26, 33)
+    with pytest.raises(NumericalFailure) as solo:
+        for pid in ids:
+            _solo_gaps(spec, pid)
+    with pytest.raises(NumericalFailure) as batched:
+        verify._consistency_worker((spec, ids.start, ids.stop))
+    assert str(batched.value) == str(solo.value)
+    first_march = spec.solve_paths(ids)  # the transform route at n_steps
+    assert not isinstance(first_march[0], NumericalFailure)
+    assert all(isinstance(out, NumericalFailure) for out in first_march[1:-1])
+    assert str(first_march[1]) != str(solo.value)
+    _solo_gaps(spec, ids[-1])
 
 
 def _load_spans():
