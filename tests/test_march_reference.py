@@ -1,8 +1,12 @@
 """Regression of the time march against recorded trajectories: the first
 five cases from before the three solvers (interior, Signorini,
 Euler-Maruyama) shared one march, the `seams_*` cases from before the
-march evaluated its coefficients in blocks of run-grid rows.  Each
-`seams_*` run grid spans several blocks, so steps cross block seams.
+march evaluated its coefficients in blocks of run-grid rows, the 2D
+`signorini_2d` and `contact_2d` cases from before the 2D linear solve left
+scipy's `cg`.  Each `seams_*` run grid spans several blocks, so steps cross
+block seams.  `signorini_2d` puts boundary contact and the Robin diagonal
+through the 2D solve; `contact_2d` fills most of the domain with the active
+set at eps = 1e-4, with several Newton iterations per step.
 
 Record cases (all of them without names) from a checkout of the solver to
 compare against; the file keeps the arrays of the cases not named:
@@ -114,6 +118,26 @@ def _seams_em():
                            sample_paths(TimeGrid(0.1, 280), 2, seed=1))
 
 
+def _signorini_2d():
+    g = build_grid(2, [1.0, 1.0], 15, NEUMANN)
+    tg = TimeGrid(0.05, 20)
+    return solve_signorini_path(g, tg, _cs("const(0.5) * cos(1) * cos(1)", lengths=(1.0, 1.0)),
+                                ReactionSpec("linear", 0.3), ForcingSpec("edge", -2.0, width=0.15),
+                                InitialData("cutoff", 1.0, radius=0.3),
+                                SolveConfig(dt=tg.dt, theta=0.75, eps=1e-3),
+                                sample_paths(TimeGrid(0.05, 160), 1, seed=12))
+
+
+def _contact_2d():
+    g = build_grid(2, [1.0, 1.0], 31, DIRICHLET)
+    tg = TimeGrid(0.05, 25)
+    return solve_path(g, tg, _cs("const(0.5) * sin(1) * sin(1)", lengths=(1.0, 1.0)),
+                      ReactionSpec(), ForcingSpec("const", -1.0),
+                      InitialData("cone", 0.3, center=(0.3, 0.3), radius=0.2),
+                      SolveConfig(dt=tg.dt, eps=1e-4),
+                      sample_paths(TimeGrid(0.05, 200), 1, seed=21))
+
+
 # name -> (solve, also compare the diagnostics of the transformed schemes)
 CASES = {
     "refined_1d": (_refined_1d, True),
@@ -124,6 +148,8 @@ CASES = {
     "seams_1d": (_seams_1d, True),
     "seams_signorini": (_seams_signorini, True),
     "seams_em": (_seams_em, False),
+    "signorini_2d": (_signorini_2d, True),
+    "contact_2d": (_contact_2d, True),
 }
 # the fewest coefficient blocks each seams_* run grid must span
 SEAMS = {"seams_1d": 3, "seams_signorini": 2, "seams_em": 2}
@@ -150,6 +176,16 @@ def test_march_matches_reference(name, reference):
         else ("y", "mu")
     for key in keys:
         assert np.array_equal(got[key], reference[f"{name}/{key}"]), key
+
+
+def test_reference_2d_cases_reach_contact():
+    with np.load(REFERENCE) as data:
+        y = data["signorini_2d/y"]
+        boundary = build_grid(2, [1.0, 1.0], 15, NEUMANN).boundary_mask
+        assert (y[:, boundary] < 0.0).any()
+        assert data["signorini_2d/newton_iters"].max() >= 2
+        assert (data["contact_2d/y"] < 0.0).any()
+        assert (data["contact_2d/newton_iters"] >= 2).sum() >= 5
 
 
 def test_reference_covers_refinement():
