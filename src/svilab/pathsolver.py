@@ -29,8 +29,9 @@ The Laplacian and the penalty are implicit, everything else explicit.  The
 diagonal monotone penalty is resolved by a semismooth Newton / active set
 iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system, row by row of the
-stack: tridiagonal LAPACK solves in 1D, conjugate gradients on the 5-point
-matrix in 2D.
+stack: tridiagonal LAPACK solves in 1D; in 2D `conjugate_gradients`, an
+in-house unpreconditioned CG on the 5-point matrix that matches scipy's `cg`
+bit for bit.
 
 The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
@@ -42,13 +43,13 @@ guard on every coefficient block; the step rules do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import cg as sparse_cg
 
 from . import grid as gridmod
 from . import noise as noisemod
@@ -285,15 +286,59 @@ class PathSolution:
 # linear algebra: (A + diag(d)) x = b with A = I - dt*theta*L fixed
 
 
+CG_RTOL = 1e-12  # CG stops once |b - M x| < CG_RTOL |b|
+
+
+def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | None,
+                        maxiter: int) -> np.ndarray:
+    """x with M x = b by unpreconditioned conjugate gradients from x0 (zeros
+    when None), for symmetric positive definite M.  Operation for operation
+    what scipy.sparse.linalg.cg(M, b, x0=x0, rtol=CG_RTOL, atol=0.0,
+    maxiter=maxiter) does, so it returns the same bits, without scipy's
+    operator wrappers; |r| is sqrt(r.r), so the rho of an iteration serves its
+    stopping test too.  Raises NumericalFailure when maxiter iterations do
+    not converge."""
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    bb = np.dot(b, b)
+    if bb == 0.0:
+        return b.copy()
+    atol = CG_RTOL * math.sqrt(bb)
+    r = b - M @ x if x.any() else b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        rho = np.dot(r, r)
+        if math.sqrt(rho) < atol:
+            return x
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = M @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise NumericalFailure(f"conjugate gradients failed to converge (info={maxiter})")
+
+
 class ImplicitSolver:
     def __init__(self, A: sparse.csr_matrix, dim: int):
         self.A = A.tocsr()
         self.dim = dim
         self.n = A.shape[0]
+        self._main = self.A.diagonal().copy()
         if dim == 1:
-            self._main = self.A.diagonal().copy()
             self._lower = self.A.diagonal(-1).copy()
             self._upper = self.A.diagonal(1).copy()
+        else:
+            # the CG matrix: a copy of A whose diagonal entries, at _diag_at in its
+            # data, each solve overwrites with A's diagonal plus its own
+            self._M = self.A.copy()
+            rows = np.repeat(np.arange(self.n), np.diff(self._M.indptr))
+            self._diag_at = np.flatnonzero(self._M.indices == rows)
+            if not np.array_equal(rows[self._diag_at], np.arange(self.n)):
+                raise ValueError("every row of A needs exactly one stored diagonal entry")
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """A y, of a field or of each row of a stack."""
@@ -303,9 +348,10 @@ class ImplicitSolver:
         """x with (A + diag(extra_diag[r])) x[r] = b[r] for each row r of a
         stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
         and one super-diagonal, without its argument checks), in one call for
-        all rows without an extra diagonal; conjugate gradients from x0 in 2D,
-        row by row.  Returns x and the rows whose solve failed, each with its
-        error (their rows of x are meaningless)."""
+        all rows without an extra diagonal; in 2D `conjugate_gradients` from
+        x0, row by row, an in-house unpreconditioned CG that returns the bits
+        of scipy's `cg` at rtol CG_RTOL.  Returns x and the rows whose solve
+        failed, each with its error (their rows of x are meaningless)."""
         x = np.zeros_like(b)
         rows = range(len(b))  # the rows solved one at a time
         if self.dim == 1:
@@ -333,12 +379,8 @@ class ImplicitSolver:
     def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
         if self.dim == 1:  # b as a column, which gtsv takes without a copy
             return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
-        M = self.A.copy()
-        M.setdiag(M.diagonal() + extra_diag)
-        x, info = sparse_cg(M, b, x0=x0, rtol=1e-12, atol=0.0, maxiter=20 * self.n)
-        if info != 0:
-            raise NumericalFailure(f"conjugate gradients failed to converge (info={info})")
-        return x
+        self._M.data[self._diag_at] = self._main + extra_diag
+        return conjugate_gradients(self._M, b, x0, 20 * self.n)
 
 
 def build_implicit_solver(grid: Grid, dt: float, theta: float) -> ImplicitSolver:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import cg as scipy_cg
 
 from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
@@ -13,9 +15,11 @@ from svilab.pathsolver import (
     ForcingSpec,
     InitialData,
     ProblemSpec,
+    ImplicitSolver,
     SolveConfig,
     _march,
     build_implicit_solver,
+    conjugate_gradients,
     direct_em_solve,
     solve_path,
     step_interior,
@@ -313,6 +317,99 @@ def test_solve_path_2d_smoke():
                      InitialData("sine", 1.0), cfg, sample_paths(tg, 0, seed=0))
     exact = np.exp(-2.0 * np.pi**2 * tg.T) * base
     assert np.max(np.abs(det.y[-1] - exact)) <= 5e-3
+
+
+def scipy_cg_solve(M, b, x0, maxiter):
+    """scipy's cg at the settings the in-house CG reproduces, raising as
+    ImplicitSolver does."""
+    x, info = scipy_cg(M, b, x0=x0, rtol=1e-12, atol=0.0, maxiter=maxiter)
+    if info != 0:
+        raise NumericalFailure(f"conjugate gradients failed to converge (info={info})")
+    return x
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def with_diag(A, d):
+    """A + diag(d) as the 2D solve built it before it wrote A's diagonal in place."""
+    M = A.copy()
+    M.setdiag(M.diagonal() + d)
+    return M
+
+
+@pytest.fixture
+def solver_2d():
+    return build_implicit_solver(build_grid(2, [1.0, 1.5], 15, NEUMANN), 2e-3, 0.75)
+
+
+def test_cg_matches_scipy_bits(solver_2d):
+    rng = np.random.default_rng(3)
+    n = solver_2d.n
+    M = with_diag(solver_2d.A, np.where(rng.random(n) < 0.3, 40.0, 0.0))
+    b = rng.normal(size=n)
+    x0 = rng.normal(size=n)
+    x0[::7] = -0.0
+    x0_in = x0.copy()
+    for start in (None, np.zeros(n), x0):
+        got = conjugate_gradients(M, b, start, 20 * n)
+        assert same_bits(got, scipy_cg_solve(M, b, start, 20 * n))
+    assert same_bits(x0, x0_in)  # x0 is not written
+
+
+def test_cg_zero_rhs_returns_it(solver_2d):
+    b = np.zeros(solver_2d.n)
+    b[::3] = -0.0
+    x0 = np.ones(solver_2d.n)
+    for start in (None, x0):
+        got = conjugate_gradients(solver_2d.A, b, start, 20 * solver_2d.n)
+        assert same_bits(got, scipy_cg_solve(solver_2d.A, b, start, 20 * solver_2d.n))
+        assert same_bits(got, b) and got is not b
+
+
+def test_cg_exhausted_cap_raises_scipy_message(solver_2d):
+    b = np.random.default_rng(4).normal(size=solver_2d.n)
+    with pytest.raises(NumericalFailure) as ref:
+        scipy_cg_solve(solver_2d.A, b, None, 3)
+    with pytest.raises(NumericalFailure) as got:
+        conjugate_gradients(solver_2d.A, b, None, 3)
+    assert str(got.value) == str(ref.value) == \
+        "conjugate gradients failed to converge (info=3)"
+    # the cap counts as scipy's: k updates converge, yet a cap of k ends before
+    # the test that would accept the k-th iterate
+    k = []
+    scipy_cg(solver_2d.A, b, rtol=1e-12, atol=0.0, callback=k.append)
+    with pytest.raises(NumericalFailure, match=f"info={len(k)}"):
+        conjugate_gradients(solver_2d.A, b, None, len(k))
+    assert same_bits(conjugate_gradients(solver_2d.A, b, None, len(k) + 1),
+                     scipy_cg_solve(solver_2d.A, b, None, len(k) + 1))
+
+
+def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
+    rng = np.random.default_rng(5)
+    n = solver_2d.n
+    A_data = solver_2d.A.data.copy()
+    extra = np.zeros((4, n))
+    extra[1] = np.where(rng.random(n) < 0.5, 2e-3 / 1e-4, 0.0)
+    extra[3] = rng.random(n)
+    b = rng.normal(size=(4, n))
+    for x0 in (None, rng.normal(size=(4, n))):
+        x, failures = solver_2d.solve(extra, b, x0=x0)
+        assert not failures
+        for row in range(4):
+            want = scipy_cg_solve(with_diag(solver_2d.A, extra[row]), b[row],
+                                  None if x0 is None else x0[row], 20 * n)
+            assert same_bits(x[row], want), row
+    # the rewritten diagonal lives in a copy: A, which `apply` uses, is untouched
+    assert np.array_equal(solver_2d.A.data, A_data)
+
+
+def test_implicit_solver_2d_needs_stored_diagonal():
+    A = sparse.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
+    assert A.indices.size == 6  # row 1 stores no diagonal entry
+    with pytest.raises(ValueError, match="diagonal"):
+        ImplicitSolver(A, 2)
 
 
 def test_boundary_lift_linear_profile():
