@@ -300,7 +300,11 @@ class CsvWriter:
 
     def __init__(self, out_dir: Path, config_sha: str):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"output.dir = {str(self.out_dir)!r} cannot be made a "
+                              f"directory: {exc.strerror}")
         self.comment = f"# config_sha256={config_sha} version={__version__}\n"
 
     def write(self, name: str, header: list[str], rows) -> Path:
@@ -323,7 +327,11 @@ def _trajectory_blocks(sol: PathSolution):
     """trajectory.csv lines in blocks, bytes equal to formatting each cell by _fmt.
 
     "%.17g" % x and format(x, ".17g") print a float alike, and "%d" % j is
-    str(j).  t and the node columns repeat, so they are formatted once.
+    str(j).  t and the node columns repeat, so they are formatted once.  The
+    y, X and eta cells of a block repeat too (X has the bits of y where mu is
+    0, eta is mostly 0), so each distinct value of a block is formatted once.
+    Values are told apart by bit pattern, not by float equality: equality
+    would merge 0.0 with -0.0 and print "0" where "-0" is due.
     """
     g = sol.grid
     xs = g.meshes()
@@ -332,15 +340,21 @@ def _trajectory_blocks(sol: PathSolution):
     times = ["%.17g" % t for t in sol.tg.nodes.tolist()]
     columns = (sol.y, sol.X, sol.eta_X)
     steps = max(1, _BLOCK_ROWS // g.n_nodes)
-    line = "%s,%s%.17g,%.17g,%.17g\n"
+    line = "%s,%s%s,%s,%s\n"
     for n0 in range(0, len(times), steps):
         block = times[n0:n0 + steps]
         rows = len(block) * g.n_nodes
+        # 1-D, so the inverse is 1-D on every numpy version
+        cells = np.concatenate([col[n0:n0 + len(block)].ravel() for col in columns],
+                               dtype=np.float64)
+        bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+        strings = text[inverse].tolist()
         values = [None] * (5 * rows)
         values[0::5] = [t for t in block for _ in nodes]
         values[1::5] = nodes * len(block)
-        for k, col in enumerate(columns, start=2):
-            values[k::5] = col[n0:n0 + len(block)].ravel().tolist()
+        for k in range(3):
+            values[2 + k::5] = strings[k * rows:(k + 1) * rows]
         yield (line * rows) % tuple(values)
 
 
@@ -543,7 +557,6 @@ def _mode_verify(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def dispatch(cfg: RunConfig, quiet: bool = False) -> int:
-    writer = CsvWriter(cfg.out_dir, cfg.config_sha)
     handlers = {
         "run": _mode_run,
         "ensemble": _mode_ensemble,
@@ -554,6 +567,7 @@ def dispatch(cfg: RunConfig, quiet: bool = False) -> int:
         "verify": _mode_verify,
     }
     try:
+        writer = CsvWriter(cfg.out_dir, cfg.config_sha)
         return handlers[cfg.mode](cfg, writer, quiet)
     except ConfigError as exc:
         for msg in exc.messages:

@@ -1,6 +1,8 @@
 import configparser
 import contextlib
+import hashlib
 import io
+import json
 import textwrap
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from svilab.cli import (_SCHEMA, MODES, CsvWriter, RunConfig, dispatch, main, pa
 from svilab.errors import ConfigError
 from svilab.noise import parse_coefficient
 from svilab.pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = textwrap.dedent(
     """
@@ -192,6 +196,10 @@ def test_trajectory_blocks_match_per_cell_format(tmp_path, dim, n, n_steps):
     assert_trajectory_bytes(tmp_path, sol)
 
 
+# +0.0 and -0.0 in one block, NaNs with either sign bit, and other edge values
+SPECIAL = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324, 1e300]
+
+
 @pytest.mark.parametrize("dim, n, n_steps", [
     (1, 63, 300),  # 301 time steps are not a whole number of blocks
     (2, 91, 2),    # 8281 nodes: one time step is more rows than a block
@@ -203,12 +211,27 @@ def test_trajectory_blocks_match_per_cell_format_on_special_values(tmp_path, dim
     rng = np.random.default_rng(5)
     shape = (tg.N + 1, g.n_nodes)
     y, eta, mu = rng.standard_normal(shape), rng.random(shape), rng.standard_normal(shape)
-    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
     for n0 in (0, steps_per_block, tg.N):  # first, second and last block
-        y[n0, :len(special)] = special
-        eta[n0, -len(special):] = special
-        mu[n0, :len(special)] = mu[n0, -len(special):] = 0.0  # e^mu keeps them as they are
+        y[n0, :len(SPECIAL)] = SPECIAL
+        eta[n0, -len(SPECIAL):] = SPECIAL
+        mu[n0, :len(SPECIAL)] = mu[n0, -len(SPECIAL):] = 0.0  # e^mu keeps them as they are
     sol = PathSolution(grid=g, tg=tg, y=y, eta=eta, mu=mu, diagnostics=None)
+    assert np.signbit(sol.X[0, :4]).tolist() == [False, True, False, True]
+    assert_trajectory_bytes(tmp_path, sol)
+
+
+def test_trajectory_blocks_match_per_cell_format_when_x_repeats_y(tmp_path):
+    # mu = 0 gives X the bits of y, and eta = 0 is one value in every block,
+    # while y holds both zeros: a dedupe by float value would print one of
+    # them with the other's sign
+    g, tg, _, _ = ProblemSpec(dim=1, lengths=(1.0,), n=63, n_steps=300).build()
+    shape = (tg.N + 1, g.n_nodes)
+    y = np.random.default_rng(6).standard_normal(shape)
+    y[::7, :len(SPECIAL)] = SPECIAL
+    sol = PathSolution(grid=g, tg=tg, y=y, eta=np.zeros(shape), mu=np.zeros(shape),
+                       diagnostics=None)
+    assert np.array_equal(sol.X.view(np.int64), y.view(np.int64))
+    assert not np.signbit(sol.eta_X).any()
     assert_trajectory_bytes(tmp_path, sol)
 
 
@@ -436,6 +459,31 @@ def test_missing_config_file():
     assert main(["--config", "/nonexistent/x.cfg", "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("by_flag", [True, False], ids=["out_flag", "output_dir"])
+def test_output_dir_that_cannot_be_a_directory(tmp_path, capsys, below, by_flag):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    conf = write(tmp_path, MINIMAL.format(out=tmp_path / "out" if by_flag else out))
+    code = main(["--config", str(conf), "--quiet"] + (["--out", str(out)] if by_flag else []))
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("config error: output.dir")
+    assert str(out) in errors[0]
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name", ["heat", "stefan_benchmark"])
+def test_shipped_trajectory_matches_the_benchmark_digest(tmp_path, name):
+    """trajectory.csv data of a shipped config hashes to the digest the
+    benchmark gates on (sha256 after the provenance line)."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["trajectory"]
+    assert main(["--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    with open(tmp_path / "trajectory.csv", "rb") as fh:
+        assert fh.readline().startswith(b"# config_sha256=")
+        assert hashlib.sha256(fh.read()).hexdigest() == reference[name]
 
 
 @pytest.mark.parametrize("flag, value, key, in_file", [
@@ -537,8 +585,8 @@ def test_main_writes_the_overridden_hash(tmp_path):
     assert heads[1] != heads[0]
 
 
-@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parent.parent
-                                        .joinpath("configs").glob("*.cfg")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(ROOT.joinpath("configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
 def test_shipped_config_parses_and_builds(path):
     cfg = parse_config(path)
     cfg.problem_spec().build()
