@@ -18,7 +18,13 @@ from . import grid as gridmod
 from .errors import NumericalFailure
 from .grid import Grid
 from .noise import TimeGrid
-from .pathsolver import InitialData, PathSolution, ProblemSpec, solve_path
+from .pathsolver import (
+    InitialData,
+    PathSolution,
+    ProblemSpec,
+    solve_path,  # noqa: F401  (bound here for perfbench's tracer, whose selftest wraps it)
+    solved,
+)
 
 ENERGY_SLACK_DEFAULT = 10.0
 
@@ -172,24 +178,16 @@ def fit_rate(eps: np.ndarray, errors: np.ndarray) -> RateFit:
 def cauchy_rate_study(spec: ProblemSpec, eps_list, path_id: int = 0) -> RateFit:
     """Errors against the reference solve at eps_min/4 on one shared path.
 
-    All member solves share the Brownian realization and the time step; the
-    sup-in-time L2 distance to the reference is fitted log-log in eps.
+    All member solves share the Brownian realization and the time step, in
+    one march with one eps per row, the reference first; the sup-in-time L2
+    distance to the reference is fitted log-log in eps.
     """
     eps_arr = np.array(sorted(set(float(e) for e in eps_list), reverse=True))
     if len(eps_arr) < 4:
         raise ValueError(f"need at least 4 eps values, got {len(eps_arr)}")
-    g, tg, cs, cfg = spec.build()
-    paths = spec.sample(path_id)
-
-    def run(eps):
-        return solve_path(g, tg, cs, spec.reaction, spec.forcing, spec.initial,
-                          replace(cfg, eps=eps), paths)
-
-    ref = run(eps_arr[-1] / 4.0)
-    errors = np.empty(len(eps_arr))
-    for i, eps in enumerate(eps_arr):
-        sol = run(eps)
-        errors[i] = np.max(gridmod.norm_l2(g, sol.y - ref.y))
+    sweep = (eps_arr[-1] / 4.0, *eps_arr.tolist())
+    ref, *sols = solved(replace(spec, eps=sweep).solve_paths([path_id] * len(sweep)))
+    errors = np.array([np.max(gridmod.norm_l2(ref.grid, sol.y - ref.y)) for sol in sols])
     return fit_rate(eps_arr, errors)
 
 

@@ -310,11 +310,15 @@ class CsvWriter:
     def write(self, name: str, header: list[str], rows) -> Path:
         """rows holds value tuples, one per line, or text blocks of whole lines."""
         path = self.out_dir / name
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.comment)
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(row if isinstance(row, str) else (",".join(map(_fmt, row)) + "\n"))
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(self.comment)
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(row if isinstance(row, str) else (",".join(map(_fmt, row)) + "\n"))
+        except OSError as exc:  # a directory in the way, no permission, a full disk
+            raise ConfigError(f"output.dir = {str(self.out_dir)!r}: cannot write {name}: "
+                              f"{exc.strerror}")
         return path
 
 
@@ -568,17 +572,18 @@ def dispatch(cfg: RunConfig, quiet: bool = False) -> int:
     }
     try:
         writer = CsvWriter(cfg.out_dir, cfg.config_sha)
-        return handlers[cfg.mode](cfg, writer, quiet)
+        try:
+            return handlers[cfg.mode](cfg, writer, quiet)
+        except NumericalFailure as exc:  # its summary may fail to write, as a ConfigError
+            write_summary(writer, [("numerical_failure", 1.0, 0.0, False),
+                                   ("message: " + str(exc).replace(",", ";"), 0.0, 0.0, False)])
+            if not quiet:
+                print(f"FAIL numerical: {exc}", file=sys.stderr)
+            return 2
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
-    except NumericalFailure as exc:
-        write_summary(writer, [("numerical_failure", 1.0, 0.0, False),
-                               ("message: " + str(exc).replace(",", ";"), 0.0, 0.0, False)])
-        if not quiet:
-            print(f"FAIL numerical: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv=None) -> int:

@@ -288,12 +288,6 @@ def boundary_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndarr
     return float(s) if s.ndim == 0 else s
 
 
-def boundary_norm_l2(grid: Grid, u: np.ndarray) -> float | np.ndarray:
-    """L2 norm of the boundary trace; zero on Dirichlet grids."""
-    r = np.sqrt(boundary_inner(grid, u, u))
-    return float(r) if r.ndim == 0 else r
-
-
 def laplacian_csr(grid: Grid):
     """Sparse matrix of apply_laplacian (reflected ghosts for Neumann)."""
     from scipy import sparse

@@ -22,8 +22,8 @@ which reads row views of the blocks, differs:
 - `signorini.step_signorini` (solve_signorini_path) moves the penalty and
   a Robin diagonal to the boundary nodes of a Neumann grid;
 - the Euler-Maruyama rule of direct_em_solve integrates the original
-  equation for cross-checks: implicit Laplacian, explicit reaction,
-  penalty and noise.
+  equation for cross-checks: implicit Laplacian and penalty, explicit
+  reaction and noise.
 
 The Laplacian and the penalty are implicit, everything else explicit.  The
 diagonal monotone penalty is resolved by a semismooth Newton / active set
@@ -32,6 +32,11 @@ terminates finitely on this piecewise-linear system, row by row of the
 stack: tridiagonal LAPACK solves in 1D; in 2D `conjugate_gradients`, an
 in-house unpreconditioned CG on the 5-point matrix that matches scipy's `cg`
 bit for bit.
+
+eps is one value for the batch or one per path.  The march carries it as a
+column beside the state, one row per path, and the step rules, Newton and
+beta_eps read each row's own value, so an eps sweep on one Brownian path is
+one march over copies of that path.
 
 The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
@@ -68,7 +73,7 @@ class SolveConfig:
 
     dt: float
     theta: float = 1.0
-    eps: float = 1e-3
+    eps: float | tuple[float, ...] = 1e-3  # or one per path of a batch
     newton_tol: float = 1e-10
     newton_max: int = 100
     mu_cap: float = 30.0
@@ -79,7 +84,8 @@ class SolveConfig:
             errors.append(f"dt must be > 0, got {self.dt}")
         if not 0.5 <= self.theta <= 1.0:
             errors.append(f"theta must lie in [0.5, 1], got {self.theta}")
-        if not self.eps > 0:
+        eps = np.asarray(self.eps, dtype=float)
+        if not (eps.size and np.all(eps > 0)):
             errors.append(f"eps must be > 0, got {self.eps}")
         if not self.newton_tol > 0:
             errors.append(f"newton_tol must be > 0, got {self.newton_tol}")
@@ -405,7 +411,7 @@ def newton_penalized_solve(
     solver: ImplicitSolver,
     rhs: np.ndarray,
     dt_scale: float | np.ndarray,
-    eps: float,
+    eps: float | np.ndarray,
     y_init: np.ndarray,
     newton_tol: float,
     newton_max: int,
@@ -416,7 +422,8 @@ def newton_penalized_solve(
 
     dt_scale is the nonnegative coefficient in front of the penalty, a
     scalar or one per node (dt for the interior obstacle; the boundary
-    geometric factor for Signorini, zero elsewhere).  Finite termination:
+    geometric factor for Signorini, zero elsewhere).  eps is a scalar or a
+    column with one value per row.  Finite termination:
     the system is piecewise linear with a monotone diagonal nonlinearity.  A
     row is accepted once its active set is stable and its residual is at
     most newton_tol * max(1, max|rhs|) over the row: round-off in the
@@ -439,11 +446,12 @@ def newton_penalized_solve(
     for it in range(1, newton_max + 1):
         sel = todo if todo.size < P else slice(None)
         b = base if linear_diag is None else base[sel]
-        y_sel, bad = solver.solve(b + np.where(active[sel], dt_scale / eps, 0.0), rhs[sel],
+        e = eps[sel] if np.ndim(eps) else eps
+        y_sel, bad = solver.solve(b + np.where(active[sel], dt_scale / e, 0.0), rhs[sel],
                                   x0=y[sel])
         y[sel] = y_sel
         new_active = (y_sel < 0.0) & penalized
-        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.beta_eps(y_sel, eps) - rhs[sel]
+        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.beta_eps(y_sel, e) - rhs[sel]
         resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
         iters[sel] = it
         going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))
@@ -606,7 +614,9 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     a batch of one.
     refine(grid, tg, fields, paths) returns a path's halving level and its
     path set on the run grid, or raises; without it the run grid is tg.
-    Paths at different levels march as separate batches.  The transport
+    Paths at different levels march as separate batches.  cfg.eps holds one
+    value or one per path; each batch hands the rule a run SolveConfig whose
+    eps is the column of its rows' values.  The transport
     guard, which refinement serves, is checked here, once per coefficient
     block, and only here.
     rule(y, c, c_next, cfg, solver) advances the stack of states, one row
@@ -625,6 +635,11 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
         raise ConfigError("initial data does not match the grid")
     if np.min(x_field) < 0:
         raise ConfigError("initial data must be nonnegative")
+    eps = np.asarray(cfg.eps, dtype=float)
+    if eps.ndim == 0:
+        eps = np.full(len(paths), eps)
+    elif eps.shape != (len(paths),):
+        raise ConfigError(f"eps holds {eps.size} values for a batch of {len(paths)} paths")
 
     fields = noisemod.space_fields(cs, grid)
     out = [None] * len(paths)
@@ -640,7 +655,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     for level, members in levels.items():
         run = [r for _, r in members]
         P, stride, N, dt = len(run), 2**level, run[0].tg.N, run[0].tg.dt
-        run_cfg = replace(cfg, dt=dt)
+        run_cfg = replace(cfg, dt=dt, eps=eps[[i for i, _ in members], None])
         solver = build_implicit_solver(grid, dt, cfg.theta)
         block_rows = max(2, BLOCK_VALUES // (P * grid.n_nodes))
 
@@ -706,6 +721,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                     at = live
                     if not live.size:
                         break
+                    run_cfg = replace(run_cfg, eps=run_cfg.eps[kept])
                 if n % stride == 0:
                     traj[at, n // stride] = y
                 c = c_next
@@ -723,18 +739,24 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                 refine_level=level,
                 mu_sup=float(mu_sup[j]),
                 cum_source_sq=cum_source[j],
-                eps=cfg.eps,
+                eps=float(eps[i]),
             )
-            out[i] = PathSolution(grid=grid, tg=tg, y=y_traj, eta=penalty.beta_eps(y_traj, cfg.eps),
+            out[i] = PathSolution(grid=grid, tg=tg, y=y_traj, eta=penalty.beta_eps(y_traj, eps[i]),
                                   mu=mu_traj[j], diagnostics=diag)
     return out
 
 
+def solved(outcomes: list) -> list:
+    """The solutions of a batch, or raise its first failure in list order."""
+    for out in outcomes:
+        if isinstance(out, NumericalFailure):
+            raise out
+    return outcomes
+
+
 def _one(outcomes: list) -> PathSolution:
     """The solution of a batch of one path, or raise its failure."""
-    (out,) = outcomes
-    if isinstance(out, NumericalFailure):
-        raise out
+    (out,) = solved(outcomes)
     return out
 
 
@@ -785,15 +807,14 @@ def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
         raise ConfigError("direct_em_solve integrates the original equation; "
                           "forcing must live in the original variables")
     f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
-    no_penalty = np.zeros(grid.n_nodes)
 
     def em_step(X, c, c_next, cfg, solver):
         explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, X) if cfg.theta < 1.0 else 0.0
-        drift = explicit - rs.value(c.t, X) - penalty.beta_eps(X, cfg.eps)
+        drift = explicit - rs.value(c.t, X)
         if f is not None:
             drift = drift + f
         rhs = X + cfg.dt * drift + X * c.noise
-        return newton_penalized_solve(solver, rhs, no_penalty, cfg.eps, X,
+        return newton_penalized_solve(solver, rhs, cfg.dt, cfg.eps, X,
                                       max(cfg.newton_tol, 1e-12), cfg.newton_max)
 
     # no refinement: the Euler-Maruyama rule has no transport guard
@@ -810,9 +831,10 @@ def direct_em_solve(
     cfg: SolveConfig,
     paths: BrownianPathSet,
 ) -> PathSolution:
-    """Euler-Maruyama on the original equation: implicit Laplacian, explicit
-    reaction and penalty, noise X_n * sum_k mu_k(t_n) dbeta_k(n) at the left
-    endpoint.  Shares the Brownian increments of solve_path when handed the
+    """Euler-Maruyama on the original equation: implicit Laplacian and
+    penalty, explicit reaction, noise X_n * sum_k mu_k(t_n) dbeta_k(n) at the
+    left endpoint.  The implicit penalty keeps the step stable in contact
+    at any dt, where an explicit one needs dt <= 2 eps.  Shares the Brownian increments of solve_path when handed the
     same path set."""
     return _one(direct_em_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
@@ -838,7 +860,7 @@ class ProblemSpec:
     reaction: ReactionSpec = dc_field(default_factory=ReactionSpec)
     forcing: ForcingSpec = dc_field(default_factory=ForcingSpec)
     initial: InitialData = dc_field(default_factory=InitialData)
-    eps: float = 1e-3
+    eps: float | tuple[float, ...] = 1e-3  # or one per path of solve_paths
     newton_tol: float = 1e-10
     newton_max: int = 200
     mu_cap: float = 30.0

@@ -22,9 +22,10 @@ def resolvent(r, eps: float):
     return np.maximum(r, 0.0)
 
 
-def beta_eps(r, eps: float):
-    """Penalized graph: min(r, 0)/eps; zero for r >= 0."""
-    if eps <= 0:
+def beta_eps(r, eps):
+    """Penalized graph: min(r, 0)/eps; zero for r >= 0.  eps may be an
+    array that broadcasts against r, such as one value per row of a stack."""
+    if np.less_equal(eps, 0).any():
         raise ValueError(f"eps must be positive, got {eps}")
     return np.minimum(r, 0.0) / eps
 

@@ -186,12 +186,6 @@ def solve_signorini_path(
     return _one(solve_signorini_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
 
-def recover_boundary_multiplier(sol: PathSolution) -> np.ndarray:
-    """beta_eps(y) restricted to the boundary nodes: shape (N+1, n_boundary)."""
-    mask = sol.grid.boundary_mask
-    return beta_eps(sol.y[:, mask], sol.diagnostics.eps)
-
-
 def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0,
                              abs_tol: float = 1e-12):
     """Discrete analogue of the boundary potential bound: for every t,

@@ -12,8 +12,7 @@ e^{-mu} factor on the source is what makes the transformed solve agree with
 a direct Euler-Maruyama integration of the original equation.
 
 The coefficients depend on the Brownian path alone, so the solver evaluates
-them for blocks of time nodes and checks the mu cap there; `forward` and
-`inverse` check the cap themselves.
+them for blocks of time nodes and checks the mu cap there.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
-
-MU_CAP_DEFAULT = 30.0
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -53,29 +50,6 @@ class ReactionSpec:
         if self.kind == "linear":
             return self.alpha * r
         return self.alpha * np.tanh(r)
-
-
-def _check(mu: np.ndarray, field: np.ndarray, mu_cap: float):
-    if mu.shape != field.shape:
-        raise ValueError("mu and field size mismatch")
-    peak = float(np.max(np.abs(mu))) if mu.size else 0.0
-    if peak > mu_cap:
-        raise NumericalFailure(
-            f"|mu| reached {peak:.3g}, beyond the overflow cap {mu_cap:.3g}; "
-            "pathological path, aborting"
-        )
-
-
-def forward(mu: np.ndarray, y: np.ndarray, mu_cap: float = MU_CAP_DEFAULT) -> np.ndarray:
-    """X = e^mu y, pointwise."""
-    _check(mu, y, mu_cap)
-    return np.exp(mu) * y
-
-
-def inverse(mu: np.ndarray, X: np.ndarray, mu_cap: float = MU_CAP_DEFAULT) -> np.ndarray:
-    """y = e^{-mu} X, pointwise inverse of forward."""
-    _check(mu, X, mu_cap)
-    return np.exp(-mu) * X
 
 
 def effective_source(mu: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .analysis import (
     map_paths,
     path_batches,
 )
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
 from .pathsolver import (
@@ -34,6 +34,7 @@ from .pathsolver import (
     direct_em_solve,  # noqa: F401  (bound here for perfbench's tracer, whose selftest wraps it)
     solve_path,  # noqa: F401  (likewise)
     solve_path_batch,
+    solved,
 )
 from .signorini import assemble_coeffs, build_boundary_data, mass, probe_form_constants
 from .stefan import StefanData, baiocchi_forward, similarity_oracle, solve_stefan_svi
@@ -60,12 +61,16 @@ def check_heat_oracle(workers: int = 1):
 EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 
 
+def _eps_sweep(spec: ProblemSpec) -> list:
+    """The solutions of spec at each eps of EPS_SWEEP on path 0, in one march."""
+    return solved(replace(spec, eps=EPS_SWEEP).solve_paths([0] * len(EPS_SWEEP)))
+
+
 def _complementarity_problem(label: str, spec: ProblemSpec):
     rows = []
     min_ratios, pair_ratios = [], []
     max_eta = -np.inf
-    for eps in EPS_SWEEP:
-        sol = replace(spec, eps=eps).solve(0)
+    for eps, sol in zip(EPS_SWEEP, _eps_sweep(spec)):
         rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
         max_eta = max(max_eta, rep.max_eta)
         min_ratios.append(max(-rep.min_X, 0.0) / eps)
@@ -118,9 +123,7 @@ def check_cauchy_rate(workers: int = 1):
 def _energy_worker(args):
     spec, first, stop = args
     rows = []
-    for pid, sol in zip(range(first, stop), spec.solve_paths(range(first, stop))):
-        if isinstance(sol, NumericalFailure):
-            raise sol
+    for pid, sol in zip(range(first, stop), solved(spec.solve_paths(range(first, stop)))):
         rep = energy_check(sol, spec.initial)
         rows.append((pid, rep.energy_ratio, rep.multiplier_ratio))
     return rows
@@ -158,11 +161,10 @@ def _consistency_worker(args):
         g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
         args_ = (g, tg, cs, spec.reaction, spec.forcing, spec.initial, cfg, masters)
         marches += [solve_path_batch(*args_), direct_em_batch(*args_)]
+    per_path = list(zip(*marches))
+    solved([out for outs in per_path for out in outs])  # what the solo solves would raise first
     rows = []
-    for pid, (tr1, em1, tr2, em2) in zip(range(first, stop), zip(*marches)):
-        for out in (tr1, em1, tr2, em2):  # what the four solves one by one would raise first
-            if isinstance(out, NumericalFailure):
-                raise out
+    for pid, (tr1, em1, tr2, em2) in zip(range(first, stop), per_path):
         rows.append((pid, norm_l2(g, em1.X[-1] - tr1.X[-1]), norm_l2(g, em2.X[-1] - tr2.X[-1])))
     return rows
 
@@ -202,8 +204,7 @@ def check_signorini(workers: int = 1):
     sweep = ProblemSpec(n=63, bc_kind=NEUMANN, T=0.3, n_steps=300,
                         forcing=ForcingSpec("edge", -2.0, width=0.15),
                         initial=InitialData("sine", 0.0))
-    for eps in EPS_SWEEP:
-        sol = replace(sweep, eps=eps).solve(0)
+    for eps, sol in zip(EPS_SWEEP, _eps_sweep(sweep)):
         ratios.append(max(-float(sol.y[:, sol.grid.boundary_mask].min()), 0.0) / eps)
     anchor = max(ratios[0], 1e-12)
     worst = max(ratios) / anchor

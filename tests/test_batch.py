@@ -1,6 +1,7 @@
 """A batch of paths in one march gives every path the bits of its solve
 alone: y, eta, mu, Newton counts and residuals by np.array_equal, and a
-failing path leaves the batch with the error its own solve raises."""
+failing path leaves the batch with the error its own solve raises.  This
+holds with one eps per path too, which makes an eps sweep one march."""
 
 import importlib.util
 from dataclasses import replace
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from svilab import analysis, verify
-from svilab.errors import NumericalFailure, StabilityError
+from svilab import analysis, pathsolver, signorini, verify
+from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths, space_fields
 from svilab.pathsolver import (
@@ -25,6 +26,7 @@ from svilab.pathsolver import (
     direct_em_batch,
     direct_em_solve,
     solve_path,
+    solve_path_batch,
     step_interior,
     transport_failure,
 )
@@ -105,6 +107,10 @@ def test_batch_mixes_refine_levels():
     solo = [spec.solve(pid) for pid in ids]
     assert {s.diagnostics.refine_level for s in solo} >= {0, 1, 2}
     _assert_same(spec.solve_paths(ids), solo)
+    # one eps per path: each level's batch takes its own rows of the column
+    eps = (1e-2, 1e-3, 1e-4) * 2
+    _assert_same(replace(spec, eps=eps).solve_paths(ids),
+                 [replace(spec, eps=e).solve(pid) for pid, e in zip(ids, eps)])
 
 
 def test_2d_batch_with_contact():
@@ -137,6 +143,13 @@ def test_batch_failures_keep_their_solo_messages():
     assert len(reasons) < len(solo)
     _assert_same(spec.solve_paths(ids), solo)
     _assert_same(spec.solve_paths(reversed(ids)), solo[::-1])
+    # one eps per path: the same paths fail, each with its solo message at its eps
+    sweep = tuple(10.0 ** -(2 + pid % 3) for pid in ids)
+    mixed = [_solo(lambda: replace(spec, eps=e).solve(pid)) for pid, e in zip(ids, sweep)]
+    assert [isinstance(s, NumericalFailure) for s in mixed] == [
+        isinstance(s, NumericalFailure) for s in solo]
+    _assert_same(replace(spec, eps=sweep).solve_paths(ids), mixed)
+    _assert_same(replace(spec, eps=sweep[::-1]).solve_paths(reversed(ids)), mixed[::-1])
 
 
 def test_transport_guard_stops_the_paths_that_break_it():
@@ -182,6 +195,55 @@ def test_em_batch_of_three():
             SolveConfig(dt=tg.dt, theta=0.75))
     paths = [sample_paths(TimeGrid(0.1, 200), 1, seed=11, path_id=pid) for pid in range(3)]
     _assert_same(direct_em_batch(*args, paths), [direct_em_solve(*args, p) for p in paths])
+
+
+SWEEP = (1e-2, 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("rule", ["interior", "signorini", "em"])
+def test_eps_sweep_on_one_path_equals_solo_solves(rule):
+    batch, solo_solve, bc, forcing = {
+        "interior": (solve_path_batch, solve_path, DIRICHLET, ForcingSpec("const", -1.0)),
+        "signorini": (solve_signorini_batch, solve_signorini_path, NEUMANN,
+                      ForcingSpec("edge", -2.0, width=0.15)),
+        "em": (direct_em_batch, direct_em_solve, DIRICHLET, ForcingSpec("const", -1.0)),
+    }[rule]
+    g = build_grid(1, [1.0], 31, bc)
+    tg = TimeGrid(0.1, 50)
+    args = (g, tg, CoeffSpec((parse_coefficient("const(0.4) * cos(1)", [1.0]),)),
+            ReactionSpec("linear", 0.3), forcing, InitialData("cutoff", 1.0, radius=0.2))
+    cfg = SolveConfig(dt=tg.dt, theta=0.75)
+    path = sample_paths(TimeGrid(0.1, 400), 1, seed=12)
+    solo = [solo_solve(*args, replace(cfg, eps=eps), path) for eps in SWEEP]
+    assert all(np.any(s.eta < 0) for s in solo)  # in contact at every eps
+    _assert_same(batch(*args, replace(cfg, eps=SWEEP), [path] * len(SWEEP)), solo)
+
+
+def test_eps_needs_one_value_per_path():
+    spec = ProblemSpec(n=15, T=0.01, n_steps=10)
+    for eps in ((1e-3, 1e-4), (1e-3,) * 4, (1e-3,)):
+        with pytest.raises(ConfigError, match="eps holds"):
+            replace(spec, eps=eps).solve_paths(range(3))
+
+
+def test_each_eps_sweep_is_one_march(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[6].eps)  # the SolveConfig
+        return _march(*args, **kwargs)
+
+    monkeypatch.setattr(pathsolver, "_march", counted)
+    monkeypatch.setattr(signorini, "_march", counted)
+    assert all(ok for *_, ok in verify.check_cauchy_rate())
+    (eps,) = calls  # the reference at eps_min / 4 first, then the sweep
+    assert eps == (1.5625e-3 / 4, 1e-1, 2.5e-2, 6.25e-3, 1.5625e-3)
+    calls.clear()
+    assert all(ok for *_, ok in verify.check_complementarity())
+    assert calls == [verify.EPS_SWEEP] * 2  # one march for each of its two problems
+    calls.clear()
+    assert all(ok for *_, ok in verify.check_signorini())
+    assert calls == [verify.EPS_SWEEP, 1e-3]  # the trace sweep, then the mass run
 
 
 def _solo_gaps(spec, pid):

@@ -245,30 +245,33 @@ def test_seed_and_paths_overrides(tmp_path):
     assert (b / "trajectory.csv").exists()
 
 
+# a run whose path breaks the transport guard with no finer path to retry on
+STIFF = textwrap.dedent(
+    """
+    [domain]
+    n = 63
+    [time]
+    t = 0.2
+    dt = 5e-3
+    [noise]
+    m = 1
+    seed = 5
+    mu1 = const(9.0) * sin(3)
+    [initial]
+    kind = sine
+    amplitude = 1.0
+    [run]
+    mode = run
+    headroom = 1
+    [output]
+    dir = {out}
+    """
+)
+
+
 def test_stability_failure_exit_2(tmp_path):
-    stiff = textwrap.dedent(
-        """
-        [domain]
-        n = 63
-        [time]
-        t = 0.2
-        dt = 5e-3
-        [noise]
-        m = 1
-        seed = 5
-        mu1 = const(9.0) * sin(3)
-        [initial]
-        kind = sine
-        amplitude = 1.0
-        [run]
-        mode = run
-        headroom = 1
-        [output]
-        dir = {out}
-        """
-    )
     out = tmp_path / "out"
-    code = main(["--config", str(write(tmp_path, stiff.format(out=out))), "--quiet"])
+    code = main(["--config", str(write(tmp_path, STIFF.format(out=out))), "--quiet"])
     assert code == 2
     summary = (out / "summary.csv").read_text()
     assert "numerical_failure" in summary and "fail" in summary
@@ -472,6 +475,20 @@ def test_output_dir_that_cannot_be_a_directory(tmp_path, capsys, below, by_flag)
     assert len(errors) == 1 and errors[0].startswith("config error: output.dir")
     assert str(out) in errors[0]
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("conf, name", [(MINIMAL, "trajectory.csv"), (MINIMAL, "summary.csv"),
+                                        (STIFF, "summary.csv")],
+                         ids=["trajectory", "summary", "failure_summary"])
+def test_output_file_that_is_a_directory(tmp_path, capsys, conf, name):
+    # the solve runs, then its CSV cannot be opened: one config error line, exit 1
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main(["--config", str(write(tmp_path, conf.format(out=out))), "--quiet"])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("config error: output.dir")
+    assert str(out) in errors[0] and f"cannot write {name}" in errors[0]
 
 
 @pytest.mark.parametrize("name", ["heat", "stefan_benchmark"])

@@ -7,7 +7,7 @@ from svilab.grid import (
     NEUMANN,
     apply_gradient,
     apply_laplacian,
-    boundary_norm_l2,
+    boundary_inner,
     build_grid,
     inner,
     laplacian_csr,
@@ -156,13 +156,13 @@ def test_quadrature_positivity():
 def test_boundary_norm():
     g = build_grid(1, [1.0], 9, NEUMANN)
     u = g.meshes()[0]  # values 0 at left, 1 at right
-    assert boundary_norm_l2(g, u) == pytest.approx(1.0)
+    assert boundary_inner(g, u, u) == pytest.approx(1.0)
     gd = build_grid(1, [1.0], 9, DIRICHLET)
-    assert boundary_norm_l2(gd, np.ones(gd.n_nodes)) == 0.0
+    assert boundary_inner(gd, np.ones(gd.n_nodes), np.ones(gd.n_nodes)) == 0.0
     # 2D: constant 1 trace integrates to the perimeter
     g2 = build_grid(2, [1.0, 2.0], 17, NEUMANN)
     ones = np.ones(g2.n_nodes)
-    assert boundary_norm_l2(g2, ones) ** 2 == pytest.approx(6.0)
+    assert boundary_inner(g2, ones, ones) == pytest.approx(6.0)
 
 
 def test_size_mismatch_raises():
@@ -172,7 +172,7 @@ def test_size_mismatch_raises():
         lambda: apply_laplacian(g, bad),
         lambda: apply_gradient(g, bad),
         lambda: norm_l2(g, bad),
-        lambda: boundary_norm_l2(g, bad),
+        lambda: boundary_inner(g, bad, bad),
         lambda: inner(g, bad, bad),
     ):
         with pytest.raises(ValueError):

@@ -265,6 +265,22 @@ def test_direct_em_self_convergence_in_dt():
     assert gaps[1] < gaps[0]
 
 
+def test_direct_em_stays_stable_in_contact_at_dt_above_two_eps():
+    # dt = 10 eps with contact on 6% of the nodes: an explicit penalty
+    # overshoots to X = -7.4 eps here, the implicit one keeps the penalized
+    # depth eps |f| and stays within O(dt) of the transform route
+    g = build_grid(1, [1.0], 63, DIRICHLET)
+    tg = TimeGrid(0.1, 100)
+    eps = 1e-4
+    args = (g, tg, coeffs1("const(0.3) * sin(1)"), ReactionSpec(), ForcingSpec("const", -1.0),
+            InitialData("sine", 0.2), SolveConfig(dt=tg.dt, eps=eps),
+            sample_paths(TimeGrid(0.1, 800), 1, seed=5))
+    em = direct_em_solve(*args)
+    assert tg.dt > 2 * eps and np.any(em.eta < 0)
+    assert em.X.min() >= -2 * eps
+    assert norm_l2(g, em.X[-1] - solve_path(*args).X[-1]) <= tg.dt
+
+
 def test_solve_path_retries_on_stiff_transport():
     # large coefficient gradient forces the guard to refine dt
     g = build_grid(1, [1.0], 63, DIRICHLET)
@@ -441,7 +457,8 @@ def test_problem_spec_roundtrip():
 
 
 @pytest.mark.parametrize("kw", [{"newton_max": 0}, {"dt": float("nan")}, {"eps": float("nan")},
-                                {"newton_tol": 0.0}])
+                                {"newton_tol": 0.0}, {"eps": (1e-3, 0.0)},
+                                {"eps": (1e-3, float("nan"))}, {"eps": (-1e-3,)}, {"eps": ()}])
 def test_solve_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):
         SolveConfig(**{"dt": 1e-3, **kw})

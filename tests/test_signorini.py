@@ -5,7 +5,7 @@ from svilab.errors import ConfigError
 from svilab.grid import DIRICHLET, NEUMANN, boundary_weights, build_grid, inner, stiffness_inner
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig, zero_coeffs
-from svilab.penalty import graph_contains
+from svilab.penalty import beta_eps, graph_contains
 from svilab.signorini import (
     apply_operator,
     assemble_coeffs,
@@ -14,7 +14,6 @@ from svilab.signorini import (
     build_boundary_data,
     mass,
     probe_form_constants,
-    recover_boundary_multiplier,
     solve_signorini_path,
 )
 from svilab.transform import ReactionSpec
@@ -139,7 +138,7 @@ def test_signorini_suction_eps_sweep():
         sol = solve_signorini_path(g, tg, EMPTY, ReactionSpec(), f,
                                    InitialData("sine", 0.0), cfg,
                                    sample_paths(tg, 0, seed=0))
-        eta_b = recover_boundary_multiplier(sol)
+        eta_b = beta_eps(sol.y[:, g.boundary_mask], sol.diagnostics.eps)
         assert np.all(eta_b <= 0.0)
         trace_min = sol.y[:, g.boundary_mask].min()
         assert trace_min < 0.0  # the constraint actually engages
@@ -155,7 +154,7 @@ def test_signorini_suction_eps_sweep():
     sol = solve_signorini_path(g, tg, EMPTY, ReactionSpec(),
                                ForcingSpec("edge", -2.0, width=0.15),
                                InitialData("sine", 0.0), cfg, sample_paths(tg, 0, seed=0))
-    eta_b = recover_boundary_multiplier(sol)
+    eta_b = beta_eps(sol.y[:, g.boundary_mask], sol.diagnostics.eps)
     yb = sol.y[-1][g.boundary_mask]
     for r, e in zip(np.maximum(yb, 0.0), eta_b[-1]):
         assert graph_contains(r, e, tol_r=1e-3, tol_eta=np.inf if r <= 1e-3 else 1e-3)

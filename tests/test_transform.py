@@ -2,49 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svilab.errors import ConfigError, NumericalFailure
+from svilab.errors import ConfigError
 from svilab.grid import DIRICHLET, build_grid
 from svilab.noise import TimeGrid, parse_coefficient, CoeffSpec, sample_paths, eval_mu, eval_mu_tilde, eval_mu_derivs, space_fields
+from svilab.pathsolver import PathSolution
 from svilab.penalty import beta_eps
-from svilab.transform import (ReactionSpec, effective_reaction, effective_source, forward, inverse,
-                              zero_order)
-
-
-def test_forward_basic():
-    y = np.array([1.0, -2.0, 3.0])
-    zero = np.zeros(3)
-    assert np.array_equal(forward(zero, y), y)
-    assert np.all(forward(np.full(3, np.log(2.0)), np.full(3, 3.0)) == pytest.approx(6.0))
-    assert np.all(forward(np.ones(3), np.zeros(3)) == 0.0)
-    with pytest.raises(ValueError):
-        forward(np.zeros(2), y)
-
-
-def test_inverse_round_trip():
-    rng = np.random.default_rng(0)
-    mu = rng.normal(size=200)
-    y = rng.normal(size=200)
-    back = inverse(mu, forward(mu, y))
-    assert np.max(np.abs(back - y) / np.maximum(np.abs(y), 1e-300)) <= 1e-14
-    assert np.array_equal(inverse(np.zeros(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-    assert np.all(inverse(np.ones(3), np.zeros(3)) == 0.0)
-
-
-def test_overflow_guard():
-    mu = np.array([0.0, 31.0])
-    with pytest.raises(NumericalFailure):
-        forward(mu, np.ones(2))
-    with pytest.raises(NumericalFailure):
-        inverse(mu, np.ones(2))
-    forward(mu, np.ones(2), mu_cap=40.0)  # configurable cap
+from svilab.transform import ReactionSpec, effective_reaction, effective_source, zero_order
 
 
 def test_sign_preservation():
+    # X = e^mu y of a path solution keeps the sign pattern of y
     rng = np.random.default_rng(1)
-    mu = rng.normal(size=500)
-    y = rng.normal(size=500)
-    X = forward(mu, y)
-    assert np.array_equal(np.sign(X), np.sign(y))
+    mu = rng.normal(size=(5, 100))
+    y = rng.normal(size=(5, 100))
+    sol = PathSolution(grid=None, tg=None, y=y, eta=beta_eps(y, 1e-2), mu=mu, diagnostics=None)
+    assert np.array_equal(np.sign(sol.X), np.sign(y))
+    assert np.array_equal(np.sign(sol.eta_X), np.sign(sol.eta))
 
 
 def test_cone_property_of_graph():
