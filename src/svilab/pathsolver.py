@@ -30,8 +30,12 @@ diagonal monotone penalty is resolved by a semismooth Newton / active set
 iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system, row by row of the
 stack: tridiagonal LAPACK solves in 1D; in 2D `conjugate_gradients`, an
-in-house unpreconditioned CG on the 5-point matrix that matches scipy's `cg`
-bit for bit.
+in-house CG on the 5-point matrix.  On a Dirichlet grid it is preconditioned
+by `SinePreconditioner`, the inverse of A + c I in the type-I discrete sine
+basis that diagonalises A = I - dt theta Lap, with c the median of the
+solve's extra diagonal; on a Neumann grid it is unpreconditioned and matches
+scipy's `cg` bit for bit.  Either way it stops on the unpreconditioned
+residual, |b - M x| < CG_RTOL |b|.
 
 eps is one value for the batch or one per path.  The march carries it as a
 column beside the state, one row per path, and the step rules, Newton and
@@ -296,14 +300,18 @@ CG_RTOL = 1e-12  # CG stops once |b - M x| < CG_RTOL |b|
 
 
 def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | None,
-                        maxiter: int) -> np.ndarray:
-    """x with M x = b by unpreconditioned conjugate gradients from x0 (zeros
-    when None), for symmetric positive definite M.  Operation for operation
-    what scipy.sparse.linalg.cg(M, b, x0=x0, rtol=CG_RTOL, atol=0.0,
+                        maxiter: int, precond=None) -> np.ndarray:
+    """x with M x = b by conjugate gradients from x0 (zeros when None), for
+    symmetric positive definite M, preconditioned by precond(r) ~ M^-1 r when
+    given.  Without precond, operation for operation what
+    scipy.sparse.linalg.cg(M, b, x0=x0, rtol=CG_RTOL, atol=0.0,
     maxiter=maxiter) does, so it returns the same bits, without scipy's
     operator wrappers; |r| is sqrt(r.r), so the rho of an iteration serves its
-    stopping test too.  Raises NumericalFailure when maxiter iterations do
-    not converge."""
+    stopping test too, and like scipy's the iterate of the last of maxiter
+    updates is not tested.  With precond the iterate after each update is
+    tested, the last one too.  Either way the test is |b - M x| < CG_RTOL |b|
+    on the unpreconditioned residual.  Raises NumericalFailure when maxiter
+    iterations do not converge."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     bb = np.dot(b, b)
     if bb == 0.0:
@@ -315,23 +323,61 @@ def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | No
         rho = np.dot(r, r)
         if math.sqrt(rho) < atol:
             return x
+        z = r
+        if precond is not None:
+            z = precond(r)
+            rho = np.dot(r, z)
         if p is None:
-            p = r.copy()
+            p = z.copy()
         else:
             p *= rho / rho_prev
-            p += r
+            p += z
         q = M @ p
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
+    if precond is not None and math.sqrt(np.dot(r, r)) < atol:
+        return x
     raise NumericalFailure(f"conjugate gradients failed to converge (info={maxiter})")
 
 
+class SinePreconditioner:
+    """(A + c I)^-1 for A = I - dt theta L on a 2D Dirichlet grid.
+
+    The orthonormal type-I sine matrix S (symmetric, S S = I) diagonalises
+    the 5-point Laplacian with zero ghost values along each axis, so A maps
+    a field R, reshaped to the grid, to S ((S R S) * lam) S, with lam[k, l]
+    = 1 + dt theta (4/h0^2 sin^2(pi k / 2(n+1)) + 4/h1^2 sin^2(pi l / 2(n+1))).
+    `for_diag(d)` is the map r -> S ((S R S) / (lam + c)) S, the inverse of
+    A + c I with c the median of d, and so of A + diag(d) when d is constant.
+    """
+
+    def __init__(self, grid: Grid, dt: float, theta: float):
+        n = grid.n
+        k = np.arange(1, n + 1)
+        self.S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+        s2 = np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+        h0, h1 = grid.h
+        self.lam = 1.0 + dt * theta * (4.0 / h0**2 * s2[:, None] + 4.0 / h1**2 * s2[None, :])
+        self.shape = grid.shape
+
+    def for_diag(self, extra_diag: np.ndarray):
+        S, shape = self.S, self.shape
+        inv = 1.0 / (self.lam + np.median(extra_diag))
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            return (S @ ((S @ r.reshape(shape) @ S) * inv) @ S).reshape(-1)
+
+        return apply
+
+
 class ImplicitSolver:
-    def __init__(self, A: sparse.csr_matrix, dim: int):
+    def __init__(self, A: sparse.csr_matrix, dim: int,
+                 precond: SinePreconditioner | None = None):
         self.A = A.tocsr()
         self.dim = dim
+        self.precond = precond
         self.n = A.shape[0]
         self._main = self.A.diagonal().copy()
         if dim == 1:
@@ -355,9 +401,11 @@ class ImplicitSolver:
         stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
         and one super-diagonal, without its argument checks), in one call for
         all rows without an extra diagonal; in 2D `conjugate_gradients` from
-        x0, row by row, an in-house unpreconditioned CG that returns the bits
-        of scipy's `cg` at rtol CG_RTOL.  Returns x and the rows whose solve
-        failed, each with its error (their rows of x are meaningless)."""
+        x0, row by row, to |b - M x| < CG_RTOL |b|, preconditioned by the
+        solver's SinePreconditioner for that row's extra diagonal when it has
+        one (Dirichlet grids), else unpreconditioned with the bits of scipy's
+        `cg`.  Returns x and the rows whose solve failed, each with its error
+        (their rows of x are meaningless)."""
         x = np.zeros_like(b)
         rows = range(len(b))  # the rows solved one at a time
         if self.dim == 1:
@@ -386,13 +434,18 @@ class ImplicitSolver:
         if self.dim == 1:  # b as a column, which gtsv takes without a copy
             return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
         self._M.data[self._diag_at] = self._main + extra_diag
-        return conjugate_gradients(self._M, b, x0, 20 * self.n)
+        precond = None if self.precond is None else self.precond.for_diag(extra_diag)
+        return conjugate_gradients(self._M, b, x0, 20 * self.n, precond)
 
 
 def build_implicit_solver(grid: Grid, dt: float, theta: float) -> ImplicitSolver:
+    """The solver of A = I - dt theta L, with the sine preconditioner on a 2D
+    Dirichlet grid."""
     L = gridmod.laplacian_csr(grid)
     A = sparse.identity(grid.n_nodes, format="csr") - (dt * theta) * L
-    return ImplicitSolver(A.tocsr(), grid.dim)
+    sine = grid.dim == 2 and grid.bc_kind == gridmod.DIRICHLET
+    return ImplicitSolver(A.tocsr(), grid.dim,
+                          SinePreconditioner(grid, dt, theta) if sine else None)
 
 
 class NewtonResult(NamedTuple):

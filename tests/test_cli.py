@@ -154,6 +154,49 @@ def test_run_mode_full_and_exit_codes(tmp_path):
     assert (out / "summary.csv").exists()
 
 
+CONTACT_2D = textwrap.dedent(
+    """
+    # 2D Dirichlet contact: the cone sinks under the forcing and touches the obstacle
+    [domain]
+    dim = 2
+    lengths = 1.0, 1.0
+    n = 15
+    bc = dirichlet
+    [time]
+    t = 0.05
+    dt = 1e-3
+    [noise]
+    m = 1
+    seed = 21
+    mu1 = const(0.5) * sin(1) * sin(1)
+    [penalty]
+    eps = 1e-4
+    [forcing]
+    kind = const
+    amplitude = -1.0
+    [initial]
+    kind = cone
+    amplitude = 0.3
+    center = 0.3, 0.3
+    radius = 0.2
+    [output]
+    dir = {out}
+    """
+)
+
+
+def test_run_mode_2d_dirichlet_contact(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, CONTACT_2D.format(out=out))), "--quiet"]) == 0
+    rows = [row.split(",") for row in (out / "summary.csv").read_text().splitlines()[2:]]
+    assert rows and all(row[-1] == "pass" for row in rows)
+    checks = {row[0]: float(row[1]) for row in rows}
+    assert checks["newton_iters_max"] >= 2  # the active set moved within a step
+    eta = [float(line.split(",")[6]) for line in
+           (out / "trajectory.csv").read_text().splitlines()[2:]]
+    assert min(eta) < 0.0  # contact
+
+
 def test_byte_identical_reruns(tmp_path):
     conf = write(tmp_path, FULL.format(out=tmp_path / "ignored"))
     outs = []

@@ -8,6 +8,14 @@ block seams.  `signorini_2d` puts boundary contact and the Robin diagonal
 through the 2D solve; `contact_2d` fills most of the domain with the active
 set at eps = 1e-4, with several Newton iterations per step.
 
+Every array must match bit for bit except `y` of the two Dirichlet 2D
+cases, `solve_2d` and `contact_2d`.  They were recorded with unpreconditioned
+CG and now solve with CG preconditioned in the sine basis.  The arithmetic
+changed, but each solve still stops at |b - M x| < CG_RTOL |b|, so their `y`
+must match to |dy| <= Y_RTOL_2D * max|y_ref| (it moved by at most 1.1e-13).
+Their mu, source quadrature, Newton counts and refinement level stay exact.
+The arrays are not re-recorded: the unpreconditioned solves are the oracle.
+
 Record cases (all of them without names) from a checkout of the solver to
 compare against; the file keeps the arrays of the cases not named:
 
@@ -151,6 +159,9 @@ CASES = {
     "signorini_2d": (_signorini_2d, True),
     "contact_2d": (_contact_2d, True),
 }
+# the cases whose y may move by CG's tolerance, and by how much relative to max|y_ref|
+PRECONDITIONED = ("solve_2d", "contact_2d")
+Y_RTOL_2D = 1e-11
 # the fewest coefficient blocks each seams_* run grid must span
 SEAMS = {"seams_1d": 3, "seams_signorini": 2, "seams_em": 2}
 
@@ -175,7 +186,12 @@ def test_march_matches_reference(name, reference):
     keys = ("y", "mu", "cum_source_sq", "newton_iters", "refine_level") if transformed \
         else ("y", "mu")
     for key in keys:
-        assert np.array_equal(got[key], reference[f"{name}/{key}"]), key
+        want = reference[f"{name}/{key}"]
+        if key == "y" and name in PRECONDITIONED:
+            assert got[key].shape == want.shape
+            assert np.abs(got[key] - want).max() <= Y_RTOL_2D * np.abs(want).max(), key
+        else:
+            assert np.array_equal(got[key], want), key
 
 
 def test_reference_2d_cases_reach_contact():

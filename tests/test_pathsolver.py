@@ -428,6 +428,83 @@ def test_implicit_solver_2d_needs_stored_diagonal():
         ImplicitSolver(A, 2)
 
 
+def dirichlet_2d(lengths=(1.0, 1.5), n=15):
+    return build_implicit_solver(build_grid(2, list(lengths), n, DIRICHLET), 2e-3, 0.75)
+
+
+def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d):
+    assert dirichlet_2d().precond is not None
+    assert solver_2d.precond is None  # Neumann
+    assert build_implicit_solver(build_grid(1, [1.0], 15, DIRICHLET), 2e-3, 0.75).precond is None
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])
+def test_sine_basis_diagonalises_the_implicit_matrix(lengths):
+    solver = dirichlet_2d(lengths, n=9)
+    S = np.kron(solver.precond.S, solver.precond.S)  # the sine basis of C-ordered fields
+    assert np.allclose(S @ S, np.eye(solver.n), rtol=0.0, atol=1e-14)
+    D = S @ solver.A.toarray() @ S
+    lam = solver.precond.lam.reshape(-1)
+    assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-13 * lam.max()
+    assert np.allclose(np.diag(D), lam, rtol=1e-13, atol=0.0)
+
+
+def extra_diags(n, rng, dt=2e-3, eps=1e-4):
+    """Extra diagonals of no contact, a constant one and half the nodes active."""
+    return np.stack([np.zeros(n), np.full(n, dt / eps),
+                     np.where(rng.random(n) < 0.5, dt / eps, 0.0)])
+
+
+def test_preconditioned_solve_matches_dense_solve():
+    solver = dirichlet_2d()
+    rng = np.random.default_rng(6)
+    n = solver.n
+    extra = extra_diags(n, rng)
+    b = rng.normal(size=(3, n))
+    for x0 in (None, rng.normal(size=(3, n))):
+        x, failures = solver.solve(extra, b, x0=x0)
+        assert not failures
+        for row in range(3):
+            want = np.linalg.solve(solver.A.toarray() + np.diag(extra[row]), b[row])
+            assert np.abs(x[row] - want).max() <= 1e-11 * np.abs(want).max(), row
+            # the stopping test is on the unpreconditioned residual
+            resid = b[row] - with_diag(solver.A, extra[row]) @ x[row]
+            assert np.linalg.norm(resid) < 1e-12 * np.linalg.norm(b[row])
+
+
+def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal():
+    solver = dirichlet_2d()
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=solver.n)
+    for d in extra_diags(solver.n, rng)[:2]:
+        M = with_diag(solver.A, d)
+        for x0 in (None, rng.normal(size=solver.n)):
+            x = conjugate_gradients(M, b, x0, 1, solver.precond.for_diag(d))
+            assert np.linalg.norm(b - M @ x) < 1e-12 * np.linalg.norm(b)
+        with pytest.raises(NumericalFailure):  # unpreconditioned, one update is too few
+            conjugate_gradients(M, b, None, 1)
+
+
+def test_preconditioned_cg_exhausted_cap_raises_the_same_message():
+    solver = dirichlet_2d()
+    rng = np.random.default_rng(8)
+    d = extra_diags(solver.n, rng)[2]
+    M, b, precond = with_diag(solver.A, d), rng.normal(size=solver.n), solver.precond.for_diag(d)
+    k = next(k for k in range(1, 20 * solver.n) if _converges(M, b, k, precond))
+    assert 1 < k < 40
+    with pytest.raises(NumericalFailure) as exc:
+        conjugate_gradients(M, b, None, k - 1, precond)
+    assert str(exc.value) == f"conjugate gradients failed to converge (info={k - 1})"
+
+
+def _converges(M, b, maxiter, precond):
+    try:
+        conjugate_gradients(M, b, None, maxiter, precond)
+    except NumericalFailure:
+        return False
+    return True
+
+
 def test_boundary_lift_linear_profile():
     # steady check: with y(0,t) = r*t at the left ghost and f = 0, the
     # solution tends to the linear interpolant r*t*(1 - x) plus O(dt) lag
