@@ -303,7 +303,7 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, workers: int = 1) -> EnsembleS
     if n_ok:
         g, tg, _, _ = spec.build()
         x_field = spec.initial.evaluate(g)
-        f_field = spec.forcing.value(0.0, g)
+        f_field = spec.forcing.value(g)
         denom = gridmod.inner(g, x_field, x_field) + tg.T * gridmod.inner(g, f_field, f_field)
         if denom > 0:
             for name in FUNCTIONAL_NAMES:

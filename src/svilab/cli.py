@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .analysis import cauchy_rate_study, complementarity_report, energy_check, e
 from .errors import ConfigError, NumericalFailure
 from .noise import parse_coefficient
 from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
-from .signorini import boundary_potential_check, build_boundary_data, probe_form_constants
+from .signorini import boundary_potential_check, probe_form_constants
 from .stefan import StefanData, solve_stefan_svi
 from .transform import ReactionSpec
 from .verify import CHECKS, run_checks
@@ -491,14 +492,9 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         last = (sol, theta, fb)
     fronts = np.array(fronts)
     measures = np.array(measures)
-    if cfg.n_paths > 1:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices pre-melt
-            mean_front = np.nanmean(fronts, axis=0)
-    else:
-        mean_front = fronts[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices pre-melt
+        mean_front = np.nanmean(fronts, axis=0)  # of one path: its fronts, bit for bit
     mean_measure = measures.mean(axis=0)
     writer.write("front.csv", ["t", "front_position", "melted_measure"],
                  [(t, mean_front[n], mean_measure[n]) for n, t in enumerate(tg.nodes)])
@@ -532,11 +528,10 @@ def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     g = sol.grid
-    bd = build_boundary_data(g)
     trace_min = float(sol.y[:, g.boundary_mask].min())
     ratio, ok = boundary_potential_check(sol, spec.initial, slack=cfg.slack)
     coeffs = zero_coeffs(g, rs=spec.reaction)
-    rep = probe_form_constants(g, coeffs, bd, spec.eps, n_samples=128, seed=spec.seed)
+    rep = probe_form_constants(g, coeffs, spec.eps, n_samples=128, seed=spec.seed)
     tol = cfg.slack * spec.eps
     checks = [
         ("boundary_trace_min", trace_min, tol, trace_min >= -tol),

@@ -9,6 +9,11 @@ are halved at boundary nodes so that the weighted Laplacian is exactly
 symmetric and the discrete divergence theorem holds (mass conservation to
 machine precision for the pure reflected operator).
 
+The boundary geometry of a grid is computed once, by `build_grid`: the
+boundary quadrature weights, the ghost-flux factor sum 2/h over the outward
+axes of each boundary node, and (by `normal_derivative`) the one-sided
+normal derivative of a field.  On Dirichlet grids the first two are zero.
+
 Fields are flat float arrays of length ``grid.n_nodes`` in C order of the
 per-axis index.  Vector fields are lists with one field per axis.  The
 Laplacian, gradient, quadratures and norms also act on each row of a stack
@@ -42,6 +47,15 @@ class Grid:
         weights: quadrature weight per node (flat, product of axis weights).
         boundary_mask: flat flag, True on boundary nodes (all False for
             Dirichlet grids, whose unknowns are interior).
+        boundary_weights: boundary quadrature weight per node (flat; zero
+            off the boundary).  1D boundary points carry weight 1 (counting
+            measure); 2D edges carry trapezoid weights along the edge,
+            corners get (hx + hy)/2.
+        flux_factor: sum over the outward axes of a node of 2/h, the factor
+            of the penalized boundary flux in the Laplacian's ghost values
+            (zero off the boundary).  flux_factor * weights equals
+            boundary_weights, which makes the ghost-value route and the
+            variational form agree to machine precision.
     """
 
     dim: int
@@ -52,6 +66,8 @@ class Grid:
     coords: tuple[np.ndarray, ...] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     boundary_mask: np.ndarray = field(repr=False)
+    boundary_weights: np.ndarray = field(repr=False)
+    flux_factor: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,13 +139,13 @@ def build_grid(dim: int, lengths, n: int, bc_kind: str = DIRICHLET) -> Grid:
     weights = weights.reshape(-1)
 
     mask = np.zeros((n,) * dim, dtype=bool)
+    bnd_w, flux = np.zeros(mask.shape), np.zeros(mask.shape)
     if bc_kind == NEUMANN:
         for axis in range(dim):
-            idx = [slice(None)] * dim
-            idx[axis] = 0
-            mask[tuple(idx)] = True
-            idx[axis] = n - 1
-            mask[tuple(idx)] = True
+            # the first and last node along the axis, with the axis first
+            np.moveaxis(mask, axis, 0)[[0, -1]] = True
+            np.moveaxis(bnd_w, axis, 0)[[0, -1]] += axis_w[1 - axis] if dim == 2 else 1.0
+            np.moveaxis(flux, axis, 0)[[0, -1]] += 2.0 / h[axis]
 
     return Grid(
         dim=dim,
@@ -140,6 +156,8 @@ def build_grid(dim: int, lengths, n: int, bc_kind: str = DIRICHLET) -> Grid:
         coords=coords,
         weights=weights,
         boundary_mask=mask.reshape(-1),
+        boundary_weights=bnd_w.reshape(-1),
+        flux_factor=flux.reshape(-1),
     )
 
 
@@ -263,29 +281,31 @@ def seminorm_h1(grid: Grid, u: np.ndarray) -> float | np.ndarray:
     return float(r) if r.ndim == 0 else r
 
 
-def boundary_weights(grid: Grid) -> np.ndarray:
-    """Boundary quadrature weight per node (flat; zero off the boundary).
-
-    1D boundary points carry weight 1 (counting measure); 2D edges carry
-    trapezoid weights along the edge, corners get (hx + hy)/2.
-    """
-    w = np.zeros(grid.shape)
-    if grid.bc_kind == DIRICHLET:
-        return w.reshape(-1)
-    for axis in range(grid.dim):
-        transverse = grid.axis_weights(1 - axis) if grid.dim == 2 else 1.0
-        np.moveaxis(w, axis, 0)[[0, -1]] += transverse
-    return w.reshape(-1)
-
-
 def boundary_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Boundary quadrature of u * v over the last axis, per row of a stack
     like `inner`; zero on Dirichlet grids."""
     if u.shape[-1:] != (grid.n_nodes,) or v.shape[-1:] != (grid.n_nodes,):
         raise ValueError("field size mismatch in boundary quadrature")
     mask = grid.boundary_mask
-    s = (boundary_weights(grid)[mask] * u[..., mask] * v[..., mask]).sum(axis=-1)
+    s = (grid.boundary_weights[mask] * u[..., mask] * v[..., mask]).sum(axis=-1)
     return float(s) if s.ndim == 0 else s
+
+
+def normal_derivative(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Outward normal derivative at the boundary nodes of a Neumann grid, by
+    second-order one-sided stencils, averaged over the outward axes at
+    corners; zero off the boundary.  Of a field, or of each row of a stack."""
+    U = grid.reshape(u)
+    acc, cnt = np.zeros(U.shape), np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        # views with the axis first; the outward normal at index 0 is -e_axis
+        v, a = (np.moveaxis(A, A.ndim - grid.dim + axis, 0) for A in (U, acc))
+        a[0] += (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * grid.h[axis])
+        a[-1] += (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * grid.h[axis])
+        np.moveaxis(cnt, axis, 0)[[0, -1]] += 1.0
+    out = np.zeros(U.shape)
+    np.divide(acc, cnt, out=out, where=cnt > 0)
+    return out.reshape(u.shape)
 
 
 def laplacian_csr(grid: Grid):

@@ -6,8 +6,8 @@ with one row per path.  The march validates the initial datum and the path
 sets, picks each path's run grid (paths at different halving levels march
 apart), builds the time-independent coefficient fields once, evaluates the
 coefficients of all its paths for blocks of consecutive run-grid nodes
-(`coeff_block`), checks the mu cap and the transport guard there, stores
-the trajectories at stride 2^level and fills each path's `Diagnostics`.
+(`coeff_block`), checks the mu cap there, stores the trajectories at
+stride 2^level and fills each path's `Diagnostics`.
 Every row gets the bits that its path gets alone, and a path that fails
 leaves the batch with the error its own solve raises.  Only the step rule,
 which reads row views of the blocks, differs:
@@ -46,8 +46,10 @@ The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
 a bound of it picks each path's dt before marching: violating paths are run
 at halved dt (up to MAX_HALVINGS) using a finer restriction of the same
-path realization, then reported as failures.  The march itself checks the
-guard on every coefficient block; the step rules do not.
+path realization, then reported as failures.  A level is admitted only when
+an upper bound of dt * sup|g| / h is at most 1, so no step of the march can
+break the guard; the march records each path's largest margin
+(`Diagnostics.stability_margin`) and checks nothing more.
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ class InitialData:
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Deterministic space-time forcing from a closed catalog.
+    """Deterministic forcing f(xi) from a closed catalog, constant in time:
+    the march evaluates it once.
 
     kinds: 'zero', 'const', 'sine' (product of first sine modes), 'edge'
     (amplitude on the strip within `width` of the boundary), 'field'
@@ -173,7 +176,7 @@ class ForcingSpec:
         if errors:
             raise ConfigError(errors)
 
-    def value(self, t: float, grid: Grid) -> np.ndarray:
+    def value(self, grid: Grid) -> np.ndarray:
         if self.kind == "zero":
             return grid.zeros()
         if self.kind == "const":
@@ -245,13 +248,13 @@ class StepCoeffs:
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
         return transform.effective_reaction(self.rs, self.zero_order, self.exp_mu,
-                                            self.exp_neg_mu, self.t, y)
+                                            self.exp_neg_mu, y)
 
 
-def zero_coeffs(grid: Grid, t: float = 0.0, rs: ReactionSpec | None = None,
+def zero_coeffs(grid: Grid, rs: ReactionSpec | None = None,
                 source: np.ndarray | None = None) -> StepCoeffs:
     z, one = grid.zeros(), np.ones(grid.n_nodes)
-    return StepCoeffs(t=t, rs=rs or ReactionSpec(), mu=z, mu_tilde=z,
+    return StepCoeffs(t=0.0, rs=rs or ReactionSpec(), mu=z, mu_tilde=z,
                       grad_mu=np.zeros((grid.dim, grid.n_nodes)), lap_mu=z, zero_order=z,
                       exp_mu=one, exp_neg_mu=one, g=None, g_sup=None,
                       source=source if source is not None else z, dmu_dnu=z)
@@ -538,15 +541,6 @@ def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def transport_failure(margin: float, dt: float) -> StabilityError:
-    """The error of a step that breaks the explicit transport guard of the
-    transformed schemes, dt * sup|g_a| / h_a <= 1 on every axis a."""
-    return StabilityError(
-        f"time step violates the transport restriction: dt*sup|g|/h = {margin:.3f} > 1; "
-        f"reduce dt below {dt / margin:.3e}"
-    )
-
-
 def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
                   solver: ImplicitSolver | None = None, lift: BoundaryLift | None = None,
                   t_next: float | None = None) -> NewtonResult:
@@ -554,8 +548,9 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCon
     of a stack of states, with coefficients stacked alike.
 
     A BoundaryLift enters as its ghost value at the theta-weighted time
-    between coeffs.t and t_next.  Returns Newton's result.  The transport
-    guard dt * sup|g| / h <= 1 is the march's.
+    between coeffs.t and t_next.  Returns Newton's result.  The dt it is
+    given meets the transport guard dt * sup|g| / h <= 1: refinement picked
+    it.
     """
     if y_n.ndim != 2 or y_n.shape[1] != grid.n_nodes:
         raise ValueError("state size mismatch")
@@ -619,14 +614,13 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
 
 
 def coeff_block(grid: Grid, fields: SpaceFields, paths, rows: range,
-                rs: ReactionSpec, forcing: ForcingSpec, bd=None,
-                em: bool = False) -> StepCoeffs:
+                rs: ReactionSpec, forcing: ForcingSpec, em: bool = False) -> StepCoeffs:
     """The coefficients at the nodes `rows` of `paths`, a sequence of path
     sets on one time grid: one row per node, with a path axis after it.
 
-    bd, the BoundaryData of a Neumann grid, adds dmu/dnu; `em` adds the
-    noise factor of the Euler-Maruyama rule.  Nodes beyond the mu cap are
-    evaluated too, without overflow warnings: the march stops at the first.
+    A Neumann grid adds dmu/dnu; `em` adds the noise factor of the
+    Euler-Maruyama rule.  Nodes beyond the mu cap are evaluated too, without
+    overflow warnings: the march stops at the first.
     """
     t = np.arange(rows.start, rows.stop) * paths[0].tg.dt
     mu = noisemod.eval_mu(fields, paths, rows)
@@ -637,16 +631,17 @@ def coeff_block(grid: Grid, fields: SpaceFields, paths, rows: range,
         if forcing.kind == "zero":
             source = np.zeros_like(mu)
         elif forcing.transformed:
-            source = np.broadcast_to(forcing.value(0.0, grid), mu.shape)
+            source = np.broadcast_to(forcing.value(grid), mu.shape)
         else:
-            source = transform.effective_source(mu, forcing.value(0.0, grid))
+            source = transform.effective_source(mu, forcing.value(grid))
     noisy = fields.m > 0
     return StepCoeffs(
         t=t, rs=rs, mu=mu, mu_tilde=mu_tilde, grad_mu=grad_mu, lap_mu=lap_mu,
         zero_order=transform.zero_order(mu_tilde, grad_mu, lap_mu),
         exp_mu=exp_mu, exp_neg_mu=exp_neg_mu,
         g=g if noisy else None, g_sup=np.abs(g).max(axis=-1) if noisy else None,
-        source=source, dmu_dnu=None if bd is None else bd.normal_derivative(mu),
+        source=source,
+        dmu_dnu=gridmod.normal_derivative(grid, mu) if grid.bc_kind == gridmod.NEUMANN else None,
         noise=noisemod.eval_noise(fields, paths, rows) if em else None,
     )
 
@@ -656,8 +651,7 @@ def mu_cap_failure(peak: float, t: float, mu_cap: float) -> NumericalFailure:
 
 
 def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
-           x: InitialData | np.ndarray, cfg: SolveConfig, paths, refine, rule, bd=None,
-           original: bool = False) -> list:
+           x: InitialData | np.ndarray, cfg: SolveConfig, paths, refine, rule) -> list:
     """March a batch of Brownian paths, a sequence of path sets, from x with
     a step rule.
 
@@ -666,18 +660,18 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     alone raises, and the others go on; every path gets the bits it gets in
     a batch of one.
     refine(grid, tg, fields, paths) returns a path's halving level and its
-    path set on the run grid, or raises; without it the run grid is tg.
-    Paths at different levels march as separate batches.  cfg.eps holds one
-    value or one per path; each batch hands the rule a run SolveConfig whose
-    eps is the column of its rows' values.  The transport
-    guard, which refinement serves, is checked here, once per coefficient
-    block, and only here.
+    path set on the run grid, or raises; it alone serves the transport
+    guard.  Paths at different levels march as separate batches.  refine is
+    None only for the Euler-Maruyama rule, which has no transport term: it
+    marches on tg, its state is X = e^mu y, and its coefficient records
+    hold the noise factor.  cfg.eps holds one value or one per path; each
+    batch hands the rule a run SolveConfig whose eps is the column of its
+    rows' values.
     rule(y, c, c_next, cfg, solver) advances the stack of states, one row
     per path, from run-grid node n to n + 1, given the coefficient records c
     and c_next of both nodes and the run's SolveConfig and ImplicitSolver,
-    and returns newton_penalized_solve's result.  The state is y, or
-    X = e^mu y when `original` is set.  The returned trajectories hold y on
-    the nodes of tg.
+    and returns newton_penalized_solve's result.  The returned trajectories
+    hold y on the nodes of tg.
     """
     for p in paths:
         if cs.m != p.m:
@@ -694,6 +688,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     elif eps.shape != (len(paths),):
         raise ConfigError(f"eps holds {eps.size} values for a batch of {len(paths)} paths")
 
+    em = refine is None  # the Euler-Maruyama march, the one without refinement
     fields = noisemod.space_fields(cs, grid)
     out = [None] * len(paths)
     levels = {}
@@ -726,24 +721,19 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
             if not live.size:
                 break
             rows = range(lo, min(lo + block_rows, N + 1))
-            blk = coeff_block(grid, fields, [run[j] for j in live], rows, rs, forcing, bd,
-                              em=original)
+            blk = coeff_block(grid, fields, [run[j] for j in live], rows, rs, forcing, em)
             peaks = np.abs(blk.mu).max(axis=-1)
             capped = peaks > cfg.mu_cap
             # a path fails at its first row beyond the cap, so no later row of it is used
             stop = int(np.where(capped.any(axis=0), capped.argmax(axis=0) + 1, len(rows)).max())
             mu_sup[live] = np.fmax(mu_sup[live], peaks.max(axis=0))
             # row i -> {path: its failure there}: a failed Newton step into node n
-            # comes first, then the cap at n, then the transport guard of the step from n
+            # comes first, then the cap at n
             ends = {}
             with np.errstate(over="ignore", invalid="ignore"):  # rows past a path's cap
                 if blk.g_sup is not None:  # the margins of the steps that start in this block
                     margins = (dt * blk.g_sup[:stop] / grid.h).max(axis=-1)[: N - lo]
                     worst_margin[live] = np.concatenate([worst_margin[live][None], margins]).max(0)
-                    if refine is not None:  # the transport guard of the step from node n
-                        for i, j in np.argwhere(margins > 1.0 + 1e-9).tolist():
-                            ends.setdefault(i, {})[int(live[j])] = transport_failure(margins[i, j],
-                                                                                     dt)
                 # running quadrature of |f~|^2 before each row, summed in row order
                 sq = dt * gridmod.inner(grid, blk.source[:stop], blk.source[:stop])
             for i, j in np.argwhere(capped[:stop]).tolist():
@@ -783,7 +773,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
             if j in failed:
                 out[i] = failed[j]
                 continue
-            y_traj = np.exp(-mu_traj[j]) * traj[j] if original else traj[j]
+            y_traj = np.exp(-mu_traj[j]) * traj[j] if em else traj[j]
             diag = Diagnostics(
                 newton_iters=iters[j],
                 residuals=resids[j],
@@ -859,19 +849,19 @@ def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
     if forcing.transformed:
         raise ConfigError("direct_em_solve integrates the original equation; "
                           "forcing must live in the original variables")
-    f = forcing.value(0.0, grid) if forcing.kind != "zero" else None
+    f = forcing.value(grid) if forcing.kind != "zero" else None
 
     def em_step(X, c, c_next, cfg, solver):
         explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, X) if cfg.theta < 1.0 else 0.0
-        drift = explicit - rs.value(c.t, X)
+        drift = explicit - rs.value(X)
         if f is not None:
             drift = drift + f
         rhs = X + cfg.dt * drift + X * c.noise
         return newton_penalized_solve(solver, rhs, cfg.dt, cfg.eps, X,
                                       max(cfg.newton_tol, 1e-12), cfg.newton_max)
 
-    # no refinement: the Euler-Maruyama rule has no transport guard
-    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, None, em_step, original=True)
+    # no refinement: the Euler-Maruyama rule has no transport term
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, None, em_step)
 
 
 def direct_em_solve(

@@ -2,9 +2,11 @@
 condition  dy/dnu + (dmu/dnu) y + beta(y) = 0  on the boundary.
 
 Its solver is the shared march of `pathsolver` with the step rule
-`step_signorini`; the march's coefficient blocks also hold dmu/dnu at every
-node, which the rule needs at the new time level (the next row, which may
-open the next block).
+`step_signorini`; on a Neumann grid the march's coefficient blocks also hold
+dmu/dnu at every node, which the rule needs at the new time level (the next
+row, which may open the next block).  The discrete boundary geometry is the
+grid's: `Grid.boundary_weights`, the ghost-flux factor `Grid.flux_factor`
+(2/h summed over the outward axes) and `grid.normal_derivative`.
 
 Boundary nodes are unknowns.  The penalized flux enters through the ghost
 value of the reflected Laplacian: at a boundary node the second difference
@@ -52,78 +54,37 @@ from .penalty import beta_eps, j_eps
 from .transform import ReactionSpec
 
 
-@dataclass
-class BoundaryData:
-    """Boundary node bookkeeping for a Neumann grid.
-
-    geom_factor holds sum over outward axes of 2/h (zero off the boundary).
-    geom_factor * node_weight equals grid.boundary_weights, which is what
-    makes the ghost-value route and the variational form agree to machine
-    precision.
-    """
-
-    grid: Grid
-    geom_factor: np.ndarray
-
-    def normal_derivative(self, field: np.ndarray) -> np.ndarray:
-        """dmu/dnu at boundary nodes by second-order one-sided stencils,
-        averaged over the outward axes at corners; zero off the boundary.
-        Of a field, or of each row of a stack."""
-        g = self.grid
-        U = g.reshape(field)
-        acc, cnt = np.zeros(U.shape), np.zeros(g.shape)
-        for axis in range(g.dim):
-            # views with the axis first; the outward normal at index 0 is -e_axis
-            u, a = (np.moveaxis(A, A.ndim - g.dim + axis, 0) for A in (U, acc))
-            a[0] += (3.0 * u[0] - 4.0 * u[1] + u[2]) / (2.0 * g.h[axis])
-            a[-1] += (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * g.h[axis])
-            np.moveaxis(cnt, axis, 0)[[0, -1]] += 1.0
-        out = np.zeros(U.shape)
-        np.divide(acc, cnt, out=out, where=cnt > 0)
-        return out.reshape(field.shape)
-
-
-def build_boundary_data(grid: Grid) -> BoundaryData:
+def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
+                    paths: BrownianPathSet, n: int, mu_cap: float) -> StepCoeffs:
+    """The march's coefficient record at node n of `paths` on a Neumann grid,
+    for the probes; raises like the march when |mu| passes mu_cap there."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("Signorini problems need a Neumann grid (boundary nodes included)")
-    geom = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        np.moveaxis(geom, axis, 0)[[0, -1]] += 2.0 / grid.h[axis]
-    return BoundaryData(grid=grid, geom_factor=geom.reshape(-1))
-
-
-def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
-                    paths: BrownianPathSet, n: int, bd: BoundaryData,
-                    mu_cap: float) -> StepCoeffs:
-    """The march's coefficient record at node n of `paths`, for the probes;
-    raises like the march when |mu| passes mu_cap there."""
     coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), [paths], range(n, n + 1), rs,
-                         forcing, bd).row(0).take(0)
+                         forcing).row(0).take(0)
     peak = float(np.max(np.abs(coeffs.mu)))
     if peak > mu_cap:
         raise mu_cap_failure(peak, coeffs.t, mu_cap)
     return coeffs
 
 
-def _laplacian_bc(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, y: np.ndarray,
-                  eps: float) -> np.ndarray:
+def _laplacian_bc(grid: Grid, coeffs: StepCoeffs, y: np.ndarray, eps: float) -> np.ndarray:
     """lap_BC y: the penalized boundary flux folded into the Laplacian's
     ghost values, of a field or of each row of a stack."""
     flux = np.zeros_like(y)
     mask = grid.boundary_mask
     flux[..., mask] = coeffs.dmu_dnu[..., mask] * y[..., mask] + beta_eps(y[..., mask], eps)
-    return gridmod.apply_laplacian(grid, y) - bd.geom_factor * flux
+    return gridmod.apply_laplacian(grid, y) - grid.flux_factor * flux
 
 
-def apply_operator(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, y: np.ndarray,
-                   eps: float) -> np.ndarray:
+def apply_operator(grid: Grid, coeffs: StepCoeffs, y: np.ndarray, eps: float) -> np.ndarray:
     """Strong form of A_eps(t) y: -lap_BC y + F_eff(t, y) + g . grad y."""
-    return (-_laplacian_bc(grid, coeffs, bd, y, eps) + coeffs.reaction(y)
+    return (-_laplacian_bc(grid, coeffs, y, eps) + coeffs.reaction(y)
             + _transport(grid, coeffs.g, y))
 
 
-def assemble_form_value(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData,
-                        y: np.ndarray, phi: np.ndarray, eps: float) -> float:
+def assemble_form_value(grid: Grid, coeffs: StepCoeffs, y: np.ndarray, phi: np.ndarray,
+                        eps: float) -> float:
     """<A_eps(t) y, phi> by quadrature; agrees with inner(apply_operator, phi)
     to machine precision."""
     if y.shape != phi.shape or y.shape != (grid.n_nodes,):
@@ -135,24 +96,23 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData,
     return value
 
 
-def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, bd: BoundaryData,
-                   cfg: SolveConfig, coeffs_new: StepCoeffs | None = None,
+def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
+                   coeffs_new: StepCoeffs | None = None,
                    solver: ImplicitSolver | None = None):
     """One theta-step of each row of a stack of states; the boundary
     condition is enforced at the new time level (dmu/dnu from coeffs_new
-    when given, else from coeffs).  Returns Newton's result.  The transport
-    guard is the march's."""
+    when given, else from coeffs).  Returns Newton's result.  The dt it is
+    given meets the transport guard: refinement picked it."""
     if solver is None:
         solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     dmu_new = (coeffs_new or coeffs).dmu_dnu
-    mask = grid.boundary_mask
-    explicit = ((1.0 - cfg.theta) * _laplacian_bc(grid, coeffs, bd, y_n, cfg.eps)
+    explicit = ((1.0 - cfg.theta) * _laplacian_bc(grid, coeffs, y_n, cfg.eps)
                 if cfg.theta < 1.0 else 0.0)
     rhs = y_n + cfg.dt * (
         explicit - coeffs.reaction(y_n) - _transport(grid, coeffs.g, y_n)
         + coeffs.source
     )
-    dt_scale = np.where(mask, cfg.dt * cfg.theta * bd.geom_factor, 0.0)
+    dt_scale = cfg.dt * cfg.theta * grid.flux_factor  # zero off the boundary
     return newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol,
                                   cfg.newton_max, linear_diag=dt_scale * dmu_new)
 
@@ -164,12 +124,11 @@ def solve_signorini_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionS
     path its PathSolution or the NumericalFailure its solve raises."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("solve_signorini_path needs a Neumann grid")
-    bd = build_boundary_data(grid)
 
     def rule(y, c, c_next, cfg, solver):
-        return step_signorini(grid, y, c, bd, cfg, c_next, solver)
+        return step_signorini(grid, y, c, cfg, c_next, solver)
 
-    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule, bd=bd)
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
 
 
 def solve_signorini_path(
@@ -245,7 +204,7 @@ def _random_fields(grid: Grid, rng: np.random.Generator, n: int) -> np.ndarray:
     return fields
 
 
-def probe_form_constants(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: float,
+def probe_form_constants(grid: Grid, coeffs: StepCoeffs, eps: float,
                          n_samples: int = 128, seed: int = 0,
                          c2_target: float = 0.5) -> FormConstantsReport:
     if n_samples < 100:
@@ -263,7 +222,7 @@ def probe_form_constants(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: 
     c3_theory = 2.0 * (sup_reac + sup_g**2 + sup_dmu * 2.0 * dim / min_l
                        + 16.0 * dim**2 * sup_dmu**2 + 4.0 * dim * sup_dmu)
 
-    a_vals = np.array([assemble_form_value(grid, coeffs, bd, y, y, eps) for y in fields])
+    a_vals = np.array([assemble_form_value(grid, coeffs, y, y, eps) for y in fields])
     s_vals = gridmod.stiffness_inner(grid, fields, fields)
     h_vals = gridmod.inner(grid, fields, fields)
     violations = int(np.sum(a_vals < c2_target * s_vals - c3_theory * h_vals - 1e-9))
@@ -277,13 +236,13 @@ def probe_form_constants(grid: Grid, coeffs: StepCoeffs, bd: BoundaryData, eps: 
     v_norms = np.sqrt(s_vals + h_vals)
     c1 = 0.0
     for y, phi, ny, nphi in zip(ys, phis, v_norms[0::2], v_norms[1::2]):
-        val = assemble_form_value(grid, coeffs, bd, y, phi, eps)
+        val = assemble_form_value(grid, coeffs, y, phi, eps)
         c1 = max(c1, abs(val) / max(ny * nphi, 1e-300))
     c4 = 0.0
     diffs = ys - phis
     for y, ybar, d, hd in zip(ys, phis, diffs, gridmod.inner(grid, diffs, diffs)):
-        val = (assemble_form_value(grid, coeffs, bd, y, d, eps)
-               - assemble_form_value(grid, coeffs, bd, ybar, d, eps))
+        val = (assemble_form_value(grid, coeffs, y, d, eps)
+               - assemble_form_value(grid, coeffs, ybar, d, eps))
         if hd > 1e-14:
             c4 = max(c4, -val / hd)
 

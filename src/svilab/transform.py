@@ -26,7 +26,8 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class ReactionSpec:
-    """Lipschitz reaction F with F(t, xi, 0) = 0.
+    """Lipschitz reaction F with F(t, xi, 0) = 0; the catalog's F depends
+    on its argument r alone.
 
     kinds: 'zero' (F = 0), 'linear' (F = alpha r), 'saturating'
     (F = alpha tanh r, slope alpha at 0).  alpha is the Lipschitz constant.
@@ -44,7 +45,7 @@ class ReactionSpec:
         if errors:
             raise ConfigError(errors)
 
-    def value(self, t: float, r: np.ndarray) -> np.ndarray:
+    def value(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "zero" or self.alpha == 0.0:
             return np.zeros_like(r)
         if self.kind == "linear":
@@ -68,12 +69,12 @@ def zero_order(mu_tilde: np.ndarray, grad_mu: np.ndarray, lap_mu: np.ndarray) ->
 
 
 def effective_reaction(rs: ReactionSpec, c0: np.ndarray, exp_mu: np.ndarray,
-                       exp_neg_mu: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+                       exp_neg_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     """F_eff(t, y) = c0 y + e^{-mu} F(t, xi, e^mu y) with c0 = zero_order(...)
     and e^mu, e^{-mu} at the same node."""
     if y.shape != c0.shape:
         raise ValueError("coefficient field size mismatch")
     out = c0 * y
     if rs.kind != "zero" and rs.alpha != 0.0:
-        out = out + exp_neg_mu * rs.value(t, exp_mu * y)
+        out = out + exp_neg_mu * rs.value(exp_mu * y)
     return out

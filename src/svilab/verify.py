@@ -36,7 +36,7 @@ from .pathsolver import (
     solve_path_batch,
     solved,
 )
-from .signorini import assemble_coeffs, build_boundary_data, mass, probe_form_constants
+from .signorini import assemble_coeffs, mass, probe_form_constants
 from .stefan import StefanData, baiocchi_forward, similarity_oracle, solve_stefan_svi
 from .transform import ReactionSpec
 
@@ -224,10 +224,8 @@ def check_signorini(workers: int = 1):
     paths = sample_paths(tgp, 1, seed=8)
     delta = path_sup(paths)
     cs = CoeffSpec(_c1("const(0.5) * cos(1)"))
-    bd = build_boundary_data(g)
-    coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths, 60,
-                             bd, 30.0)
-    rep = probe_form_constants(g, coeffs, bd, eps=1e-3, n_samples=128, seed=1)
+    coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths, 60, 30.0)
+    rep = probe_form_constants(g, coeffs, eps=1e-3, n_samples=128, seed=1)
     rows.append(("signorini_delta_moderate", delta, 2.0, delta <= 2.0))
     rows.append(("signorini_coercivity_violations", rep.violations, 0.0, rep.violations == 0))
     rows.append(("signorini_coercivity_c2", rep.c2, np.inf, rep.c2 > 0))

@@ -14,7 +14,7 @@ from scipy.linalg import solve_banded
 from svilab import analysis, pathsolver, signorini, verify
 from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths, space_fields
+from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
     ForcingSpec,
     InitialData,
@@ -22,13 +22,10 @@ from svilab.pathsolver import (
     SolveConfig,
     _march,
     build_implicit_solver,
-    coeff_block,
     direct_em_batch,
     direct_em_solve,
     solve_path,
     solve_path_batch,
-    step_interior,
-    transport_failure,
 )
 from svilab.signorini import solve_signorini_batch, solve_signorini_path
 from svilab.transform import ReactionSpec
@@ -152,27 +149,30 @@ def test_batch_failures_keep_their_solo_messages():
     _assert_same(replace(spec, eps=sweep[::-1]).solve_paths(reversed(ids)), mixed[::-1])
 
 
-def test_transport_guard_stops_the_paths_that_break_it():
-    # without refinement, the march's check per block fails each path at
-    # its first step from a node where dt * sup|g| / h > 1, and only those
-    g = build_grid(1, [1.0], 31, DIRICHLET)
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("texts", [("const(3.5) * sin(2)",),
+                                   ("const(2.5) * sin(2)", "cos(2.0,2.0) * sin(3)")],
+                         ids=["m1", "m2"])
+def test_refinement_alone_keeps_the_transport_guard(bc, texts):
+    # _pick_refinement admits a level only when an upper bound of
+    # dt * sup|g| / h is <= 1, so the exact margin of every step a path
+    # marches is <= 1 too, and a path fails only when no level within the
+    # retry budget meets the bound
+    g = build_grid(1, [1.0], 31, bc)
     tg = TimeGrid(0.2, 40)
-    cs = CoeffSpec((parse_coefficient("const(1.5) * sin(2)", [1.0]),))
-    paths = [sample_paths(tg, 1, seed=5, path_id=pid) for pid in range(8)]
-
-    def rule(y, c, c_next, cfg, solver):
-        return step_interior(g, y, c, cfg, solver)
-
-    got = _march(g, tg, cs, ReactionSpec(), ForcingSpec(), InitialData("sine", 0.5),
-                 SolveConfig(dt=tg.dt), paths, lambda grid, tg, fields, p: (0, p), rule)
-    want = []
-    for p in paths:
-        blk = coeff_block(g, space_fields(cs, g), [p], range(tg.N), ReactionSpec(), ForcingSpec())
-        margins = tg.dt * blk.g_sup[:, 0, 0] / g.h[0]
-        over = np.flatnonzero(margins > 1.0 + 1e-9)
-        want.append(str(transport_failure(margins[over[0]], tg.dt)) if over.size else None)
-    assert 0 < sum(w is not None for w in want) < len(paths)
-    assert [str(r) if isinstance(r, StabilityError) else None for r in got] == want
+    cs = CoeffSpec(tuple(parse_coefficient(t, [1.0]) for t in texts))
+    paths = [sample_paths(TimeGrid(0.2, 320), len(texts), seed=5, path_id=pid)
+             for pid in range(16)]
+    solve = solve_path_batch if bc == DIRICHLET else solve_signorini_batch
+    out = solve(g, tg, cs, ReactionSpec(), ForcingSpec("const", -1.0), InitialData("sine", 0.5),
+                SolveConfig(dt=tg.dt), paths)
+    solved = [o for o in out if not isinstance(o, NumericalFailure)]
+    failed = [o for o in out if isinstance(o, NumericalFailure)]
+    assert failed and {s.diagnostics.refine_level for s in solved} >= {2, 3}
+    assert all(s.diagnostics.stability_margin <= 1.0 for s in solved)
+    for exc in failed:
+        assert type(exc) is StabilityError
+        assert "unreachable within the retry budget" in str(exc)
 
 
 def test_signorini_batch_of_three():

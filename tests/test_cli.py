@@ -546,6 +546,37 @@ def test_shipped_trajectory_matches_the_benchmark_digest(tmp_path, name):
         assert hashlib.sha256(fh.read()).hexdigest() == reference[name]
 
 
+# sha256 of each CSV after its provenance line, per shipped config
+SHIPPED_CSV_DIGESTS = {
+    "signorini": {
+        "summary.csv": "3f4c34510c2bdbda3a127b5ce337ec20a2d7ff997f910c49392ee09e348eb7dd",
+        "trajectory.csv": "55f509a3406abc37570c2f9ae6d6e51647a6701b392b41b6341a0eb06c2513f0",
+    },
+    "pinned": {
+        "summary.csv": "9d17ae3a1bf829acdd10b956a2f095a98360895935655dcbdd72951e1dc514c5",
+        "trajectory.csv": "4eab216bf336766c72fae59660a925bf97142129fd91dfb45e66fef6f9358753",
+    },
+    "rate_eps": {
+        "rates.csv": "624610ca07f3f433b9b813d91cd7f8241b2714d2f71a961e4293f50637b3e6a4",
+        "summary.csv": "55ff04c4d19b3e10cdf37e3a7a1f63b766cf13047540abdf685b56f28f425365",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CSV_DIGESTS))
+def test_shipped_csvs_match_their_digests(tmp_path, name):
+    """Every CSV of a shipped config that the benchmark does not run keeps its
+    bytes (after the provenance line)."""
+    assert main(["--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    digests = {}
+    for path in sorted(tmp_path.glob("*.csv")):
+        with open(path, "rb") as fh:
+            assert fh.readline().startswith(b"# config_sha256=")
+            digests[path.name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == SHIPPED_CSV_DIGESTS[name]
+
+
 @pytest.mark.parametrize("flag, value, key, in_file", [
     ("--paths", "1", "run.n_paths", ("n_paths = 4", "n_paths = 1")),
     ("--seed", "-1", "noise.seed", ("seed = 7", "seed = -1")),

@@ -17,7 +17,6 @@ from svilab.pathsolver import (
     ProblemSpec,
     ImplicitSolver,
     SolveConfig,
-    _march,
     build_implicit_solver,
     conjugate_gradients,
     direct_em_solve,
@@ -97,23 +96,6 @@ def test_step_pinned_by_negative_forcing():
     assert np.allclose(y[mid], -eps, atol=1e-5)
     eta = np.minimum(y, 0.0) / eps
     assert np.allclose(eta[mid], -1.0, atol=1e-2)
-
-
-def test_stability_guard_raises():
-    # without refinement the march's guard stops the path: mu = 50 W(t) sin(2 pi x)
-    # has dt*sup|g|/h well above 1 once W leaves 0
-    g = build_grid(1, [1.0], 31, DIRICHLET)
-    tg = TimeGrid(0.1, 20)
-    paths = sample_paths(tg, 1, seed=1)
-
-    def rule(y, c, c_next, cfg, solver):
-        return step_interior(g, y, c, cfg, solver)
-
-    (out,) = _march(g, tg, coeffs1("const(50.0) * sin(2)"), ReactionSpec(), ForcingSpec(),
-                    InitialData("sine", 1.0), SolveConfig(dt=tg.dt, mu_cap=1e3), [paths],
-                    lambda grid, tg, fields, p: (0, p), rule)
-    assert isinstance(out, StabilityError)
-    assert str(out).startswith("time step violates the transport restriction")
 
 
 @pytest.mark.parametrize("forcing", [ForcingSpec(), ForcingSpec("const", -1.0)],

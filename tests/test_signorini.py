@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from svilab.errors import ConfigError
-from svilab.grid import DIRICHLET, NEUMANN, boundary_weights, build_grid, inner, stiffness_inner
+from svilab.grid import (DIRICHLET, NEUMANN, build_grid, inner, normal_derivative,
+                         stiffness_inner)
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig, zero_coeffs
 from svilab.penalty import beta_eps, graph_contains
@@ -11,7 +12,6 @@ from svilab.signorini import (
     assemble_coeffs,
     assemble_form_value,
     boundary_potential_check,
-    build_boundary_data,
     mass,
     probe_form_constants,
     solve_signorini_path,
@@ -30,52 +30,53 @@ def neumann_setup(n=63, T=0.1, nt=100, eps=1e-3, **cfg_kw):
 
 def test_boundary_data_geometry():
     g = build_grid(2, [1.0, 2.0], 9, NEUMANN)
-    bd = build_boundary_data(g)
     hx, hy = g.h
-    geom = bd.geom_factor.reshape(g.shape)
+    geom = g.flux_factor.reshape(g.shape)
     assert geom[4, 0] == pytest.approx(2.0 / hy)      # edge node, outward axis 1
     assert geom[0, 4] == pytest.approx(2.0 / hx)
     assert geom[0, 0] == pytest.approx(2.0 / hx + 2.0 / hy)
     assert np.all(geom[1:-1, 1:-1] == 0.0)
-    # geom * node weight equals the boundary quadrature weight
-    w = (bd.geom_factor * g.weights)[g.boundary_mask]
-    assert np.allclose(w, boundary_weights(g)[g.boundary_mask])
-    with pytest.raises(ConfigError):
-        build_boundary_data(build_grid(1, [1.0], 9, DIRICHLET))
+    # flux factor * node weight equals the boundary quadrature weight
+    w = (g.flux_factor * g.weights)[g.boundary_mask]
+    assert np.allclose(w, g.boundary_weights[g.boundary_mask])
+    assert np.all(g.boundary_weights[~g.boundary_mask] == 0.0)
+    gd = build_grid(1, [1.0], 9, DIRICHLET)
+    assert not gd.flux_factor.any() and not gd.boundary_weights.any()
+    # the probes' coefficient record is a Neumann grid's only
+    with pytest.raises(ConfigError, match="need a Neumann grid"):
+        assemble_coeffs(gd, EMPTY, ReactionSpec(), ForcingSpec(),
+                        sample_paths(TimeGrid(0.1, 10), 0, seed=0), 0, 30.0)
 
 
 def test_normal_derivative_stencil():
     g = build_grid(1, [1.0], 63, NEUMANN)
-    bd = build_boundary_data(g)
     x = g.meshes()[0]
     # mu = x^2: dmu/dnu = -2x at x=0 -> 0, +2x at x=1 -> 2 (exact, quadratic)
-    dn = bd.normal_derivative(x * x)
+    dn = normal_derivative(g, x * x)
     assert dn[0] == pytest.approx(0.0, abs=1e-12)
     assert dn[-1] == pytest.approx(2.0, abs=1e-10)
     assert np.all(dn[1:-1] == 0.0)
     # cos mode has vanishing normal derivative to O(h^2)
-    dn2 = bd.normal_derivative(np.cos(np.pi * x))
+    dn2 = normal_derivative(g, np.cos(np.pi * x))
     assert abs(dn2[0]) <= 1e-2 and abs(dn2[-1]) <= 1e-2
 
 
 def test_form_value_zero_field():
     g, tg, cfg = neumann_setup()
-    bd = build_boundary_data(g)
     coeffs = zero_coeffs(g)
     rng = np.random.default_rng(0)
     for _ in range(3):
         phi = rng.normal(size=g.n_nodes)
-        assert assemble_form_value(g, coeffs, bd, g.zeros(), phi, cfg.eps) == 0.0
+        assert assemble_form_value(g, coeffs, g.zeros(), phi, cfg.eps) == 0.0
 
 
 def test_form_value_sine_oracle():
     # mu = 0, linear reaction: <A y, y> = int |y'|^2 + alpha int y^2
     alpha = 0.7
     g = build_grid(1, [1.0], 127, NEUMANN)
-    bd = build_boundary_data(g)
     coeffs = zero_coeffs(g, rs=ReactionSpec("linear", alpha))
     y = np.sin(np.pi * g.meshes()[0])
-    val = assemble_form_value(g, coeffs, bd, y, y, 1e-3)
+    val = assemble_form_value(g, coeffs, y, y, 1e-3)
     exact = np.pi**2 / 2.0 + alpha / 2.0
     assert val == pytest.approx(exact, rel=1e-3)
 
@@ -86,28 +87,26 @@ def test_form_matches_operator_route():
     tg = TimeGrid(0.1, 50)
     paths = sample_paths(tg, 1, seed=3)
     cs = CoeffSpec((parse_coefficient("const(0.8) * poly(0.5,0.3,-0.2)", [1.0]),))
-    bd = build_boundary_data(g)
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.5), ForcingSpec(), paths,
-                             20, bd, 30.0)
+                             20, 30.0)
     rng = np.random.default_rng(1)
     eps = 1e-2
     for _ in range(5):
         y = rng.normal(size=g.n_nodes)
         phi = rng.normal(size=g.n_nodes)
-        form = assemble_form_value(g, coeffs, bd, y, phi, eps)
-        op = inner(g, apply_operator(g, coeffs, bd, y, eps), phi)
+        form = assemble_form_value(g, coeffs, y, phi, eps)
+        op = inner(g, apply_operator(g, coeffs, y, eps), phi)
         assert form == pytest.approx(op, abs=1e-10)
     # 2D, with a corner-active field
     g2 = build_grid(2, [1.0, 1.5], 11, NEUMANN)
-    bd2 = build_boundary_data(g2)
     cs2 = CoeffSpec((parse_coefficient("const(0.5) * poly(0.2,0.4,0.0) * cos(1)", [1.0, 1.5]),))
     paths2 = sample_paths(tg, 1, seed=4)
     coeffs2 = assemble_coeffs(g2, cs2, ReactionSpec(), ForcingSpec(), paths2,
-                              10, bd2, 30.0)
+                              10, 30.0)
     y = rng.normal(size=g2.n_nodes)
     phi = rng.normal(size=g2.n_nodes)
-    form = assemble_form_value(g2, coeffs2, bd2, y, phi, eps)
-    op = inner(g2, apply_operator(g2, coeffs2, bd2, y, eps), phi)
+    form = assemble_form_value(g2, coeffs2, y, phi, eps)
+    op = inner(g2, apply_operator(g2, coeffs2, y, eps), phi)
     assert form == pytest.approx(op, abs=1e-10)
 
 
@@ -183,9 +182,8 @@ def test_signorini_noisy_run_stable():
 def test_coercivity_probe_pure_dirichlet_form():
     # no mu, no reaction: <A y, y> = |grad y|^2 exactly: C2 ~ 1, C3 ~ 0
     g = build_grid(1, [1.0], 63, NEUMANN)
-    bd = build_boundary_data(g)
     coeffs = zero_coeffs(g)
-    rep = probe_form_constants(g, coeffs, bd, eps=1e30, n_samples=128, seed=0)
+    rep = probe_form_constants(g, coeffs, eps=1e30, n_samples=128, seed=0)
     assert rep.c2 == pytest.approx(1.0, abs=1e-9)
     assert rep.c3 == pytest.approx(0.0, abs=1e-9)
     assert rep.violations == 0
@@ -196,16 +194,15 @@ def test_coercivity_probe_pure_dirichlet_form():
 def test_coercivity_probe_monotone_penalty_helps():
     # adding the monotone boundary term can only increase <A y, y>
     g = build_grid(1, [1.0], 63, NEUMANN)
-    bd = build_boundary_data(g)
     coeffs = zero_coeffs(g)
     rng = np.random.default_rng(7)
     for _ in range(20):
         y = rng.normal(size=g.n_nodes)
-        without = assemble_form_value(g, coeffs, bd, y, y, eps=1e30)
-        with_pen = assemble_form_value(g, coeffs, bd, y, y, eps=1e-3)
+        without = assemble_form_value(g, coeffs, y, y, eps=1e30)
+        with_pen = assemble_form_value(g, coeffs, y, y, eps=1e-3)
         assert with_pen >= without - 1e-12
-    rep_pen = probe_form_constants(g, coeffs, bd, eps=1e-3, n_samples=128, seed=0)
-    rep_off = probe_form_constants(g, coeffs, bd, eps=1e30, n_samples=128, seed=0)
+    rep_pen = probe_form_constants(g, coeffs, eps=1e-3, n_samples=128, seed=0)
+    rep_off = probe_form_constants(g, coeffs, eps=1e30, n_samples=128, seed=0)
     assert rep_pen.c2 >= rep_off.c2 - 1e-12
 
 
@@ -213,15 +210,14 @@ def test_coercivity_probe_constant_sample_closed_form():
     # y = const: the form value is reaction + boundary terms only
     alpha = 0.9
     g = build_grid(1, [1.0], 63, NEUMANN)
-    bd = build_boundary_data(g)
     coeffs = zero_coeffs(g, rs=ReactionSpec("linear", alpha))
     c = 1.7
     y = np.full(g.n_nodes, c)
-    val = assemble_form_value(g, coeffs, bd, y, y, eps=1e30)
+    val = assemble_form_value(g, coeffs, y, y, eps=1e30)
     assert val == pytest.approx(alpha * c * c, rel=1e-12)  # alpha int y^2 = alpha c^2
     y_neg = np.full(g.n_nodes, -c)
     eps = 1e-2
-    val_neg = assemble_form_value(g, coeffs, bd, y_neg, y_neg, eps=eps)
+    val_neg = assemble_form_value(g, coeffs, y_neg, y_neg, eps=eps)
     expected = alpha * c * c + 2.0 * (c / eps) * c  # two boundary points, weight 1
     assert val_neg == pytest.approx(expected, rel=1e-12)
 
@@ -231,11 +227,10 @@ def test_coercivity_probe_noisy_coefficients_no_violations():
     tg = TimeGrid(0.2, 100)
     paths = sample_paths(tg, 1, seed=8)
     cs = CoeffSpec((parse_coefficient("const(0.5) * cos(1)", [1.0]),))
-    bd = build_boundary_data(g)
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths,
-                             60, bd, 30.0)
-    rep = probe_form_constants(g, coeffs, bd, eps=1e-3, n_samples=128, seed=1)
+                             60, 30.0)
+    rep = probe_form_constants(g, coeffs, eps=1e-3, n_samples=128, seed=1)
     assert rep.violations == 0
     assert rep.c2 > 0.0
     with pytest.raises(ValueError):
-        probe_form_constants(g, coeffs, bd, eps=1e-3, n_samples=50)
+        probe_form_constants(g, coeffs, eps=1e-3, n_samples=50)

@@ -41,10 +41,10 @@ def test_effective_source():
     assert np.all(effective_source(np.ones(2), np.zeros(2)) == 0.0)
 
 
-def _reaction(rs, mu, mt, grad, lap, t, y):
+def _reaction(rs, mu, mt, grad, lap, y):
     """effective_reaction from mu, mu~, grad mu and lap mu at one node."""
     return effective_reaction(rs, zero_order(mt, np.asarray(grad), lap), np.exp(mu), np.exp(-mu),
-                              t, y)
+                              y)
 
 
 def test_effective_reaction_trivial_linear():
@@ -52,7 +52,7 @@ def test_effective_reaction_trivial_linear():
     zero = np.zeros(n)
     y = np.linspace(-1, 1, n)
     rs = ReactionSpec("linear", 2.5)
-    out = _reaction(rs, zero, zero, [zero], zero, 0.0, y)
+    out = _reaction(rs, zero, zero, [zero], zero, y)
     assert np.allclose(out, 2.5 * y)
 
 
@@ -65,14 +65,13 @@ def test_effective_reaction_term_oracle():
         parse_coefficient("const(0.8) * sin(1)", [1.0]),
         parse_coefficient("cos(0.5,2.0) * poly(0.2,0.1,0.4)", [1.0]),
     ))
-    t = tg.nodes[5]
     fields = space_fields(cs, g)
     mu = eval_mu(fields, [p], range(5, 6))[0, 0]
     mt = eval_mu_tilde(fields, [p], range(5, 6))[0, 0]
     grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(5, 6)))
     rng = np.random.default_rng(3)
     y = rng.normal(size=g.n_nodes)
-    out = _reaction(ReactionSpec("zero"), mu, mt, grad, lap, t, y)
+    out = _reaction(ReactionSpec("zero"), mu, mt, grad, lap, y)
     coeff = mt - grad[0] ** 2 - lap
     assert np.allclose(out, coeff * y, rtol=1e-13)
 
@@ -86,14 +85,13 @@ def test_effective_reaction_linear_growth_bound():
     rs = ReactionSpec("saturating", 0.7)
     rng = np.random.default_rng(4)
     for idx in (2, 5, 8):
-        t = tg.nodes[idx]
         fields = space_fields(cs, g)
         mu = eval_mu(fields, [p], range(idx, idx + 1))[0, 0]
         mt = eval_mu_tilde(fields, [p], range(idx, idx + 1))[0, 0]
         grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(idx, idx + 1)))
         alpha_bar = rs.alpha + np.max(np.abs(mt)) + np.max(grad[0] ** 2 + np.abs(lap))
         y = rng.normal(size=g.n_nodes)
-        out = _reaction(rs, mu, mt, grad, lap, t, y)
+        out = _reaction(rs, mu, mt, grad, lap, y)
         assert np.all(np.abs(out) <= alpha_bar * np.abs(y) + 1e-12)
 
 
@@ -103,7 +101,7 @@ def test_effective_reaction_linear_in_y():
     mu, mt, gm, lm = rng.normal(size=(4, n))
     y1, y2 = rng.normal(size=(2, n))
     rs = ReactionSpec("linear", 1.1)
-    f = lambda y: _reaction(rs, mu, mt, [gm], lm, 0.3, y)
+    f = lambda y: _reaction(rs, mu, mt, [gm], lm, y)
     assert np.allclose(f(2.0 * y1 + 3.0 * y2), 2.0 * f(y1) + 3.0 * f(y2), atol=1e-10)
 
 
@@ -118,7 +116,7 @@ def test_reaction_spec_validation():
 def test_reaction_lipschitz(r, rbar, alpha):
     for kind in ("zero", "linear", "saturating"):
         rs = ReactionSpec(kind, alpha)
-        a = rs.value(0.0, np.array([r]))[0]
-        b = rs.value(0.0, np.array([rbar]))[0]
+        a = rs.value(np.array([r]))[0]
+        b = rs.value(np.array([rbar]))[0]
         assert abs(a - b) <= alpha * abs(r - rbar) + 1e-12
-        assert rs.value(0.0, np.array([0.0]))[0] == 0.0
+        assert rs.value(np.array([0.0]))[0] == 0.0
