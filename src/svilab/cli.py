@@ -215,8 +215,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     n_steps = 1
     if _positive(T) and _positive(dt):
         n_steps = max(1, round(T / dt)) if T / dt < math.inf else 0  # t / dt may overflow
-        if abs(n_steps * dt - T) > dt:
-            errors.append(f"time.dt = {dt} does not divide t = {T} within one step")
+        if abs(n_steps * dt - T) > 1e-9 * T:
+            errors.append(f"time.dt = {dt} does not divide t = {T}")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         errors.append("penalty.eps list must be strictly decreasing")
     min_paths = 2 if mode == "ensemble" else 1

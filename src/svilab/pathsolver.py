@@ -29,13 +29,13 @@ The Laplacian and the penalty are implicit, everything else explicit.  The
 diagonal monotone penalty is resolved by a semismooth Newton / active set
 iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system, row by row of the
-stack: tridiagonal LAPACK solves in 1D; in 2D `conjugate_gradients`, an
-in-house CG on the 5-point matrix.  On a Dirichlet grid it is preconditioned
-by `SinePreconditioner`, the inverse of A + c I in the type-I discrete sine
-basis that diagonalises A = I - dt theta Lap, with c the median of the
-solve's extra diagonal; on a Neumann grid it is unpreconditioned and matches
-scipy's `cg` bit for bit.  Either way it stops on the unpreconditioned
-residual, |b - M x| < CG_RTOL |b|.
+stack, by the march's `ImplicitSolver(grid, dt, theta)`: tridiagonal LAPACK
+solves in 1D; in 2D `conjugate_gradients`, an in-house CG on the 5-point
+matrix, preconditioned on a Dirichlet grid by `SinePreconditioner`, the
+inverse of A + c I in the type-I discrete sine basis that diagonalises
+A = I - dt theta Lap, with c the median of the solve's extra diagonal, and on
+a Neumann grid by the identity, which gives scipy's `cg` bits.  It tests the
+unpreconditioned residual, |b - M x| < CG_RTOL |b|, after every update.
 
 eps is one value for the batch or one per path.  The march carries it as a
 column beside the state, one row per path, and the step rules, Newton and
@@ -148,7 +148,7 @@ class InitialData:
 @dataclass(frozen=True)
 class ForcingSpec:
     """Deterministic forcing f(xi) from a closed catalog, constant in time:
-    the march evaluates it once.
+    `coeff_block` evaluates it once per block of run-grid rows.
 
     kinds: 'zero', 'const', 'sine' (product of first sine modes), 'edge'
     (amplitude on the strip within `width` of the boundary), 'field'
@@ -303,18 +303,16 @@ CG_RTOL = 1e-12  # CG stops once |b - M x| < CG_RTOL |b|
 
 
 def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | None,
-                        maxiter: int, precond=None) -> np.ndarray:
+                        maxiter: int, precond) -> np.ndarray:
     """x with M x = b by conjugate gradients from x0 (zeros when None), for
-    symmetric positive definite M, preconditioned by precond(r) ~ M^-1 r when
-    given.  Without precond, operation for operation what
+    symmetric positive definite M, preconditioned by precond(r) ~ M^-1 r.
+    The iterate after each update is tested, the last one too, on the
+    unpreconditioned residual: |b - M x| < CG_RTOL |b|.  With the identity,
+    z = r, so every solve that converges makes the operations of
     scipy.sparse.linalg.cg(M, b, x0=x0, rtol=CG_RTOL, atol=0.0,
-    maxiter=maxiter) does, so it returns the same bits, without scipy's
-    operator wrappers; |r| is sqrt(r.r), so the rho of an iteration serves its
-    stopping test too, and like scipy's the iterate of the last of maxiter
-    updates is not tested.  With precond the iterate after each update is
-    tested, the last one too.  Either way the test is |b - M x| < CG_RTOL |b|
-    on the unpreconditioned residual.  Raises NumericalFailure when maxiter
-    iterations do not converge."""
+    maxiter=maxiter) and returns its bits, without scipy's operator
+    wrappers; unlike scipy's, the iterate of the last permitted update
+    counts.  Raises NumericalFailure when maxiter updates do not converge."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     bb = np.dot(b, b)
     if bb == 0.0:
@@ -323,13 +321,10 @@ def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | No
     r = b - M @ x if x.any() else b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
-        rho = np.dot(r, r)
-        if math.sqrt(rho) < atol:
+        if math.sqrt(np.dot(r, r)) < atol:
             return x
-        z = r
-        if precond is not None:
-            z = precond(r)
-            rho = np.dot(r, z)
+        z = precond(r)
+        rho = np.dot(r, z)
         if p is None:
             p = z.copy()
         else:
@@ -340,9 +335,20 @@ def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | No
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    if precond is not None and math.sqrt(np.dot(r, r)) < atol:
+    if math.sqrt(np.dot(r, r)) < atol:
         return x
     raise NumericalFailure(f"conjugate gradients failed to converge (info={maxiter})")
+
+
+def identity(r: np.ndarray) -> np.ndarray:
+    return r  # the preconditioner of plain CG
+
+
+def _median(d: np.ndarray) -> float:
+    """np.median of a flat array, bit for bit, from one partition."""
+    k, odd = d.size // 2, d.size % 2
+    part = np.partition(d, k if odd else (k - 1, k))
+    return part[k] if odd else (part[k - 1] + part[k]) / 2
 
 
 class SinePreconditioner:
@@ -367,7 +373,7 @@ class SinePreconditioner:
 
     def for_diag(self, extra_diag: np.ndarray):
         S, shape = self.S, self.shape
-        inv = 1.0 / (self.lam + np.median(extra_diag))
+        inv = 1.0 / (self.lam + _median(extra_diag))
 
         def apply(r: np.ndarray) -> np.ndarray:
             return (S @ ((S @ r.reshape(shape) @ S) * inv) @ S).reshape(-1)
@@ -376,14 +382,18 @@ class SinePreconditioner:
 
 
 class ImplicitSolver:
-    def __init__(self, A: sparse.csr_matrix, dim: int,
-                 precond: SinePreconditioner | None = None):
-        self.A = A.tocsr()
-        self.dim = dim
-        self.precond = precond
-        self.n = A.shape[0]
+    """(A + diag(d)) x = b for A = I - dt theta L on `grid`; `precond` is the
+    SinePreconditioner of a 2D Dirichlet grid, else None (the identity)."""
+
+    def __init__(self, grid: Grid, dt: float, theta: float):
+        L = gridmod.laplacian_csr(grid)
+        self.A = (sparse.identity(grid.n_nodes, format="csr") - (dt * theta) * L).tocsr()
+        self.dim = grid.dim
+        self.n = grid.n_nodes
         self._main = self.A.diagonal().copy()
-        if dim == 1:
+        sine = grid.dim == 2 and grid.bc_kind == gridmod.DIRICHLET
+        self.precond = SinePreconditioner(grid, dt, theta) if sine else None
+        if self.dim == 1:
             self._lower = self.A.diagonal(-1).copy()
             self._upper = self.A.diagonal(1).copy()
         else:
@@ -392,8 +402,6 @@ class ImplicitSolver:
             self._M = self.A.copy()
             rows = np.repeat(np.arange(self.n), np.diff(self._M.indptr))
             self._diag_at = np.flatnonzero(self._M.indices == rows)
-            if not np.array_equal(rows[self._diag_at], np.arange(self.n)):
-                raise ValueError("every row of A needs exactly one stored diagonal entry")
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """A y, of a field or of each row of a stack."""
@@ -405,9 +413,9 @@ class ImplicitSolver:
         and one super-diagonal, without its argument checks), in one call for
         all rows without an extra diagonal; in 2D `conjugate_gradients` from
         x0, row by row, to |b - M x| < CG_RTOL |b|, preconditioned by the
-        solver's SinePreconditioner for that row's extra diagonal when it has
-        one (Dirichlet grids), else unpreconditioned with the bits of scipy's
-        `cg`.  Returns x and the rows whose solve failed, each with its error
+        solver's SinePreconditioner for that row's extra diagonal on a
+        Dirichlet grid, else by the identity, with the bits of scipy's `cg`.
+        Returns x and the rows whose solve failed, each with its error
         (their rows of x are meaningless)."""
         x = np.zeros_like(b)
         rows = range(len(b))  # the rows solved one at a time
@@ -437,18 +445,8 @@ class ImplicitSolver:
         if self.dim == 1:  # b as a column, which gtsv takes without a copy
             return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
         self._M.data[self._diag_at] = self._main + extra_diag
-        precond = None if self.precond is None else self.precond.for_diag(extra_diag)
+        precond = identity if self.precond is None else self.precond.for_diag(extra_diag)
         return conjugate_gradients(self._M, b, x0, 20 * self.n, precond)
-
-
-def build_implicit_solver(grid: Grid, dt: float, theta: float) -> ImplicitSolver:
-    """The solver of A = I - dt theta L, with the sine preconditioner on a 2D
-    Dirichlet grid."""
-    L = gridmod.laplacian_csr(grid)
-    A = sparse.identity(grid.n_nodes, format="csr") - (dt * theta) * L
-    sine = grid.dim == 2 and grid.bc_kind == gridmod.DIRICHLET
-    return ImplicitSolver(A.tocsr(), grid.dim,
-                          SinePreconditioner(grid, dt, theta) if sine else None)
 
 
 class NewtonResult(NamedTuple):
@@ -542,10 +540,11 @@ def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
 
 
 def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
-                  solver: ImplicitSolver | None = None, lift: BoundaryLift | None = None,
+                  solver: ImplicitSolver, lift: BoundaryLift | None = None,
                   t_next: float | None = None) -> NewtonResult:
     """One theta-step of the penalized interior obstacle problem, of each row
-    of a stack of states, with coefficients stacked alike.
+    of a stack of states, with coefficients stacked alike, by the march's
+    ImplicitSolver(grid, cfg.dt, cfg.theta).
 
     A BoundaryLift enters as its ghost value at the theta-weighted time
     between coeffs.t and t_next.  Returns Newton's result.  The dt it is
@@ -554,8 +553,6 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCon
     """
     if y_n.ndim != 2 or y_n.shape[1] != grid.n_nodes:
         raise ValueError("state size mismatch")
-    if solver is None:
-        solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
     source = coeffs.source
     if lift is not None:
         ghost = grid.zeros()
@@ -704,7 +701,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
         run = [r for _, r in members]
         P, stride, N, dt = len(run), 2**level, run[0].tg.N, run[0].tg.dt
         run_cfg = replace(cfg, dt=dt, eps=eps[[i for i, _ in members], None])
-        solver = build_implicit_solver(grid, dt, cfg.theta)
+        solver = ImplicitSolver(grid, dt, cfg.theta)
         block_rows = max(2, BLOCK_VALUES // (P * grid.n_nodes))
 
         traj = np.zeros((P, tg.N + 1, grid.n_nodes))

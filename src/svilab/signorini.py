@@ -45,7 +45,6 @@ from .pathsolver import (
     _one,
     _pick_refinement,
     _transport,
-    build_implicit_solver,
     coeff_block,
     mu_cap_failure,
     newton_penalized_solve,
@@ -97,15 +96,12 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, y: np.ndarray, phi: np.n
 
 
 def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
-                   coeffs_new: StepCoeffs | None = None,
-                   solver: ImplicitSolver | None = None):
-    """One theta-step of each row of a stack of states; the boundary
-    condition is enforced at the new time level (dmu/dnu from coeffs_new
-    when given, else from coeffs).  Returns Newton's result.  The dt it is
-    given meets the transport guard: refinement picked it."""
-    if solver is None:
-        solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
-    dmu_new = (coeffs_new or coeffs).dmu_dnu
+                   coeffs_new: StepCoeffs, solver: ImplicitSolver):
+    """One theta-step of each row of a stack of states, by the march's
+    ImplicitSolver(grid, cfg.dt, cfg.theta); the boundary condition is
+    enforced at the new time level, with dmu/dnu from coeffs_new.  Returns
+    Newton's result.  The dt it is given meets the transport guard:
+    refinement picked it."""
     explicit = ((1.0 - cfg.theta) * _laplacian_bc(grid, coeffs, y_n, cfg.eps)
                 if cfg.theta < 1.0 else 0.0)
     rhs = y_n + cfg.dt * (
@@ -114,7 +110,7 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCo
     )
     dt_scale = cfg.dt * cfg.theta * grid.flux_factor  # zero off the boundary
     return newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol,
-                                  cfg.newton_max, linear_diag=dt_scale * dmu_new)
+                                  cfg.newton_max, linear_diag=dt_scale * coeffs_new.dmu_dnu)
 
 
 def solve_signorini_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,

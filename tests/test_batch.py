@@ -17,11 +17,11 @@ from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
     ForcingSpec,
+    ImplicitSolver,
     InitialData,
     ProblemSpec,
     SolveConfig,
     _march,
-    build_implicit_solver,
     direct_em_batch,
     direct_em_solve,
     solve_path,
@@ -59,7 +59,7 @@ def _assert_same(batch, solo):
 @pytest.mark.parametrize("n", [3, 4, 31])
 def test_gtsv_rows_equal_solve_banded(n):
     g = build_grid(1, [1.0], n, DIRICHLET)
-    solver = build_implicit_solver(g, 0.7, 1.0)
+    solver = ImplicitSolver(g, 0.7, 1.0)
     rng = np.random.default_rng(n)
     b = rng.normal(size=(6, n))
     extra = np.zeros((6, n))
@@ -82,7 +82,7 @@ def test_gtsv_rows_equal_solve_banded(n):
 
 def test_linear_solve_reports_the_rows_that_fail():
     g = build_grid(1, [1.0], 3, DIRICHLET)
-    solver = build_implicit_solver(g, 0.7, 1.0)
+    solver = ImplicitSolver(g, 0.7, 1.0)
     b = np.ones((3, 3))
     extra = np.zeros((3, 3))
     extra[1] = -solver._main  # a zero diagonal: singular

@@ -640,6 +640,25 @@ def test_bad_value_is_one_config_error_naming_its_key(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", ["0.03", "0.07", "1.0"])
+def test_time_step_must_divide_the_horizon(tmp_path, capsys, dt):
+    # round(t / dt) steps would silently run at another dt than the one asked for
+    out = tmp_path / "out"
+    conf = set_key(set_key(FULL.format(out=out), "time", "t", "0.1"), "time", "dt", dt)
+    code = main(["--config", str(write(tmp_path, conf)), "--quiet"])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert code == 1
+    assert errors == [f"config error: time.dt = {float(dt)} does not divide t = 0.1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t, dt", [("0.05", "2e-4"), ("1.0", repr(1 / 3))])
+def test_time_step_that_divides_the_horizon_is_accepted(tmp_path, t, dt):
+    conf = set_key(set_key(FULL.format(out=tmp_path / "out"), "time", "t", t), "time", "dt", dt)
+    spec = parse_config(write(tmp_path, conf)).problem_spec()
+    assert spec.n_steps == round(float(t) / float(dt))
+
+
 @pytest.mark.parametrize("mode, key, value, message", [
     ("rate-eps", "bc", "neumann", "rate-eps mode needs domain.bc = dirichlet"),
     ("rate-mesh", "dim", "2", "rate-mesh mode needs domain.dim = 1"),

@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.sparse.linalg import cg as scipy_cg
 
+from svilab import pathsolver
 from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
@@ -14,12 +14,14 @@ from svilab.pathsolver import (
     BoundaryLift,
     ForcingSpec,
     InitialData,
-    ProblemSpec,
     ImplicitSolver,
+    ProblemSpec,
+    SinePreconditioner,
     SolveConfig,
-    build_implicit_solver,
+    _median,
     conjugate_gradients,
     direct_em_solve,
+    identity,
     solve_path,
     step_interior,
     zero_coeffs,
@@ -41,7 +43,7 @@ def zero_stack(grid, source=None):
 
 
 def march(grid, x, cfg, n_steps, source=None):
-    solver = build_implicit_solver(grid, cfg.dt, cfg.theta)
+    solver = ImplicitSolver(grid, cfg.dt, cfg.theta)
     y = x[None]
     src = source if source is not None else grid.zeros()
     for _ in range(n_steps):
@@ -52,7 +54,8 @@ def march(grid, x, cfg, n_steps, source=None):
 def test_step_zero_fixed_point():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     cfg = SolveConfig(dt=1e-3)
-    y1, iters, resid = step_interior(g, g.zeros()[None], zero_stack(g), cfg)[:3]
+    solver = ImplicitSolver(g, cfg.dt, cfg.theta)
+    y1, iters, resid = step_interior(g, g.zeros()[None], zero_stack(g), cfg, solver)[:3]
     assert np.all(y1 == 0.0)
     assert resid[0] <= cfg.newton_tol
 
@@ -68,7 +71,7 @@ def test_step_heat_eigen_decay_oracle():
         dt = 2e-4
         cfg = SolveConfig(dt=dt, theta=theta)
         x = np.sin(np.pi * g.meshes()[0])
-        y1 = step_interior(g, x[None], zero_stack(g), cfg).y[0]
+        y1 = step_interior(g, x[None], zero_stack(g), cfg, ImplicitSolver(g, dt, theta)).y[0]
         factor_h = (1.0 + (1.0 - theta) * dt * lam_h) / (1.0 - theta * dt * lam_h)
         assert np.allclose(y1, factor_h * x, atol=1e-12)
         # continuous-eigenvalue version agrees within spatial error
@@ -339,7 +342,7 @@ def with_diag(A, d):
 
 @pytest.fixture
 def solver_2d():
-    return build_implicit_solver(build_grid(2, [1.0, 1.5], 15, NEUMANN), 2e-3, 0.75)
+    return ImplicitSolver(build_grid(2, [1.0, 1.5], 15, NEUMANN), 2e-3, 0.75)
 
 
 def test_cg_matches_scipy_bits(solver_2d):
@@ -351,7 +354,7 @@ def test_cg_matches_scipy_bits(solver_2d):
     x0[::7] = -0.0
     x0_in = x0.copy()
     for start in (None, np.zeros(n), x0):
-        got = conjugate_gradients(M, b, start, 20 * n)
+        got = conjugate_gradients(M, b, start, 20 * n, identity)
         assert same_bits(got, scipy_cg_solve(M, b, start, 20 * n))
     assert same_bits(x0, x0_in)  # x0 is not written
 
@@ -361,7 +364,7 @@ def test_cg_zero_rhs_returns_it(solver_2d):
     b[::3] = -0.0
     x0 = np.ones(solver_2d.n)
     for start in (None, x0):
-        got = conjugate_gradients(solver_2d.A, b, start, 20 * solver_2d.n)
+        got = conjugate_gradients(solver_2d.A, b, start, 20 * solver_2d.n, identity)
         assert same_bits(got, scipy_cg_solve(solver_2d.A, b, start, 20 * solver_2d.n))
         assert same_bits(got, b) and got is not b
 
@@ -371,17 +374,21 @@ def test_cg_exhausted_cap_raises_scipy_message(solver_2d):
     with pytest.raises(NumericalFailure) as ref:
         scipy_cg_solve(solver_2d.A, b, None, 3)
     with pytest.raises(NumericalFailure) as got:
-        conjugate_gradients(solver_2d.A, b, None, 3)
+        conjugate_gradients(solver_2d.A, b, None, 3, identity)
     assert str(got.value) == str(ref.value) == \
         "conjugate gradients failed to converge (info=3)"
-    # the cap counts as scipy's: k updates converge, yet a cap of k ends before
-    # the test that would accept the k-th iterate
+
+
+def test_cg_returns_the_iterate_of_its_last_update(solver_2d):
+    # scipy's cg converges after k updates; a cap of k updates returns that
+    # iterate, with scipy's bits, where scipy itself needs a cap of k + 1
+    b = np.random.default_rng(4).normal(size=solver_2d.n)
     k = []
     scipy_cg(solver_2d.A, b, rtol=1e-12, atol=0.0, callback=k.append)
-    with pytest.raises(NumericalFailure, match=f"info={len(k)}"):
-        conjugate_gradients(solver_2d.A, b, None, len(k))
-    assert same_bits(conjugate_gradients(solver_2d.A, b, None, len(k) + 1),
+    assert same_bits(conjugate_gradients(solver_2d.A, b, None, len(k), identity),
                      scipy_cg_solve(solver_2d.A, b, None, len(k) + 1))
+    with pytest.raises(NumericalFailure, match=f"info={len(k) - 1}"):
+        conjugate_gradients(solver_2d.A, b, None, len(k) - 1, identity)
 
 
 def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
@@ -403,21 +410,23 @@ def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
     assert np.array_equal(solver_2d.A.data, A_data)
 
 
-def test_implicit_solver_2d_needs_stored_diagonal():
-    A = sparse.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
-    assert A.indices.size == 6  # row 1 stores no diagonal entry
-    with pytest.raises(ValueError, match="diagonal"):
-        ImplicitSolver(A, 2)
-
-
 def dirichlet_2d(lengths=(1.0, 1.5), n=15):
-    return build_implicit_solver(build_grid(2, list(lengths), n, DIRICHLET), 2e-3, 0.75)
+    return ImplicitSolver(build_grid(2, list(lengths), n, DIRICHLET), 2e-3, 0.75)
 
 
-def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d):
-    assert dirichlet_2d().precond is not None
+def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d, monkeypatch):
+    dirichlet = dirichlet_2d()
+    assert isinstance(dirichlet.precond, SinePreconditioner)
     assert solver_2d.precond is None  # Neumann
-    assert build_implicit_solver(build_grid(1, [1.0], 15, DIRICHLET), 2e-3, 0.75).precond is None
+    assert ImplicitSolver(build_grid(1, [1.0], 15, DIRICHLET), 2e-3, 0.75).precond is None
+    # the CG of a Neumann solve runs with the identity, of a Dirichlet one with the sine map
+    seen = []
+    cg = pathsolver.conjugate_gradients
+    monkeypatch.setattr(pathsolver, "conjugate_gradients",
+                        lambda *args: seen.append(args[-1]) or cg(*args))
+    for solver in (solver_2d, dirichlet):
+        solver.solve(np.zeros((1, solver.n)), np.ones((1, solver.n)))
+    assert seen[0] is identity and seen[1] is not identity
 
 
 @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])
@@ -464,7 +473,7 @@ def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal():
             x = conjugate_gradients(M, b, x0, 1, solver.precond.for_diag(d))
             assert np.linalg.norm(b - M @ x) < 1e-12 * np.linalg.norm(b)
         with pytest.raises(NumericalFailure):  # unpreconditioned, one update is too few
-            conjugate_gradients(M, b, None, 1)
+            conjugate_gradients(M, b, None, 1, identity)
 
 
 def test_preconditioned_cg_exhausted_cap_raises_the_same_message():
@@ -485,6 +494,17 @@ def _converges(M, b, maxiter, precond):
     except NumericalFailure:
         return False
     return True
+
+
+@pytest.mark.parametrize("n", [3969, 3844, 225, 224, 1, 2])
+def test_sine_shift_is_the_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        # contact diagonals: zeros and one dt/eps value, some with a random part
+        d = np.where(rng.random(n) < rng.random(), 2e-3 / 10.0 ** rng.integers(1, 6), 0.0)
+        if rng.random() < 0.3:
+            d = d + rng.random(n)
+        assert same_bits(_median(d), np.median(d))
 
 
 def test_boundary_lift_linear_profile():
