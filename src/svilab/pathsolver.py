@@ -30,12 +30,14 @@ diagonal monotone penalty is resolved by a semismooth Newton / active set
 iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system, row by row of the
 stack, by the march's `ImplicitSolver(grid, dt, theta)`: tridiagonal LAPACK
-solves in 1D; in 2D `conjugate_gradients`, an in-house CG on the 5-point
-matrix, preconditioned on a Dirichlet grid by `SinePreconditioner`, the
-inverse of A + c I in the type-I discrete sine basis that diagonalises
-A = I - dt theta Lap, with c the median of the solve's extra diagonal, and on
-a Neumann grid by the identity, which gives scipy's `cg` bits.  It tests the
-unpreconditioned residual, |b - M x| < CG_RTOL |b|, after every update.
+solves in 1D; in 2D `conjugate_gradients`, an in-house CG.  On a Dirichlet
+grid it runs in the type-I discrete sine basis that diagonalises
+A = I - dt theta Lap (`SineBasis`): there the system is the diagonal
+lam + c, with c the median of the solve's extra diagonal, plus a correction
+confined to the bounding box of the nodes whose extra diagonal differs from
+c, and the diagonal is the preconditioner.  On a Neumann grid it runs on the
+5-point matrix with the identity, which gives scipy's `cg` bits.  It tests
+the unpreconditioned residual, |b - M x| < CG_RTOL |b|, after every update.
 
 eps is one value for the batch or one per path.  The march carries it as a
 column beside the state, one row per path, and the step rules, Newton and
@@ -302,13 +304,14 @@ class PathSolution:
 CG_RTOL = 1e-12  # CG stops once |b - M x| < CG_RTOL |b|
 
 
-def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | None,
-                        maxiter: int, precond) -> np.ndarray:
+def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray | None, maxiter: int,
+                        precond) -> np.ndarray:
     """x with M x = b by conjugate gradients from x0 (zeros when None), for
-    symmetric positive definite M, preconditioned by precond(r) ~ M^-1 r.
-    The iterate after each update is tested, the last one too, on the
-    unpreconditioned residual: |b - M x| < CG_RTOL |b|.  With the identity,
-    z = r, so every solve that converges makes the operations of
+    a symmetric positive definite M applied as matvec(p) = M p,
+    preconditioned by precond(r) ~ M^-1 r.  The iterate after each update is
+    tested, the last one too, on the unpreconditioned residual:
+    |b - M x| < CG_RTOL |b|.  With matvec(p) = M @ p of a sparse M and the
+    identity, z = r, so every solve that converges makes the operations of
     scipy.sparse.linalg.cg(M, b, x0=x0, rtol=CG_RTOL, atol=0.0,
     maxiter=maxiter) and returns its bits, without scipy's operator
     wrappers; unlike scipy's, the iterate of the last permitted update
@@ -318,7 +321,7 @@ def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | No
     if bb == 0.0:
         return b.copy()
     atol = CG_RTOL * math.sqrt(bb)
-    r = b - M @ x if x.any() else b.copy()
+    r = b - matvec(x) if x.any() else b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
         if math.sqrt(np.dot(r, r)) < atol:
@@ -330,7 +333,7 @@ def conjugate_gradients(M: sparse.csr_matrix, b: np.ndarray, x0: np.ndarray | No
         else:
             p *= rho / rho_prev
             p += z
-        q = M @ p
+        q = matvec(p)
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
@@ -351,15 +354,24 @@ def _median(d: np.ndarray) -> float:
     return part[k] if odd else (part[k - 1] + part[k]) / 2
 
 
-class SinePreconditioner:
-    """(A + c I)^-1 for A = I - dt theta L on a 2D Dirichlet grid.
+class SineBasis:
+    """(A + diag(d)) x = b for A = I - dt theta L on a 2D Dirichlet grid, by
+    CG in the orthonormal type-I sine basis.
 
-    The orthonormal type-I sine matrix S (symmetric, S S = I) diagonalises
-    the 5-point Laplacian with zero ghost values along each axis, so A maps
-    a field R, reshaped to the grid, to S ((S R S) * lam) S, with lam[k, l]
-    = 1 + dt theta (4/h0^2 sin^2(pi k / 2(n+1)) + 4/h1^2 sin^2(pi l / 2(n+1))).
-    `for_diag(d)` is the map r -> S ((S R S) / (lam + c)) S, the inverse of
-    A + c I with c the median of d, and so of A + diag(d) when d is constant.
+    The sine matrix S (symmetric, S S = I) diagonalises the 5-point
+    Laplacian with zero ghost values along each axis, so the basis change
+    T: R -> S R S of a field R, reshaped to the grid, is its own inverse and
+    T A T is the diagonal lam[k, l] = 1 + dt theta (4/h0^2 sin^2(pi k /
+    2(n+1)) + 4/h1^2 sin^2(pi l / 2(n+1))).  With c the median of d,
+
+        T (A + diag d) T P = (lam + c) P + S[:, R] ((S[R, :] P S[:, C]) * (d - c)[R, C]) S[C, :],
+
+    where R and C are the rows and columns of the bounding box of d != c, so
+    the correction costs n^2 (|R| + |C|) + 2 n |R| |C| multiply-adds, and
+    nothing when d is constant.  CG runs on this operator with the diagonal
+    preconditioner 1 / (lam + c), which is CG on A + diag(d) preconditioned
+    by the inverse of A + c I; T is orthonormal, so the stopping test
+    |T b - (T M T) T x| < CG_RTOL |T b| is the one on M x = b up to round-off.
     """
 
     def __init__(self, grid: Grid, dt: float, theta: float):
@@ -371,19 +383,54 @@ class SinePreconditioner:
         self.lam = 1.0 + dt * theta * (4.0 / h0**2 * s2[:, None] + 4.0 / h1**2 * s2[None, :])
         self.shape = grid.shape
 
-    def for_diag(self, extra_diag: np.ndarray):
-        S, shape = self.S, self.shape
-        inv = 1.0 / (self.lam + _median(extra_diag))
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        """T v = S V S of a flat field v; T T v = v."""
+        return (self.S @ v.reshape(self.shape) @ self.S).reshape(-1)
 
-        def apply(r: np.ndarray) -> np.ndarray:
-            return (S @ ((S @ r.reshape(shape) @ S) * inv) @ S).reshape(-1)
+    def box(self, dev: np.ndarray) -> tuple[slice, slice] | None:
+        """The rows and columns of the bounding box of the nonzeros of dev,
+        a field on the grid, or None when it has none."""
+        rows = np.flatnonzero(dev.any(axis=1)).tolist()
+        if not rows:
+            return None
+        cols = np.flatnonzero(dev.any(axis=0)).tolist()
+        return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
-        return apply
+    def operator(self, extra_diag: np.ndarray):
+        """The map p -> T (A + diag d) T p of flat fields, for d = extra_diag,
+        and its diagonal part lam + c, flat."""
+        c = _median(extra_diag)
+        shift = self.lam + c
+        flat = shift.reshape(-1)
+        dev = (extra_diag - c).reshape(self.shape)
+        box = self.box(dev)
+        if box is None:
+            return (lambda p: flat * p), flat
+        R, C = box
+        SR, SC, D = self.S[R], self.S[C], dev[R, C]
+
+        def apply(p: np.ndarray) -> np.ndarray:
+            P = p.reshape(self.shape)
+            out = SR.T @ ((SR @ P @ SC.T) * D) @ SC
+            out += shift * P
+            return out.reshape(-1)
+
+        return apply, flat
+
+    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0, maxiter: int) -> np.ndarray:
+        """x with (A + diag(extra_diag)) x = b by `conjugate_gradients` in the
+        sine basis from x0 (zeros when None), in at most maxiter updates."""
+        op, shift = self.operator(extra_diag)
+        x = conjugate_gradients(op, self.transform(b),
+                                None if x0 is None else self.transform(x0), maxiter,
+                                lambda r: r / shift)
+        return self.transform(x)
 
 
 class ImplicitSolver:
-    """(A + diag(d)) x = b for A = I - dt theta L on `grid`; `precond` is the
-    SinePreconditioner of a 2D Dirichlet grid, else None (the identity)."""
+    """(A + diag(d)) x = b for A = I - dt theta L on `grid`: LAPACK gtsv in
+    1D, CG in the sine basis (`sine`, a SineBasis) on a 2D Dirichlet grid,
+    and plain CG on the 5-point matrix on a 2D Neumann grid (`sine` None)."""
 
     def __init__(self, grid: Grid, dt: float, theta: float):
         L = gridmod.laplacian_csr(grid)
@@ -392,11 +439,11 @@ class ImplicitSolver:
         self.n = grid.n_nodes
         self._main = self.A.diagonal().copy()
         sine = grid.dim == 2 and grid.bc_kind == gridmod.DIRICHLET
-        self.precond = SinePreconditioner(grid, dt, theta) if sine else None
+        self.sine = SineBasis(grid, dt, theta) if sine else None
         if self.dim == 1:
             self._lower = self.A.diagonal(-1).copy()
             self._upper = self.A.diagonal(1).copy()
-        else:
+        elif not sine:
             # the CG matrix: a copy of A whose diagonal entries, at _diag_at in its
             # data, each solve overwrites with A's diagonal plus its own
             self._M = self.A.copy()
@@ -412,9 +459,9 @@ class ImplicitSolver:
         stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
         and one super-diagonal, without its argument checks), in one call for
         all rows without an extra diagonal; in 2D `conjugate_gradients` from
-        x0, row by row, to |b - M x| < CG_RTOL |b|, preconditioned by the
-        solver's SinePreconditioner for that row's extra diagonal on a
-        Dirichlet grid, else by the identity, with the bits of scipy's `cg`.
+        x0, row by row, to |b - M x| < CG_RTOL |b|, in the sine basis on a
+        Dirichlet grid (`SineBasis.solve`), else on the 5-point matrix with
+        the identity preconditioner and the bits of scipy's `cg`.
         Returns x and the rows whose solve failed, each with its error
         (their rows of x are meaningless)."""
         x = np.zeros_like(b)
@@ -444,9 +491,11 @@ class ImplicitSolver:
     def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
         if self.dim == 1:  # b as a column, which gtsv takes without a copy
             return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
-        self._M.data[self._diag_at] = self._main + extra_diag
-        precond = identity if self.precond is None else self.precond.for_diag(extra_diag)
-        return conjugate_gradients(self._M, b, x0, 20 * self.n, precond)
+        if self.sine is not None:
+            return self.sine.solve(extra_diag, b, x0, 20 * self.n)
+        M = self._M
+        M.data[self._diag_at] = self._main + extra_diag
+        return conjugate_gradients(lambda p: M @ p, b, x0, 20 * self.n, identity)
 
 
 class NewtonResult(NamedTuple):
@@ -485,8 +534,9 @@ def newton_penalized_solve(
     on large data.  Every row keeps its own active set and tolerance and is
     solved until it is accepted, so it sees the iterates of its own solve.
     Rows that do not converge, or whose linear solve fails, go to
-    `failures`.
+    `failures`.  Raises ValueError unless every eps is positive.
     """
+    penalty.check_eps(eps)
     y = np.array(y_init, dtype=float)  # a copy
     P = len(rhs)
     penalized = dt_scale > 0.0
@@ -505,7 +555,7 @@ def newton_penalized_solve(
                                   x0=y[sel])
         y[sel] = y_sel
         new_active = (y_sel < 0.0) & penalized
-        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.beta_eps(y_sel, e) - rhs[sel]
+        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.penalize(y_sel, e) - rhs[sel]
         resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
         iters[sel] = it
         going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))

@@ -22,11 +22,23 @@ def resolvent(r, eps: float):
     return np.maximum(r, 0.0)
 
 
-def beta_eps(r, eps):
-    """Penalized graph: min(r, 0)/eps; zero for r >= 0.  eps may be an
-    array that broadcasts against r, such as one value per row of a stack."""
+def check_eps(eps) -> None:
+    """Raise ValueError unless eps, a scalar or an array, is positive."""
     if np.less_equal(eps, 0).any():
         raise ValueError(f"eps must be positive, got {eps}")
+
+
+def beta_eps(r, eps):
+    """Penalized graph: min(r, 0)/eps; zero for r >= 0.  eps may be an
+    array that broadcasts against r, such as one value per row of a stack.
+    Checks eps by check_eps; `penalize` is the same map without the check."""
+    check_eps(eps)
+    return penalize(r, eps)
+
+
+def penalize(r, eps):
+    """beta_eps for an eps already checked, as Newton checks it once per
+    solve rather than once per iteration."""
     return np.minimum(r, 0.0) / eps
 
 

@@ -16,7 +16,7 @@ from svilab.pathsolver import (
     InitialData,
     ImplicitSolver,
     ProblemSpec,
-    SinePreconditioner,
+    SineBasis,
     SolveConfig,
     _median,
     conjugate_gradients,
@@ -220,6 +220,28 @@ def test_newton_iteration_bound():
     assert np.max(sol.diagnostics.residuals) <= cfg.newton_tol
 
 
+@pytest.mark.parametrize("eps", [0.0, np.array([[1e-3], [-1e-3]])], ids=["scalar", "column"])
+def test_newton_rejects_nonpositive_eps_before_solving(eps):
+    solver = ImplicitSolver(build_grid(1, [1.0], 15, DIRICHLET), 1e-3, 1.0)
+    solver.solve = lambda *args, **kwargs: pytest.fail("a linear solve ran before the eps check")
+    rhs = -np.ones((2, solver.n))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        pathsolver.newton_penalized_solve(solver, rhs, 1e-3, eps, rhs, 1e-10, 10)
+
+
+def test_newton_checks_eps_once_per_solve(monkeypatch):
+    solver = ImplicitSolver(build_grid(1, [1.0], 63, DIRICHLET), 1e-3, 1.0)
+    calls = []
+    check = pathsolver.penalty.check_eps
+    monkeypatch.setattr(pathsolver.penalty, "check_eps",
+                        lambda eps: calls.append(eps) or check(eps))
+    rhs = np.sin(np.arange(2 * solver.n)).reshape(2, solver.n) - 0.5
+    res = pathsolver.newton_penalized_solve(solver, rhs, 1e-3, np.array([[1e-4], [1e-5]]),
+                                            np.zeros_like(rhs), 1e-10, 50)
+    assert not res.failures and res.row_iters.min() >= 2
+    assert len(calls) == 1
+
+
 def test_direct_em_matches_transform_when_deterministic():
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(0.1, 200)
@@ -329,6 +351,11 @@ def scipy_cg_solve(M, b, x0, maxiter):
     return x
 
 
+def matvec(M):
+    """The product CG takes, for a sparse M."""
+    return lambda p: M @ p
+
+
 def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -354,7 +381,7 @@ def test_cg_matches_scipy_bits(solver_2d):
     x0[::7] = -0.0
     x0_in = x0.copy()
     for start in (None, np.zeros(n), x0):
-        got = conjugate_gradients(M, b, start, 20 * n, identity)
+        got = conjugate_gradients(matvec(M), b, start, 20 * n, identity)
         assert same_bits(got, scipy_cg_solve(M, b, start, 20 * n))
     assert same_bits(x0, x0_in)  # x0 is not written
 
@@ -364,7 +391,7 @@ def test_cg_zero_rhs_returns_it(solver_2d):
     b[::3] = -0.0
     x0 = np.ones(solver_2d.n)
     for start in (None, x0):
-        got = conjugate_gradients(solver_2d.A, b, start, 20 * solver_2d.n, identity)
+        got = conjugate_gradients(matvec(solver_2d.A), b, start, 20 * solver_2d.n, identity)
         assert same_bits(got, scipy_cg_solve(solver_2d.A, b, start, 20 * solver_2d.n))
         assert same_bits(got, b) and got is not b
 
@@ -374,7 +401,7 @@ def test_cg_exhausted_cap_raises_scipy_message(solver_2d):
     with pytest.raises(NumericalFailure) as ref:
         scipy_cg_solve(solver_2d.A, b, None, 3)
     with pytest.raises(NumericalFailure) as got:
-        conjugate_gradients(solver_2d.A, b, None, 3, identity)
+        conjugate_gradients(matvec(solver_2d.A), b, None, 3, identity)
     assert str(got.value) == str(ref.value) == \
         "conjugate gradients failed to converge (info=3)"
 
@@ -385,10 +412,10 @@ def test_cg_returns_the_iterate_of_its_last_update(solver_2d):
     b = np.random.default_rng(4).normal(size=solver_2d.n)
     k = []
     scipy_cg(solver_2d.A, b, rtol=1e-12, atol=0.0, callback=k.append)
-    assert same_bits(conjugate_gradients(solver_2d.A, b, None, len(k), identity),
+    assert same_bits(conjugate_gradients(matvec(solver_2d.A), b, None, len(k), identity),
                      scipy_cg_solve(solver_2d.A, b, None, len(k) + 1))
     with pytest.raises(NumericalFailure, match=f"info={len(k) - 1}"):
-        conjugate_gradients(solver_2d.A, b, None, len(k) - 1, identity)
+        conjugate_gradients(matvec(solver_2d.A), b, None, len(k) - 1, identity)
 
 
 def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
@@ -416,28 +443,87 @@ def dirichlet_2d(lengths=(1.0, 1.5), n=15):
 
 def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d, monkeypatch):
     dirichlet = dirichlet_2d()
-    assert isinstance(dirichlet.precond, SinePreconditioner)
-    assert solver_2d.precond is None  # Neumann
-    assert ImplicitSolver(build_grid(1, [1.0], 15, DIRICHLET), 2e-3, 0.75).precond is None
-    # the CG of a Neumann solve runs with the identity, of a Dirichlet one with the sine map
+    assert isinstance(dirichlet.sine, SineBasis)
+    assert solver_2d.sine is None  # Neumann
+    assert ImplicitSolver(build_grid(1, [1.0], 15, DIRICHLET), 2e-3, 0.75).sine is None
+    # only the Neumann solve keeps the CSR matrix whose diagonal each solve rewrites
+    assert hasattr(solver_2d, "_M") and not hasattr(dirichlet, "_M")
+    # the CG of a Neumann solve runs with the identity, of a Dirichlet one with the
+    # diagonal 1 / (lam + c) of the sine basis
     seen = []
     cg = pathsolver.conjugate_gradients
     monkeypatch.setattr(pathsolver, "conjugate_gradients",
                         lambda *args: seen.append(args[-1]) or cg(*args))
+    d = np.full(dirichlet.n, 7.0)
     for solver in (solver_2d, dirichlet):
-        solver.solve(np.zeros((1, solver.n)), np.ones((1, solver.n)))
-    assert seen[0] is identity and seen[1] is not identity
+        solver.solve(d[None], np.ones((1, solver.n)))
+    r = np.random.default_rng(9).normal(size=dirichlet.n)
+    assert seen[0] is identity
+    assert np.array_equal(seen[1](r), r / (dirichlet.sine.lam + 7.0).reshape(-1))
 
 
 @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])
 def test_sine_basis_diagonalises_the_implicit_matrix(lengths):
     solver = dirichlet_2d(lengths, n=9)
-    S = np.kron(solver.precond.S, solver.precond.S)  # the sine basis of C-ordered fields
+    S = np.kron(solver.sine.S, solver.sine.S)  # the sine basis of C-ordered fields
     assert np.allclose(S @ S, np.eye(solver.n), rtol=0.0, atol=1e-14)
     D = S @ solver.A.toarray() @ S
-    lam = solver.precond.lam.reshape(-1)
+    lam = solver.sine.lam.reshape(-1)
     assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-13 * lam.max()
     assert np.allclose(np.diag(D), lam, rtol=1e-13, atol=0.0)
+    v = np.random.default_rng(10).normal(size=solver.n)
+    assert np.allclose(solver.sine.transform(v), S @ v, rtol=0.0, atol=1e-14 * np.abs(v).max())
+
+
+def minority(n, kind, rng, value=2e-3 / 1e-4):
+    """An extra diagonal on an n x n grid that differs from its median 0 on a
+    minority set of nodes, and the bounding box of that set."""
+    d = np.zeros((n, n))
+    if kind == "blob":  # compact, in the interior
+        i, j = np.indices((n, n))
+        d[(i - 5) ** 2 + (j - 7) ** 2 <= 5] = value
+        box = (slice(3, 8), slice(5, 10))
+    elif kind == "corner":  # touches the edges i = 0 and j = 0 at their corner
+        d[:4, :6] = value
+        box = (slice(0, 4), slice(0, 6))
+    elif kind == "edge":  # along the edge j = n - 1
+        d[5:10, n - 1] = value
+        box = (slice(5, 10), slice(n - 1, n))
+    elif kind == "scattered":  # its box is the whole grid
+        d[rng.random((n, n)) < 0.1] = value
+        d[0, 3] = d[n - 1, 2] = d[4, 0] = d[6, n - 1] = value
+        box = (slice(0, n), slice(0, n))
+    else:  # one node
+        d[7, 3] = value
+        box = (slice(7, 8), slice(3, 4))
+    # values off the majority's: the box weights them by d - c, not by one value
+    d[d != 0.0] *= rng.uniform(0.5, 2.0, size=np.count_nonzero(d))
+    return d.reshape(-1), box
+
+
+KINDS = ["blob", "corner", "edge", "scattered", "node"]
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_box_operator_equals_the_dense_sine_matrix(kind, lengths):
+    solver = dirichlet_2d(lengths)
+    basis, n = solver.sine, solver.sine.shape[0]
+    rng = np.random.default_rng(11)
+    d, box = minority(n, kind, rng)
+    # the set active on a majority of dt/eps, as the inactive set near a contact
+    inactive = np.where(d == 0.0, 2e-3 / 1e-4, 0.0)
+    S = np.kron(basis.S, basis.S)
+    for diag, c in ((d, 0.0), (inactive, 2e-3 / 1e-4)):
+        assert pathsolver._median(diag) == c  # the majority value
+        assert basis.box((diag - c).reshape(n, n)) == box
+        dense = S @ (solver.A.toarray() + np.diag(diag)) @ S
+        op, shift = basis.operator(diag)
+        assert np.array_equal(shift, (basis.lam + c).reshape(-1))
+        for _ in range(3):
+            p = rng.normal(size=solver.n)
+            want = dense @ p
+            assert np.abs(op(p) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def extra_diags(n, rng, dt=2e-3, eps=1e-4):
@@ -450,47 +536,56 @@ def test_preconditioned_solve_matches_dense_solve():
     solver = dirichlet_2d()
     rng = np.random.default_rng(6)
     n = solver.n
-    extra = extra_diags(n, rng)
-    b = rng.normal(size=(3, n))
-    for x0 in (None, rng.normal(size=(3, n))):
+    extra = np.concatenate([extra_diags(n, rng),
+                            [minority(15, kind, rng)[0] for kind in KINDS]])
+    b = rng.normal(size=extra.shape)
+    for x0 in (None, rng.normal(size=extra.shape)):
         x, failures = solver.solve(extra, b, x0=x0)
         assert not failures
-        for row in range(3):
+        for row in range(len(extra)):
             want = np.linalg.solve(solver.A.toarray() + np.diag(extra[row]), b[row])
             assert np.abs(x[row] - want).max() <= 1e-11 * np.abs(want).max(), row
-            # the stopping test is on the unpreconditioned residual
+            # the stopping test is on the residual of the system, not the preconditioned one
             resid = b[row] - with_diag(solver.A, extra[row]) @ x[row]
             assert np.linalg.norm(resid) < 1e-12 * np.linalg.norm(b[row])
 
 
-def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal():
+def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal(monkeypatch):
     solver = dirichlet_2d()
+    basis = solver.sine
+    boxes = []
+    box = SineBasis.box
+    monkeypatch.setattr(SineBasis, "box", lambda self, dev: boxes.append(box(self, dev))
+                        or boxes[-1])
     rng = np.random.default_rng(7)
     b = rng.normal(size=solver.n)
     for d in extra_diags(solver.n, rng)[:2]:
         M = with_diag(solver.A, d)
         for x0 in (None, rng.normal(size=solver.n)):
-            x = conjugate_gradients(M, b, x0, 1, solver.precond.for_diag(d))
+            x = basis.solve(d, b, x0, 1)  # one update
             assert np.linalg.norm(b - M @ x) < 1e-12 * np.linalg.norm(b)
+        # no box product: the operator is its diagonal
+        op, shift = basis.operator(d)
+        assert same_bits(op(b), shift * b)
         with pytest.raises(NumericalFailure):  # unpreconditioned, one update is too few
-            conjugate_gradients(M, b, None, 1, identity)
+            conjugate_gradients(matvec(M), b, None, 1, identity)
+    assert boxes == [None] * 6
 
 
 def test_preconditioned_cg_exhausted_cap_raises_the_same_message():
     solver = dirichlet_2d()
     rng = np.random.default_rng(8)
-    d = extra_diags(solver.n, rng)[2]
-    M, b, precond = with_diag(solver.A, d), rng.normal(size=solver.n), solver.precond.for_diag(d)
-    k = next(k for k in range(1, 20 * solver.n) if _converges(M, b, k, precond))
+    d, b = extra_diags(solver.n, rng)[2], rng.normal(size=solver.n)
+    k = next(k for k in range(1, 20 * solver.n) if _converges(solver.sine, d, b, k))
     assert 1 < k < 40
     with pytest.raises(NumericalFailure) as exc:
-        conjugate_gradients(M, b, None, k - 1, precond)
+        solver.sine.solve(d, b, None, k - 1)
     assert str(exc.value) == f"conjugate gradients failed to converge (info={k - 1})"
 
 
-def _converges(M, b, maxiter, precond):
+def _converges(basis, d, b, maxiter):
     try:
-        conjugate_gradients(M, b, None, maxiter, precond)
+        basis.solve(d, b, None, maxiter)
     except NumericalFailure:
         return False
     return True
