@@ -7,7 +7,10 @@ only and the Laplacian uses ghost value 0.  Neumann grids include boundary
 nodes, the Laplacian reflects across the boundary, and quadrature weights
 are halved at boundary nodes so that the weighted Laplacian is exactly
 symmetric and the discrete divergence theorem holds (mass conservation to
-machine precision for the pure reflected operator).
+machine precision for the pure reflected operator).  The reflected Laplacian
+L alone is not symmetric: a boundary node sees its inward neighbour twice.
+But diag(weights) L is, and the 2D Neumann CG of `pathsolver.ImplicitSolver`
+relies on it: it runs on the system multiplied by these weights.
 
 The boundary geometry of a grid is computed once, by `build_grid`: the
 boundary quadrature weights, the ghost-flux factor sum 2/h over the outward
@@ -307,25 +310,3 @@ def normal_derivative(grid: Grid, u: np.ndarray) -> np.ndarray:
     np.divide(acc, cnt, out=out, where=cnt > 0)
     return out.reshape(u.shape)
 
-
-def laplacian_csr(grid: Grid):
-    """Sparse matrix of apply_laplacian (reflected ghosts for Neumann)."""
-    from scipy import sparse
-
-    n = grid.n
-    blocks = []
-    for axis in range(grid.dim):
-        main = np.full(n, -2.0)
-        off_lo = np.ones(n - 1)
-        off_hi = np.ones(n - 1)
-        if grid.bc_kind == NEUMANN:
-            off_hi[0] = 2.0  # ghost reflection doubles the inward neighbour
-            off_lo[-1] = 2.0
-        T = sparse.diags([off_lo, main, off_hi], [-1, 0, 1]) / grid.h[axis] ** 2
-        blocks.append(T)
-    if grid.dim == 1:
-        return blocks[0].tocsr()
-    from scipy.sparse import identity, kron
-
-    eye = identity(n)
-    return (kron(blocks[0], eye) + kron(eye, blocks[1])).tocsr()

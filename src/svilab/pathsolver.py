@@ -29,15 +29,18 @@ The Laplacian and the penalty are implicit, everything else explicit.  The
 diagonal monotone penalty is resolved by a semismooth Newton / active set
 iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system, row by row of the
-stack, by the march's `ImplicitSolver(grid, dt, theta)`: tridiagonal LAPACK
-solves in 1D; in 2D `conjugate_gradients`, an in-house CG.  On a Dirichlet
-grid it runs in the type-I discrete sine basis that diagonalises
-A = I - dt theta Lap (`SineBasis`): there the system is the diagonal
-lam + c, with c the median of the solve's extra diagonal, plus a correction
-confined to the bounding box of the nodes whose extra diagonal differs from
-c, and the diagonal is the preconditioner.  On a Neumann grid it runs on the
-5-point matrix with the identity, which gives scipy's `cg` bits.  It tests
-the unpreconditioned residual, |b - M x| < CG_RTOL |b|, after every update.
+stack, by the march's `ImplicitSolver(grid, dt, theta)`.  It holds
+A = I - dt theta Lap in one form, the stencil `grid.apply_laplacian`, and
+solves with it: tridiagonal LAPACK solves on A's bands in 1D; in 2D
+`conjugate_gradients`, an in-house CG.  On a Dirichlet grid it runs in the
+type-I discrete sine basis that diagonalises A (`SineBasis`): there the
+system is the diagonal lam + c, with c the median of the solve's extra
+diagonal, plus a correction confined to the bounding box of the nodes whose
+extra diagonal differs from c, and the diagonal is the preconditioner.  On
+a Neumann grid A is not symmetric, but W A is, with W the trapezoid weights
+over h0 h1: CG runs with the identity on W (A + diag d) x = W b, which is
+symmetric positive definite.  CG tests the residual of the system it runs
+on, |b - M x| < CG_RTOL |b|, after every update.
 
 eps is one value for the batch or one per path.  The march carries it as a
 column beside the state, one row per path, and the step rules, Newton and
@@ -61,7 +64,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dgtsv
 
 from . import grid as gridmod
@@ -310,12 +312,14 @@ def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray | None, maxiter: i
     a symmetric positive definite M applied as matvec(p) = M p,
     preconditioned by precond(r) ~ M^-1 r.  The iterate after each update is
     tested, the last one too, on the unpreconditioned residual:
-    |b - M x| < CG_RTOL |b|.  With matvec(p) = M @ p of a sparse M and the
-    identity, z = r, so every solve that converges makes the operations of
-    scipy.sparse.linalg.cg(M, b, x0=x0, rtol=CG_RTOL, atol=0.0,
-    maxiter=maxiter) and returns its bits, without scipy's operator
-    wrappers; unlike scipy's, the iterate of the last permitted update
-    counts.  Raises NumericalFailure when maxiter updates do not converge."""
+    |b - M x| < CG_RTOL |b|.  With the identity, z = r, so every solve that
+    converges makes the operations of scipy.sparse.linalg.cg(M, b, x0=x0,
+    rtol=CG_RTOL, atol=0.0, maxiter=maxiter) and returns its bits, without
+    scipy's operator wrappers; unlike scipy's, the iterate of the last
+    permitted update counts.  The bits are scipy's only where the products
+    are too: the tests check them with matvec(p) = M @ p of a CSR matrix of
+    their own, while `ImplicitSolver` applies stencils.  Raises
+    NumericalFailure when maxiter updates do not converge."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     bb = np.dot(b, b)
     if bb == 0.0:
@@ -428,40 +432,49 @@ class SineBasis:
 
 
 class ImplicitSolver:
-    """(A + diag(d)) x = b for A = I - dt theta L on `grid`: LAPACK gtsv in
-    1D, CG in the sine basis (`sine`, a SineBasis) on a 2D Dirichlet grid,
-    and plain CG on the 5-point matrix on a 2D Neumann grid (`sine` None)."""
+    """(A + diag(d)) x = b for A = I - dt theta L on `grid`, with L the
+    stencil `grid.apply_laplacian`, the one form of A: LAPACK gtsv on its
+    bands in 1D, CG in the sine basis (`sine`, a SineBasis) on a 2D
+    Dirichlet grid, and plain CG on the system weighted by the trapezoid
+    weights on a 2D Neumann grid (`sine` None)."""
 
     def __init__(self, grid: Grid, dt: float, theta: float):
-        L = gridmod.laplacian_csr(grid)
-        self.A = (sparse.identity(grid.n_nodes, format="csr") - (dt * theta) * L).tocsr()
+        self.grid = grid
         self.dim = grid.dim
         self.n = grid.n_nodes
-        self._main = self.A.diagonal().copy()
-        sine = grid.dim == 2 and grid.bc_kind == gridmod.DIRICHLET
-        self.sine = SineBasis(grid, dt, theta) if sine else None
-        if self.dim == 1:
-            self._lower = self.A.diagonal(-1).copy()
-            self._upper = self.A.diagonal(1).copy()
-        elif not sine:
-            # the CG matrix: a copy of A whose diagonal entries, at _diag_at in its
-            # data, each solve overwrites with A's diagonal plus its own
-            self._M = self.A.copy()
-            rows = np.repeat(np.arange(self.n), np.diff(self._M.indptr))
-            self._diag_at = np.flatnonzero(self._M.indices == rows)
+        self.dt_theta = dt * theta
+        self.sine = None
+        if grid.dim == 1:
+            # the bands of I - dt theta L: L is -2/h^2 on its diagonal and 1/h^2
+            # beside it, 2/h^2 towards the inward neighbour of a reflected boundary
+            h2 = grid.h[0] ** 2
+            self._main = np.full(self.n, 1.0 - self.dt_theta * (-2.0 / h2))
+            self._lower = np.full(self.n - 1, -(self.dt_theta * (1.0 / h2)))
+            self._upper = self._lower.copy()
+            if grid.bc_kind == gridmod.NEUMANN:
+                self._upper[0] = self._lower[-1] = -(self.dt_theta * (2.0 / h2))
+        elif grid.bc_kind == gridmod.DIRICHLET:
+            self.sine = SineBasis(grid, dt, theta)
+        else:
+            # W: the trapezoid weights over h0 h1, 1 inside, 1/2 on edges and 1/4 at
+            # corners, so W (A + diag d) is exactly symmetric
+            self._w = grid.weights / np.prod(grid.h)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """A y, of a field or of each row of a stack."""
-        return (self.A @ y.T).T
+        return y - self.dt_theta * gridmod.apply_laplacian(self.grid, y)
 
     def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None):
         """x with (A + diag(extra_diag[r])) x[r] = b[r] for each row r of a
         stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
         and one super-diagonal, without its argument checks), in one call for
         all rows without an extra diagonal; in 2D `conjugate_gradients` from
-        x0, row by row, to |b - M x| < CG_RTOL |b|, in the sine basis on a
-        Dirichlet grid (`SineBasis.solve`), else on the 5-point matrix with
-        the identity preconditioner and the bits of scipy's `cg`.
+        x0, row by row.  On a Dirichlet grid it runs in the sine basis
+        (`SineBasis.solve`) to |b - M x| < CG_RTOL |b|, up to round-off.  On a
+        Neumann grid it runs with the identity preconditioner on the
+        symmetric positive definite system W M x = W b, with W the trapezoid
+        weights over h0 h1 (1 inside, 1/2 on edges, 1/4 at corners), to
+        |W (b - M x)| < CG_RTOL |W b|.
         Returns x and the rows whose solve failed, each with its error
         (their rows of x are meaningless)."""
         x = np.zeros_like(b)
@@ -493,9 +506,9 @@ class ImplicitSolver:
             return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
         if self.sine is not None:
             return self.sine.solve(extra_diag, b, x0, 20 * self.n)
-        M = self._M
-        M.data[self._diag_at] = self._main + extra_diag
-        return conjugate_gradients(lambda p: M @ p, b, x0, 20 * self.n, identity)
+        w = self._w
+        return conjugate_gradients(lambda p: w * (self.apply(p) + extra_diag * p), w * b, x0,
+                                   20 * self.n, identity)
 
 
 class NewtonResult(NamedTuple):

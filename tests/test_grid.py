@@ -10,11 +10,13 @@ from svilab.grid import (
     boundary_inner,
     build_grid,
     inner,
-    laplacian_csr,
     norm_l2,
     seminorm_h1,
     stiffness_inner,
 )
+from svilab.pathsolver import ImplicitSolver
+
+from matrices import implicit_matrix, laplacian_matrix
 
 
 def test_build_grid_1d_spacing():
@@ -226,10 +228,12 @@ def test_stacked_operators_equal_per_row_calls(bc, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_matrix_matches_operator(bc, dim):
     g = build_grid(dim, [1.0, 1.5][:dim], 7, bc)
-    A = laplacian_csr(g)
+    L = laplacian_matrix(g)
+    A = implicit_matrix(g, 2e-3, 0.75)
     rng = np.random.default_rng(3)
     u = rng.normal(size=g.n_nodes)
-    assert np.allclose(A @ u, apply_laplacian(g, u), atol=1e-12)
+    assert np.allclose(L @ u, apply_laplacian(g, u), atol=1e-12)
+    assert np.allclose(A @ u, ImplicitSolver(g, 2e-3, 0.75).apply(u), atol=1e-12)
 
 
 def test_neumann_mass_conservation_identity():

@@ -8,14 +8,19 @@ block seams.  `signorini_2d` puts boundary contact and the Robin diagonal
 through the 2D solve; `contact_2d` fills most of the domain with the active
 set at eps = 1e-4, with several Newton iterations per step.
 
-Every array must match bit for bit except `y` of the two Dirichlet 2D
-cases, `solve_2d` and `contact_2d`.  They were recorded with unpreconditioned
-CG and now solve by CG in the sine basis, on the operator of the system
-there with its diagonal as preconditioner.  The arithmetic changed, but
-each solve still stops at |b - M x| < CG_RTOL |b|, so their `y` must match
-to |dy| <= Y_RTOL_2D * max|y_ref| (it moved by at most 3.6e-13).
+Every array must match bit for bit except `y` of the three 2D cases.  They
+were recorded with unpreconditioned CG on the 5-point CSR matrix, and the
+arithmetic of their solves has changed since.  The two Dirichlet cases,
+`solve_2d` and `contact_2d`, now solve by CG in the sine basis, on the
+operator of the system there with its diagonal as preconditioner.  The
+Neumann case, `signorini_2d`, now solves by CG on the system multiplied by
+the trapezoid weights, whose operator is exactly symmetric where the CSR
+matrix was not, and with a stencil product in place of the CSR one.  Each
+solve still stops at CG_RTOL on the residual of the system it runs on, so
+their `y` must match to |dy| <= Y_RTOL_2D * max|y_ref| (the Dirichlet cases
+moved by at most 3.6e-13, `signorini_2d` by at most 5.7e-13).
 Their mu, source quadrature, Newton counts and refinement level stay exact.
-The arrays are not re-recorded: the unpreconditioned solves are the oracle.
+The arrays are not re-recorded: the solves on the CSR matrix are the oracle.
 
 Record cases (all of them without names) from a checkout of the solver to
 compare against; the file keeps the arrays of the cases not named:
@@ -162,7 +167,7 @@ CASES = {
     "contact_2d": (_contact_2d, True),
 }
 # the cases whose y may move by CG's tolerance, and by how much relative to max|y_ref|
-PRECONDITIONED = ("solve_2d", "contact_2d")
+CG_MOVED = ("solve_2d", "contact_2d", "signorini_2d")
 Y_RTOL_2D = 1e-11
 # the fewest coefficient blocks each seams_* run grid must span
 SEAMS = {"seams_1d": 3, "seams_signorini": 2, "seams_em": 2}
@@ -189,7 +194,7 @@ def test_march_matches_reference(name, reference):
         else ("y", "mu")
     for key in keys:
         want = reference[f"{name}/{key}"]
-        if key == "y" and name in PRECONDITIONED:
+        if key == "y" and name in CG_MOVED:
             assert got[key].shape == want.shape
             assert np.abs(got[key] - want).max() <= Y_RTOL_2D * np.abs(want).max(), key
         else:

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import cg as scipy_cg
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 
+import svilab
 from svilab import pathsolver
 from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
@@ -28,6 +34,8 @@ from svilab.pathsolver import (
 )
 from svilab.penalty import beta_eps
 from svilab.transform import ReactionSpec
+
+from matrices import implicit_matrix
 
 EMPTY = CoeffSpec(())
 
@@ -361,21 +369,33 @@ def same_bits(a, b):
 
 
 def with_diag(A, d):
-    """A + diag(d) as the 2D solve built it before it wrote A's diagonal in place."""
+    """A + diag(d) of a CSR matrix A, a new matrix."""
     M = A.copy()
     M.setdiag(M.diagonal() + d)
     return M
 
 
+NEUMANN_2D = ((1.0, 1.5), 15, 2e-3, 0.75)  # lengths, n, dt, theta
+
+
 @pytest.fixture
 def solver_2d():
-    return ImplicitSolver(build_grid(2, [1.0, 1.5], 15, NEUMANN), 2e-3, 0.75)
+    lengths, n, dt, theta = NEUMANN_2D
+    return ImplicitSolver(build_grid(2, list(lengths), n, NEUMANN), dt, theta)
 
 
-def test_cg_matches_scipy_bits(solver_2d):
+@pytest.fixture
+def csr_2d():
+    """A = I - dt theta L of the Neumann solver, as a CSR matrix of the tests'
+    own for the scipy-bits CG tests."""
+    lengths, n, dt, theta = NEUMANN_2D
+    return sparse.csr_matrix(implicit_matrix(build_grid(2, list(lengths), n, NEUMANN), dt, theta))
+
+
+def test_cg_matches_scipy_bits(csr_2d):
     rng = np.random.default_rng(3)
-    n = solver_2d.n
-    M = with_diag(solver_2d.A, np.where(rng.random(n) < 0.3, 40.0, 0.0))
+    n = csr_2d.shape[0]
+    M = with_diag(csr_2d, np.where(rng.random(n) < 0.3, 40.0, 0.0))
     b = rng.normal(size=n)
     x0 = rng.normal(size=n)
     x0[::7] = -0.0
@@ -386,42 +406,50 @@ def test_cg_matches_scipy_bits(solver_2d):
     assert same_bits(x0, x0_in)  # x0 is not written
 
 
-def test_cg_zero_rhs_returns_it(solver_2d):
-    b = np.zeros(solver_2d.n)
+def test_cg_zero_rhs_returns_it(csr_2d):
+    n = csr_2d.shape[0]
+    b = np.zeros(n)
     b[::3] = -0.0
-    x0 = np.ones(solver_2d.n)
+    x0 = np.ones(n)
     for start in (None, x0):
-        got = conjugate_gradients(matvec(solver_2d.A), b, start, 20 * solver_2d.n, identity)
-        assert same_bits(got, scipy_cg_solve(solver_2d.A, b, start, 20 * solver_2d.n))
+        got = conjugate_gradients(matvec(csr_2d), b, start, 20 * n, identity)
+        assert same_bits(got, scipy_cg_solve(csr_2d, b, start, 20 * n))
         assert same_bits(got, b) and got is not b
 
 
-def test_cg_exhausted_cap_raises_scipy_message(solver_2d):
-    b = np.random.default_rng(4).normal(size=solver_2d.n)
+def test_cg_exhausted_cap_raises_scipy_message(csr_2d):
+    b = np.random.default_rng(4).normal(size=csr_2d.shape[0])
     with pytest.raises(NumericalFailure) as ref:
-        scipy_cg_solve(solver_2d.A, b, None, 3)
+        scipy_cg_solve(csr_2d, b, None, 3)
     with pytest.raises(NumericalFailure) as got:
-        conjugate_gradients(matvec(solver_2d.A), b, None, 3, identity)
+        conjugate_gradients(matvec(csr_2d), b, None, 3, identity)
     assert str(got.value) == str(ref.value) == \
         "conjugate gradients failed to converge (info=3)"
 
 
-def test_cg_returns_the_iterate_of_its_last_update(solver_2d):
+def test_cg_returns_the_iterate_of_its_last_update(csr_2d):
     # scipy's cg converges after k updates; a cap of k updates returns that
     # iterate, with scipy's bits, where scipy itself needs a cap of k + 1
-    b = np.random.default_rng(4).normal(size=solver_2d.n)
+    b = np.random.default_rng(4).normal(size=csr_2d.shape[0])
     k = []
-    scipy_cg(solver_2d.A, b, rtol=1e-12, atol=0.0, callback=k.append)
-    assert same_bits(conjugate_gradients(matvec(solver_2d.A), b, None, len(k), identity),
-                     scipy_cg_solve(solver_2d.A, b, None, len(k) + 1))
+    scipy_cg(csr_2d, b, rtol=1e-12, atol=0.0, callback=k.append)
+    assert same_bits(conjugate_gradients(matvec(csr_2d), b, None, len(k), identity),
+                     scipy_cg_solve(csr_2d, b, None, len(k) + 1))
     with pytest.raises(NumericalFailure, match=f"info={len(k) - 1}"):
-        conjugate_gradients(matvec(solver_2d.A), b, None, len(k) - 1, identity)
+        conjugate_gradients(matvec(csr_2d), b, None, len(k) - 1, identity)
+
+
+def cell_weights(grid):
+    """W: the trapezoid weights over the cell area h0 h1."""
+    return grid.weights / np.prod(grid.h)
 
 
 def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
     rng = np.random.default_rng(5)
     n = solver_2d.n
-    A_data = solver_2d.A.data.copy()
+    w = cell_weights(solver_2d.grid)
+    probe = rng.normal(size=n)
+    A_probe = solver_2d.apply(probe)
     extra = np.zeros((4, n))
     extra[1] = np.where(rng.random(n) < 0.5, 2e-3 / 1e-4, 0.0)
     extra[3] = rng.random(n)
@@ -430,15 +458,22 @@ def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
         x, failures = solver_2d.solve(extra, b, x0=x0)
         assert not failures
         for row in range(4):
-            want = scipy_cg_solve(with_diag(solver_2d.A, extra[row]), b[row],
-                                  None if x0 is None else x0[row], 20 * n)
+            # scipy's cg on W (A + diag d) x = W b, applied by the solver's stencil
+            M = LinearOperator((n, n), dtype=float,
+                               matvec=lambda p, d=extra[row]: w * (solver_2d.apply(p) + d * p))
+            want = scipy_cg_solve(M, w * b[row], None if x0 is None else x0[row], 20 * n)
             assert same_bits(x[row], want), row
-    # the rewritten diagonal lives in a copy: A, which `apply` uses, is untouched
-    assert np.array_equal(solver_2d.A.data, A_data)
+    # the solves leave A, which `apply` applies, as it was
+    assert same_bits(solver_2d.apply(probe), A_probe)
 
 
 def dirichlet_2d(lengths=(1.0, 1.5), n=15):
     return ImplicitSolver(build_grid(2, list(lengths), n, DIRICHLET), 2e-3, 0.75)
+
+
+def dense_a(solver):
+    """The test-local matrix of A of a `dirichlet_2d` solver."""
+    return implicit_matrix(solver.grid, 2e-3, 0.75)
 
 
 def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d, monkeypatch):
@@ -446,8 +481,12 @@ def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d, monkeypatch):
     assert isinstance(dirichlet.sine, SineBasis)
     assert solver_2d.sine is None  # Neumann
     assert ImplicitSolver(build_grid(1, [1.0], 15, DIRICHLET), 2e-3, 0.75).sine is None
-    # only the Neumann solve keeps the CSR matrix whose diagonal each solve rewrites
-    assert hasattr(solver_2d, "_M") and not hasattr(dirichlet, "_M")
+    # no solver holds a sparse matrix: A is the grid's stencil alone
+    one_d = ImplicitSolver(build_grid(1, [1.0], 15, NEUMANN), 2e-3, 0.75)
+    for solver in (solver_2d, dirichlet, one_d):
+        held = [*vars(solver).values(), *(vars(solver.sine) if solver.sine else {}).values()]
+        assert not any(sparse.issparse(v) for v in held)
+        assert not hasattr(solver, "A")
     # the CG of a Neumann solve runs with the identity, of a Dirichlet one with the
     # diagonal 1 / (lam + c) of the sine basis
     seen = []
@@ -463,11 +502,65 @@ def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d, monkeypatch):
 
 
 @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_cg_operator_is_symmetric_positive_definite(bc, lengths, monkeypatch):
+    grid = build_grid(2, list(lengths), 9, bc)
+    solver = ImplicitSolver(grid, 2e-3, 0.75)
+    rng = np.random.default_rng(12)
+    # contact inside, and values up to 1e3 on the outermost nodes, as a
+    # boundary penalty and Robin diagonal put there
+    d = np.where(rng.random(solver.n) < 0.3, 2e-3 / 1e-4, 0.0)
+    outer = np.zeros(grid.shape, dtype=bool)
+    outer[[0, -1], :] = outer[:, [0, -1]] = True
+    d[outer.reshape(-1)] += rng.uniform(0.0, 1e3, size=np.count_nonzero(outer))
+    ops = []
+    cg = pathsolver.conjugate_gradients
+    monkeypatch.setattr(pathsolver, "conjugate_gradients",
+                        lambda op, *args: ops.append(op) or cg(op, *args))
+    solver.solve(d[None], np.ones((1, solver.n)))
+    M = np.column_stack([ops[0](e) for e in np.eye(solver.n)])  # column by column
+    if bc == NEUMANN:
+        assert np.array_equal(M, M.T)
+        # W (A + diag d), with W the trapezoid weights over h0 h1
+        w = cell_weights(grid)
+        assert set(w.tolist()) == {1.0, 0.5, 0.25}
+        assert np.array_equal(M, w[:, None] * (implicit_matrix(grid, 2e-3, 0.75) + np.diag(d)))
+    else:
+        # the sine-basis operator sums its box products in other orders than
+        # its transpose does, so it is symmetric up to round-off
+        assert np.abs(M - M.T).max() <= 1e-15 * np.abs(M).max()
+    assert np.linalg.eigvalsh(M).min() > 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 31])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_1d_bands_are_the_matrix_bands(bc, n):
+    grid = build_grid(1, [1.3], n, bc)
+    solver = ImplicitSolver(grid, 0.7e-3, 0.75)
+    A = implicit_matrix(grid, 0.7e-3, 0.75)
+    for band, k in ((solver._lower, -1), (solver._main, 0), (solver._upper, 1)):
+        assert same_bits(band, np.diag(A, k)), k
+
+
+def test_importing_svilab_loads_no_sparse_module():
+    # the package applies A as a stencil; scipy.sparse serves only the tests' oracles
+    src = str(Path(svilab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import pkgutil, sys, svilab\n"
+            "for m in pkgutil.iter_modules(svilab.__path__): __import__('svilab.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])
 def test_sine_basis_diagonalises_the_implicit_matrix(lengths):
     solver = dirichlet_2d(lengths, n=9)
     S = np.kron(solver.sine.S, solver.sine.S)  # the sine basis of C-ordered fields
     assert np.allclose(S @ S, np.eye(solver.n), rtol=0.0, atol=1e-14)
-    D = S @ solver.A.toarray() @ S
+    D = S @ dense_a(solver) @ S
     lam = solver.sine.lam.reshape(-1)
     assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-13 * lam.max()
     assert np.allclose(np.diag(D), lam, rtol=1e-13, atol=0.0)
@@ -517,7 +610,7 @@ def test_box_operator_equals_the_dense_sine_matrix(kind, lengths):
     for diag, c in ((d, 0.0), (inactive, 2e-3 / 1e-4)):
         assert pathsolver._median(diag) == c  # the majority value
         assert basis.box((diag - c).reshape(n, n)) == box
-        dense = S @ (solver.A.toarray() + np.diag(diag)) @ S
+        dense = S @ (dense_a(solver) + np.diag(diag)) @ S
         op, shift = basis.operator(diag)
         assert np.array_equal(shift, (basis.lam + c).reshape(-1))
         for _ in range(3):
@@ -543,10 +636,11 @@ def test_preconditioned_solve_matches_dense_solve():
         x, failures = solver.solve(extra, b, x0=x0)
         assert not failures
         for row in range(len(extra)):
-            want = np.linalg.solve(solver.A.toarray() + np.diag(extra[row]), b[row])
+            M = dense_a(solver) + np.diag(extra[row])
+            want = np.linalg.solve(M, b[row])
             assert np.abs(x[row] - want).max() <= 1e-11 * np.abs(want).max(), row
             # the stopping test is on the residual of the system, not the preconditioned one
-            resid = b[row] - with_diag(solver.A, extra[row]) @ x[row]
+            resid = b[row] - M @ x[row]
             assert np.linalg.norm(resid) < 1e-12 * np.linalg.norm(b[row])
 
 
@@ -560,7 +654,7 @@ def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal(monkeypatch):
     rng = np.random.default_rng(7)
     b = rng.normal(size=solver.n)
     for d in extra_diags(solver.n, rng)[:2]:
-        M = with_diag(solver.A, d)
+        M = dense_a(solver) + np.diag(d)
         for x0 in (None, rng.normal(size=solver.n)):
             x = basis.solve(d, b, x0, 1)  # one update
             assert np.linalg.norm(b - M @ x) < 1e-12 * np.linalg.norm(b)
