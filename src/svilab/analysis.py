@@ -256,11 +256,15 @@ def path_batches(spec: ProblemSpec, n_paths: int, workers: int = 1) -> list:
 
 
 def map_paths(fn, jobs, workers: int = 1) -> list:
-    """fn over the jobs, on a pool of `workers` processes when there are
-    several.  Each call returns a list of results whose first item is a path
-    id; all of them come back sorted by it."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    """fn over the jobs, on a pool of min(workers, number of jobs) processes
+    when that is several, else inline: a pool forks all its processes at
+    the first job, so it gets none that would idle.  Each call returns a
+    list of results whose first item is a path id; all of them come back
+    sorted by it."""
+    jobs = list(jobs)
+    size = min(workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(fn, jobs))
     else:
         results = [fn(j) for j in jobs]

@@ -3,6 +3,8 @@
 Paths are sampled from counter-based Philox streams keyed on
 (seed, path_id, k), so distinct Brownian components and distinct paths are
 independent and any subset can be regenerated reproducibly, in parallel.
+path_values is that sampling; sample_paths wraps its values, with their
+increments, as the BrownianPathSet the solvers take.
 
 Each coefficient is a separable product mu_k(t, xi) = a_k(t) * b_k(xi)
 (one spatial factor per axis in 2D) drawn from a closed catalog with
@@ -29,6 +31,7 @@ __all__ = [
     "CoeffSpec",
     "SpaceFields",
     "space_fields",
+    "path_values",
     "sample_paths",
     "eval_mu",
     "eval_mu_tilde",
@@ -97,11 +100,13 @@ class BrownianPathSet:
         )
 
 
-def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianPathSet:
-    """Sample m independent Brownian paths on the nodes of tg.
+def path_values(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> np.ndarray:
+    """beta_k(t_n) of m independent Brownian paths on the nodes of tg, shape
+    (m, N+1) with values[:, 0] = 0.
 
-    Identical arguments give bitwise-identical output.  Component k of path
-    path_id comes from the Philox stream keyed (seed, path_id, k).
+    The one definition of the sampling: component k of path path_id comes
+    from the Philox stream keyed (seed, path_id, k), so identical arguments
+    give bitwise-identical output.
     """
     if m < 0:
         raise ConfigError(f"m must be >= 0, got {m}")
@@ -112,6 +117,13 @@ def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianP
         rng = np.random.Generator(np.random.Philox(ss))
         inc = root * rng.standard_normal(tg.N)
         values[k, 1:] = np.cumsum(inc)
+    return values
+
+
+def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianPathSet:
+    """The path_values of (tg, m, seed, path_id) as a BrownianPathSet, with
+    their increments."""
+    values = path_values(tg, m, seed, path_id)
     return BrownianPathSet(
         tg=tg,
         m=m,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import grid as gridmod
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .grid import Grid
 from .noise import BrownianPathSet, CoeffSpec, TimeGrid
 from .pathsolver import (
@@ -33,6 +33,7 @@ from .pathsolver import (
     PathSolution,
     SolveConfig,
     solve_path,
+    solve_path_batch,
 )
 from .transform import ReactionSpec
 
@@ -150,6 +151,33 @@ def recover_temperature(sol: PathSolution) -> np.ndarray:
     return theta
 
 
+def _reduction(grid: Grid, sd: StefanData, cfg: SolveConfig, tol_fb: float | None):
+    """The melting problem as an obstacle solve: its source, boundary lift,
+    front anchor and tol_fb (10 eps unless given)."""
+    if grid.bc_kind != gridmod.DIRICHLET:
+        raise ConfigError("the Stefan reduction lives on a Dirichlet grid")
+    f0 = build_svi_source(sd, grid)
+    forcing = ForcingSpec("field", transformed=True, values=tuple(f0))
+    lift = None
+    if sd.heated_boundary_temp > 0.0:
+        if grid.dim != 1:
+            raise ConfigError("the heated-boundary benchmark is 1D only")
+        lift = BoundaryLift(rate=sd.heated_boundary_temp)
+    if tol_fb is None:
+        tol_fb = 10.0 * cfg.eps
+    anchor = sd.liquid_mask if np.any(sd.liquid_mask) else None
+    if anchor is None and lift is not None:
+        anchor = np.zeros(grid.n_nodes, dtype=bool)
+        anchor[0] = True
+    return forcing, lift, anchor, tol_fb
+
+
+def _melt(sol: PathSolution, tol_fb: float, anchor: np.ndarray | None):
+    """(sol, its temperature, its FreeBoundary)."""
+    fb = extract_free_boundary(sol.y, tol_fb, sol.grid, sol.tg, anchor_mask=anchor)
+    return sol, recover_temperature(sol), fb
+
+
 def solve_stefan_svi(
     grid: Grid,
     tg: TimeGrid,
@@ -161,27 +189,21 @@ def solve_stefan_svi(
 ):
     """Obstacle solve of the melting problem: returns (PathSolution of the
     time-integrated variable, temperature trajectory, FreeBoundary)."""
-    if grid.bc_kind != gridmod.DIRICHLET:
-        raise ConfigError("the Stefan reduction lives on a Dirichlet grid")
-    f0 = build_svi_source(sd, grid)
-    forcing = ForcingSpec("field", transformed=True, values=tuple(f0))
-    lift = None
-    if sd.heated_boundary_temp > 0.0:
-        if grid.dim != 1:
-            raise ConfigError("the heated-boundary benchmark is 1D only")
-        lift = BoundaryLift(rate=sd.heated_boundary_temp)
-    x0 = np.zeros(grid.n_nodes)
-    sol = solve_path(grid, tg, cs, ReactionSpec(), forcing, x0, cfg, paths,
+    forcing, lift, anchor, tol_fb = _reduction(grid, sd, cfg, tol_fb)
+    sol = solve_path(grid, tg, cs, ReactionSpec(), forcing, np.zeros(grid.n_nodes), cfg, paths,
                      boundary_lift=lift)
-    theta = recover_temperature(sol)
-    if tol_fb is None:
-        tol_fb = 10.0 * cfg.eps
-    anchor = sd.liquid_mask if np.any(sd.liquid_mask) else None
-    if anchor is None and lift is not None:
-        anchor = np.zeros(grid.n_nodes, dtype=bool)
-        anchor[0] = True
-    fb = extract_free_boundary(sol.y, tol_fb, grid, tg, anchor_mask=anchor)
-    return sol, theta, fb
+    return _melt(sol, tol_fb, anchor)
+
+
+def solve_stefan_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, sd: StefanData,
+                       cfg: SolveConfig, paths, tol_fb: float | None = None) -> list:
+    """solve_stefan_svi for a sequence of path sets in one march: per path
+    its (sol, theta, fb) or the NumericalFailure its solve_stefan_svi raises."""
+    forcing, lift, anchor, tol_fb = _reduction(grid, sd, cfg, tol_fb)
+    outs = solve_path_batch(grid, tg, cs, ReactionSpec(), forcing, np.zeros(grid.n_nodes), cfg,
+                            paths, boundary_lift=lift)
+    return [out if isinstance(out, NumericalFailure) else _melt(out, tol_fb, anchor)
+            for out in outs]
 
 
 def baiocchi_forward(theta: np.ndarray, fb: FreeBoundary, grid: Grid, tg: TimeGrid,

@@ -3,6 +3,11 @@
 
 Run via the CLI's verify mode or directly from the test suite; both share
 these implementations, so the gate has a single source of truth.
+
+Every check takes `workers`.  The energy, transform-consistency, Stefan and
+noise-statistics checks hand their independent jobs to analysis.map_paths
+and reduce the results in job order, so their rows do not depend on it;
+the determinism check runs its ensemble on at least two workers.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .analysis import (
 )
 from .errors import ConfigError
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
+from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, path_values, sample_paths
 from .pathsolver import (
     ForcingSpec,
     InitialData,
@@ -37,7 +42,13 @@ from .pathsolver import (
     solved,
 )
 from .signorini import assemble_coeffs, mass, probe_form_constants
-from .stefan import StefanData, baiocchi_forward, similarity_oracle, solve_stefan_svi
+from .stefan import (
+    StefanData,
+    baiocchi_forward,
+    similarity_oracle,
+    solve_stefan_batch,
+    solve_stefan_svi,
+)
 from .transform import ReactionSpec
 
 
@@ -235,61 +246,96 @@ def check_signorini(workers: int = 1):
 # 7 --------------------------------------------------------------------------
 
 
-def check_stefan(workers: int = 1):
-    rows = []
+def _stefan_similarity():
+    """Heated-boundary front against the similarity solution."""
     st = 1.0
     g = build_grid(1, [1.0], 255, DIRICHLET)
     tg = TimeGrid(0.1, 1000)
     cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0, heated_boundary_temp=st)
-    sol, theta, fb = solve_stefan_svi(g, tg, CoeffSpec(()), sd, cfg,
-                                      sample_paths(tg, 0, seed=0))
+    _, _, fb = solve_stefan_svi(g, tg, CoeffSpec(()), sd, cfg, sample_paths(tg, 0, seed=0))
     front_exact, _ = similarity_oracle(st, tg.T)
     rel = abs(fb.fronts[-1] - front_exact) / front_exact
-    rows.append(("stefan_similarity_front_rel_error", rel, 0.02, rel <= 0.02))
-    rows.append(("stefan_front_max_drop", fb.max_front_drop(), float(g.h[0]),
-                 fb.max_front_drop() <= g.h[0]))
+    return [("stefan_similarity_front_rel_error", rel, 0.02, rel <= 0.02),
+            ("stefan_front_max_drop", fb.max_front_drop(), float(g.h[0]),
+             fb.max_front_drop() <= g.h[0])]
 
-    # interior melting: noisy fronts monotone, Baiocchi round trip O(dt)
+
+def _interior_melting():
+    """Grid, time grid, SolveConfig and StefanData of the interior melt."""
     gi = build_grid(1, [1.0], 127, DIRICHLET)
     tgi = TimeGrid(0.05, 500)
-    cfgi = SolveConfig(dt=tgi.dt, eps=1e-6)
     x = gi.meshes()[0]
     theta0 = 4.0 * np.clip(1.0 - np.abs(x - 0.35) / 0.15, 0.0, 1.0)
-    sdi = StefanData(theta0=theta0, rho=1.0)
+    return gi, tgi, SolveConfig(dt=tgi.dt, eps=1e-6), StefanData(theta0=theta0, rho=1.0)
+
+
+def _stefan_interior():
+    """Interior melting: monotone front, Baiocchi round trip O(dt)."""
+    gi, tgi, cfgi, sdi = _interior_melting()
     soli, thetai, fbi = solve_stefan_svi(gi, tgi, CoeffSpec(()), sdi, cfgi,
                                          sample_paths(tgi, 0, seed=0))
     y_back = baiocchi_forward(thetai, fbi, gi, tgi, mu=soli.mu, liquid0_mask=sdi.liquid_mask)
     err = float(np.max(np.abs(y_back[-1] - soli.y[-1])))
-    scale = tgi.dt * float(np.max(theta0)) + fbi.tol_fb
-    rows.append(("stefan_roundtrip_over_dt_scale", err / scale, 10.0, err <= 10.0 * scale))
-    rows.append(("stefan_front_max_drop_interior", fbi.max_front_drop(), float(gi.h[0]),
-                 fbi.max_front_drop() <= gi.h[0]))
+    scale = tgi.dt * float(np.max(sdi.theta0)) + fbi.tol_fb
+    return [("stefan_roundtrip_over_dt_scale", err / scale, 10.0, err <= 10.0 * scale),
+            ("stefan_front_max_drop_interior", fbi.max_front_drop(), float(gi.h[0]),
+             fbi.max_front_drop() <= gi.h[0])]
 
+
+def _stefan_noisy():
+    """Interior melting on three noisy paths, in one march: monotone fronts."""
+    gi, tgi, cfgi, sdi = _interior_melting()
     csn = CoeffSpec(_c1("const(0.4) * sin(1)"))
-    drops = []
-    for pid in range(3):
-        paths = sample_paths(TimeGrid(0.05, 4000), 1, seed=31, path_id=pid)
-        _, _, fbn = solve_stefan_svi(gi, tgi, csn, sdi, cfgi, paths)
-        drops.append(fbn.max_front_drop())
+    paths = [sample_paths(TimeGrid(0.05, 4000), 1, seed=31, path_id=pid) for pid in range(3)]
+    drops = [fbn.max_front_drop() for _, _, fbn in
+             solved(solve_stefan_batch(gi, tgi, csn, sdi, cfgi, paths))]
     worst = float(max(drops))
-    rows.append(("stefan_front_max_drop_noisy", worst, float(gi.h[0]), worst <= gi.h[0]))
-    return rows
+    return [("stefan_front_max_drop_noisy", worst, float(gi.h[0]), worst <= gi.h[0])]
+
+
+def _stefan_worker(args):
+    index, part = args
+    return [(index, part())]
+
+
+def check_stefan(workers: int = 1):
+    """Criterion 7 in three independent jobs, on up to `workers` processes:
+    the similarity benchmark, interior melting with its Baiocchi round trip,
+    and three noisy paths in one batched march.  Rows come back in job
+    order, so the worker count never changes them."""
+    parts = (_stefan_similarity, _stefan_interior, _stefan_noisy)
+    results = map_paths(_stefan_worker, enumerate(parts), workers)
+    return [row for _, rows in results for row in rows]
 
 
 # 8 --------------------------------------------------------------------------
 
 
+def _noise_worker(args):
+    """beta(T)^2 and sup |beta|^2 of the paths first..stop-1, keyed by first."""
+    tg, seed, first, stop = args
+    beta_T_sq = np.empty(stop - first)
+    delta_sq = np.empty(stop - first)
+    for i, pid in enumerate(range(first, stop)):
+        values = path_values(tg, 1, seed, pid)
+        beta_T_sq[i] = values[0, -1] ** 2
+        delta_sq[i] = float(np.max(np.abs(values))) ** 2  # path_sup of the path, squared
+    return [(first, beta_T_sq, delta_sq)]
+
+
 def check_noise_stats(workers: int = 1):
+    """Criterion 8 on 10^4 Brownian paths, sampled in one contiguous block
+    of path ids per worker; the statistics are taken in path-id order, so
+    the worker count never changes them."""
     T = 1.0
     tg = TimeGrid(T, 256)
     n = 10_000
-    beta_T_sq = np.empty(n)
-    delta_sq = np.empty(n)
-    for pid in range(n):
-        p = sample_paths(tg, 1, seed=8888, path_id=pid)
-        beta_T_sq[pid] = p.values[0, -1] ** 2
-        delta_sq[pid] = path_sup(p) ** 2
+    size = -(-n // workers)
+    blocks = map_paths(_noise_worker, [(tg, 8888, lo, min(lo + size, n))
+                                       for lo in range(0, n, size)], workers)
+    beta_T_sq = np.concatenate([b[1] for b in blocks])
+    delta_sq = np.concatenate([b[2] for b in blocks])
     se = np.sqrt(2.0) * T / np.sqrt(n)
     dev = abs(float(beta_T_sq.mean()) - T) / se
     rows = [("noise_var_beta_T_dev_se", dev, 3.0, dev <= 3.0)]

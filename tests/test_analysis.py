@@ -11,6 +11,7 @@ from svilab.analysis import (
     energy_check,
     ensemble_run,
     fit_rate,
+    map_paths,
     path_batches,
     path_functionals,
 )
@@ -195,6 +196,40 @@ def test_ensemble_statistics_and_reduction_order(monkeypatch):
     assert a.stats["sup_y_l2_sq"].ci_half_width == pytest.approx(
         1.96 * np.sqrt(a.stats["sup_y_l2_sq"].variance / 12)
     )
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def _echo(job):
+    return [(job, -job)]
+
+
+@pytest.mark.parametrize("workers, n_jobs, size", [
+    (64, 4, 4), (2, 4, 2), (3, 2, 2), (64, 1, None), (1, 4, None), (8, 0, None),
+])
+def test_map_paths_forks_no_idle_workers(monkeypatch, workers, n_jobs, size):
+    # a fork pool starts all max_workers processes at its first job
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    jobs = iter(range(n_jobs - 1, -1, -1))  # any iterable, results sorted by id
+    assert map_paths(_echo, jobs, workers) == [(j, -j) for j in range(n_jobs)]
+    assert _InlinePool.sizes == ([] if size is None else [size])
 
 
 def test_ensemble_ci_scaling():

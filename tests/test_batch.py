@@ -282,6 +282,14 @@ def test_transform_consistency_rows_do_not_depend_on_workers():
     assert repr(verify.check_transform_consistency(workers=2)) == repr(one)
 
 
+@pytest.mark.parametrize("check", [verify.check_stefan, verify.check_noise_stats])
+def test_fanned_out_check_rows_do_not_depend_on_workers(check):
+    one = check(workers=1)
+    assert all(passed for *_, passed in one)
+    assert repr(check(workers=2)) == repr(one)
+    assert repr(check(workers=3)) == repr(one)
+
+
 def test_consistency_worker_raises_the_solo_loops_first_failure():
     # the check's spec with mu = 0.3 W(t) sin(2 pi x) capped at 0.11: path 26
     # peaks at 0.104 on the n_steps grid and at 0.114 on the finer one, so it

@@ -13,6 +13,7 @@ from svilab.noise import (
     eval_noise,
     parse_coefficient,
     path_sup,
+    path_values,
     sample_paths,
     space_fields,
 )
@@ -50,6 +51,30 @@ def test_sampling_determinism_and_shapes():
     # component streams are keyed, so a smaller m is a prefix
     e = sample_paths(tg, 2, seed=42, path_id=7)
     assert np.array_equal(e.values, a.values[:2])
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_path_values_are_the_sampled_values(m):
+    tg = TimeGrid(0.5, 40)
+    for pid in (0, 1, 17, 9999):
+        values = path_values(tg, m, 8888, pid)
+        paths = sample_paths(tg, m, seed=8888, path_id=pid)
+        assert values.shape == (m, tg.N + 1) and values.dtype == paths.values.dtype
+        assert np.array_equal(values, paths.values)
+        assert np.array_equal(paths.increments, np.diff(values, axis=1))
+        if m:  # component k is the Philox stream keyed (seed, path_id, k)
+            ss = np.random.SeedSequence(entropy=8888, spawn_key=(pid, m - 1))
+            inc = np.sqrt(tg.dt) * np.random.Generator(np.random.Philox(ss)).standard_normal(tg.N)
+            assert np.array_equal(values[m - 1, 1:], np.cumsum(inc))
+
+
+def test_path_values_reject_negative_m():
+    tg = TimeGrid(1.0, 8)
+    with pytest.raises(ConfigError) as direct:
+        path_values(tg, -1, 1)
+    with pytest.raises(ConfigError) as wrapped:
+        sample_paths(tg, -1, seed=1)
+    assert str(direct.value) == str(wrapped.value) == "m must be >= 0, got -1"
 
 
 def test_sampling_empty():

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from svilab.errors import ConfigError
+from svilab import verify
+from svilab.errors import ConfigError, NumericalFailure
 from svilab.grid import DIRICHLET, build_grid
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import SolveConfig
@@ -12,8 +15,11 @@ from svilab.stefan import (
     build_svi_source,
     extract_free_boundary,
     similarity_oracle,
+    solve_stefan_batch,
     solve_stefan_svi,
 )
+
+from test_batch import _assert_same
 
 EMPTY = CoeffSpec(())
 
@@ -196,3 +202,57 @@ def test_noisy_stefan_fronts_monotone():
         sol, theta, fb = solve_stefan_svi(g, tg, cs, sd, cfg, paths)
         assert fb.max_front_drop() <= g.h[0]
         assert np.isfinite(sol.y).all()
+
+
+def _noisy_interior():
+    """The noisy interior melt of the acceptance check and its three paths."""
+    g, tg, cfg, sd = verify._interior_melting()
+    cs = CoeffSpec((parse_coefficient("const(0.4) * sin(1)", [1.0]),))
+    paths = [sample_paths(TimeGrid(0.05, 4000), 1, seed=31, path_id=pid) for pid in range(3)]
+    return g, tg, cs, sd, cfg, paths
+
+
+def _assert_same_melt(got, want):
+    (sol, theta, fb), (sol0, theta0, fb0) = got, want
+    _assert_same([sol], [sol0])  # y, eta, mu and the diagnostics
+    assert np.array_equal(theta, theta0)
+    for key in ("fronts", "melted_measure", "n_components"):
+        assert np.array_equal(getattr(fb, key), getattr(fb0, key), equal_nan=key == "fronts"), key
+    assert fb.tol_fb == fb0.tol_fb and fb.tg == fb0.tg
+
+
+def test_stefan_batch_equals_solo_solves():
+    # every noisy front of the acceptance check is monotone, so its row reads
+    # 0.0 whatever the march does: compare the solves themselves
+    g, tg, cs, sd, cfg, paths = _noisy_interior()
+    batch = solve_stefan_batch(g, tg, cs, sd, cfg, paths)
+    assert len(batch) == len(paths)
+    for got, p in zip(batch, paths):
+        _assert_same_melt(got, solve_stefan_svi(g, tg, cs, sd, cfg, p))
+        assert np.isfinite(got[2].fronts[-1])
+    # the boundary lift and the front's anchor take the same route: the front
+    # follows the first liquid bump, while y peaks in the taller second one
+    gh = build_grid(1, [1.0], 31, DIRICHLET)
+    tgh = TimeGrid(0.02, 50)
+    cfgh = SolveConfig(dt=tgh.dt, eps=1e-5)
+    x = gh.meshes()[0]
+    bumps = np.clip(1.0 - np.abs(x - 0.3) / 0.1, 0.0, 1.0) + 4.0 * np.clip(
+        1.0 - np.abs(x - 0.7) / 0.1, 0.0, 1.0)
+    sdh = StefanData(theta0=bumps, rho=5.0, heated_boundary_temp=1.0)
+    p = sample_paths(tgh, 0, seed=0)
+    (got,) = solve_stefan_batch(gh, tgh, EMPTY, sdh, cfgh, [p], tol_fb=1e-4)
+    _assert_same_melt(got, solve_stefan_svi(gh, tgh, EMPTY, sdh, cfgh, p, tol_fb=1e-4))
+    assert got[2].fronts[-1] < 0.5 < x[np.argmax(got[0].y[-1])]
+
+
+def test_stefan_batch_failure_leaves_only_its_path():
+    # |mu| = 0.4 |W(t)| sin(pi x) peaks at 0.080, 0.068 and 0.057 on the three
+    # paths: a cap of 0.07 stops path 0 alone
+    g, tg, cs, sd, cfg, paths = _noisy_interior()
+    capped = replace(cfg, mu_cap=0.07)
+    batch = solve_stefan_batch(g, tg, cs, sd, capped, paths)
+    with pytest.raises(NumericalFailure) as solo:
+        solve_stefan_svi(g, tg, cs, sd, capped, paths[0])
+    assert type(batch[0]) is type(solo.value) and str(batch[0]) == str(solo.value)
+    for got, p in zip(batch[1:], paths[1:]):
+        _assert_same_melt(got, solve_stefan_svi(g, tg, cs, sd, capped, p))
