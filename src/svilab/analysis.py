@@ -4,7 +4,8 @@ rate, and Monte Carlo ensembles of path functionals.
 
 Space-time norms use left-endpoint time quadrature, matching the explicit
 side of the scheme; all reports are deterministic functions of the
-trajectories.
+trajectories.  A sample's mean, variance and confidence half-width follow
+one rule, FunctionalStats.of, which the CLI and the acceptance battery share.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .pathsolver import (
     solve_path,  # noqa: F401  (bound here for perfbench's tracer, whose selftest wraps it)
     solved,
 )
-
-ENERGY_SLACK_DEFAULT = 10.0
 
 # stored trajectory values per field (y, eta, mu) in one batch of paths: 8 MiB
 BATCH_VALUES = 2**20
@@ -88,11 +87,6 @@ class EnergyReport:
 
     energy_ratio: float
     multiplier_ratio: float
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.energy_ratio <= self.slack and self.multiplier_ratio <= self.slack
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> float:
@@ -114,15 +108,13 @@ def _step_norms(sol: PathSolution) -> tuple[np.ndarray, ...]:
             gridmod.inner(g, sol.eta, sol.eta), gridmod.inner(g, lap, lap))
 
 
-def energy_check(sol: PathSolution, x, delta: float | None = None,
-                 slack: float = ENERGY_SLACK_DEFAULT, norms=None) -> EnergyReport:
-    """The source enters through the march's quadrature, diagnostics.cum_source_sq.
+def energy_check(sol: PathSolution, x, norms=None) -> EnergyReport:
+    """The source and delta are the march's, diagnostics.cum_source_sq and .delta.
     `norms`: the _step_norms of sol, when the caller already has them."""
     g = sol.grid
     tg = sol.tg
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
-    if delta is None:
-        delta = sol.diagnostics.delta
+    delta = sol.diagnostics.delta
     dt = tg.dt
     y_sq, h1_sq, eta_sq, lap_sq = norms if norms is not None else _step_norms(sol)
     cum_h1 = np.concatenate([[0.0], np.cumsum(h1_sq[:-1]) * dt])
@@ -138,8 +130,7 @@ def energy_check(sol: PathSolution, x, delta: float | None = None,
     rhs_mult = source_sq + tg.nodes * delta**2 + x_sq + x_h1
     multiplier_ratio = _ratio(cum_mult, rhs_mult)
 
-    return EnergyReport(energy_ratio=energy_ratio, multiplier_ratio=multiplier_ratio,
-                        slack=slack)
+    return EnergyReport(energy_ratio=energy_ratio, multiplier_ratio=multiplier_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +192,14 @@ class FunctionalStats:
     variance: float
     ci_half_width: float
 
+    @classmethod
+    def of(cls, sample) -> "FunctionalStats":
+        """The mean, the ddof-1 variance (0 for a single value) and the 95%
+        half-width 1.96 sqrt(var / n) of a nonempty sample."""
+        data = np.asarray(sample, dtype=float)
+        var = float(data.var(ddof=1)) if data.size > 1 else 0.0
+        return cls(float(data.mean()), var, float(1.96 * np.sqrt(var / data.size)))
+
 
 @dataclass
 class EnsembleStats:
@@ -226,13 +225,13 @@ class EnsembleStats:
         return self.n_paths >= 1 and self.failure_fraction <= 0.10
 
 
-def path_functionals(sol: PathSolution, x, slack: float = ENERGY_SLACK_DEFAULT) -> dict:
+def path_functionals(sol: PathSolution, x) -> dict:
     """The monitored functionals of one trajectory (left-endpoint quadrature)."""
     dt = sol.tg.dt
     norms = _step_norms(sol)
     _, h1_sq, eta_sq, lap_sq = (a[:-1] for a in norms)
     dydt_l2 = gridmod.norm_l2(sol.grid, np.diff(sol.y, axis=0) / dt)
-    report = energy_check(sol, x, slack=slack, norms=norms)
+    report = energy_check(sol, x, norms=norms)
     return {
         "sup_y_l2_sq": float(norms[0].max()),
         "int_h1_sq": float(h1_sq.sum() * dt),
@@ -291,15 +290,8 @@ def ensemble_run(spec: ProblemSpec, n_paths: int, workers: int = 1) -> EnsembleS
     rows = [vals for _, vals, _ in results if vals is not None]
     failures = {pid: err for pid, vals, err in results if vals is None}
     n_ok = len(rows)
-    stats = {}
-    for name in FUNCTIONAL_NAMES:
-        if n_ok == 0:
-            stats[name] = FunctionalStats(np.nan, np.nan, np.nan)
-            continue
-        data = np.array([r[name] for r in rows])
-        mean = float(data.mean())
-        var = float(data.var(ddof=1)) if n_ok > 1 else 0.0
-        stats[name] = FunctionalStats(mean, var, 1.96 * np.sqrt(var / n_ok))
+    stats = {name: FunctionalStats.of([r[name] for r in rows]) if n_ok
+             else FunctionalStats(np.nan, np.nan, np.nan) for name in FUNCTIONAL_NAMES}
 
     # empirical constant of the moment bound: mean / (|x|^2 + int |f|^2),
     # with the deterministic catalog forcing (time-constant)

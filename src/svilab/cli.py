@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from . import grid as gridmod
-from .analysis import cauchy_rate_study, complementarity_report, energy_check, ensemble_run
+from .analysis import (FunctionalStats, cauchy_rate_study, complementarity_report, energy_check,
+                       ensemble_run)
 from .errors import ConfigError, NumericalFailure
 from .noise import parse_coefficient
 from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
@@ -384,7 +385,7 @@ def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
-    erep = energy_check(sol, spec.initial, slack=cfg.slack)
+    erep = energy_check(sol, spec.initial)
     tol = cfg.slack * spec.eps
     checks = [
         ("min_X", rep.min_X, -tol, rep.min_X >= -tol),
@@ -506,10 +507,9 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
         finals = fronts[:, -1]
         finals = finals[~np.isnan(finals)]
         if finals.size:
-            var = float(finals.var(ddof=1)) if finals.size > 1 else 0.0
+            fs = FunctionalStats.of(finals)
             stats_rows = [
-                ("front_at_T", float(finals.mean()), var,
-                 float(1.96 * np.sqrt(var / finals.size)), int(finals.size),
+                ("front_at_T", fs.mean, fs.variance, fs.ci_half_width, int(finals.size),
                  int(cfg.n_paths - finals.size)),
                 ("front_at_T_q25", float(np.quantile(finals, 0.25)), 0.0, 0.0, int(finals.size), 0),
                 ("front_at_T_q75", float(np.quantile(finals, 0.75)), 0.0, 0.0, int(finals.size), 0),

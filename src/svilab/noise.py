@@ -3,8 +3,9 @@
 Paths are sampled from counter-based Philox streams keyed on
 (seed, path_id, k), so distinct Brownian components and distinct paths are
 independent and any subset can be regenerated reproducibly, in parallel.
-path_values is that sampling; sample_paths wraps its values, with their
-increments, as the BrownianPathSet the solvers take.
+sample_paths is that sampling: it returns the values beta_k(t_n) as the
+BrownianPathSet the solvers take, and an Euler-Maruyama step takes its
+increments as differences of those values.
 
 Each coefficient is a separable product mu_k(t, xi) = a_k(t) * b_k(xi)
 (one spatial factor per axis in 2D) drawn from a closed catalog with
@@ -15,7 +16,7 @@ equation's coefficients are exact in space.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "CoeffSpec",
     "SpaceFields",
     "space_fields",
-    "path_values",
     "sample_paths",
     "eval_mu",
     "eval_mu_tilde",
@@ -66,47 +66,35 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianPathSet:
-    """Sampled values beta_k(t_n) and increments for one realization.
-
-    values has shape (m, N+1) with values[:, 0] = 0; increments holds the
-    exact differences values[:, n+1] - values[:, n].
-    """
+    """Sampled values beta_k(t_n) of one realization: values has shape
+    (m, N+1) with values[:, 0] = 0."""
 
     tg: TimeGrid
     m: int
     seed: int
     path_id: int
     values: np.ndarray
-    increments: np.ndarray
 
     def coarsen(self, factor: int) -> "BrownianPathSet":
         """Restrict the same realization to a time grid coarser by `factor`.
 
-        Values are strided (exact), increments re-derived as differences,
-        so the coarse set is the identical path evaluated on fewer nodes.
+        Values are strided (exact), so the coarse set is the identical path
+        evaluated on fewer nodes.
         """
         if factor == 1:
             return self
         if self.tg.N % factor != 0:
             raise ValueError(f"cannot coarsen N={self.tg.N} by factor {factor}")
-        vals = np.ascontiguousarray(self.values[:, ::factor])
-        return BrownianPathSet(
-            tg=TimeGrid(self.tg.T, self.tg.N // factor),
-            m=self.m,
-            seed=self.seed,
-            path_id=self.path_id,
-            values=vals,
-            increments=np.diff(vals, axis=1),
-        )
+        return replace(self, tg=TimeGrid(self.tg.T, self.tg.N // factor),
+                       values=np.ascontiguousarray(self.values[:, ::factor]))
 
 
-def path_values(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> np.ndarray:
-    """beta_k(t_n) of m independent Brownian paths on the nodes of tg, shape
-    (m, N+1) with values[:, 0] = 0.
+def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianPathSet:
+    """m independent Brownian paths on the nodes of tg.
 
     The one definition of the sampling: component k of path path_id comes
     from the Philox stream keyed (seed, path_id, k), so identical arguments
-    give bitwise-identical output.
+    give bitwise-identical values.
     """
     if m < 0:
         raise ConfigError(f"m must be >= 0, got {m}")
@@ -117,21 +105,7 @@ def path_values(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> np.ndarray
         rng = np.random.Generator(np.random.Philox(ss))
         inc = root * rng.standard_normal(tg.N)
         values[k, 1:] = np.cumsum(inc)
-    return values
-
-
-def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianPathSet:
-    """The path_values of (tg, m, seed, path_id) as a BrownianPathSet, with
-    their increments."""
-    values = path_values(tg, m, seed, path_id)
-    return BrownianPathSet(
-        tg=tg,
-        m=m,
-        seed=seed,
-        path_id=path_id,
-        values=values,
-        increments=np.diff(values, axis=1),
-    )
+    return BrownianPathSet(tg=tg, m=m, seed=seed, path_id=path_id, values=values)
 
 
 def path_sup(paths: BrownianPathSet) -> float:
@@ -323,15 +297,15 @@ def space_fields(cs: CoeffSpec, grid: Grid) -> SpaceFields:
     )
 
 
-def _path_rows(fields: SpaceFields, paths, attr: str, rows: range):
-    """t_n at the nodes n in rows, and `attr` (values or increments) there of
-    a sequence of P path sets on one time grid: (m, len(rows), P)."""
+def _path_rows(fields: SpaceFields, paths, rows: range):
+    """t_n at the nodes n in rows, and the values there of a sequence of P
+    path sets on one time grid: (m, len(rows), P)."""
     bad = [p.m for p in paths if p.m != fields.m]
     if bad:
         raise ValueError(f"coefficient count {fields.m} does not match path count {bad[0]}")
     if any(p.tg != paths[0].tg for p in paths):
         raise ValueError("path sets of one evaluation must share their time grid")
-    vals = np.stack([getattr(p, attr)[:, rows.start:rows.stop] for p in paths], axis=-1)
+    vals = np.stack([p.values[:, rows.start:rows.stop] for p in paths], axis=-1)
     return np.arange(rows.start, rows.stop) * paths[0].tg.dt, vals
 
 
@@ -353,21 +327,23 @@ def eval_mu(fields: SpaceFields, paths, rows: range) -> np.ndarray:
     """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at the nodes n in rows of
     a sequence of P path sets: shape (len(rows), P, n_nodes), the path axis
     after the row axis (likewise for the other evaluators)."""
-    t, values = _path_rows(fields, paths, "values", rows)
+    t, values = _path_rows(fields, paths, rows)
     return _combine(fields, values, t)
 
 
 def eval_noise(fields: SpaceFields, paths, rows: range) -> np.ndarray:
     """sum_k mu_k(t_n, xi) (beta_k(t_{n+1}) - beta_k(t_n)) at the nodes n in
     rows, the noise factor of an Euler-Maruyama step; zero at the last node."""
-    t, inc = _path_rows(fields, paths, "increments", rows)
-    return _combine(fields, np.pad(inc, ((0, 0), (0, len(rows) - inc.shape[1]), (0, 0))), t)
+    t, values = _path_rows(fields, paths, range(rows.start, rows.stop + 1))
+    inc = np.diff(values, axis=1)  # one node past the block, none past the last node
+    inc = np.pad(inc, ((0, 0), (0, len(rows) - inc.shape[1]), (0, 0)))
+    return _combine(fields, inc, t[:len(rows)])
 
 
 def eval_mu_tilde(fields: SpaceFields, paths, rows: range) -> np.ndarray:
     """mu~(t_n, xi) = sum_k (d_t mu_k * beta_k(t_n) + mu_k^2 / 2) at the nodes n
     in rows."""
-    t, values = _path_rows(fields, paths, "values", rows)
+    t, values = _path_rows(fields, paths, rows)
     out = np.zeros(values.shape[1:] + fields.value.shape[1:])
     for k, c in enumerate(fields.coefficients):
         b = fields.value[k]
@@ -380,7 +356,7 @@ def eval_mu_derivs(fields: SpaceFields, paths, rows: range):
     """Analytic (grad mu, lap mu, g = -2 grad mu) at the nodes n in rows:
     shapes (len(rows), P, dim, n_nodes), (len(rows), P, n_nodes) and that of
     grad."""
-    t, values = _path_rows(fields, paths, "values", rows)
+    t, values = _path_rows(fields, paths, rows)
     _, dim, n_nodes = fields.grad.shape
     grad = np.zeros(values.shape[1:] + (dim, n_nodes))
     lap = np.zeros(values.shape[1:] + (n_nodes,))

@@ -101,6 +101,8 @@ class SolveConfig:
             errors.append(f"newton_tol must be > 0, got {self.newton_tol}")
         if self.newton_max < 1:
             errors.append(f"newton_max must be >= 1, got {self.newton_max}")
+        if not 0 < self.mu_cap < np.inf:
+            errors.append(f"mu_cap must be > 0 and finite, got {self.mu_cap}")
         if errors:
             raise ConfigError(errors)
 
@@ -255,13 +257,11 @@ class StepCoeffs:
                                             self.exp_neg_mu, y)
 
 
-def zero_coeffs(grid: Grid, rs: ReactionSpec | None = None,
-                source: np.ndarray | None = None) -> StepCoeffs:
+def zero_coeffs(grid: Grid, rs: ReactionSpec | None = None) -> StepCoeffs:
     z, one = grid.zeros(), np.ones(grid.n_nodes)
     return StepCoeffs(t=0.0, rs=rs or ReactionSpec(), mu=z, mu_tilde=z,
                       grad_mu=np.zeros((grid.dim, grid.n_nodes)), lap_mu=z, zero_order=z,
-                      exp_mu=one, exp_neg_mu=one, g=None, g_sup=None,
-                      source=source if source is not None else z, dmu_dnu=z)
+                      exp_mu=one, exp_neg_mu=one, g=None, g_sup=None, source=z, dmu_dnu=z)
 
 
 @dataclass
@@ -937,8 +937,8 @@ def direct_em_solve(
     """Euler-Maruyama on the original equation: implicit Laplacian and
     penalty, explicit reaction, noise X_n * sum_k mu_k(t_n) dbeta_k(n) at the
     left endpoint.  The implicit penalty keeps the step stable in contact
-    at any dt, where an explicit one needs dt <= 2 eps.  Shares the Brownian increments of solve_path when handed the
-    same path set."""
+    at any dt, where an explicit one needs dt <= 2 eps.  Handed the same path
+    set, it sees the Brownian increments that solve_path's transform sees."""
     return _one(direct_em_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
 
@@ -981,25 +981,23 @@ class ProblemSpec:
         tg = TimeGrid(self.T, self.n_steps * self.headroom)
         return noisemod.sample_paths(tg, len(self.coefficients), self.seed, path_id)
 
-    def solve(self, path_id: int) -> PathSolution:
+    def _marching(self):
+        """The (solo, batch) march functions of bc_kind, interior or
+        Signorini, and the seven leading arguments both take."""
         g, tg, cs, cfg = self.build()
-        paths = self.sample(path_id)
+        solvers = solve_path, solve_path_batch
         if self.bc_kind == gridmod.NEUMANN:
-            from .signorini import solve_signorini_path
+            from .signorini import solve_signorini_batch, solve_signorini_path
 
-            return solve_signorini_path(g, tg, cs, self.reaction, self.forcing,
-                                        self.initial, cfg, paths)
-        return solve_path(g, tg, cs, self.reaction, self.forcing, self.initial, cfg, paths)
+            solvers = solve_signorini_path, solve_signorini_batch
+        return solvers, (g, tg, cs, self.reaction, self.forcing, self.initial, cfg)
+
+    def solve(self, path_id: int) -> PathSolution:
+        (solo, _), args = self._marching()
+        return solo(*args, self.sample(path_id))
 
     def solve_paths(self, path_ids) -> list:
         """Per path id, its PathSolution or the NumericalFailure that its
         solve raises, from one march over all of them."""
-        g, tg, cs, cfg = self.build()
-        paths = [self.sample(pid) for pid in path_ids]
-        if self.bc_kind == gridmod.NEUMANN:
-            from .signorini import solve_signorini_batch
-
-            return solve_signorini_batch(g, tg, cs, self.reaction, self.forcing,
-                                         self.initial, cfg, paths)
-        return solve_path_batch(g, tg, cs, self.reaction, self.forcing, self.initial, cfg,
-                                paths)
+        (_, batch), args = self._marching()
+        return batch(*args, [self.sample(pid) for pid in path_ids])

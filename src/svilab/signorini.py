@@ -52,6 +52,9 @@ from .pathsolver import (
 from .penalty import beta_eps, j_eps
 from .transform import ReactionSpec
 
+POTENTIAL_TOL = 1e-12  # absolute allowance of the boundary potential bound
+C2_TARGET = 0.5  # the Garding c2 at which the form probe fits c3 and counts violations
+
 
 def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
                     paths: BrownianPathSet, n: int, mu_cap: float) -> StepCoeffs:
@@ -141,11 +144,10 @@ def solve_signorini_path(
     return _one(solve_signorini_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
 
-def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0,
-                             abs_tol: float = 1e-12):
+def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0):
     """Discrete analogue of the boundary potential bound: for every t,
     int j_eps(y(t)) + int_0^t sum_bnd beta_eps^2 <= slack * (int j_eps(x)
-    + int |f~|^2) + abs_tol.  Returns (worst_ratio_or_0, passed)."""
+    + int |f~|^2) + POTENTIAL_TOL.  Returns (worst_ratio_or_0, passed)."""
     g, tg = sol.grid, sol.tg
     eps = sol.diagnostics.eps
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
@@ -154,7 +156,7 @@ def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0,
     b_sq = gridmod.boundary_inner(g, eta, eta)
     cum_b = np.concatenate([[0.0], np.cumsum(b_sq[:-1]) * tg.dt])
     lhs = j_t + cum_b
-    rhs = slack * (mass(g, j_eps(x_field, eps)) + sol.diagnostics.cum_source_sq) + abs_tol
+    rhs = slack * (mass(g, j_eps(x_field, eps)) + sol.diagnostics.cum_source_sq) + POTENTIAL_TOL
     ok = bool(np.all(lhs <= rhs))
     ratios = lhs / np.maximum(rhs, 1e-300)
     return float(ratios.max()), ok
@@ -201,8 +203,7 @@ def _random_fields(grid: Grid, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def probe_form_constants(grid: Grid, coeffs: StepCoeffs, eps: float,
-                         n_samples: int = 128, seed: int = 0,
-                         c2_target: float = 0.5) -> FormConstantsReport:
+                         n_samples: int = 128, seed: int = 0) -> FormConstantsReport:
     if n_samples < 100:
         raise ValueError(f"probe needs n_samples >= 100, got {n_samples}")
     rng = np.random.default_rng(seed)
@@ -221,8 +222,8 @@ def probe_form_constants(grid: Grid, coeffs: StepCoeffs, eps: float,
     a_vals = np.array([assemble_form_value(grid, coeffs, y, y, eps) for y in fields])
     s_vals = gridmod.stiffness_inner(grid, fields, fields)
     h_vals = gridmod.inner(grid, fields, fields)
-    violations = int(np.sum(a_vals < c2_target * s_vals - c3_theory * h_vals - 1e-9))
-    c3_hat = float(max(0.0, np.max((c2_target * s_vals - a_vals) / np.maximum(h_vals, 1e-300))))
+    violations = int(np.sum(a_vals < C2_TARGET * s_vals - c3_theory * h_vals - 1e-9))
+    c3_hat = float(max(0.0, np.max((C2_TARGET * s_vals - a_vals) / np.maximum(h_vals, 1e-300))))
     with np.errstate(divide="ignore"):
         ratios = (a_vals + c3_hat * h_vals) / np.where(s_vals > 1e-12, s_vals, np.inf)
     c2_hat = float(min(1.0, np.min(ratios)))

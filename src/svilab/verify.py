@@ -2,7 +2,10 @@
 (check_name, value, threshold, passed) with every tolerance pinned here.
 
 Run via the CLI's verify mode or directly from the test suite; both share
-these implementations, so the gate has a single source of truth.
+these implementations, so the gate has a single source of truth.  The checks
+call the code they gate: criterion 4 reads the ensemble's per-path
+functionals, and criterion 8 samples through sample_paths and path_sup and
+takes its half-widths from FunctionalStats.of, the ensemble's statistics rule.
 
 Every check takes `workers`.  The energy, transform-consistency, Stefan and
 noise-statistics checks hand their independent jobs to analysis.map_paths
@@ -21,15 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    FunctionalStats,
+    _ensemble_worker,
     cauchy_rate_study,
     complementarity_report,
     energy_check,
     map_paths,
     path_batches,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, path_values, sample_paths
+from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
 from .pathsolver import (
     ForcingSpec,
     InitialData,
@@ -77,6 +82,13 @@ def _eps_sweep(spec: ProblemSpec) -> list:
     return solved(replace(spec, eps=EPS_SWEEP).solve_paths([0] * len(EPS_SWEEP)))
 
 
+def _scaling_row(label: str, ratios):
+    """One C across an eps sweep: the smaller-eps ratios stay within 3x of
+    the coarsest-eps one (linear scaling in eps)."""
+    worst = max(ratios) / max(ratios[0], 1e-12)
+    return (label, worst, 3.0, worst <= 3.0)
+
+
 def _complementarity_problem(label: str, spec: ProblemSpec):
     rows = []
     min_ratios, pair_ratios = [], []
@@ -89,12 +101,8 @@ def _complementarity_problem(label: str, spec: ProblemSpec):
     rows.append((f"comp_{label}_max_eta", max_eta, 1e-12, max_eta <= 1e-12))
     c_fit = max(max(min_ratios), max(pair_ratios))
     rows.append((f"comp_{label}_fitted_C", c_fit, np.inf, np.isfinite(c_fit)))
-    # single C across the sweep: smaller-eps ratios stay within 3x of the
-    # coarsest-eps fit (linear scaling in eps)
-    for name, ratios in (("min_X", min_ratios), ("pairing", pair_ratios)):
-        anchor = max(ratios[0], 1e-12)
-        worst = max(ratios) / anchor
-        rows.append((f"comp_{label}_{name}_scaling", worst, 3.0, worst <= 3.0))
+    rows.append(_scaling_row(f"comp_{label}_min_X_scaling", min_ratios))
+    rows.append(_scaling_row(f"comp_{label}_pairing_scaling", pair_ratios))
     return rows
 
 
@@ -131,23 +139,19 @@ def check_cauchy_rate(workers: int = 1):
 # 4 --------------------------------------------------------------------------
 
 
-def _energy_worker(args):
-    spec, first, stop = args
-    rows = []
-    for pid, sol in zip(range(first, stop), solved(spec.solve_paths(range(first, stop)))):
-        rep = energy_check(sol, spec.initial)
-        rows.append((pid, rep.energy_ratio, rep.multiplier_ratio))
-    return rows
-
-
 def check_energy(workers: int = 1):
+    """The energy and multiplier ratios of 100 paths, read from the
+    ensemble's own per-path functionals; a failed path stops the check."""
     spec = ProblemSpec(
         n=63, T=0.25, n_steps=250, coefficients=_c1("const(0.5) * sin(1)"), seed=3333,
         initial=InitialData("sine", 1.0),
     )
-    results = map_paths(_energy_worker, path_batches(spec, 100, workers), workers)
-    worst_e = max(r[1] for r in results)
-    worst_m = max(r[2] for r in results)
+    results = map_paths(_ensemble_worker, path_batches(spec, 100, workers), workers)
+    for _, vals, err in results:
+        if vals is None:
+            raise NumericalFailure(err)
+    worst_e = max(vals["energy_ratio"] for _, vals, _ in results)
+    worst_m = max(vals["multiplier_ratio"] for _, vals, _ in results)
     rows = [
         ("energy_ratio_max_100paths", worst_e, 10.0, worst_e <= 10.0),
         ("multiplier_ratio_max_100paths", worst_m, 10.0, worst_m <= 10.0),
@@ -217,10 +221,8 @@ def check_signorini(workers: int = 1):
                         initial=InitialData("sine", 0.0))
     for eps, sol in zip(EPS_SWEEP, _eps_sweep(sweep)):
         ratios.append(max(-float(sol.y[:, sol.grid.boundary_mask].min()), 0.0) / eps)
-    anchor = max(ratios[0], 1e-12)
-    worst = max(ratios) / anchor
     rows.append(("signorini_trace_fitted_C", max(ratios), np.inf, np.isfinite(max(ratios))))
-    rows.append(("signorini_trace_scaling", worst, 3.0, worst <= 3.0))
+    rows.append(_scaling_row("signorini_trace_scaling", ratios))
 
     # mass conservation in the pure-Neumann inactive regime
     sol = ProblemSpec(n=63, bc_kind=NEUMANN, T=1.0, n_steps=400,
@@ -318,9 +320,9 @@ def _noise_worker(args):
     beta_T_sq = np.empty(stop - first)
     delta_sq = np.empty(stop - first)
     for i, pid in enumerate(range(first, stop)):
-        values = path_values(tg, 1, seed, pid)
-        beta_T_sq[i] = values[0, -1] ** 2
-        delta_sq[i] = float(np.max(np.abs(values))) ** 2  # path_sup of the path, squared
+        paths = sample_paths(tg, 1, seed, pid)
+        beta_T_sq[i] = paths.values[0, -1] ** 2
+        delta_sq[i] = path_sup(paths) ** 2
     return [(first, beta_T_sq, delta_sq)]
 
 
@@ -339,14 +341,12 @@ def check_noise_stats(workers: int = 1):
     se = np.sqrt(2.0) * T / np.sqrt(n)
     dev = abs(float(beta_T_sq.mean()) - T) / se
     rows = [("noise_var_beta_T_dev_se", dev, 3.0, dev <= 3.0)]
-    mean_d = float(delta_sq.mean())
+    full = FunctionalStats.of(delta_sq)
+    mean_d = full.mean
     rows.append(("noise_delta_sq_lower", mean_d / T, 1.0, mean_d >= T))
     rows.append(("noise_delta_sq_upper", mean_d / T, 4.0, mean_d <= 4.0 * T))
     # CLT scaling: quadrupling paths halves the half-width within 25%
-    def hw(sample):
-        return 1.96 * np.sqrt(sample.var(ddof=1) / sample.size)
-
-    ratio = float(hw(delta_sq[:2500]) / hw(delta_sq))
+    ratio = FunctionalStats.of(delta_sq[:2500]).ci_half_width / full.ci_half_width
     rows.append(("noise_ci_halving_lower", ratio, 1.5, ratio >= 1.5))
     rows.append(("noise_ci_halving_upper", ratio, 2.5, ratio <= 2.5))
     return rows

@@ -13,7 +13,6 @@ from svilab.noise import (
     eval_noise,
     parse_coefficient,
     path_sup,
-    path_values,
     sample_paths,
     space_fields,
 )
@@ -37,12 +36,9 @@ def test_sampling_determinism_and_shapes():
     tg = TimeGrid(1.0, 64)
     a = sample_paths(tg, 3, seed=42, path_id=7)
     b = sample_paths(tg, 3, seed=42, path_id=7)
-    assert np.array_equal(a.increments, b.increments)
     assert np.array_equal(a.values, b.values)
     assert a.values.shape == (3, 65)
     assert np.all(a.values[:, 0] == 0.0)
-    # the value/increment invariant is exact
-    assert np.array_equal(np.diff(a.values, axis=1), a.increments)
     # distinct keys give distinct paths
     c = sample_paths(tg, 3, seed=42, path_id=8)
     d = sample_paths(tg, 3, seed=43, path_id=7)
@@ -57,24 +53,19 @@ def test_sampling_determinism_and_shapes():
 def test_path_values_are_the_sampled_values(m):
     tg = TimeGrid(0.5, 40)
     for pid in (0, 1, 17, 9999):
-        values = path_values(tg, m, 8888, pid)
-        paths = sample_paths(tg, m, seed=8888, path_id=pid)
-        assert values.shape == (m, tg.N + 1) and values.dtype == paths.values.dtype
-        assert np.array_equal(values, paths.values)
-        assert np.array_equal(paths.increments, np.diff(values, axis=1))
-        if m:  # component k is the Philox stream keyed (seed, path_id, k)
-            ss = np.random.SeedSequence(entropy=8888, spawn_key=(pid, m - 1))
+        values = sample_paths(tg, m, seed=8888, path_id=pid).values
+        assert values.shape == (m, tg.N + 1) and values.dtype == np.float64
+        assert np.all(values[:, 0] == 0.0)
+        for k in range(m):  # component k is the Philox stream keyed (seed, path_id, k)
+            ss = np.random.SeedSequence(entropy=8888, spawn_key=(pid, k))
             inc = np.sqrt(tg.dt) * np.random.Generator(np.random.Philox(ss)).standard_normal(tg.N)
-            assert np.array_equal(values[m - 1, 1:], np.cumsum(inc))
+            assert np.array_equal(values[k, 1:], np.cumsum(inc))
 
 
 def test_path_values_reject_negative_m():
-    tg = TimeGrid(1.0, 8)
-    with pytest.raises(ConfigError) as direct:
-        path_values(tg, -1, 1)
-    with pytest.raises(ConfigError) as wrapped:
-        sample_paths(tg, -1, seed=1)
-    assert str(direct.value) == str(wrapped.value) == "m must be >= 0, got -1"
+    with pytest.raises(ConfigError) as exc:
+        sample_paths(TimeGrid(1.0, 8), -1, seed=1)
+    assert str(exc.value) == "m must be >= 0, got -1"
 
 
 def test_sampling_empty():
@@ -111,7 +102,6 @@ def test_coarsen_is_exact_restriction():
     c = p.coarsen(4)
     assert c.tg.N == 16
     assert np.array_equal(c.values, p.values[:, ::4])
-    assert np.array_equal(np.diff(c.values, axis=1), c.increments)
     with pytest.raises(ValueError):
         p.coarsen(5)
 
@@ -122,7 +112,6 @@ def test_path_sup():
     manual = BrownianPathSet(
         tg=tg, m=1, seed=0, path_id=0,
         values=np.array([[0.0, 0.3, -0.7]]),
-        increments=np.array([[0.3, -1.0]]),
     )
     assert path_sup(manual) == pytest.approx(0.7)
     assert path_sup(p) >= abs(p.values[0, -1])
@@ -244,6 +233,6 @@ def test_block_rows_equal_one_row_blocks(dim, texts):
     last = eval_noise(fields, [p], range(12, 13))[0, 0]
     assert np.all(last == 0.0)
     one = eval_noise(fields, [p], range(4, 5))[0, 0]
-    expect = sum(p.increments[k, 4] * c.time.value(4 * p.tg.dt) * fields.value[k]
+    expect = sum((p.values[k, 5] - p.values[k, 4]) * c.time.value(4 * p.tg.dt) * fields.value[k]
                  for k, c in enumerate(fields.coefficients))
     assert np.allclose(one, expect, rtol=1e-14, atol=0.0)

@@ -46,7 +46,9 @@ def coeffs1(text):
 
 def zero_stack(grid, source=None):
     """zero_coeffs as the record of a stack of one state."""
-    c = zero_coeffs(grid, source=source)
+    c = zero_coeffs(grid)
+    if source is not None:
+        c = replace(c, source=source)
     return replace(c, **{k: v[None] for k, v in vars(c).items() if isinstance(v, np.ndarray)})
 
 
@@ -730,3 +732,12 @@ def test_problem_spec_roundtrip():
 def test_solve_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):
         SolveConfig(**{"dt": 1e-3, **kw})
+
+
+@pytest.mark.parametrize("mu_cap", [float("nan"), -1.0, 0.0, float("inf")])
+def test_solve_config_rejects_mu_cap_outside_zero_to_inf(mu_cap):
+    # a NaN cap would never trip and a cap <= 0 fails every path at t = 0
+    with pytest.raises(ConfigError) as exc:
+        SolveConfig(dt=1e-3, mu_cap=mu_cap, newton_max=0)
+    assert exc.value.messages == ["newton_max must be >= 1, got 0",
+                                  f"mu_cap must be > 0 and finite, got {mu_cap}"]
