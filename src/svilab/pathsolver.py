@@ -36,11 +36,12 @@ solves with it: tridiagonal LAPACK solves on A's bands in 1D; in 2D
 type-I discrete sine basis that diagonalises A (`SineBasis`): there the
 system is the diagonal lam + c, with c the median of the solve's extra
 diagonal, plus a correction confined to the bounding box of the nodes whose
-extra diagonal differs from c, and the diagonal is the preconditioner.  On
-a Neumann grid A is not symmetric, but W A is, with W the trapezoid weights
-over h0 h1: CG runs with the identity on W (A + diag d) x = W b, which is
-symmetric positive definite.  CG tests the residual of the system it runs
-on, |b - M x| < CG_RTOL |b|, after every update.
+extra diagonal differs from c, and the diagonal is the preconditioner; a
+Newton iteration there may end its CG once its next active set is certain.
+On a Neumann grid A is not symmetric, but W A is, with W the trapezoid
+weights over h0 h1: CG runs with the identity on W (A + diag d) x = W b,
+which is symmetric positive definite.  CG tests the residual of the system
+it runs on, |b - M x| < CG_RTOL |b|, after every update.
 
 eps is one value for the batch or one per path.  The march carries it as a
 column beside the state, one row per path, and the step rules, Newton and
@@ -307,7 +308,7 @@ CG_RTOL = 1e-12  # CG stops once |b - M x| < CG_RTOL |b|
 
 
 def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray | None, maxiter: int,
-                        precond) -> np.ndarray:
+                        precond, stop=None) -> np.ndarray:
     """x with M x = b by conjugate gradients from x0 (zeros when None), for
     a symmetric positive definite M applied as matvec(p) = M p,
     preconditioned by precond(r) ~ M^-1 r.  The iterate after each update is
@@ -319,17 +320,27 @@ def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray | None, maxiter: i
     permitted update counts.  The bits are scipy's only where the products
     are too: the tests check them with matvec(p) = M @ p of a CSR matrix of
     their own, while `ImplicitSolver` applies stencils.  Raises
-    NumericalFailure when maxiter updates do not converge."""
+    NumericalFailure when maxiter updates do not converge.
+    stop(x, rnorm), when given, is called with an unconverged iterate each
+    time the norm rnorm of CG's recursive residual has fallen a decade below
+    its value at the last call, or at x0 for the first; CG returns that x at
+    once when it returns True.  It reads x and changes no operation of CG."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     bb = np.dot(b, b)
     if bb == 0.0:
         return b.copy()
     atol = CG_RTOL * math.sqrt(bb)
     r = b - matvec(x) if x.any() else b.copy()
+    rnorm = math.sqrt(np.dot(r, r))
+    mark = rnorm / 10.0  # the residual norm at which stop is called next
     p = rho_prev = None
     for _ in range(maxiter):
-        if math.sqrt(np.dot(r, r)) < atol:
+        if rnorm < atol:
             return x
+        if stop is not None and rnorm < mark:
+            if stop(x, rnorm):
+                return x
+            mark = rnorm / 10.0
         z = precond(r)
         rho = np.dot(r, z)
         if p is None:
@@ -342,7 +353,8 @@ def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray | None, maxiter: i
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    if math.sqrt(np.dot(r, r)) < atol:
+        rnorm = math.sqrt(np.dot(r, r))
+    if rnorm < atol:
         return x
     raise NumericalFailure(f"conjugate gradients failed to converge (info={maxiter})")
 
@@ -371,8 +383,9 @@ class SineBasis:
         T (A + diag d) T P = (lam + c) P + S[:, R] ((S[R, :] P S[:, C]) * (d - c)[R, C]) S[C, :],
 
     where R and C are the rows and columns of the bounding box of d != c, so
-    the correction costs n^2 (|R| + |C|) + 2 n |R| |C| multiply-adds, and
-    nothing when d is constant.  CG runs on this operator with the diagonal
+    the correction costs n^2 (|R| + |C|) + 2 n |R| |C| multiply-adds.  A
+    constant d has no box: the system is the diagonal lam + c, solved by
+    division.  Otherwise CG runs on this operator with the diagonal
     preconditioner 1 / (lam + c), which is CG on A + diag(d) preconditioned
     by the inverse of A + c I; T is orthonormal, so the stopping test
     |T b - (T M T) T x| < CG_RTOL |T b| is the one on M x = b up to round-off.
@@ -402,14 +415,15 @@ class SineBasis:
 
     def operator(self, extra_diag: np.ndarray):
         """The map p -> T (A + diag d) T p of flat fields, for d = extra_diag,
-        and its diagonal part lam + c, flat."""
+        or None when d is constant and the map is its diagonal part; and that
+        diagonal part lam + c, flat."""
         c = _median(extra_diag)
         shift = self.lam + c
         flat = shift.reshape(-1)
         dev = (extra_diag - c).reshape(self.shape)
         box = self.box(dev)
         if box is None:
-            return (lambda p: flat * p), flat
+            return None, flat
         R, C = box
         SR, SC, D = self.S[R], self.S[C], dev[R, C]
 
@@ -421,14 +435,48 @@ class SineBasis:
 
         return apply, flat
 
-    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0, maxiter: int) -> np.ndarray:
+    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0, maxiter: int,
+              active: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
         """x with (A + diag(extra_diag)) x = b by `conjugate_gradients` in the
-        sine basis from x0 (zeros when None), in at most maxiter updates."""
+        sine basis from x0 (zeros when None), in at most maxiter updates, or
+        by division when extra_diag is constant; and whether CG stopped early.
+
+        Given `active`, the nodes a Newton iteration solved as in contact, CG
+        stops at an iterate x whose negative nodes are not `active` once the
+        sign of every node is certain, and returns x: its negative nodes are
+        the next active set, the one the solve to CG_RTOL gives.  The
+        sine-basis matrix is lam + T diag(d) T with lam >= 1 and d >= 0, so
+        every node of x lies within |r| of the exact solution, r being CG's
+        residual, and the solve to CG_RTOL within CG_RTOL |b| of it; a sign
+        is certain where |x| > |r| + 2 CG_RTOL |b|, the second CG_RTOL |b|
+        covering the residuals' drift from b - M x and the transforms'
+        round-off.  The check, one transform, runs at each decade that |r|
+        falls, never at x0; once the certain signs are `active`'s, CG runs on
+        to CG_RTOL, bit for bit as without `active`."""
+        bh = self.transform(b)
         op, shift = self.operator(extra_diag)
-        x = conjugate_gradients(op, self.transform(b),
-                                None if x0 is None else self.transform(x0), maxiter,
-                                lambda r: r / shift)
-        return self.transform(x)
+        if op is None:
+            return self.transform(bh / shift), False
+        stop, found = None, []
+        if active is not None:
+            margin = 2.0 * CG_RTOL * math.sqrt(np.dot(bh, bh))
+
+            def stop(xh: np.ndarray, rnorm: float) -> bool:
+                nonlocal active
+                if active is None:  # the tight solve keeps active's set: converge
+                    return False
+                y = self.transform(xh)
+                if not (np.abs(y) > rnorm + margin).all():
+                    return False
+                if ((y < 0.0) == active).all():
+                    active = None
+                    return False
+                found.append(y)
+                return True
+
+        x = conjugate_gradients(op, bh, None if x0 is None else self.transform(x0), maxiter,
+                                lambda r: r / shift, stop)
+        return (found[0], True) if found else (self.transform(x), False)
 
 
 class ImplicitSolver:
@@ -464,7 +512,7 @@ class ImplicitSolver:
         """A y, of a field or of each row of a stack."""
         return y - self.dt_theta * gridmod.apply_laplacian(self.grid, y)
 
-    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None):
+    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None, active=None):
         """x with (A + diag(extra_diag[r])) x[r] = b[r] for each row r of a
         stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
         and one super-diagonal, without its argument checks), in one call for
@@ -475,8 +523,11 @@ class ImplicitSolver:
         symmetric positive definite system W M x = W b, with W the trapezoid
         weights over h0 h1 (1 inside, 1/2 on edges, 1/4 at corners), to
         |W (b - M x)| < CG_RTOL |W b|.
-        Returns x and the rows whose solve failed, each with its error
-        (their rows of x are meaningless)."""
+        `active`, one boolean field per row, lets row r of a Dirichlet solve
+        stop early (`SineBasis.solve`) once the negative nodes of its solve to
+        CG_RTOL are certain and are not active[r].
+        Returns x, the rows whose solve failed, each with its error (their
+        rows of x are meaningless), and the rows that stopped early."""
         x = np.zeros_like(b)
         rows = range(len(b))  # the rows solved one at a time
         if self.dim == 1:
@@ -486,14 +537,18 @@ class ImplicitSolver:
                 # right-hand sides as it solves it alone, and the rows with an extra
                 # diagonal are solved again below
                 x = self._gtsv(self._main, b.T).T
-        failures = {}
+        failures, early = {}, []
         for row in rows:
             try:
-                x[row] = self._solve_one(extra_diag[row], b[row],
-                                         None if x0 is None else x0[row])
+                x[row], stopped = self._solve_one(extra_diag[row], b[row],
+                                                  None if x0 is None else x0[row],
+                                                  None if active is None else active[row])
             except NumericalFailure as exc:
                 failures[row] = exc
-        return x, failures
+                continue
+            if stopped:
+                early.append(row)
+        return x, failures, early
 
     def _gtsv(self, main: np.ndarray, b: np.ndarray) -> np.ndarray:
         *_, x, info = dgtsv(self._lower, main, self._upper, b)
@@ -501,14 +556,15 @@ class ImplicitSolver:
             raise NumericalFailure(f"tridiagonal solve failed (info={info})")
         return x
 
-    def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
+    def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0,
+                   active) -> tuple[np.ndarray, bool]:
         if self.dim == 1:  # b as a column, which gtsv takes without a copy
-            return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
+            return self._gtsv(self._main + extra_diag, b[:, None])[:, 0], False
         if self.sine is not None:
-            return self.sine.solve(extra_diag, b, x0, 20 * self.n)
+            return self.sine.solve(extra_diag, b, x0, 20 * self.n, active)
         w = self._w
         return conjugate_gradients(lambda p: w * (self.apply(p) + extra_diag * p), w * b, x0,
-                                   20 * self.n, identity)
+                                   20 * self.n, identity), False
 
 
 class NewtonResult(NamedTuple):
@@ -546,6 +602,10 @@ def newton_penalized_solve(
     residual grows with the scale of the data, so an absolute bound fails
     on large data.  Every row keeps its own active set and tolerance and is
     solved until it is accepted, so it sees the iterates of its own solve.
+    On a 2D Dirichlet grid with every node penalized, every iteration but
+    the last permitted one lets a linear solve stop once the next active
+    set, the one of the solve to CG_RTOL, is certain (`SineBasis.solve`);
+    such a row is not accepted and skips its residual.
     Rows that do not converge, or whose linear solve fails, go to
     `failures`.  Raises ValueError unless every eps is positive.
     """
@@ -554,6 +614,9 @@ def newton_penalized_solve(
     P = len(rhs)
     penalized = dt_scale > 0.0
     active = (y < 0.0) & penalized
+    # with every node penalized the next active set is the negative nodes, which
+    # a sine-basis solve can certify before it converges
+    certify = solver.sine is not None and bool(np.all(penalized))
     base = 0.0 if linear_diag is None else np.broadcast_to(linear_diag, rhs.shape)
     tol = newton_tol * np.maximum(1.0, np.abs(rhs).max(axis=-1, initial=0.0))
     iters = np.zeros(P, dtype=int)
@@ -564,12 +627,21 @@ def newton_penalized_solve(
         sel = todo if todo.size < P else slice(None)
         b = base if linear_diag is None else base[sel]
         e = eps[sel] if np.ndim(eps) else eps
-        y_sel, bad = solver.solve(b + np.where(active[sel], dt_scale / e, 0.0), rhs[sel],
-                                  x0=y[sel])
+        # the last permitted iteration solves to CG_RTOL: a NewtonError quotes its residual
+        guess = active[sel] if certify and it < newton_max else None
+        y_sel, bad, early = solver.solve(b + np.where(active[sel], dt_scale / e, 0.0), rhs[sel],
+                                         x0=y[sel], active=guess)
         y[sel] = y_sel
         new_active = (y_sel < 0.0) & penalized
-        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.penalize(y_sel, e) - rhs[sel]
-        resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
+        y_r, b_r, e_r, at = y_sel, b, e, sel
+        if early:  # a row that stopped early changed its active set: it needs no residual
+            keep = np.setdiff1d(np.arange(len(y_sel)), early)
+            y_r, at = y_sel[keep], todo[keep]
+            b_r = b if linear_diag is None else b[keep]
+            e_r = e[keep] if np.ndim(e) else e
+        if len(y_r):
+            r = solver.apply(y_r) + b_r * y_r + dt_scale * penalty.penalize(y_r, e_r) - rhs[at]
+            resid[at] = np.abs(r).max(axis=-1, initial=0.0)
         iters[sel] = it
         going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))
         for j, exc in bad.items():

@@ -12,13 +12,16 @@ Every array must match bit for bit except `y` of the three 2D cases.  They
 were recorded with unpreconditioned CG on the 5-point CSR matrix, and the
 arithmetic of their solves has changed since.  The two Dirichlet cases,
 `solve_2d` and `contact_2d`, now solve by CG in the sine basis, on the
-operator of the system there with its diagonal as preconditioner.  The
+operator of the system there with its diagonal as preconditioner, or by
+division where the extra diagonal is constant; a Newton iteration whose
+next active set is certain ends its CG early, from where the next
+iteration starts.  The
 Neumann case, `signorini_2d`, now solves by CG on the system multiplied by
 the trapezoid weights, whose operator is exactly symmetric where the CSR
 matrix was not, and with a stencil product in place of the CSR one.  Each
 solve still stops at CG_RTOL on the residual of the system it runs on, so
-their `y` must match to |dy| <= Y_RTOL_2D * max|y_ref| (the Dirichlet cases
-moved by at most 3.6e-13, `signorini_2d` by at most 5.7e-13).
+their `y` must match to |dy| <= Y_RTOL_2D * max|y_ref| (`solve_2d` moved
+by at most 3.6e-13, `contact_2d` by 1.4e-13, `signorini_2d` by 5.7e-13).
 Their mu, source quadrature, Newton counts and refinement level stay exact.
 The arrays are not re-recorded: the solves on the CSR matrix are the oracle.
 
@@ -225,6 +228,27 @@ def test_contact_2d_corrects_on_a_box_smaller_than_the_grid(monkeypatch):
              for rows, cols in filter(None, boxes)]
     assert sizes  # partial-contact solves
     assert min(sizes) < n * n
+
+
+@pytest.mark.parametrize("name", ["solve_2d", "contact_2d"])
+def test_dirichlet_2d_cases_stop_early_and_divide(name, monkeypatch):
+    # the y these cases pin comes through both shortcuts of the sine-basis
+    # solve: CG ended once Newton's next active set is certain, and the
+    # division that solves a constant extra diagonal (an empty box)
+    stops, boxes = [], []
+    solve, box = SineBasis.solve, SineBasis.box
+
+    def counting(self, *args):
+        out = solve(self, *args)
+        stops.append(out[1])
+        return out
+
+    monkeypatch.setattr(SineBasis, "solve", counting)
+    monkeypatch.setattr(SineBasis, "box", lambda self, dev: boxes.append(box(self, dev))
+                        or boxes[-1])
+    CASES[name][0]()
+    assert sum(stops) >= 1
+    assert None in boxes
 
 
 def test_reference_covers_refinement():

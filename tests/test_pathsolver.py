@@ -405,6 +405,12 @@ def test_cg_matches_scipy_bits(csr_2d):
     for start in (None, np.zeros(n), x0):
         got = conjugate_gradients(matvec(M), b, start, 20 * n, identity)
         assert same_bits(got, scipy_cg_solve(M, b, start, 20 * n))
+        # a stop that declines reads each decade's iterate and changes no bit
+        norms = []
+        watched = conjugate_gradients(matvec(M), b, start, 20 * n, identity,
+                                      lambda x, rnorm: norms.append(rnorm) or False)
+        assert same_bits(watched, got)
+        assert len(norms) >= 5 and all(b < a / 10.0 for a, b in zip(norms, norms[1:]))
     assert same_bits(x0, x0_in)  # x0 is not written
 
 
@@ -457,8 +463,8 @@ def test_implicit_solver_2d_stack_matches_scipy_bits(solver_2d):
     extra[3] = rng.random(n)
     b = rng.normal(size=(4, n))
     for x0 in (None, rng.normal(size=(4, n))):
-        x, failures = solver_2d.solve(extra, b, x0=x0)
-        assert not failures
+        x, failures, early = solver_2d.solve(extra, b, x0=x0)
+        assert not failures and not early
         for row in range(4):
             # scipy's cg on W (A + diag d) x = W b, applied by the solver's stencil
             M = LinearOperator((n, n), dtype=float,
@@ -490,16 +496,17 @@ def test_only_2d_dirichlet_solves_are_preconditioned(solver_2d, monkeypatch):
         assert not any(sparse.issparse(v) for v in held)
         assert not hasattr(solver, "A")
     # the CG of a Neumann solve runs with the identity, of a Dirichlet one with the
-    # diagonal 1 / (lam + c) of the sine basis
+    # diagonal 1 / (lam + c) of the sine basis, c the median of a partial contact
     seen = []
     cg = pathsolver.conjugate_gradients
     monkeypatch.setattr(pathsolver, "conjugate_gradients",
-                        lambda *args: seen.append(args[-1]) or cg(*args))
+                        lambda *args: seen.append(args[4]) or cg(*args))
     d = np.full(dirichlet.n, 7.0)
+    d[: dirichlet.n // 3] = 0.0
     for solver in (solver_2d, dirichlet):
         solver.solve(d[None], np.ones((1, solver.n)))
     r = np.random.default_rng(9).normal(size=dirichlet.n)
-    assert seen[0] is identity
+    assert len(seen) == 2 and seen[0] is identity
     assert np.array_equal(seen[1](r), r / (dirichlet.sine.lam + 7.0).reshape(-1))
 
 
@@ -635,8 +642,8 @@ def test_preconditioned_solve_matches_dense_solve():
                             [minority(15, kind, rng)[0] for kind in KINDS]])
     b = rng.normal(size=extra.shape)
     for x0 in (None, rng.normal(size=extra.shape)):
-        x, failures = solver.solve(extra, b, x0=x0)
-        assert not failures
+        x, failures, early = solver.solve(extra, b, x0=x0)
+        assert not failures and not early
         for row in range(len(extra)):
             M = dense_a(solver) + np.diag(extra[row])
             want = np.linalg.solve(M, b[row])
@@ -647,6 +654,8 @@ def test_preconditioned_solve_matches_dense_solve():
 
 
 def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal(monkeypatch):
+    # a constant extra diagonal c, no contact or contact everywhere, is the
+    # diagonal lam + c in the sine basis: solved by division, without CG
     solver = dirichlet_2d()
     basis = solver.sine
     boxes = []
@@ -657,15 +666,19 @@ def test_preconditioned_cg_is_exact_for_a_constant_extra_diagonal(monkeypatch):
     b = rng.normal(size=solver.n)
     for d in extra_diags(solver.n, rng)[:2]:
         M = dense_a(solver) + np.diag(d)
-        for x0 in (None, rng.normal(size=solver.n)):
-            x = basis.solve(d, b, x0, 1)  # one update
-            assert np.linalg.norm(b - M @ x) < 1e-12 * np.linalg.norm(b)
+        with monkeypatch.context() as m:
+            m.setattr(pathsolver, "conjugate_gradients", None)  # not called
+            for x0 in (None, rng.normal(size=solver.n)):
+                for active in (None, np.ones(solver.n, dtype=bool)):
+                    x, early = basis.solve(d, b, x0, 0, active)  # no CG update
+                    assert np.linalg.norm(b - M @ x) < 1e-12 * np.linalg.norm(b)
+                    assert not early
         # no box product: the operator is its diagonal
         op, shift = basis.operator(d)
-        assert same_bits(op(b), shift * b)
+        assert op is None and np.array_equal(shift, (basis.lam + d[0]).reshape(-1))
         with pytest.raises(NumericalFailure):  # unpreconditioned, one update is too few
             conjugate_gradients(matvec(M), b, None, 1, identity)
-    assert boxes == [None] * 6
+    assert boxes == [None] * 10
 
 
 def test_preconditioned_cg_exhausted_cap_raises_the_same_message():
@@ -685,6 +698,35 @@ def _converges(basis, d, b, maxiter):
     except NumericalFailure:
         return False
     return True
+
+
+def test_early_stop_gives_the_next_active_set_of_the_tight_solve():
+    # a solve handed `active` stops before CG_RTOL only when the solve to
+    # CG_RTOL has the sign of its iterate at every node and a negative set
+    # other than active; otherwise it returns the tight solve's bits
+    solver = dirichlet_2d()
+    basis, n = solver.sine, solver.n
+    rng = np.random.default_rng(14)
+    stopped = []
+    for case in range(60):
+        d = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 2e-3 / 10.0 ** rng.integers(2, 6), 0.0)
+        # a solution with nodes near zero, whose signs CG settles late
+        want = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        want[rng.random(n) < 0.1] *= 10.0 ** -rng.integers(2, 9)
+        b = (dense_a(solver) + np.diag(d)) @ want
+        x0 = rng.normal(size=n) * np.abs(want).max() if case % 3 else None
+        tight, early = basis.solve(d, b, x0, 20 * n)
+        assert not early
+        neg = tight < 0.0
+        # the tight solve's set, that set with a few nodes flipped, or a random set
+        active = neg ^ (rng.random(n) < rng.choice([0.0, 0.02, 0.5]))
+        x, early = basis.solve(d, b, x0, 20 * n, active)
+        if early:
+            assert np.array_equal(x < 0.0, neg) and not np.array_equal(neg, active)
+        else:
+            assert same_bits(x, tight)
+        stopped.append(early)
+    assert any(stopped) and not all(stopped)
 
 
 @pytest.mark.parametrize("n", [3969, 3844, 225, 224, 1, 2])
