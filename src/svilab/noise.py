@@ -3,18 +3,28 @@
 Paths are sampled from counter-based Philox streams keyed on
 (seed, path_id, k), so distinct Brownian components and distinct paths are
 independent and any subset can be regenerated reproducibly, in parallel.
-sample_paths is that sampling: it returns the values beta_k(t_n) as the
-BrownianPathSet the solvers take, and an Euler-Maruyama step takes its
-increments as differences of those values.
+The stream of component k of a path is that of
+Philox(SeedSequence(seed, spawn_key=(path_id, k))); philox_key computes its
+key with numpy's SeedSequence hash, for one id or for a whole array of ids
+in one vectorized pass, and one reused Philox, reset to each key, draws the
+normals.  sample_block samples a block of paths into one PathStack,
+sample_paths one path as the BrownianPathSet the solvers take, and both
+give the same bits.  An Euler-Maruyama step takes its increments as
+differences of the values.
 
-Each coefficient is a separable product mu_k(t, xi) = a_k(t) * b_k(xi)
-(one spatial factor per axis in 2D) drawn from a closed catalog with
-analytic time derivative, gradient, and Laplacian, so the transformed
-equation's coefficients are exact in space.
+The coefficient evaluators take a PathStack, the (P, m, N+1) values of
+the P paths of a batch on one time grid, and read blocks of time rows of
+it; stack_paths builds one from a sequence of path sets.  Each coefficient
+is a separable product mu_k(t, xi) = a_k(t) * b_k(xi) (one spatial factor
+per axis in 2D) drawn from a closed catalog with analytic time derivative,
+gradient, and Laplacian, so the transformed equation's coefficients are
+exact in space.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass, replace
 
@@ -26,13 +36,17 @@ from .grid import Grid
 __all__ = [
     "TimeGrid",
     "BrownianPathSet",
+    "PathStack",
     "TimeFactor",
     "SpaceFactor",
     "Coefficient",
     "CoeffSpec",
     "SpaceFields",
     "space_fields",
+    "philox_key",
+    "sample_block",
     "sample_paths",
+    "stack_paths",
     "eval_mu",
     "eval_mu_tilde",
     "eval_mu_derivs",
@@ -89,30 +103,192 @@ class BrownianPathSet:
                        values=np.ascontiguousarray(self.values[:, ::factor]))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written with
+# explicit 32-bit masks so that one code hashes a Python int or a uint64
+# array of path ids; uint64 products wrap, and the mask keeps their low word
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, hash_const):
+    """numpy's hashmix: the mixed value and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _absorb(pool, hash_const, word):
+    """Mix one entropy word beyond the pool into every pool word."""
+    out = []
+    for value in pool:
+        h, hash_const = _hashmix(word, hash_const)
+        out.append(_mix(value, h))
+    return out, hash_const
+
+
+def _int_words(n: int) -> list:
+    """The 32-bit words numpy makes of a nonnegative int, least significant
+    first; 0 is one word."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int):
+    """The pool and hash constant once the seed's words, zero-padded to the
+    pool size as numpy does when a spawn key follows, are mixed in."""
+    words = _int_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, hash_const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        h, hash_const = _hashmix(word, hash_const)
+        pool.append(h)
+    for src in range(_POOL_SIZE):  # every pool word into every other
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[_POOL_SIZE:]:
+        pool, hash_const = _absorb(pool, hash_const, word)
+    return tuple(pool), hash_const
+
+
+def _key(seed: int, words) -> tuple:
+    pool, hash_const = _seed_pool(seed)
+    for word in words:
+        pool, hash_const = _absorb(pool, hash_const, word)
+    state, hash_const = [], _INIT_B  # generate_state(2, uint64): four words, two keys
+    for value in pool:
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> _XSHIFT))
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def philox_key(seed: int, path_id, k: int):
+    """The Philox key of component k of path path_id: the two uint64 words
+    of SeedSequence(seed, spawn_key=(path_id, k)).generate_state(2, uint64).
+
+    path_id is one int, which gives a pair of ints, or a uint64 array of
+    ids, which gives a (P, 2) uint64 array.  An id below 2**32 is one word
+    of the spawn key and a larger one two, as numpy makes them.
+    """
+    seed = operator.index(seed)
+    if not isinstance(path_id, np.ndarray):
+        return _key(seed, _int_words(operator.index(path_id)) + _int_words(k))
+    keys = np.empty((path_id.size, 2), dtype=np.uint64)
+    wide = path_id > _MASK32
+    for sel, n_words in ((~wide, 1), (wide, 2)):
+        ids = path_id[sel]
+        if ids.size:
+            words = [ids & _MASK32, ids >> 32][:n_words]
+            keys[sel] = np.stack(_key(seed, words + _int_words(k)), axis=-1)
+    return keys
+
+
+# Every draw sets the whole state of this Philox first (its key, counter 0,
+# an empty buffer), so no draw sees what an earlier one left behind.
+_GENERATOR = np.random.Generator(np.random.Philox(0))
+
+
+def _draw(tg: TimeGrid, m: int, seed: int, ids) -> np.ndarray:
+    """(P, m, N+1) values of the paths ids, one int or a uint64 array of P
+    ids: component k of a path is the Philox stream of its key, its
+    increments sqrt(dt) times standard normals."""
+    if m < 0:
+        raise ConfigError(f"m must be >= 0, got {m}")
+    block = isinstance(ids, np.ndarray)
+    values = np.zeros((ids.size if block else 1, m, tg.N + 1))
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k in range(m):
+        keys = philox_key(seed, ids, k)
+        for row, key in zip(values[:, k, 1:], keys.tolist() if block else [keys]):
+            state["state"]["key"] = key
+            _GENERATOR.bit_generator.state = state
+            _GENERATOR.standard_normal(out=row)
+    inc = values[..., 1:]
+    inc *= np.sqrt(tg.dt)
+    np.cumsum(inc, axis=-1, out=inc)
+    return values
+
+
+@dataclass(frozen=True)
+class PathStack:
+    """The values of P path sets on one time grid in one array: values has
+    shape (P, m, N+1), row i the values of the i-th path set."""
+
+    tg: TimeGrid
+    values: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[1]
+
+    def take(self, keep) -> "PathStack":
+        """The stack of the path sets `keep` (an index array)."""
+        return replace(self, values=self.values[keep])
+
+
+def _check_count(m: int, counts) -> None:
+    bad = [c for c in counts if c != m]
+    if bad:
+        raise ValueError(f"coefficient count {m} does not match path count {bad[0]}")
+
+
+def stack_paths(paths, m: int) -> PathStack:
+    """A sequence of path sets with m components each, on one time grid, as
+    one PathStack."""
+    _check_count(m, [p.m for p in paths])
+    if any(p.tg != paths[0].tg for p in paths):
+        raise ValueError("path sets of one evaluation must share their time grid")
+    return PathStack(paths[0].tg, np.stack([p.values for p in paths]))
+
+
+def sample_block(tg: TimeGrid, m: int, seed: int, path_ids) -> PathStack:
+    """The paths path_ids in one pass: row i of the stack is
+    sample_paths(tg, m, seed, path_ids[i]).values, bit for bit."""
+    ids = np.asarray(path_ids)
+    if ids.size and ids.min() < 0:
+        raise ValueError("expected non-negative integer")
+    return PathStack(tg, _draw(tg, m, seed, ids.astype(np.uint64)))
+
+
 def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianPathSet:
     """m independent Brownian paths on the nodes of tg.
 
     The one definition of the sampling: component k of path path_id comes
-    from the Philox stream keyed (seed, path_id, k), so identical arguments
-    give bitwise-identical values.
+    from the Philox stream keyed (seed, path_id, k), the stream of
+    Philox(SeedSequence(seed, spawn_key=(path_id, k))), so identical
+    arguments give bitwise-identical values.  This is the block of one of
+    sample_block; philox_key computes the key.
     """
-    if m < 0:
-        raise ConfigError(f"m must be >= 0, got {m}")
-    values = np.zeros((m, tg.N + 1))
-    root = np.sqrt(tg.dt)
-    for k in range(m):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_id, k))
-        rng = np.random.Generator(np.random.Philox(ss))
-        inc = root * rng.standard_normal(tg.N)
-        values[k, 1:] = np.cumsum(inc)
+    values = _draw(tg, m, seed, operator.index(path_id))[0]
     return BrownianPathSet(tg=tg, m=m, seed=seed, path_id=path_id, values=values)
 
 
-def path_sup(paths: BrownianPathSet) -> float:
-    """sup over components and grid times of |beta_k(t_n)| (delta of the run)."""
-    if paths.m == 0:
-        return 0.0
-    return float(np.max(np.abs(paths.values)))
+def path_sup(paths):
+    """sup over components and grid times of |beta_k(t_n)| (delta of the
+    run): a float for a path set, one value per path for a PathStack."""
+    if isinstance(paths, PathStack):
+        return np.abs(paths.values).max(axis=(1, 2), initial=0.0)
+    return float(np.max(np.abs(paths.values), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +473,12 @@ def space_fields(cs: CoeffSpec, grid: Grid) -> SpaceFields:
     )
 
 
-def _path_rows(fields: SpaceFields, paths, rows: range):
-    """t_n at the nodes n in rows, and the values there of a sequence of P
-    path sets on one time grid: (m, len(rows), P)."""
-    bad = [p.m for p in paths if p.m != fields.m]
-    if bad:
-        raise ValueError(f"coefficient count {fields.m} does not match path count {bad[0]}")
-    if any(p.tg != paths[0].tg for p in paths):
-        raise ValueError("path sets of one evaluation must share their time grid")
-    vals = np.stack([p.values[:, rows.start:rows.stop] for p in paths], axis=-1)
-    return np.arange(rows.start, rows.stop) * paths[0].tg.dt, vals
+def _path_rows(fields: SpaceFields, stack: PathStack, rows: range):
+    """t_n at the nodes n in rows, and the values there of a PathStack:
+    (m, len(rows), P), a view."""
+    _check_count(fields.m, [stack.m])
+    vals = np.moveaxis(stack.values[:, :, rows.start:rows.stop], 0, -1)
+    return np.arange(rows.start, rows.stop) * stack.tg.dt, vals
 
 
 def _column(a, t: np.ndarray) -> np.ndarray:
@@ -323,27 +495,27 @@ def _combine(fields: SpaceFields, weights: np.ndarray, t: np.ndarray) -> np.ndar
     return out
 
 
-def eval_mu(fields: SpaceFields, paths, rows: range) -> np.ndarray:
+def eval_mu(fields: SpaceFields, stack: PathStack, rows: range) -> np.ndarray:
     """mu(t_n, xi) = sum_k mu_k(t_n, xi) beta_k(t_n) at the nodes n in rows of
-    a sequence of P path sets: shape (len(rows), P, n_nodes), the path axis
+    the P paths of a stack: shape (len(rows), P, n_nodes), the path axis
     after the row axis (likewise for the other evaluators)."""
-    t, values = _path_rows(fields, paths, rows)
+    t, values = _path_rows(fields, stack, rows)
     return _combine(fields, values, t)
 
 
-def eval_noise(fields: SpaceFields, paths, rows: range) -> np.ndarray:
+def eval_noise(fields: SpaceFields, stack: PathStack, rows: range) -> np.ndarray:
     """sum_k mu_k(t_n, xi) (beta_k(t_{n+1}) - beta_k(t_n)) at the nodes n in
     rows, the noise factor of an Euler-Maruyama step; zero at the last node."""
-    t, values = _path_rows(fields, paths, range(rows.start, rows.stop + 1))
+    t, values = _path_rows(fields, stack, range(rows.start, rows.stop + 1))
     inc = np.diff(values, axis=1)  # one node past the block, none past the last node
     inc = np.pad(inc, ((0, 0), (0, len(rows) - inc.shape[1]), (0, 0)))
     return _combine(fields, inc, t[:len(rows)])
 
 
-def eval_mu_tilde(fields: SpaceFields, paths, rows: range) -> np.ndarray:
+def eval_mu_tilde(fields: SpaceFields, stack: PathStack, rows: range) -> np.ndarray:
     """mu~(t_n, xi) = sum_k (d_t mu_k * beta_k(t_n) + mu_k^2 / 2) at the nodes n
     in rows."""
-    t, values = _path_rows(fields, paths, rows)
+    t, values = _path_rows(fields, stack, rows)
     out = np.zeros(values.shape[1:] + fields.value.shape[1:])
     for k, c in enumerate(fields.coefficients):
         b = fields.value[k]
@@ -352,11 +524,11 @@ def eval_mu_tilde(fields: SpaceFields, paths, rows: range) -> np.ndarray:
     return out
 
 
-def eval_mu_derivs(fields: SpaceFields, paths, rows: range):
+def eval_mu_derivs(fields: SpaceFields, stack: PathStack, rows: range):
     """Analytic (grad mu, lap mu, g = -2 grad mu) at the nodes n in rows:
     shapes (len(rows), P, dim, n_nodes), (len(rows), P, n_nodes) and that of
     grad."""
-    t, values = _path_rows(fields, paths, rows)
+    t, values = _path_rows(fields, stack, rows)
     _, dim, n_nodes = fields.grad.shape
     grad = np.zeros(values.shape[1:] + (dim, n_nodes))
     lap = np.zeros(values.shape[1:] + (n_nodes,))

@@ -4,9 +4,10 @@
 solver; the single-path solvers are batches of one.  The state is a stack
 with one row per path.  The march validates the initial datum and the path
 sets, picks each path's run grid (paths at different halving levels march
-apart), builds the time-independent coefficient fields once, evaluates the
-coefficients of all its paths for blocks of consecutive run-grid nodes
-(`coeff_block`), checks the mu cap there, stores the trajectories at
+apart), builds the time-independent coefficient fields once, stacks the
+path values of each level once (`noise.stack_paths`), evaluates the
+coefficients of all its paths for blocks of consecutive run-grid nodes from
+that stack (`coeff_block`), checks the mu cap there, stores the trajectories at
 stride 2^level and fills each path's `Diagnostics`.
 Every row gets the bits that its path gets alone, and a path that fails
 leaves the batch with the error its own solve raises.  Only the step rule,
@@ -745,19 +746,19 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
     )
 
 
-def coeff_block(grid: Grid, fields: SpaceFields, paths, rows: range,
+def coeff_block(grid: Grid, fields: SpaceFields, stack: noisemod.PathStack, rows: range,
                 rs: ReactionSpec, forcing: ForcingSpec, em: bool = False) -> StepCoeffs:
-    """The coefficients at the nodes `rows` of `paths`, a sequence of path
-    sets on one time grid: one row per node, with a path axis after it.
+    """The coefficients at the nodes `rows` of the paths of `stack`: one row
+    per node, with a path axis after it.
 
     A Neumann grid adds dmu/dnu; `em` adds the noise factor of the
     Euler-Maruyama rule.  Nodes beyond the mu cap are evaluated too, without
     overflow warnings: the march stops at the first.
     """
-    t = np.arange(rows.start, rows.stop) * paths[0].tg.dt
-    mu = noisemod.eval_mu(fields, paths, rows)
-    mu_tilde = noisemod.eval_mu_tilde(fields, paths, rows)
-    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, paths, rows)
+    t = np.arange(rows.start, rows.stop) * stack.tg.dt
+    mu = noisemod.eval_mu(fields, stack, rows)
+    mu_tilde = noisemod.eval_mu_tilde(fields, stack, rows)
+    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, stack, rows)
     with np.errstate(over="ignore", invalid="ignore"):
         exp_mu, exp_neg_mu = np.exp(mu), np.exp(-mu)
         if forcing.kind == "zero":
@@ -774,7 +775,7 @@ def coeff_block(grid: Grid, fields: SpaceFields, paths, rows: range,
         g=g if noisy else None, g_sup=np.abs(g).max(axis=-1) if noisy else None,
         source=source,
         dmu_dnu=gridmod.normal_derivative(grid, mu) if grid.bc_kind == gridmod.NEUMANN else None,
-        noise=noisemod.eval_noise(fields, paths, rows) if em else None,
+        noise=noisemod.eval_noise(fields, stack, rows) if em else None,
     )
 
 
@@ -833,8 +834,9 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
         levels.setdefault(level, []).append((i, run))
 
     for level, members in levels.items():
-        run = [r for _, r in members]
-        P, stride, N, dt = len(run), 2**level, run[0].tg.N, run[0].tg.dt
+        stack = noisemod.stack_paths([r for _, r in members], cs.m)  # one row per live path
+        delta = noisemod.path_sup(stack)
+        P, stride, N, dt = len(members), 2**level, stack.tg.N, stack.tg.dt
         run_cfg = replace(cfg, dt=dt, eps=eps[[i for i, _ in members], None])
         solver = ImplicitSolver(grid, dt, cfg.theta)
         block_rows = max(2, BLOCK_VALUES // (P * grid.n_nodes))
@@ -853,7 +855,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
             if not live.size:
                 break
             rows = range(lo, min(lo + block_rows, N + 1))
-            blk = coeff_block(grid, fields, [run[j] for j in live], rows, rs, forcing, em)
+            blk = coeff_block(grid, fields, stack, rows, rs, forcing, em)
             peaks = np.abs(blk.mu).max(axis=-1)
             capped = peaks > cfg.mu_cap
             # a path fails at its first row beyond the cap, so no later row of it is used
@@ -893,6 +895,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                     failed.update(errors)
                     kept = np.flatnonzero(~np.isin(live, list(errors)))
                     live, y, blk, c_next = live[kept], y[kept], blk.take(kept), c_next.take(kept)
+                    stack = stack.take(kept)
                     at = live
                     if not live.size:
                         break
@@ -910,7 +913,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                 newton_iters=iters[j],
                 residuals=resids[j],
                 stability_margin=float(worst_margin[j]),
-                delta=noisemod.path_sup(run[j]),
+                delta=float(delta[j]),
                 refine_level=level,
                 mu_sup=float(mu_sup[j]),
                 cum_source_sq=cum_source[j],

@@ -62,8 +62,8 @@ def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: Forcin
     for the probes; raises like the march when |mu| passes mu_cap there."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("Signorini problems need a Neumann grid (boundary nodes included)")
-    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), [paths], range(n, n + 1), rs,
-                         forcing).row(0).take(0)
+    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), noisemod.stack_paths([paths], cs.m),
+                         range(n, n + 1), rs, forcing).row(0).take(0)
     peak = float(np.max(np.abs(coeffs.mu)))
     if peak > mu_cap:
         raise mu_cap_failure(peak, coeffs.t, mu_cap)

@@ -4,13 +4,15 @@
 Run via the CLI's verify mode or directly from the test suite; both share
 these implementations, so the gate has a single source of truth.  The checks
 call the code they gate: criterion 4 reads the ensemble's per-path
-functionals, and criterion 8 samples through sample_paths and path_sup and
-takes its half-widths from FunctionalStats.of, the ensemble's statistics rule.
+functionals, and criterion 8 samples its paths through sample_block (the
+block form of sample_paths), reads them with path_sup and takes its
+half-widths from FunctionalStats.of, the ensemble's statistics rule.
 
-Every check takes `workers`.  The energy, transform-consistency, Stefan and
-noise-statistics checks hand their independent jobs to analysis.map_paths
-and reduce the results in job order, so their rows do not depend on it;
-the determinism check runs its ensemble on at least two workers.
+Every check takes `workers`.  The complementarity, energy,
+transform-consistency, Signorini, Stefan and noise-statistics checks hand
+their independent jobs to analysis.map_paths and reduce the results in job
+order, so their rows do not depend on it; the determinism check runs its
+ensemble on at least two workers.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import filecmp
 import tempfile
 import textwrap
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    BATCH_VALUES,
     FunctionalStats,
     _ensemble_worker,
     cauchy_rate_study,
@@ -34,7 +38,14 @@ from .analysis import (
 )
 from .errors import ConfigError, NumericalFailure
 from .grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from .noise import CoeffSpec, TimeGrid, parse_coefficient, path_sup, sample_paths
+from .noise import (
+    CoeffSpec,
+    TimeGrid,
+    parse_coefficient,
+    path_sup,
+    sample_block,
+    sample_paths,
+)
 from .pathsolver import (
     ForcingSpec,
     InitialData,
@@ -107,6 +118,8 @@ def _complementarity_problem(label: str, spec: ProblemSpec):
 
 
 def check_complementarity(workers: int = 1):
+    """Criterion 2 on a pinned and a noisy problem, one job each on up to
+    `workers` processes, each job one eps-sweep march."""
     pinned = ProblemSpec(
         n=127, T=0.3, n_steps=300, coefficients=(), seed=0,
         forcing=ForcingSpec("const", -1.0), initial=InitialData("sine", 0.0),
@@ -116,7 +129,8 @@ def check_complementarity(workers: int = 1):
         forcing=ForcingSpec("const", -1.0),
         initial=InitialData("cone", 0.3, center=(0.3,), radius=0.2),
     )
-    return _complementarity_problem("pinned", pinned) + _complementarity_problem("noisy", noisy)
+    return _fan_out((partial(_complementarity_problem, "pinned", pinned),
+                     partial(_complementarity_problem, "noisy", noisy)), workers)
 
 
 # 3 --------------------------------------------------------------------------
@@ -212,37 +226,46 @@ def check_transform_consistency(workers: int = 1):
 # 6 --------------------------------------------------------------------------
 
 
-def check_signorini(workers: int = 1):
-    rows = []
-    # boundary trace >= -C eps across the sweep
-    ratios = []
+def _signorini_trace():
+    """The boundary trace stays >= -C eps across the sweep."""
     sweep = ProblemSpec(n=63, bc_kind=NEUMANN, T=0.3, n_steps=300,
                         forcing=ForcingSpec("edge", -2.0, width=0.15),
                         initial=InitialData("sine", 0.0))
-    for eps, sol in zip(EPS_SWEEP, _eps_sweep(sweep)):
-        ratios.append(max(-float(sol.y[:, sol.grid.boundary_mask].min()), 0.0) / eps)
-    rows.append(("signorini_trace_fitted_C", max(ratios), np.inf, np.isfinite(max(ratios))))
-    rows.append(_scaling_row("signorini_trace_scaling", ratios))
+    ratios = [max(-float(sol.y[:, sol.grid.boundary_mask].min()), 0.0) / eps
+              for eps, sol in zip(EPS_SWEEP, _eps_sweep(sweep))]
+    return [("signorini_trace_fitted_C", max(ratios), np.inf, np.isfinite(max(ratios))),
+            _scaling_row("signorini_trace_scaling", ratios)]
 
-    # mass conservation in the pure-Neumann inactive regime
-    sol = ProblemSpec(n=63, bc_kind=NEUMANN, T=1.0, n_steps=400,
-                      initial=InitialData("cutoff", 1.0, radius=0.2)).solve(0)
-    g = sol.grid
-    masses = mass(g, sol.y)
+
+_SIGNORINI_MASS = ProblemSpec(n=63, bc_kind=NEUMANN, T=1.0, n_steps=400,
+                              initial=InitialData("cutoff", 1.0, radius=0.2))
+
+
+def _signorini_mass():
+    """Mass conservation in the pure-Neumann inactive regime."""
+    sol = _SIGNORINI_MASS.solve(0)
+    masses = mass(sol.grid, sol.y)
     drift = float(np.max(np.abs(masses - masses[0]))) / sol.tg.T
-    rows.append(("signorini_mass_drift_per_time", drift, 1e-6, drift <= 1e-6))
+    return [("signorini_mass_drift_per_time", drift, 1e-6, drift <= 1e-6)]
 
-    # coercivity probe at moderate path sup
-    tgp = TimeGrid(0.2, 100)
-    paths = sample_paths(tgp, 1, seed=8)
+
+def _signorini_coercivity():
+    """The form probe at moderate path sup, on the mass problem's grid."""
+    g = _SIGNORINI_MASS.build()[0]
+    paths = sample_paths(TimeGrid(0.2, 100), 1, seed=8)
     delta = path_sup(paths)
     cs = CoeffSpec(_c1("const(0.5) * cos(1)"))
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths, 60, 30.0)
     rep = probe_form_constants(g, coeffs, eps=1e-3, n_samples=128, seed=1)
-    rows.append(("signorini_delta_moderate", delta, 2.0, delta <= 2.0))
-    rows.append(("signorini_coercivity_violations", rep.violations, 0.0, rep.violations == 0))
-    rows.append(("signorini_coercivity_c2", rep.c2, np.inf, rep.c2 > 0))
-    return rows
+    return [("signorini_delta_moderate", delta, 2.0, delta <= 2.0),
+            ("signorini_coercivity_violations", rep.violations, 0.0, rep.violations == 0),
+            ("signorini_coercivity_c2", rep.c2, np.inf, rep.c2 > 0)]
+
+
+def check_signorini(workers: int = 1):
+    """Criterion 6 in three independent jobs, on up to `workers` processes:
+    the trace sweep, the mass drift and the coercivity probe."""
+    return _fan_out((_signorini_trace, _signorini_mass, _signorini_coercivity), workers)
 
 
 # 7 --------------------------------------------------------------------------
@@ -296,34 +319,27 @@ def _stefan_noisy():
     return [("stefan_front_max_drop_noisy", worst, float(gi.h[0]), worst <= gi.h[0])]
 
 
-def _stefan_worker(args):
-    index, part = args
-    return [(index, part())]
-
-
 def check_stefan(workers: int = 1):
     """Criterion 7 in three independent jobs, on up to `workers` processes:
     the similarity benchmark, interior melting with its Baiocchi round trip,
-    and three noisy paths in one batched march.  Rows come back in job
-    order, so the worker count never changes them."""
-    parts = (_stefan_similarity, _stefan_interior, _stefan_noisy)
-    results = map_paths(_stefan_worker, enumerate(parts), workers)
-    return [row for _, rows in results for row in rows]
+    and three noisy paths in one batched march."""
+    return _fan_out((_stefan_similarity, _stefan_interior, _stefan_noisy), workers)
 
 
 # 8 --------------------------------------------------------------------------
 
 
 def _noise_worker(args):
-    """beta(T)^2 and sup |beta|^2 of the paths first..stop-1, keyed by first."""
+    """beta(T)^2 and sup |beta|^2 of the paths first..stop-1, keyed by first,
+    sampled in blocks of at most BATCH_VALUES values."""
     tg, seed, first, stop = args
-    beta_T_sq = np.empty(stop - first)
-    delta_sq = np.empty(stop - first)
-    for i, pid in enumerate(range(first, stop)):
-        paths = sample_paths(tg, 1, seed, pid)
-        beta_T_sq[i] = paths.values[0, -1] ** 2
-        delta_sq[i] = path_sup(paths) ** 2
-    return [(first, beta_T_sq, delta_sq)]
+    size = max(1, BATCH_VALUES // (tg.N + 1))
+    beta_T_sq, delta_sq = [], []
+    for lo in range(first, stop, size):
+        block = sample_block(tg, 1, seed, range(lo, min(lo + size, stop)))
+        beta_T_sq.append(block.values[:, 0, -1] ** 2)
+        delta_sq.append(path_sup(block) ** 2)
+    return [(first, np.concatenate(beta_T_sq), np.concatenate(delta_sq))]
 
 
 def check_noise_stats(workers: int = 1):
@@ -412,6 +428,20 @@ def check_determinism(workers: int = 1):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _part_worker(args):
+    index, part = args
+    return [(index, part())]
+
+
+def _fan_out(parts, workers: int) -> list:
+    """The rows of independent parts, callables that return rows, run as
+    jobs of map_paths.  Rows come back in part order, so the worker count
+    never changes them."""
+    results = map_paths(_part_worker, enumerate(parts), workers)
+    return [row for _, rows in results for row in rows]
+
 
 CHECKS = {
     "heat_oracle": check_heat_oracle,

@@ -161,6 +161,31 @@ def test_batch_failures_keep_their_solo_messages():
     _assert_same(replace(spec, eps=sweep[::-1]).solve_paths(reversed(ids)), mixed[::-1])
 
 
+def test_paths_that_fail_inside_a_coefficient_block_leave_the_stack():
+    # mu = W(t) capped at 0.5: of paths 1, 2, 3, 5 and 6 (seed 6), paths 2
+    # and 5 pass the cap inside a block of run-grid rows, away from its
+    # seams; the blocks after each failure are read from the path stack
+    # without that path, and the other three keep their solo bits
+    spec = ProblemSpec(
+        n=63, T=0.25, n_steps=250, seed=6,
+        coefficients=(parse_coefficient("const(1.0) * const(1.0)", [1.0]),),
+        forcing=ForcingSpec("const", -1.0), initial=InitialData("sine", 1.0), mu_cap=0.5,
+    )
+    ids = [1, 2, 3, 5, 6]
+    block_rows = pathsolver.BLOCK_VALUES // (len(ids) * spec.n)
+    first_over = {}
+    for pid in ids:
+        over = np.abs(spec.sample(pid).values[0, ::spec.headroom]) > spec.mu_cap
+        first_over[pid] = int(over.argmax()) if over.any() else None
+    assert first_over[1] is first_over[3] is first_over[6] is None
+    assert 0 < first_over[2] % block_rows < block_rows - 1
+    assert 0 < first_over[5] % block_rows < block_rows - 1
+    assert first_over[2] // block_rows < first_over[5] // block_rows < spec.n_steps // block_rows
+    solo = [_solo(lambda: spec.solve(pid)) for pid in ids]
+    assert [isinstance(s, NumericalFailure) for s in solo] == [False, True, False, True, False]
+    _assert_same(spec.solve_paths(ids), solo)
+
+
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("texts", [("const(3.5) * sin(2)",),
                                    ("const(2.5) * sin(2)", "cos(2.0,2.0) * sin(3)")],
@@ -294,7 +319,8 @@ def test_transform_consistency_rows_do_not_depend_on_workers():
     assert repr(verify.check_transform_consistency(workers=2)) == repr(one)
 
 
-@pytest.mark.parametrize("check", [verify.check_stefan, verify.check_noise_stats])
+@pytest.mark.parametrize("check", [verify.check_complementarity, verify.check_signorini,
+                                   verify.check_stefan, verify.check_noise_stats])
 def test_fanned_out_check_rows_do_not_depend_on_workers(check):
     one = check(workers=1)
     assert all(passed for *_, passed in one)

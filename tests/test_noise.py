@@ -6,6 +6,7 @@ from svilab.grid import DIRICHLET, NEUMANN, apply_gradient, apply_laplacian, bui
 from svilab.noise import (
     BrownianPathSet,
     CoeffSpec,
+    PathStack,
     TimeGrid,
     eval_mu,
     eval_mu_derivs,
@@ -13,9 +14,17 @@ from svilab.noise import (
     eval_noise,
     parse_coefficient,
     path_sup,
+    philox_key,
+    sample_block,
     sample_paths,
     space_fields,
+    stack_paths,
 )
+
+
+def stack(*paths):
+    """The stack the evaluators take, of path sets with one component count."""
+    return stack_paths(list(paths), paths[0].m)
 
 
 def spec_1d(*coeff_texts, length=1.0):
@@ -52,7 +61,7 @@ def test_sampling_determinism_and_shapes():
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_path_values_are_the_sampled_values(m):
     tg = TimeGrid(0.5, 40)
-    for pid in (0, 1, 17, 9999):
+    for pid in (0, 1, 17, 9999, 2**32 - 1, 2**32 + 1):
         values = sample_paths(tg, m, seed=8888, path_id=pid).values
         assert values.shape == (m, tg.N + 1) and values.dtype == np.float64
         assert np.all(values[:, 0] == 0.0)
@@ -106,6 +115,88 @@ def test_coarsen_is_exact_restriction():
         p.coarsen(5)
 
 
+def _seed_sequence_key(seed, path_id, k):
+    return np.random.SeedSequence(seed, spawn_key=(path_id, k)).generate_state(2, np.uint64)
+
+
+def _random_int(rng, max_bits):
+    """A nonnegative int of a random bit length up to max_bits."""
+    bits = int(rng.integers(0, max_bits + 1))
+    return int.from_bytes(rng.bytes(24), "little") >> (192 - bits)
+
+
+def test_philox_key_is_the_seed_sequence_key():
+    # seeds of 1 to 5 words (beyond the pool of 4), ids of 1 to 3 words, k of
+    # 1 or 2 words: one Python int at a time
+    rng = np.random.default_rng(2026)
+    triples = [(_random_int(rng, 160), _random_int(rng, 96), _random_int(rng, 3))
+               for _ in range(600)]
+    triples += [(0, 0, 0), (2**32, 2**32 - 1, 1), (2**64 - 1, 2**64, 2**32)]
+    assert sum(s >= 2**32 for s, _, _ in triples) >= 100
+    assert sum(i >= 2**32 for _, i, _ in triples) >= 100
+    assert sum(k >= 1 for _, _, k in triples) >= 100
+    for seed, pid, k in triples:
+        assert list(philox_key(seed, pid, k)) == list(_seed_sequence_key(seed, pid, k))
+
+
+def test_philox_key_of_an_id_array_gives_each_id_its_words():
+    rng = np.random.default_rng(7)
+    for seed in (0, 8888, 2**40 + 3, 2**130 + 5):
+        ids = [_random_int(rng, 64) for _ in range(60)] + [2**32 - 1, 2**32, 2**64 - 1]
+        for k in (0, 2):
+            keys = philox_key(seed, np.array(ids, dtype=np.uint64), k)
+            assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+            want = [_seed_sequence_key(seed, pid, k) for pid in ids]
+            assert np.array_equal(keys, want)
+    with pytest.raises(ValueError):
+        philox_key(-1, 0, 0)
+    with pytest.raises(ValueError):
+        sample_block(TimeGrid(1.0, 4), 1, 0, [3, -1])
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_block_draws_equal_sample_paths(m):
+    tg = TimeGrid(0.5, 40)
+    ids = [0, 5, 17, 9999, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 4]  # crossing 2**32
+    block = sample_block(tg, m, 8888, ids)
+    assert isinstance(block, PathStack) and block.tg == tg and block.m == m
+    assert block.values.shape == (len(ids), m, tg.N + 1)
+    for row, pid in zip(block.values, ids):
+        assert np.array_equal(row, sample_paths(tg, m, 8888, pid).values)
+    assert np.array_equal(sample_block(tg, m, 8888, ids[::-1]).values, block.values[::-1])
+    assert sample_block(tg, m, 8888, []).values.shape == (0, m, tg.N + 1)
+
+
+def test_path_sup_of_a_stack_is_per_path():
+    tg = TimeGrid(1.0, 64)
+    for m in (0, 2):
+        block = sample_block(tg, m, 3, range(6))
+        sups = path_sup(block)
+        assert sups.shape == (6,)
+        assert sups.tolist() == [path_sup(sample_paths(tg, m, 3, pid)) for pid in range(6)]
+    manual = [BrownianPathSet(tg=TimeGrid(1.0, 2), m=1, seed=0, path_id=i, values=np.array([v]))
+              for i, v in enumerate(([0.0, 0.3, -0.7], [0.0, 0.2, 0.1]))]
+    assert path_sup(stack(*manual)).tolist() == [0.7, 0.2]
+
+
+def test_stack_paths_checks_counts_and_time_grids():
+    tg = TimeGrid(1.0, 8)
+    one, two = sample_paths(tg, 1, seed=1), sample_paths(tg, 2, seed=1, path_id=1)
+    s = stack(two, sample_paths(tg, 2, seed=1, path_id=2))
+    assert s.values.shape == (2, 2, 9) and np.array_equal(s.values[0], two.values)
+    assert np.array_equal(s.take(np.array([1])).values, s.values[1:])
+    with pytest.raises(ValueError) as exc:
+        stack_paths([two, one], 2)
+    assert str(exc.value) == "coefficient count 2 does not match path count 1"
+    with pytest.raises(ValueError) as exc:
+        stack_paths([one, sample_paths(TimeGrid(1.0, 16), 1, seed=1)], 1)
+    assert str(exc.value) == "path sets of one evaluation must share their time grid"
+    g = build_grid(1, [1.0], 7, DIRICHLET)
+    with pytest.raises(ValueError) as exc:  # a stack against fields of another count
+        eval_mu(space_fields(spec_1d("const(1.0) * const(1.0)"), g), s, range(2))
+    assert str(exc.value) == "coefficient count 1 does not match path count 2"
+
+
 def test_path_sup():
     tg = TimeGrid(1.0, 2)
     p = sample_paths(tg, 1, seed=0)
@@ -133,14 +224,14 @@ def test_eval_mu_trivial_cases():
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=3)
     cs0 = spec_1d("const(0.0) * const(1.0)")
-    assert np.all(eval_mu(space_fields(cs0, g), [p], range(5, 6))[0, 0] == 0.0)
+    assert np.all(eval_mu(space_fields(cs0, g), stack(p), range(5, 6))[0, 0] == 0.0)
     cs = spec_1d("const(2.5) * const(1.0)")
-    assert np.all(eval_mu(space_fields(cs, g), [p], range(0, 1))[0, 0] == 0.0)  # beta(0) = 0
+    assert np.all(eval_mu(space_fields(cs, g), stack(p), range(0, 1))[0, 0] == 0.0)  # beta(0) = 0
     expect = 2.5 * p.values[0, 4]
-    assert np.allclose(eval_mu(space_fields(cs, g), [p], range(4, 5))[0, 0], expect)
+    assert np.allclose(eval_mu(space_fields(cs, g), stack(p), range(4, 5))[0, 0], expect)
     with pytest.raises(ValueError):
         two = spec_1d("const(1.0) * const(1.0)", "const(1.0) * const(1.0)")
-        eval_mu(space_fields(two, g), [p], range(4, 5))[0, 0]
+        eval_mu(space_fields(two, g), stack(p), range(4, 5))[0, 0]
 
 
 def test_eval_mu_tilde():
@@ -151,15 +242,15 @@ def test_eval_mu_tilde():
     c = 1.7
     cs = spec_1d(f"const({c}) * const(1.0)")
     t = tg.nodes[6]
-    assert np.allclose(eval_mu_tilde(space_fields(cs, g), [p], range(6, 7))[0, 0], 0.5 * c * c)
+    assert np.allclose(eval_mu_tilde(space_fields(cs, g), stack(p), range(6, 7))[0, 0], 0.5 * c * c)
     # mu = t * b(xi): mu~ = b*beta(t) + t^2 b^2 / 2
     cs2 = spec_1d("linear(0.0,1.0) * sin(1)")
     x = g.meshes()[0]
     b = np.sin(np.pi * x)
     expect = b * p.values[0, 6] + 0.5 * t * t * b * b
-    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), [p], range(6, 7))[0, 0], expect)
+    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), stack(p), range(6, 7))[0, 0], expect)
     zero = space_fields(spec_1d("const(0.0) * const(1.0)"), g)
-    assert np.all(eval_mu_tilde(zero, [p], range(6, 7))[0, 0] == 0.0)
+    assert np.all(eval_mu_tilde(zero, stack(p), range(6, 7))[0, 0] == 0.0)
 
 
 def test_eval_mu_derivs_analytic():
@@ -168,11 +259,11 @@ def test_eval_mu_derivs_analytic():
     p = sample_paths(tg, 1, seed=5)
     # spatially constant coefficient: all derivatives vanish
     fields = space_fields(spec_1d("const(2.0) * const(3.0)"), g)
-    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(3, 4)))
+    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(fields, stack(p), range(3, 4)))
     assert np.all(grad[0] == 0.0) and np.all(lap == 0.0) and np.all(gvec[0] == 0.0)
     # sine mode: exact analytic derivatives
     cs = spec_1d("const(1.0) * sin(1)")
-    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(space_fields(cs, g), [p], range(3, 4)))
+    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(space_fields(cs, g), stack(p), range(3, 4)))
     x = g.meshes()[0]
     beta = p.values[0, 3]
     assert np.allclose(grad[0], np.pi * np.cos(np.pi * x) * beta)
@@ -187,8 +278,8 @@ def test_analytic_derivs_match_grid_operators():
     p = sample_paths(tg, 2, seed=6)
     cs = spec_1d("const(0.7) * sin(2)", "linear(0.2,0.5) * poly(0.1,0.3,-0.2)")
     fields = space_fields(cs, g)
-    mu = eval_mu(fields, [p], range(5, 6))[0, 0]
-    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, [p], range(5, 6)))
+    mu = eval_mu(fields, stack(p), range(5, 6))[0, 0]
+    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, stack(p), range(5, 6)))
     fd_grad = apply_gradient(g, mu)[0]
     fd_lap = apply_laplacian(g, mu)
     scale = max(np.max(np.abs(grad[0])), 1e-12)
@@ -221,18 +312,18 @@ def test_block_rows_equal_one_row_blocks(dim, texts):
     p, q = (sample_paths(TimeGrid(0.3, 12), len(texts), seed=21, path_id=i) for i in (0, 1))
     for fn in (eval_mu, eval_mu_tilde, eval_noise, lambda *a: eval_mu_derivs(*a)[0],
                lambda *a: eval_mu_derivs(*a)[1], lambda *a: eval_mu_derivs(*a)[2]):
-        block = fn(fields, [p], range(3, 13))  # through the last node
+        block = fn(fields, stack(p), range(3, 13))  # through the last node
         assert block.shape[:2] == (10, 1) and block.shape[-1] == g.n_nodes
         for i, n in enumerate(range(3, 13)):
-            assert np.array_equal(block[i], fn(fields, [p], range(n, n + 1))[0])
+            assert np.array_equal(block[i], fn(fields, stack(p), range(n, n + 1))[0])
         # each path of a stack gets what it gets alone
-        both = fn(fields, [p, q], range(3, 13))
+        both = fn(fields, stack(p, q), range(3, 13))
         assert np.array_equal(both[:, :1], block)
-        assert np.array_equal(both[:, 1:], fn(fields, [q], range(3, 13)))
+        assert np.array_equal(both[:, 1:], fn(fields, stack(q), range(3, 13)))
     # the noise factor of node n uses the increment to n + 1, and none at the last node
-    last = eval_noise(fields, [p], range(12, 13))[0, 0]
+    last = eval_noise(fields, stack(p), range(12, 13))[0, 0]
     assert np.all(last == 0.0)
-    one = eval_noise(fields, [p], range(4, 5))[0, 0]
+    one = eval_noise(fields, stack(p), range(4, 5))[0, 0]
     expect = sum((p.values[k, 5] - p.values[k, 4]) * c.time.value(4 * p.tg.dt) * fields.value[k]
                  for k, c in enumerate(fields.coefficients))
     assert np.allclose(one, expect, rtol=1e-14, atol=0.0)
