@@ -16,7 +16,6 @@ import configparser
 import hashlib
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,12 +24,12 @@ import numpy as np
 from . import __version__
 from . import grid as gridmod
 from .analysis import (FunctionalStats, cauchy_rate_study, complementarity_report, energy_check,
-                       ensemble_run)
+                       ensemble_run, path_batches)
 from .errors import ConfigError, NumericalFailure
 from .noise import parse_coefficient
-from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
+from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, solved, zero_coeffs
 from .signorini import boundary_potential_check, probe_form_constants
-from .stefan import StefanData, solve_stefan_svi
+from .stefan import StefanData, solve_stefan_batch
 from .transform import ReactionSpec
 from .verify import CHECKS, run_checks
 
@@ -482,29 +481,27 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     sd = StefanData(theta0=cfg.theta0.evaluate(g), rho=cfg.rho,
                     heated_boundary_temp=cfg.boundary_temp)
     tol_fb = cfg.tol_fb if cfg.tol_fb > 0 else None
-    fronts = []
-    measures = []
-    last = None
-    for pid in range(cfg.path_id, cfg.path_id + cfg.n_paths):
-        paths = spec.sample(pid)
-        sol, theta, fb = solve_stefan_svi(g, tg, cs, sd, scfg, paths, tol_fb=tol_fb)
-        fronts.append(fb.fronts)
-        measures.append(fb.melted_measure)
-        last = (sol, theta, fb)
-    fronts = np.array(fronts)
-    measures = np.array(measures)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices pre-melt
-        mean_front = np.nanmean(fronts, axis=0)  # of one path: its fronts, bit for bit
-    mean_measure = measures.mean(axis=0)
+    # sums over the paths in path order, so the means are np.nanmean's and
+    # np.mean's over all of them; one block of paths is held at a time
+    front_sum, melted, measure_sum = np.zeros(tg.N + 1), np.zeros(tg.N + 1, int), np.zeros(tg.N + 1)
+    finals = []
+    for _, lo, stop in path_batches(spec, cfg.n_paths):
+        paths = [spec.sample(cfg.path_id + i) for i in range(lo, stop)]
+        for sol, _, fb in solved(solve_stefan_batch(g, tg, cs, sd, scfg, paths, tol_fb)):
+            front_sum += np.where(np.isnan(fb.fronts), 0.0, fb.fronts)
+            melted += ~np.isnan(fb.fronts)
+            measure_sum += fb.melted_measure
+            finals.append(fb.fronts[-1])
+    with np.errstate(invalid="ignore"):  # no path melted yet: NaN
+        mean_front = front_sum / melted  # of one path: its fronts, bit for bit
+    mean_measure = measure_sum / cfg.n_paths
     writer.write("front.csv", ["t", "front_position", "melted_measure"],
                  [(t, mean_front[n], mean_measure[n]) for n, t in enumerate(tg.nodes)])
-    sol, theta, fb = last
-    write_trajectory(writer, sol)
+    write_trajectory(writer, sol)  # of the last path
     checks = [("front_max_drop", fb.max_front_drop(), float(g.h[0]),
                fb.max_front_drop() <= g.h[0])]
     if cfg.n_paths > 1:
-        finals = fronts[:, -1]
+        finals = np.array(finals)
         finals = finals[~np.isnan(finals)]
         if finals.size:
             fs = FunctionalStats.of(finals)

@@ -14,7 +14,9 @@ differences of the values.
 
 The coefficient evaluators take a PathStack, the (P, m, N+1) values of
 the P paths of a batch on one time grid, and read blocks of time rows of
-it; stack_paths builds one from a sequence of path sets.  Each coefficient
+it; stack_paths builds one from a sequence of path sets.  The values strided
+by a factor are the same realization on a grid coarser by that factor,
+which is how a march restricts its stack to a run grid.  Each coefficient
 is a separable product mu_k(t, xi) = a_k(t) * b_k(xi) (one spatial factor
 per axis in 2D) drawn from a closed catalog with analytic time derivative,
 gradient, and Laplacian, so the transformed equation's coefficients are
@@ -88,19 +90,6 @@ class BrownianPathSet:
     seed: int
     path_id: int
     values: np.ndarray
-
-    def coarsen(self, factor: int) -> "BrownianPathSet":
-        """Restrict the same realization to a time grid coarser by `factor`.
-
-        Values are strided (exact), so the coarse set is the identical path
-        evaluated on fewer nodes.
-        """
-        if factor == 1:
-            return self
-        if self.tg.N % factor != 0:
-            raise ValueError(f"cannot coarsen N={self.tg.N} by factor {factor}")
-        return replace(self, tg=TimeGrid(self.tg.T, self.tg.N // factor),
-                       values=np.ascontiguousarray(self.values[:, ::factor]))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written with

@@ -2,13 +2,14 @@
 
 `_march` carries a batch of Brownian paths over the time grid for every
 solver; the single-path solvers are batches of one.  The state is a stack
-with one row per path.  The march validates the initial datum and the path
-sets, picks each path's run grid (paths at different halving levels march
-apart), builds the time-independent coefficient fields once, stacks the
-path values of each level once (`noise.stack_paths`), evaluates the
-coefficients of all its paths for blocks of consecutive run-grid nodes from
-that stack (`coeff_block`), checks the mu cap there, stores the trajectories at
-stride 2^level and fills each path's `Diagnostics`.
+with one row per path.  The march validates the initial datum, stacks the
+path sets once (`noise.stack_paths`: a batch shares one time grid), picks
+every path's run grid from one transport bound per halving level over that
+stack, builds the time-independent coefficient fields once, and marches the
+paths of each level apart on a strided slice of the stack.  It evaluates
+the coefficients of all their paths for blocks of consecutive run-grid nodes
+from that slice (`coeff_block`), checks the mu cap there, stores the
+trajectories at stride 2^level and fills each path's `Diagnostics`.
 Every row gets the bits that its path gets alone, and a path that fails
 leaves the batch with the error its own solve raises.  Only the step rule,
 which reads row views of the blocks, differs:
@@ -51,9 +52,10 @@ one march over copies of that path.
 
 The explicit transport term carries the stability restriction
 dt * sup|g| / h <= 1.  Because g is a function of the Brownian path alone,
-a bound of it picks each path's dt before marching: violating paths are run
-at halved dt (up to MAX_HALVINGS) using a finer restriction of the same
-path realization, then reported as failures.  A level is admitted only when
+a bound of it picks each path's dt before marching, one bound per level
+over the paths of the batch that have none yet: violating paths are run at
+halved dt (up to MAX_HALVINGS) using a finer restriction of the same path
+realization, then reported as failures.  A level is admitted only when
 an upper bound of dt * sup|g| / h is at most 1, so no step of the march can
 break the guard; the march records each path's largest margin
 (`Diagnostics.stability_margin`) and checks nothing more.
@@ -703,47 +705,38 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCon
     )
 
 
-def _coarsen_to(paths: BrownianPathSet, tg: TimeGrid) -> BrownianPathSet:
-    if paths.tg.N % tg.N != 0 or abs(paths.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
-        raise ConfigError(
-            f"path set (N={paths.tg.N}, T={paths.tg.T}) must be sampled on the run grid "
-            f"(N={tg.N}, T={tg.T}) or a refinement of it"
-        )
-    return paths.coarsen(paths.tg.N // tg.N)
-
-
-def _transport_sup_bound(fields: SpaceFields, grid: Grid, paths: BrownianPathSet) -> np.ndarray:
-    """Per-axis upper bound of sup_xi |g_a(t_n, xi)| over the path's nodes."""
-    if fields.m == 0:
-        return np.zeros(grid.dim)
-    grad_sup = np.abs(fields.grad).max(axis=2)  # (m, dim)
-    times = paths.tg.nodes
-    a = np.array([np.broadcast_to(c.time.value(times), times.shape)
-                  for c in fields.coefficients])
-    return 2.0 * (np.abs(paths.values * a).T @ grad_sup).max(axis=0)
-
-
 def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
-                     paths: BrownianPathSet) -> tuple[int, BrownianPathSet]:
-    """Smallest halving level satisfying the transport guard, or raise."""
-    best_margin = np.inf
+                     stack: noisemod.PathStack) -> list:
+    """Per path of the stack, the smallest halving level at which an upper
+    bound of dt * sup|g| / h over its run-grid nodes is at most 1, or the
+    StabilityError naming its best margin: one bound per level, over the
+    paths still without a level."""
+    out = [0] * len(stack.values)
+    if fields.m == 0:
+        return out
+    grad_sup = np.abs(fields.grad).max(axis=2)  # (m, dim)
+    pending = np.arange(len(out))
+    best = np.full(len(out), np.inf)
     for level in range(MAX_HALVINGS + 1):
-        factor = 2**level
-        if (tg.N * factor) > paths.tg.N or paths.tg.N % (tg.N * factor) != 0:
+        run_tg = tg.refined(2**level)
+        if not pending.size or stack.tg.N % run_tg.N:
             break
-        run_tg = tg.refined(factor)
-        run_paths = _coarsen_to(paths, run_tg)
-        bounds = _transport_sup_bound(fields, grid, run_paths)
-        margin = max(
-            (run_tg.dt * b / grid.h[axis] for axis, b in enumerate(bounds)), default=0.0
+        times = run_tg.nodes
+        a = np.array([np.broadcast_to(c.time.value(times), times.shape)
+                      for c in fields.coefficients])
+        values = stack.values[pending, :, :: stack.tg.N // run_tg.N]
+        bounds = 2.0 * (np.abs(values * a).swapaxes(1, 2) @ grad_sup).max(axis=1)  # (P, dim)
+        margins = (run_tg.dt * bounds / grid.h).max(axis=1)
+        best[pending] = np.fmin(best[pending], margins)
+        for i in pending[margins <= 1.0].tolist():
+            out[i] = level
+        pending = pending[margins > 1.0]
+    for i in pending.tolist():
+        out[i] = StabilityError(
+            f"transport guard dt*sup|g|/h <= 1 unreachable within the retry budget "
+            f"(best margin {best[i]:.3f}); supply a finer path set or smaller dt"
         )
-        best_margin = min(best_margin, margin)
-        if margin <= 1.0:
-            return level, run_paths
-    raise StabilityError(
-        f"transport guard dt*sup|g|/h <= 1 unreachable within the retry budget "
-        f"(best margin {best_margin:.3f}); supply a finer path set or smaller dt"
-    )
+    return out
 
 
 def coeff_block(grid: Grid, fields: SpaceFields, stack: noisemod.PathStack, rows: range,
@@ -792,11 +785,13 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     it.  A path leaves the batch at its failure with the error its solve
     alone raises, and the others go on; every path gets the bits it gets in
     a batch of one.
-    refine(grid, tg, fields, paths) returns a path's halving level and its
-    path set on the run grid, or raises; it alone serves the transport
-    guard.  Paths at different levels march as separate batches.  refine is
-    None only for the Euler-Maruyama rule, which has no transport term: it
-    marches on tg, its state is X = e^mu y, and its coefficient records
+    The path sets share one time grid, tg or a refinement of it, and are
+    stacked once.  refine(grid, tg, fields, stack) returns, per path of that
+    stack, its halving level or the StabilityError its solve raises; it
+    alone serves the transport guard.  The paths of one level march as one
+    batch, on the stack's values strided to that level's run grid.  refine
+    is None only for the Euler-Maruyama rule, which has no transport term:
+    it marches on tg, its state is X = e^mu y, and its coefficient records
     hold the noise factor.  cfg.eps holds one value or one per path; each
     batch hands the rule a run SolveConfig whose eps is the column of its
     rows' values.
@@ -809,7 +804,12 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     for p in paths:
         if cs.m != p.m:
             raise ConfigError(f"coefficient count {cs.m} != path component count {p.m}")
-    run_paths = [_coarsen_to(p, tg) for p in paths]  # raises unless a path set refines tg
+    batch = noisemod.stack_paths(paths, cs.m)  # one row per path, on their one time grid
+    if batch.tg.N % tg.N != 0 or abs(batch.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
+        raise ConfigError(
+            f"path sets (N={batch.tg.N}, T={batch.tg.T}) must be sampled on the run grid "
+            f"(N={tg.N}, T={tg.T}) or a refinement of it"
+        )
     x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     if x_field.shape != (grid.n_nodes,):
         raise ConfigError("initial data does not match the grid")
@@ -823,21 +823,20 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
 
     em = refine is None  # the Euler-Maruyama march, the one without refinement
     fields = noisemod.space_fields(cs, grid)
-    out = [None] * len(paths)
+    # per path its level or its StabilityError, later its outcome
+    out = refine(grid, tg, fields, batch) if refine else [0] * len(paths)
     levels = {}
-    for i, p in enumerate(paths):
-        try:
-            level, run = refine(grid, tg, fields, p) if refine else (0, run_paths[i])
-        except NumericalFailure as exc:
-            out[i] = exc
-            continue
-        levels.setdefault(level, []).append((i, run))
+    for i, level in enumerate(out):
+        if not isinstance(level, NumericalFailure):
+            levels.setdefault(level, []).append(i)
 
     for level, members in levels.items():
-        stack = noisemod.stack_paths([r for _, r in members], cs.m)  # one row per live path
+        run_tg = tg.refined(2**level)
+        # the members' values on the run grid, one row per live path
+        stack = noisemod.PathStack(run_tg, batch.values[members, :, :: batch.tg.N // run_tg.N])
         delta = noisemod.path_sup(stack)
-        P, stride, N, dt = len(members), 2**level, stack.tg.N, stack.tg.dt
-        run_cfg = replace(cfg, dt=dt, eps=eps[[i for i, _ in members], None])
+        P, stride, N, dt = len(members), 2**level, run_tg.N, run_tg.dt
+        run_cfg = replace(cfg, dt=dt, eps=eps[members, None])
         solver = ImplicitSolver(grid, dt, cfg.theta)
         block_rows = max(2, BLOCK_VALUES // (P * grid.n_nodes))
 
@@ -904,7 +903,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
                     traj[at, n // stride] = y
                 c = c_next
 
-        for j, (i, _) in enumerate(members):
+        for j, i in enumerate(members):
             if j in failed:
                 out[i] = failed[j]
                 continue

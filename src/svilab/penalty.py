@@ -17,8 +17,7 @@ import numpy as np
 
 def resolvent(r, eps: float):
     """Projection (1 + eps*graph)^{-1} r = max(r, 0)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     return np.maximum(r, 0.0)
 
 
@@ -44,8 +43,7 @@ def penalize(r, eps):
 
 def j_eps(r, eps: float):
     """Potential of beta_eps: min(r, 0)^2 / (2 eps)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     return np.minimum(r, 0.0) ** 2 / (2.0 * eps)
 
 

@@ -200,16 +200,22 @@ def test_refinement_alone_keeps_the_transport_guard(bc, texts):
     cs = CoeffSpec(tuple(parse_coefficient(t, [1.0]) for t in texts))
     paths = [sample_paths(TimeGrid(0.2, 320), len(texts), seed=5, path_id=pid)
              for pid in range(16)]
-    solve = solve_path_batch if bc == DIRICHLET else solve_signorini_batch
-    out = solve(g, tg, cs, ReactionSpec(), ForcingSpec("const", -1.0), InitialData("sine", 0.5),
-                SolveConfig(dt=tg.dt), paths)
+    paths.insert(5, replace(paths[5], values=paths[5].values / 100))  # one quiet path: level 0
+    batch, solo = ((solve_path_batch, solve_path) if bc == DIRICHLET
+                   else (solve_signorini_batch, solve_signorini_path))
+    args = (g, tg, cs, ReactionSpec(), ForcingSpec("const", -1.0), InitialData("sine", 0.5),
+            SolveConfig(dt=tg.dt))
+    out = batch(*args, paths)
     solved = [o for o in out if not isinstance(o, NumericalFailure)]
     failed = [o for o in out if isinstance(o, NumericalFailure)]
-    assert failed and {s.diagnostics.refine_level for s in solved} >= {2, 3}
+    assert failed and {s.diagnostics.refine_level for s in solved} >= {0, 2, 3}
     assert all(s.diagnostics.stability_margin <= 1.0 for s in solved)
     for exc in failed:
         assert type(exc) is StabilityError
         assert "unreachable within the retry budget" in str(exc)
+    # every path, its level, margins and its own error's best margin included,
+    # is the path of its solve alone
+    _assert_same(out, [_solo(lambda: solo(*args, p)) for p in paths])
 
 
 def test_signorini_batch_of_three():

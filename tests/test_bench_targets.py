@@ -7,13 +7,15 @@ or deleted target, or a dropped import, would only surface when a traced
 benchmark run or its selftest fails, so this test resolves each one here.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # the bindings of perfbench/selftest.py::test_wrappers_reach_every_binding
 BINDINGS = [
@@ -45,3 +47,25 @@ def test_bench_target_resolves(module, attr):
 def test_bench_binding_resolves(module, attr):
     owner = importlib.import_module(f"svilab.{module}" if module else "svilab")
     assert callable(getattr(owner, attr, None)), f"svilab.{module}.{attr}"
+
+
+def _unused_imports():
+    """(module, name) of every import in svilab marked `# noqa: F401`, the
+    package itself as module ""."""
+    found = set()
+    for path in sorted((ROOT / "src" / "svilab").glob("*.py")):
+        lines = path.read_text().splitlines()
+        module = "" if path.stem == "__init__" else path.stem
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found |= {(module, alias.asname or alias.name) for alias in node.names
+                          if "# noqa: F401" in lines[alias.lineno - 1]}
+    return found
+
+
+def test_every_unused_import_is_a_tracer_binding():
+    # an import kept only for the tracer is one of BINDINGS, so it goes
+    # when the binding does
+    found = _unused_imports()
+    assert found, "no tracer-only import found"
+    assert found <= set(BINDINGS), sorted(found - set(BINDINGS))

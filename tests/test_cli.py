@@ -563,18 +563,90 @@ SHIPPED_CSV_DIGESTS = {
 }
 
 
+def _csv_digests(out_dir):
+    """sha256 of each CSV in out_dir after its provenance line."""
+    digests = {}
+    for path in sorted(out_dir.glob("*.csv")):
+        with open(path, "rb") as fh:
+            assert fh.readline().startswith(b"# config_sha256=")
+            digests[path.name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_CSV_DIGESTS))
 def test_shipped_csvs_match_their_digests(tmp_path, name):
     """Every CSV of a shipped config that the benchmark does not run keeps its
     bytes (after the provenance line)."""
     assert main(["--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", str(tmp_path),
                  "--quiet"]) == 0
-    digests = {}
-    for path in sorted(tmp_path.glob("*.csv")):
-        with open(path, "rb") as fh:
-            assert fh.readline().startswith(b"# config_sha256=")
-            digests[path.name] = hashlib.sha256(fh.read()).hexdigest()
-    assert digests == SHIPPED_CSV_DIGESTS[name]
+    assert _csv_digests(tmp_path) == SHIPPED_CSV_DIGESTS[name]
+
+
+# melting from a hot cone under multiplicative noise
+NOISY_STEFAN = textwrap.dedent(
+    """
+    [domain]
+    n = 127
+    [time]
+    t = 0.05
+    dt = 1e-4
+    [penalty]
+    eps = 1e-6
+    [noise]
+    m = 1
+    seed = 31
+    mu1 = const(0.4) * sin(1)
+    [stefan]
+    theta0_kind = cone
+    theta0_amplitude = 4.0
+    theta0_center = 0.35
+    theta0_radius = 0.15
+    [run]
+    mode = stefan
+    [output]
+    dir = {out}
+    """
+)
+
+# sha256 of each CSV of NOISY_STEFAN after its provenance line, per n_paths
+NOISY_STEFAN_DIGESTS = {
+    1: {
+        "front.csv": "b6a8fffdabcf06aa99f1449a20d6dc40fa50d89c4f6f1e96adc84adaba055d1b",
+        "summary.csv": "864c0ba9b974ecdeb07ee6360513782544cc3ec6f627ec6d998f7c5a180922b9",
+        "trajectory.csv": "e7058bbf1c43d0a2a6e06c612685eb2770d6452807ed7ceda31c9fd82b26ca29",
+    },
+    5: {
+        "front.csv": "ed0b005ad691b6feef9b69080990373e0b455fc7c728ecdd5479b26d7325ac8c",
+        "stats.csv": "dc0c9d210fe6db44be1d305847cc34c0d47218bbc22c6a1f23efcdbd3104f55b",
+        "summary.csv": "864c0ba9b974ecdeb07ee6360513782544cc3ec6f627ec6d998f7c5a180922b9",
+        "trajectory.csv": "e4e60bfbb505053ff30ae299d96954ec95e1d055338e2273570c555226704f16",
+    },
+}
+
+
+@pytest.mark.parametrize("n_paths", sorted(NOISY_STEFAN_DIGESTS))
+def test_noisy_stefan_csvs_match_their_digests(tmp_path, n_paths):
+    out = tmp_path / "out"
+    conf = write(tmp_path, NOISY_STEFAN.format(out=out))
+    assert main(["--config", str(conf), "--paths", str(n_paths), "--quiet"]) == 0
+    assert _csv_digests(out) == NOISY_STEFAN_DIGESTS[n_paths]
+
+
+def test_stefan_mode_fails_with_the_lowest_failing_path(tmp_path, capsys):
+    # under mu_cap 0.1, paths 0-2 of NOISY_STEFAN melt and paths 3 and 4 fail
+    conf = set_key(NOISY_STEFAN.format(out=tmp_path / "out"), "run", "mu_cap", "0.1")
+    path = write(tmp_path, conf)
+    assert main(["--config", str(path), "--paths", "3", "--quiet"]) == 0
+    out = tmp_path / "failed"
+    assert main(["--config", str(path), "--paths", "5", "--out", str(out)]) == 2
+    message = "|mu| reached 0.101 at t=0.0318, beyond the cap 0.1"  # path 3's
+    assert capsys.readouterr().err.splitlines() == [f"FAIL numerical: {message}"]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+    assert (out / "summary.csv").read_text().splitlines()[1:] == [
+        "check_name,value,threshold,status",
+        "numerical_failure,1,0,fail",
+        f"message: {message.replace(',', ';')},0,0,fail",
+    ]
 
 
 @pytest.mark.parametrize("flag, value, key, in_file", [

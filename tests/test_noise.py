@@ -105,16 +105,6 @@ def test_mean_is_centered():
     assert abs(vals.mean()) <= 3 * se
 
 
-def test_coarsen_is_exact_restriction():
-    tg = TimeGrid(1.0, 64)
-    p = sample_paths(tg, 2, seed=5, path_id=0)
-    c = p.coarsen(4)
-    assert c.tg.N == 16
-    assert np.array_equal(c.values, p.values[:, ::4])
-    with pytest.raises(ValueError):
-        p.coarsen(5)
-
-
 def _seed_sequence_key(seed, path_id, k):
     return np.random.SeedSequence(seed, spawn_key=(path_id, k)).generate_state(2, np.uint64)
 

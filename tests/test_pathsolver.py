@@ -168,7 +168,7 @@ def test_solve_path_factorized_noise_oracle():
     dt = tg.dt
     rho = (1.0 - dt * 0.5 * c * c) / (1.0 - dt * lam_h)
     x = np.sin(np.pi * g.meshes()[0])
-    beta_T = paths.coarsen(8).values[0, -1]
+    beta_T = paths.values[0, -1]
     expected_X = np.exp(c * beta_T) * rho**tg.N * x
     assert np.max(np.abs(sol.X[-1] - expected_X)) <= 1e-10
     assert sol.diagnostics.refine_level == 0
@@ -313,7 +313,25 @@ def test_solve_path_retries_on_stiff_transport():
     # with no headroom at all, the same problem is reported as a failure
     with pytest.raises(StabilityError):
         solve_path(g, tg, cs, ReactionSpec(), ForcingSpec(),
-                   InitialData("sine", 1.0), cfg, paths.coarsen(8))
+                   InitialData("sine", 1.0), cfg, replace(paths, tg=tg, values=paths.values[:, ::8]))
+
+
+def test_march_restricts_a_finer_path_set_exactly():
+    # a path set sampled 4 times finer than the run grid marches on its
+    # strided values: the bits of the coarse path set with those values
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    tg = TimeGrid(0.1, 16)
+    cs = CoeffSpec((parse_coefficient("cos(0.5,2.0) * sin(1)", [1.0]),
+                    parse_coefficient("const(0.3) * cos(2)", [1.0])))
+    fine = sample_paths(tg.refined(4), 2, seed=5)
+    coarse = replace(fine, tg=tg, values=fine.values[:, ::4].copy())
+    args = (g, tg, cs, ReactionSpec(), ForcingSpec("sine", 0.5), InitialData("sine", 1.0),
+            SolveConfig(dt=tg.dt, eps=1e-3))
+    got, want = solve_path(*args, fine), solve_path(*args, coarse)
+    assert got.diagnostics.refine_level == want.diagnostics.refine_level == 0
+    assert got.diagnostics.delta == want.diagnostics.delta
+    for key in ("y", "eta", "mu"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
 
 def test_solve_path_rejects_bad_input():

@@ -41,6 +41,14 @@ def test_j_eps_quadrature_oracle():
             assert j_eps(r, eps) == pytest.approx(val, abs=1e-8)
 
 
+@pytest.mark.parametrize("fn", [resolvent, beta_eps, j_eps])
+@pytest.mark.parametrize("eps", [0.0, -1e-3])
+def test_nonpositive_eps_is_one_value_error(fn, eps):
+    with pytest.raises(ValueError) as exc:
+        fn(1.0, eps)
+    assert str(exc.value) == f"eps must be positive, got {eps}"
+
+
 def test_graph_contains():
     assert graph_contains(1.0, 0.0)
     assert graph_contains(0.0, -7.0)
