@@ -6,11 +6,15 @@ Space-time norms use left-endpoint time quadrature, matching the explicit
 side of the scheme; all reports are deterministic functions of the
 trajectories.  A sample's mean, variance and confidence half-width follow
 one rule, FunctionalStats.of, which the CLI and the acceptance battery share.
+
+map_paths fans independent jobs out on one worker pool per process, forked
+by the first call that needs it and reused by the calls after it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -254,17 +258,42 @@ def path_batches(spec: ProblemSpec, n_paths: int, workers: int = 1) -> list:
     return [(spec, lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
+# the worker pool map_paths reuses and its process count, once forked
+_pool: tuple[ProcessPoolExecutor, int] | None = None
+
+
+def shutdown_pool() -> None:
+    """Shut the worker pool down; the next pooled call forks a new one."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[0], None
+        pool.shutdown()
+
+
 def map_paths(fn, jobs, workers: int = 1) -> list:
-    """fn over the jobs, on a pool of min(workers, number of jobs) processes
-    when that is several, else inline: a pool forks all its processes at
-    the first job, so it gets none that would idle.  Each call returns a
-    list of results whose first item is a path id; all of them come back
-    sorted by it."""
+    """fn over the jobs, inline when min(workers, number of jobs) is 1 or
+    less, else on the process's worker pool.  A pool forks all its
+    processes at its first job and lives on for the calls after this one:
+    it is forked with min(workers, number of jobs) processes, so none of
+    them idles, and kept while it has at least that many and at most
+    `workers`.  Its workers run the code as it stood when they were forked,
+    and exit with the interpreter.  A call whose worker dies raises
+    BrokenProcessPool and drops the pool.  Each call returns a list of
+    results whose first item is a path id; all of them come back sorted by
+    it."""
+    global _pool
     jobs = list(jobs)
     size = min(workers, len(jobs))
     if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(fn, jobs))
+        if _pool is not None and not size <= _pool[1] <= workers:
+            shutdown_pool()
+        if _pool is None:
+            _pool = (ProcessPoolExecutor(max_workers=size), size)
+        try:
+            results = list(_pool[0].map(fn, jobs))
+        except BrokenProcessPool:
+            shutdown_pool()
+            raise
     else:
         results = [fn(j) for j in jobs]
     return sorted((r for batch in results for r in batch), key=lambda r: r[0])

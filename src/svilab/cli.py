@@ -487,7 +487,7 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     finals = []
     for _, lo, stop in path_batches(spec, cfg.n_paths):
         paths = [spec.sample(cfg.path_id + i) for i in range(lo, stop)]
-        for sol, _, fb in solved(solve_stefan_batch(g, tg, cs, sd, scfg, paths, tol_fb)):
+        for sol, fb in solved(solve_stefan_batch(g, tg, cs, sd, scfg, paths, tol_fb)):
             front_sum += np.where(np.isnan(fb.fronts), 0.0, fb.fronts)
             melted += ~np.isnan(fb.fronts)
             measure_sum += fb.melted_measure

@@ -174,9 +174,8 @@ def _reduction(grid: Grid, sd: StefanData, cfg: SolveConfig, tol_fb: float | Non
 
 
 def _melt(sol: PathSolution, tol_fb: float, anchor: np.ndarray | None):
-    """(sol, its temperature, its FreeBoundary)."""
-    fb = extract_free_boundary(sol.y, tol_fb, sol.grid, sol.tg, anchor_mask=anchor)
-    return sol, recover_temperature(sol), fb
+    """(sol, its FreeBoundary)."""
+    return sol, extract_free_boundary(sol.y, tol_fb, sol.grid, sol.tg, anchor_mask=anchor)
 
 
 def solve_stefan_svi(
@@ -190,13 +189,15 @@ def solve_stefan_svi(
 ):
     """Obstacle solve of the melting problem: returns (PathSolution of the
     time-integrated variable, temperature trajectory, FreeBoundary)."""
-    return _one(solve_stefan_batch(grid, tg, cs, sd, cfg, [paths], tol_fb))
+    sol, fb = _one(solve_stefan_batch(grid, tg, cs, sd, cfg, [paths], tol_fb))
+    return sol, recover_temperature(sol), fb
 
 
 def solve_stefan_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, sd: StefanData,
                        cfg: SolveConfig, paths, tol_fb: float | None = None) -> list:
     """solve_stefan_svi for a sequence of path sets in one march: per path
-    its (sol, theta, fb) or the NumericalFailure its solve_stefan_svi raises."""
+    its (sol, fb) or the NumericalFailure its solve_stefan_svi raises; the
+    temperature is recover_temperature(sol)."""
     forcing, lift, anchor, tol_fb = _reduction(grid, sd, cfg, tol_fb)
     outs = solve_path_batch(grid, tg, cs, ReactionSpec(), forcing, np.zeros(grid.n_nodes), cfg,
                             paths, boundary_lift=lift)

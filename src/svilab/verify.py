@@ -278,7 +278,8 @@ def _stefan_similarity():
     tg = TimeGrid(0.1, 1000)
     cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0, heated_boundary_temp=st)
-    _, _, fb = solve_stefan_svi(g, tg, CoeffSpec(()), sd, cfg, sample_paths(tg, 0, seed=0))
+    ((_, fb),) = solved(solve_stefan_batch(g, tg, CoeffSpec(()), sd, cfg,
+                                           [sample_paths(tg, 0, seed=0)]))
     front_exact, _ = similarity_oracle(st, tg.T)
     rel = abs(fb.fronts[-1] - front_exact) / front_exact
     return [("stefan_similarity_front_rel_error", rel, 0.02, rel <= 0.02),
@@ -313,7 +314,7 @@ def _stefan_noisy():
     gi, tgi, cfgi, sdi = _interior_melting()
     csn = CoeffSpec(_c1("const(0.4) * sin(1)"))
     paths = [sample_paths(TimeGrid(0.05, 4000), 1, seed=31, path_id=pid) for pid in range(3)]
-    drops = [fbn.max_front_drop() for _, _, fbn in
+    drops = [fbn.max_front_drop() for _, fbn in
              solved(solve_stefan_batch(gi, tgi, csn, sdi, cfgi, paths))]
     worst = float(max(drops))
     return [("stefan_front_max_drop_noisy", worst, float(gi.h[0]), worst <= gi.h[0])]

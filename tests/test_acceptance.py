@@ -76,6 +76,7 @@ def test_recorded_rows_cover_every_criterion():
     assert list(_recorded_rows()) == list(CHECKS)
 
 
+@pytest.mark.usefixtures("fresh_pool")  # its workers are forked under the patch
 @pytest.mark.parametrize("workers", [1, 2])
 def test_energy_check_stops_at_the_first_failed_path(monkeypatch, workers):
     solve_paths = ProblemSpec.solve_paths

@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +44,7 @@ from svilab.pathsolver import (
 )
 from svilab.penalty import beta_eps
 from svilab.transform import ReactionSpec
+from svilab.verify import run_checks
 
 EMPTY = CoeffSpec(())
 
@@ -200,18 +209,18 @@ def test_ensemble_statistics_and_reduction_order(monkeypatch):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+    """Stands in for ProcessPoolExecutor: records its size and its
+    shutdown, runs inline."""
 
     sizes = []
+    closed = []
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self):
+        self.closed.append(self.max_workers)
 
     def map(self, fn, jobs):
         return map(fn, jobs)
@@ -221,16 +230,96 @@ def _echo(job):
     return [(job, -job)]
 
 
-@pytest.mark.parametrize("workers, n_jobs, size", [
-    (64, 4, 4), (2, 4, 2), (3, 2, 2), (64, 1, None), (1, 4, None), (8, 0, None),
+def _pid(job):
+    return [(job, os.getpid())]
+
+
+def _exit_on_one(job):
+    if job == 1:
+        os._exit(1)
+    return [(job, job)]
+
+
+@pytest.mark.usefixtures("fresh_pool")
+@pytest.mark.parametrize("calls, sizes", [
+    pytest.param([(64, 4)], [4], id="64-4-4"),  # (workers, jobs) of one call
+    pytest.param([(2, 4)], [2], id="2-4-2"),
+    pytest.param([(3, 2)], [2], id="3-2-2"),
+    pytest.param([(64, 1)], [], id="64-1-None"),
+    pytest.param([(1, 4)], [], id="1-4-None"),
+    pytest.param([(8, 0)], [], id="8-0-None"),
+    # configs/verify.cfg's sizes at 4 workers: one fork for 2, one for 4
+    pytest.param([(4, 2), (4, 4), (4, 4), (4, 3), (4, 3), (4, 4), (4, 4), (4, 4)], [2, 4],
+                 id="verify-cfg"),
+    pytest.param([(64, 4), (64, 1), (64, 2), (4, 4)], [4], id="inline-keeps-pool"),
+    pytest.param([(2, 4), (2, 4), (8, 2)], [2], id="reused"),
+    pytest.param([(64, 4), (3, 2)], [4, 2], id="more-than-workers"),
+    pytest.param([(3, 2), (64, 4)], [2, 4], id="fewer-than-size"),
 ])
-def test_map_paths_forks_no_idle_workers(monkeypatch, workers, n_jobs, size):
-    # a fork pool starts all max_workers processes at its first job
+def test_map_paths_forks_no_idle_workers(monkeypatch, calls, sizes):
+    # a fork pool starts all max_workers processes at its first job, and the
+    # process keeps one pool while it has from size to workers of them
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    jobs = iter(range(n_jobs - 1, -1, -1))  # any iterable, results sorted by id
-    assert map_paths(_echo, jobs, workers) == [(j, -j) for j in range(n_jobs)]
-    assert _InlinePool.sizes == ([] if size is None else [size])
+    monkeypatch.setattr(_InlinePool, "closed", [])
+    for workers, n_jobs in calls:
+        jobs = iter(range(n_jobs - 1, -1, -1))  # any iterable, results sorted by id
+        assert map_paths(_echo, jobs, workers) == [(j, -j) for j in range(n_jobs)]
+    assert _InlinePool.sizes == sizes
+    assert _InlinePool.closed == sizes[:-1]  # each replaced pool is shut down
+
+
+@pytest.mark.usefixtures("fresh_pool")
+def test_pooled_calls_share_their_workers():
+    first = map_paths(_pid, range(4), 2)
+    workers = {p.pid for p in multiprocessing.active_children()}
+    second = map_paths(_pid, range(4), 2)
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert {pid for _, pid in first + second} <= workers  # one fork for both calls
+    assert {p.pid for p in multiprocessing.active_children()} == workers
+
+
+@pytest.mark.usefixtures("fresh_pool")
+def test_a_dead_worker_breaks_only_its_call():
+    with pytest.raises(BrokenProcessPool):
+        map_paths(_exit_on_one, range(3), 2)
+    assert map_paths(_echo, range(5), 2) == [(j, -j) for j in range(5)]
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import multiprocessing\n"
+            "from svilab.analysis import ensemble_run\n"
+            "from svilab.pathsolver import ProblemSpec\n"
+            "stats = ensemble_run(ProblemSpec(n=15, T=0.05, n_steps=20), 4, workers=2)\n"
+            "assert stats.n_paths == 4\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    pids = [int(pid) for pid in out.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.usefixtures("fresh_pool")
+def test_a_verify_pass_forks_one_pool(monkeypatch):
+    # signorini and stefan each fan three parts out to two workers
+    built = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", Counted)
+    rows = run_checks(("signorini", "stefan"), workers=2, quiet=True)
+    assert all(passed for *_, passed in rows)
+    assert built == [2]
 
 
 def test_ensemble_ci_scaling():
