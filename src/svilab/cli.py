@@ -26,6 +26,7 @@ from . import grid as gridmod
 from .analysis import (FunctionalStats, cauchy_rate_study, complementarity_report, energy_check,
                        ensemble_run, path_batches)
 from .errors import ConfigError, NumericalFailure
+from .floatfmt import WIDTH, g17_matrix, records, text_matrix
 from .noise import parse_coefficient
 from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, solved, zero_coeffs
 from .signorini import boundary_potential_check, probe_form_constants
@@ -309,14 +310,15 @@ class CsvWriter:
         self.comment = f"# config_sha256={config_sha} version={__version__}\n"
 
     def write(self, name: str, header: list[str], rows) -> Path:
-        """rows holds value tuples, one per line, or text blocks of whole lines."""
+        """rows holds value tuples, one per line, or byte buffers of whole
+        lines (bytes, or a 1-D uint8 array)."""
         path = self.out_dir / name
         try:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(self.comment)
-                fh.write(",".join(header) + "\n")
+            with open(path, "wb") as fh:
+                fh.write((self.comment + ",".join(header) + "\n").encode())
                 for row in rows:
-                    fh.write(row if isinstance(row, str) else (",".join(map(_fmt, row)) + "\n"))
+                    fh.write((",".join(map(_fmt, row)) + "\n").encode()
+                             if isinstance(row, tuple) else row)
         except OSError as exc:  # a directory in the way, no permission, a full disk
             raise ConfigError(f"output.dir = {str(self.out_dir)!r}: cannot write {name}: "
                               f"{exc.strerror}")
@@ -332,35 +334,46 @@ def _trajectory_blocks(sol: PathSolution):
     """trajectory.csv lines in blocks, bytes equal to formatting each cell by _fmt.
 
     "%.17g" % x and format(x, ".17g") print a float alike, and "%d" % j is
-    str(j).  t and the node columns repeat, so they are formatted once.  The
-    y, X and eta cells of a block repeat too (X has the bits of y where mu is
-    0, eta is mostly 0), so each distinct value of a block is formatted once.
-    Values are told apart by bit pattern, not by float equality: equality
-    would merge 0.0 with -0.0 and print "0" where "-0" is due.
+    str(j).  The node columns repeat, so they are formatted once.  A block's
+    lines are the rows of one NUL-padded byte matrix, in which t, the node
+    columns, each of the y, X and eta cells and each separator fill a fixed
+    range of columns; one compaction M[M != 0] removes the padding, as no
+    CSV text holds a NUL.  The cells are formatted by floatfmt.g17_matrix.
+    They repeat (X has the bits of y where mu is 0, eta is mostly 0), so
+    each distinct value of a block is formatted once, told apart by bit
+    pattern: float equality would merge 0.0 with -0.0 and print "0" where
+    "-0" is due.  X and eta are formed per block, e^mu times y and times
+    beta_eps(y) as PathSolution.X and eta_X form them, so the writer holds
+    one block of them at a time.
     """
-    g = sol.grid
+    g, nodes_n = sol.grid, sol.grid.n_nodes
     xs = g.meshes()
-    xi1 = xs[1] if g.dim == 2 else np.zeros(g.n_nodes)
-    nodes = ["%d,%.17g,%.17g," % c for c in zip(range(g.n_nodes), xs[0].tolist(), xi1.tolist())]
-    times = ["%.17g" % t for t in sol.tg.nodes.tolist()]
-    columns = (sol.y, sol.X, sol.eta_X)
-    steps = max(1, _BLOCK_ROWS // g.n_nodes)
-    line = "%s,%s%s,%s,%s\n"
-    for n0 in range(0, len(times), steps):
-        block = times[n0:n0 + steps]
-        rows = len(block) * g.n_nodes
+    xi1 = xs[1] if g.dim == 2 else np.zeros(nodes_n)
+    nodes = text_matrix(["%d,%.17g,%.17g," % c for c in zip(range(nodes_n), xs[0].tolist(),
+                                                            xi1.tolist())])
+    t_nodes = sol.tg.nodes
+    steps = max(1, _BLOCK_ROWS // nodes_n)
+    for n0 in range(0, len(t_nodes), steps):
+        times = text_matrix(["%.17g," % t for t in t_nodes[n0:n0 + steps].tolist()])
+        y = sol.y[n0:n0 + steps]
+        e_mu = np.exp(sol.mu[n0:n0 + steps])
         # 1-D, so the inverse is 1-D on every numpy version
-        cells = np.concatenate([col[n0:n0 + len(block)].ravel() for col in columns],
-                               dtype=np.float64)
+        cells = np.concatenate([y.ravel(), (e_mu * y).ravel(),
+                                (e_mu * sol.eta[n0:n0 + steps]).ravel()], dtype=np.float64)
         bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-        strings = text[inverse].tolist()
-        values = [None] * (5 * rows)
-        values[0::5] = [t for t in block for _ in nodes]
-        values[1::5] = nodes * len(block)
-        for k in range(3):
-            values[2 + k::5] = strings[k * rows:(k + 1) * rows]
-        yield (line * rows) % tuple(values)
+        text = records(g17_matrix(bits.view(np.float64)))
+        fields = [("t", times.shape[1]), ("node", nodes.shape[1])]
+        for name in ("y", "X", "eta"):
+            fields += [(name, WIDTH), (name + " end", 1)]
+        lines = np.empty((len(times), nodes_n), dtype=[(f, f"V{size}") for f, size in fields])
+        lines["t"] = records(times)[:, None]
+        lines["node"] = records(nodes)
+        for i, (name, end) in enumerate(zip(("y", "X", "eta"), b",,\n")):
+            cell = inverse[i * lines.size:(i + 1) * lines.size]
+            lines[name] = np.take(text, cell).reshape(lines.shape)
+            lines[name + " end"] = bytes([end])
+        m = lines.view(np.uint8)
+        yield m[m != 0]
 
 
 def write_summary(writer: CsvWriter, checks):

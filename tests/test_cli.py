@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,43 @@ def test_trajectory_blocks_match_per_cell_format_when_x_repeats_y(tmp_path):
     assert np.array_equal(sol.X.view(np.int64), y.view(np.int64))
     assert not np.signbit(sol.eta_X).any()
     assert_trajectory_bytes(tmp_path, sol)
+
+
+def test_2d_trajectory_bytes_match_lines_built_by_fmt(tmp_path):
+    # a noisy 2D contact solve: xi_1 is nonzero, X differs from y, eta from 0
+    spec = ProblemSpec(dim=2, lengths=(1.0, 1.0), n=15, T=0.05, n_steps=20, seed=11,
+                       coefficients=(parse_coefficient("const(0.5) * sin(1) * cos(1)",
+                                                       [1.0, 1.0]),),
+                       forcing=ForcingSpec("const", -2.0), initial=InitialData("sine", 0.5))
+    sol = spec.solve(0)
+    g, X, eta = sol.grid, sol.X, sol.eta_X
+    xi0, xi1 = g.meshes()
+    assert xi1.any() and sol.mu.any() and eta.min() < 0
+    lines = [",".join(map(cli._fmt, (t, j, xi0[j], xi1[j], sol.y[n, j], X[n, j], eta[n, j])))
+             for n, t in enumerate(sol.tg.nodes) for j in range(g.n_nodes)]
+    write_trajectory(CsvWriter(tmp_path, "0" * 64), sol)
+    data = (tmp_path / "trajectory.csv").read_bytes().split(b"\n", 2)[2]
+    assert data == ("\n".join(lines) + "\n").encode()
+
+
+def test_trajectory_writer_memory_does_not_grow_with_the_steps(tmp_path):
+    """The writer holds one block of X and eta at a time: its tracemalloc
+    peak on heat.cfg's grid is the same at 1000 and at 2000 steps."""
+    peaks = []
+    for n_steps in (1000, 2000):
+        g, tg, _, _ = ProblemSpec(dim=1, lengths=(1.0,), n=255, n_steps=n_steps).build()
+        shape = (tg.N + 1, g.n_nodes)
+        rng = np.random.default_rng(n_steps)
+        sol = PathSolution(grid=g, tg=tg, y=rng.random(shape), eta=-rng.random(shape) * 1e-3,
+                           mu=rng.standard_normal(shape), diagnostics=None)
+        writer = CsvWriter(tmp_path / str(n_steps), "0" * 64)
+        tracemalloc.start()
+        try:
+            write_trajectory(writer, sol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_seed_and_paths_overrides(tmp_path):
