@@ -65,6 +65,7 @@ class RunConfig:
     config_sha: str
 
     def problem_spec(self) -> ProblemSpec:
+        """`spec`, for callers outside the package (perfbench reads it)."""
         return self.spec
 
 
@@ -393,7 +394,7 @@ def write_trajectory(writer: CsvWriter, sol: PathSolution):
 
 
 def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    spec = cfg.problem_spec()
+    spec = cfg.spec
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
@@ -421,7 +422,7 @@ def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def _mode_ensemble(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    stats = ensemble_run(cfg.problem_spec(), cfg.n_paths, workers=cfg.workers)
+    stats = ensemble_run(cfg.spec, cfg.n_paths, workers=cfg.workers)
     rows = [(name, fs.mean, fs.variance, fs.ci_half_width, stats.n_paths, stats.n_failures)
             for name, fs in stats.stats.items()]
     writer.write("stats.csv",
@@ -451,7 +452,7 @@ def _rates_rows(eps_vals, errors):
 
 
 def _mode_rate_eps(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    fit = cauchy_rate_study(cfg.problem_spec(), cfg.eps_list, path_id=cfg.path_id)
+    fit = cauchy_rate_study(cfg.spec, cfg.eps_list, path_id=cfg.path_id)
     writer.write("rates.csv", ["eps", "error_l2", "slope_running"],
                  _rates_rows(fit.eps, fit.errors))
     if fit.degenerate:
@@ -468,7 +469,7 @@ def _mode_rate_eps(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 def _mode_rate_mesh(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     # nested Dirichlet grids n -> 2n+1, shared time grid and path; error
     # against the finest level, written with h in the schema's eps column
-    spec = cfg.problem_spec()
+    spec = cfg.spec
     ns = [spec.n]
     for _ in range(cfg.mesh_levels):
         ns.append(2 * ns[-1] + 1)
@@ -489,7 +490,7 @@ def _mode_rate_mesh(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    spec = cfg.problem_spec()
+    spec = cfg.spec
     g, tg, cs, scfg = spec.build()
     sd = StefanData(theta0=cfg.theta0.evaluate(g), rho=cfg.rho,
                     heated_boundary_temp=cfg.boundary_temp)
@@ -534,7 +535,7 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
 
 
 def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
-    spec = cfg.problem_spec()
+    spec = cfg.spec
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     g = sol.grid

@@ -11,8 +11,10 @@ the coefficients of all their paths for blocks of consecutive run-grid nodes
 from that slice (`coeff_block`), checks the mu cap there, stores the
 trajectories at stride 2^level and fills each path's `Diagnostics`.
 Every row gets the bits that its path gets alone, and a path that fails
-leaves the batch with the error its own solve raises.  Only the step rule,
-which reads row views of the blocks, differs:
+leaves the batch with the error its own solve raises.  Only the step rule
+differs, and the march hands every rule the same arguments after its grid:
+the stack of states, the coefficient records of the step's two nodes (row
+views of the blocks), and the run's SolveConfig and ImplicitSolver:
 
 - `step_interior` (solve_path) is the theta-scheme of the penalized
   transformed equation,
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -439,10 +442,10 @@ class SineBasis:
         return apply, flat
 
     def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0, maxiter: int,
-              active: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+              active: np.ndarray | None = None) -> np.ndarray:
         """x with (A + diag(extra_diag)) x = b by `conjugate_gradients` in the
         sine basis from x0 (zeros when None), in at most maxiter updates, or
-        by division when extra_diag is constant; and whether CG stopped early.
+        by division when extra_diag is constant.
 
         Given `active`, the nodes a Newton iteration solved as in contact, CG
         stops at an iterate x whose negative nodes are not `active` once the
@@ -459,7 +462,7 @@ class SineBasis:
         bh = self.transform(b)
         op, shift = self.operator(extra_diag)
         if op is None:
-            return self.transform(bh / shift), False
+            return self.transform(bh / shift)
         stop, found = None, []
         if active is not None:
             margin = 2.0 * CG_RTOL * math.sqrt(np.dot(bh, bh))
@@ -479,7 +482,7 @@ class SineBasis:
 
         x = conjugate_gradients(op, bh, None if x0 is None else self.transform(x0), maxiter,
                                 lambda r: r / shift, stop)
-        return (found[0], True) if found else (self.transform(x), False)
+        return found[0] if found else self.transform(x)  # the certificate transformed found[0]
 
 
 class ImplicitSolver:
@@ -529,8 +532,8 @@ class ImplicitSolver:
         `active`, one boolean field per row, lets row r of a Dirichlet solve
         stop early (`SineBasis.solve`) once the negative nodes of its solve to
         CG_RTOL are certain and are not active[r].
-        Returns x, the rows whose solve failed, each with its error (their
-        rows of x are meaningless), and the rows that stopped early."""
+        Returns x and the rows whose solve failed, each with its error (their
+        rows of x are meaningless)."""
         x = np.zeros_like(b)
         rows = range(len(b))  # the rows solved one at a time
         if self.dim == 1:
@@ -540,18 +543,14 @@ class ImplicitSolver:
                 # right-hand sides as it solves it alone, and the rows with an extra
                 # diagonal are solved again below
                 x = self._gtsv(self._main, b.T).T
-        failures, early = {}, []
+        failures = {}
         for row in rows:
             try:
-                x[row], stopped = self._solve_one(extra_diag[row], b[row],
-                                                  None if x0 is None else x0[row],
-                                                  None if active is None else active[row])
+                x[row] = self._solve_one(extra_diag[row], b[row], None if x0 is None else x0[row],
+                                         None if active is None else active[row])
             except NumericalFailure as exc:
                 failures[row] = exc
-                continue
-            if stopped:
-                early.append(row)
-        return x, failures, early
+        return x, failures
 
     def _gtsv(self, main: np.ndarray, b: np.ndarray) -> np.ndarray:
         *_, x, info = dgtsv(self._lower, main, self._upper, b)
@@ -559,15 +558,14 @@ class ImplicitSolver:
             raise NumericalFailure(f"tridiagonal solve failed (info={info})")
         return x
 
-    def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0,
-                   active) -> tuple[np.ndarray, bool]:
+    def _solve_one(self, extra_diag: np.ndarray, b: np.ndarray, x0, active) -> np.ndarray:
         if self.dim == 1:  # b as a column, which gtsv takes without a copy
-            return self._gtsv(self._main + extra_diag, b[:, None])[:, 0], False
+            return self._gtsv(self._main + extra_diag, b[:, None])[:, 0]
         if self.sine is not None:
             return self.sine.solve(extra_diag, b, x0, 20 * self.n, active)
         w = self._w
         return conjugate_gradients(lambda p: w * (self.apply(p) + extra_diag * p), w * b, x0,
-                                   20 * self.n, identity), False
+                                   20 * self.n, identity)
 
 
 class NewtonResult(NamedTuple):
@@ -607,8 +605,10 @@ def newton_penalized_solve(
     solved until it is accepted, so it sees the iterates of its own solve.
     On a 2D Dirichlet grid with every node penalized, every iteration but
     the last permitted one lets a linear solve stop once the next active
-    set, the one of the solve to CG_RTOL, is certain (`SineBasis.solve`);
-    such a row is not accepted and skips its residual.
+    set, the one of the solve to CG_RTOL, is certain (`SineBasis.solve`).
+    It stops only where that set differs from the row's active set, so the
+    row is not accepted whatever its residual, and every residual a row
+    ends with comes from a solve to CG_RTOL.
     Rows that do not converge, or whose linear solve fails, go to
     `failures`.  Raises ValueError unless every eps is positive.
     """
@@ -632,19 +632,12 @@ def newton_penalized_solve(
         e = eps[sel] if np.ndim(eps) else eps
         # the last permitted iteration solves to CG_RTOL: a NewtonError quotes its residual
         guess = active[sel] if certify and it < newton_max else None
-        y_sel, bad, early = solver.solve(b + np.where(active[sel], dt_scale / e, 0.0), rhs[sel],
-                                         x0=y[sel], active=guess)
+        y_sel, bad = solver.solve(b + np.where(active[sel], dt_scale / e, 0.0), rhs[sel],
+                                  x0=y[sel], active=guess)
         y[sel] = y_sel
         new_active = (y_sel < 0.0) & penalized
-        y_r, b_r, e_r, at = y_sel, b, e, sel
-        if early:  # a row that stopped early changed its active set: it needs no residual
-            keep = np.setdiff1d(np.arange(len(y_sel)), early)
-            y_r, at = y_sel[keep], todo[keep]
-            b_r = b if linear_diag is None else b[keep]
-            e_r = e[keep] if np.ndim(e) else e
-        if len(y_r):
-            r = solver.apply(y_r) + b_r * y_r + dt_scale * penalty.penalize(y_r, e_r) - rhs[at]
-            resid[at] = np.abs(r).max(axis=-1, initial=0.0)
+        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.penalize(y_sel, e) - rhs[sel]
+        resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
         iters[sel] = it
         going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))
         for j, exc in bad.items():
@@ -666,35 +659,35 @@ def newton_penalized_solve(
 # single step and full march
 
 
-def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
+def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray | float:
     """g . grad y, with g holding one component per axis along its
-    second-to-last axis."""
-    out = np.zeros_like(y)
+    second-to-last axis; 0.0 without noise (g None)."""
     if g is None:
-        return out
+        return 0.0
+    out = np.zeros_like(y)
     for axis, dya in enumerate(gridmod.apply_gradient(grid, y)):
         out += g[..., axis, :] * dya
     return out
 
 
-def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
-                  solver: ImplicitSolver, lift: BoundaryLift | None = None,
-                  t_next: float | None = None) -> NewtonResult:
+def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next: StepCoeffs,
+                  cfg: SolveConfig, solver: ImplicitSolver,
+                  lift: BoundaryLift | None = None) -> NewtonResult:
     """One theta-step of the penalized interior obstacle problem, of each row
     of a stack of states, with coefficients stacked alike, by the march's
     ImplicitSolver(grid, cfg.dt, cfg.theta).
 
     A BoundaryLift enters as its ghost value at the theta-weighted time
-    between coeffs.t and t_next.  Returns Newton's result.  The dt it is
-    given meets the transport guard dt * sup|g| / h <= 1: refinement picked
-    it.
+    between coeffs.t and coeffs_next.t; the step reads nothing else of
+    coeffs_next.  Returns Newton's result.  The dt it is given meets the
+    transport guard dt * sup|g| / h <= 1: refinement picked it.
     """
     if y_n.ndim != 2 or y_n.shape[1] != grid.n_nodes:
         raise ValueError("state size mismatch")
     source = coeffs.source
     if lift is not None:
         ghost = grid.zeros()
-        ghost[0] = (cfg.theta * lift.rate * t_next
+        ghost[0] = (cfg.theta * lift.rate * coeffs_next.t
                     + (1.0 - cfg.theta) * lift.rate * coeffs.t) / grid.h[0] ** 2
         source = source + ghost
     explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, y_n) if cfg.theta < 1.0 else 0.0
@@ -795,11 +788,13 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: F
     hold the noise factor.  cfg.eps holds one value or one per path; each
     batch hands the rule a run SolveConfig whose eps is the column of its
     rows' values.
-    rule(y, c, c_next, cfg, solver) advances the stack of states, one row
-    per path, from run-grid node n to n + 1, given the coefficient records c
-    and c_next of both nodes and the run's SolveConfig and ImplicitSolver,
-    and returns newton_penalized_solve's result.  The returned trajectories
-    hold y on the nodes of tg.
+    rule(y, c, c_next, cfg, solver), the one signature of every step rule
+    (`step_interior` and `signorini.step_signorini` with the grid and any
+    further option bound by `functools.partial`), advances the stack of
+    states, one row per path, from run-grid node n to n + 1, given the
+    coefficient records c and c_next of both nodes and the run's SolveConfig
+    and ImplicitSolver, and returns newton_penalized_solve's result.  The
+    returned trajectories hold y on the nodes of tg.
     """
     for p in paths:
         if cs.m != p.m:
@@ -946,11 +941,8 @@ def solve_path_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
         raise ConfigError("solve_path needs a Dirichlet grid")
     if boundary_lift is not None and grid.dim != 1:
         raise ConfigError("boundary lift is only supported in 1D")
-
-    def rule(y, c, c_next, cfg, solver):
-        return step_interior(grid, y, c, cfg, solver, boundary_lift, c_next.t)
-
-    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement,
+                  partial(step_interior, grid, lift=boundary_lift))
 
 
 def solve_path(

@@ -26,6 +26,7 @@ the Robin term dt theta (2/h) dmu/dnu on the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,13 +99,14 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, y: np.ndarray, phi: np.n
     return value
 
 
-def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveConfig,
-                   coeffs_new: StepCoeffs, solver: ImplicitSolver):
+def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next: StepCoeffs,
+                   cfg: SolveConfig, solver: ImplicitSolver):
     """One theta-step of each row of a stack of states, by the march's
-    ImplicitSolver(grid, cfg.dt, cfg.theta); the boundary condition is
-    enforced at the new time level, with dmu/dnu from coeffs_new.  Returns
-    Newton's result.  The dt it is given meets the transport guard:
-    refinement picked it."""
+    ImplicitSolver(grid, cfg.dt, cfg.theta), with the arguments of
+    `pathsolver.step_interior`; the boundary condition is enforced at the
+    new time level, with dmu/dnu from coeffs_next.  Returns Newton's
+    result.  The dt it is given meets the transport guard: refinement
+    picked it."""
     explicit = ((1.0 - cfg.theta) * _laplacian_bc(grid, coeffs, y_n, cfg.eps)
                 if cfg.theta < 1.0 else 0.0)
     rhs = y_n + cfg.dt * (
@@ -113,7 +115,7 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, cfg: SolveCo
     )
     dt_scale = cfg.dt * cfg.theta * grid.flux_factor  # zero off the boundary
     return newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol,
-                                  cfg.newton_max, linear_diag=dt_scale * coeffs_new.dmu_dnu)
+                                  cfg.newton_max, linear_diag=dt_scale * coeffs_next.dmu_dnu)
 
 
 def solve_signorini_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
@@ -123,11 +125,8 @@ def solve_signorini_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionS
     path its PathSolution or the NumericalFailure its solve raises."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("solve_signorini_path needs a Neumann grid")
-
-    def rule(y, c, c_next, cfg, solver):
-        return step_signorini(grid, y, c, cfg, c_next, solver)
-
-    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement, rule)
+    return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement,
+                  partial(step_signorini, grid))
 
 
 def solve_signorini_path(
@@ -147,13 +146,13 @@ def solve_signorini_path(
 def boundary_potential_check(sol: PathSolution, x, slack: float = 10.0):
     """Discrete analogue of the boundary potential bound: for every t,
     int j_eps(y(t)) + int_0^t sum_bnd beta_eps^2 <= slack * (int j_eps(x)
-    + int |f~|^2) + POTENTIAL_TOL.  Returns (worst_ratio_or_0, passed)."""
+    + int |f~|^2) + POTENTIAL_TOL, with beta_eps(y) the march's sol.eta.
+    Returns (worst_ratio_or_0, passed)."""
     g, tg = sol.grid, sol.tg
     eps = sol.diagnostics.eps
     x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     j_t = mass(g, j_eps(sol.y, eps))
-    eta = beta_eps(sol.y, eps)
-    b_sq = gridmod.boundary_inner(g, eta, eta)
+    b_sq = gridmod.boundary_inner(g, sol.eta, sol.eta)
     cum_b = np.concatenate([[0.0], np.cumsum(b_sq[:-1]) * tg.dt])
     lhs = j_t + cum_b
     rhs = slack * (mass(g, j_eps(x_field, eps)) + sol.diagnostics.cum_source_sq) + POTENTIAL_TOL

@@ -73,11 +73,11 @@ def test_gtsv_rows_equal_solve_banded(n):
     for d, rhs in zip(extra, b):
         ab[1] = solver._main + d
         want.append(solve_banded((1, 1), ab, rhs))
-    x, failures, early = solver.solve(extra, b)
-    assert np.array_equal(x, want) and not failures and not early
+    x, failures = solver.solve(extra, b)
+    assert np.array_equal(x, want) and not failures
     for d, rhs, w in zip(extra, b, want):
-        x, failures, early = solver.solve(d[None], rhs[None])
-        assert np.array_equal(x[0], w) and not failures and not early
+        x, failures = solver.solve(d[None], rhs[None])
+        assert np.array_equal(x[0], w) and not failures
 
 
 def test_linear_solve_reports_the_rows_that_fail():
@@ -87,7 +87,7 @@ def test_linear_solve_reports_the_rows_that_fail():
     extra = np.zeros((3, 3))
     extra[1] = -solver._main  # a zero diagonal: singular
     extra[2, 0] = 2.0
-    x, failures, _ = solver.solve(extra, b)
+    x, failures = solver.solve(extra, b)
     assert list(failures) == [1] and isinstance(failures[1], NumericalFailure)
     for row in (0, 2):
         assert np.array_equal(x[row], solver.solve(extra[row:row + 1], b[row:row + 1])[0][0])
@@ -110,17 +110,8 @@ def test_batch_mixes_refine_levels():
                  [replace(spec, eps=e).solve(pid) for pid, e in zip(ids, eps)])
 
 
-def test_2d_batch_with_contact(monkeypatch):
+def test_2d_batch_with_contact(cg_stops):
     # rows whose CG ends once their next active set is certain keep their solo bits
-    stops = []
-    solve = pathsolver.SineBasis.solve
-
-    def counting(self, *args):
-        out = solve(self, *args)
-        stops.append(out[1])
-        return out
-
-    monkeypatch.setattr(pathsolver.SineBasis, "solve", counting)
     spec = ProblemSpec(
         dim=2, lengths=(1.0, 1.0), n=9, T=0.02, n_steps=20, seed=7,
         coefficients=(parse_coefficient("const(0.5) * sin(1) * cos(1)", [1.0, 1.0]),),
@@ -130,9 +121,9 @@ def test_2d_batch_with_contact(monkeypatch):
     ids = range(3)
     solo = [spec.solve(pid) for pid in ids]
     assert all(np.any(s.eta < 0) for s in solo)
-    solo_stops = sum(stops)
+    solo_stops = sum(cg_stops)
     _assert_same(spec.solve_paths(ids), solo)
-    assert solo_stops >= 1 and sum(stops) == 2 * solo_stops
+    assert solo_stops >= 1 and sum(cg_stops) == 2 * solo_stops
 
 
 def test_batch_failures_keep_their_solo_messages():

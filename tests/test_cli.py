@@ -83,11 +83,11 @@ def write(tmp_path, text, name="run.cfg"):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL.format(out=tmp_path / "o")))
-    assert cfg.problem_spec().theta == 1.0
+    assert cfg.spec.theta == 1.0
     assert cfg.slack == 10.0
-    assert cfg.problem_spec().eps == 1e-3
+    assert cfg.spec.eps == 1e-3
     assert cfg.mode == "run"
-    assert cfg.problem_spec().n_steps == 50
+    assert cfg.spec.n_steps == 50
 
 
 def test_validation_collects_all_errors(tmp_path):
@@ -765,7 +765,7 @@ def test_time_step_must_divide_the_horizon(tmp_path, capsys, dt):
 @pytest.mark.parametrize("t, dt", [("0.05", "2e-4"), ("1.0", repr(1 / 3))])
 def test_time_step_that_divides_the_horizon_is_accepted(tmp_path, t, dt):
     conf = set_key(set_key(FULL.format(out=tmp_path / "out"), "time", "t", t), "time", "dt", dt)
-    spec = parse_config(write(tmp_path, conf)).problem_spec()
+    spec = parse_config(write(tmp_path, conf)).spec
     assert spec.n_steps == round(float(t) / float(dt))
 
 
@@ -809,7 +809,7 @@ def test_main_writes_the_overridden_hash(tmp_path):
                          ids=lambda p: p.name)
 def test_shipped_config_parses_and_builds(path):
     cfg = parse_config(path)
-    cfg.problem_spec().build()
+    cfg.spec.build()
     assert parse_config(path).config_sha == cfg.config_sha
 
 
