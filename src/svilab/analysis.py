@@ -24,7 +24,6 @@ from .errors import NumericalFailure
 from .grid import Grid
 from .noise import TimeGrid
 from .pathsolver import (
-    InitialData,
     PathSolution,
     ProblemSpec,
     solve_path,  # noqa: F401  (bound here for perfbench's tracer, whose selftest wraps it)
@@ -112,25 +111,24 @@ def _step_norms(sol: PathSolution) -> tuple[np.ndarray, ...]:
             gridmod.inner(g, sol.eta, sol.eta), gridmod.inner(g, lap, lap))
 
 
-def energy_check(sol: PathSolution, x, norms=None) -> EnergyReport:
-    """The source and delta are the march's, diagnostics.cum_source_sq and .delta.
-    `norms`: the _step_norms of sol, when the caller already has them."""
+def energy_check(sol: PathSolution, norms=None) -> EnergyReport:
+    """x, the source and delta are the march's: sol.y[0], diagnostics.cum_source_sq
+    and .delta.  `norms`: the _step_norms of sol, when the caller already has them."""
     g = sol.grid
     tg = sol.tg
-    x_field = x.evaluate(g) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
     delta = sol.diagnostics.delta
     dt = tg.dt
     y_sq, h1_sq, eta_sq, lap_sq = norms if norms is not None else _step_norms(sol)
     cum_h1 = np.concatenate([[0.0], np.cumsum(h1_sq[:-1]) * dt])
     source_sq = sol.diagnostics.cum_source_sq
 
-    x_sq = gridmod.inner(g, x_field, x_field)
+    x_sq = gridmod.inner(g, sol.y[0], sol.y[0])
     lhs = y_sq + cum_h1
     rhs = x_sq + source_sq + delta**2
     energy_ratio = _ratio(lhs, np.broadcast_to(np.atleast_1d(rhs), lhs.shape))
 
     cum_mult = np.concatenate([[0.0], np.cumsum((eta_sq + lap_sq)[:-1]) * dt])
-    x_h1 = gridmod.seminorm_h1(g, x_field) ** 2
+    x_h1 = gridmod.seminorm_h1(g, sol.y[0]) ** 2
     rhs_mult = source_sq + tg.nodes * delta**2 + x_sq + x_h1
     multiplier_ratio = _ratio(cum_mult, rhs_mult)
 
@@ -229,13 +227,13 @@ class EnsembleStats:
         return self.n_paths >= 1 and self.failure_fraction <= 0.10
 
 
-def path_functionals(sol: PathSolution, x) -> dict:
-    """The monitored functionals of one trajectory (left-endpoint quadrature)."""
+def path_functionals(sol: PathSolution) -> dict:
+    """The monitored functionals of one trajectory from x = sol.y[0] (left-endpoint quadrature)."""
     dt = sol.tg.dt
     norms = _step_norms(sol)
     _, h1_sq, eta_sq, lap_sq = (a[:-1] for a in norms)
     dydt_l2 = gridmod.norm_l2(sol.grid, np.diff(sol.y, axis=0) / dt)
-    report = energy_check(sol, x, norms=norms)
+    report = energy_check(sol, norms=norms)
     return {
         "sup_y_l2_sq": float(norms[0].max()),
         "int_h1_sq": float(h1_sq.sum() * dt),
@@ -303,7 +301,7 @@ def _ensemble_worker(args):
     spec, first, stop = args
     ids = range(first, stop)
     return [(pid, None, str(sol)) if isinstance(sol, NumericalFailure)
-            else (pid, path_functionals(sol, spec.initial), None)
+            else (pid, path_functionals(sol), None)
             for pid, sol in zip(ids, spec.solve_paths(ids))]
 
 

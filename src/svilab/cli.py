@@ -398,7 +398,7 @@ def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
     rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
-    erep = energy_check(sol, spec.initial)
+    erep = energy_check(sol)
     tol = cfg.slack * spec.eps
     checks = [
         ("min_X", rep.min_X, -tol, rep.min_X >= -tol),
@@ -540,9 +540,9 @@ def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     write_trajectory(writer, sol)
     g = sol.grid
     trace_min = float(sol.y[:, g.boundary_mask].min())
-    ratio, ok = boundary_potential_check(sol, spec.initial, slack=cfg.slack)
+    ratio, ok = boundary_potential_check(sol, slack=cfg.slack)
     coeffs = zero_coeffs(g, rs=spec.reaction)
-    rep = probe_form_constants(g, coeffs, spec.eps, n_samples=128, seed=spec.seed)
+    rep = probe_form_constants(g, coeffs, spec.eps, seed=spec.seed)
     tol = cfg.slack * spec.eps
     checks = [
         ("boundary_trace_min", trace_min, tol, trace_min >= -tol),

@@ -19,8 +19,9 @@ normal derivative of a field.  On Dirichlet grids the first two are zero.
 
 Fields are flat float arrays of length ``grid.n_nodes`` in C order of the
 per-axis index.  Vector fields are lists with one field per axis.  The
-Laplacian, gradient, quadratures and norms also act on each row of a stack
-``(..., n_nodes)``, giving exactly what the call on that row alone gives.
+Laplacian, gradient, normal derivative, quadratures (the boundary quadrature
+too) and norms also act on each row of a stack ``(..., n_nodes)``, giving
+exactly what the call on that row alone gives.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ def boundary_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndarr
     like `inner`; zero on Dirichlet grids."""
     if u.shape[-1:] != (grid.n_nodes,) or v.shape[-1:] != (grid.n_nodes,):
         raise ValueError("field size mismatch in boundary quadrature")
-    mask = grid.boundary_mask
-    s = (grid.boundary_weights[mask] * u[..., mask] * v[..., mask]).sum(axis=-1)
+    nodes = np.flatnonzero(grid.boundary_mask)  # flat indices keep a stack's rows C-contiguous
+    s = (grid.boundary_weights[nodes] * u.take(nodes, -1) * v.take(nodes, -1)).sum(axis=-1)
     return float(s) if s.ndim == 0 else s
 
 

@@ -114,6 +114,14 @@ class SolveConfig:
             raise ConfigError(errors)
 
 
+def _sine_product(grid: Grid, amplitude: float) -> np.ndarray:
+    """amplitude * prod over the axes of sin(pi x / L), the first sine mode."""
+    out = np.full(grid.n_nodes, amplitude)
+    for x, L in zip(grid.meshes(), grid.lengths):
+        out = out * np.sin(np.pi * x / L)
+    return out
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Nonnegative initial datum from a closed catalog.
@@ -141,16 +149,16 @@ class InitialData:
             raise ConfigError(errors)
 
     def evaluate(self, grid: Grid) -> np.ndarray:
-        xs = grid.meshes()
+        """The datum at the nodes; ConfigError unless a center has one value per axis."""
+        if self.center is not None and len(self.center) != grid.dim:
+            raise ConfigError(f"center needs {grid.dim} value(s) on a {grid.dim}D grid, "
+                              f"got {len(self.center)}")
         if self.kind == "sine":
-            out = np.full(grid.n_nodes, self.amplitude)
-            for x, L in zip(xs, grid.lengths):
-                out = out * np.sin(np.pi * x / L)
-            return np.maximum(out, 0.0)
+            return np.maximum(_sine_product(grid, self.amplitude), 0.0)
         center = self.center or tuple(L / 2.0 for L in grid.lengths)
         radius = self.radius if self.radius is not None else min(grid.lengths) / 4.0
         dist = np.zeros(grid.n_nodes)
-        for x, c in zip(xs, center):
+        for x, c in zip(grid.meshes(), center):
             dist += (x - c) ** 2
         dist = np.sqrt(dist)
         if self.kind == "cone":
@@ -199,15 +207,11 @@ class ForcingSpec:
             if vals.shape != (grid.n_nodes,):
                 raise ValueError("forcing field does not match the grid")
             return vals.copy()
-        xs = grid.meshes()
         if self.kind == "sine":
-            out = np.full(grid.n_nodes, self.amplitude)
-            for x, L in zip(xs, grid.lengths):
-                out = out * np.sin(np.pi * x / L)
-            return out
+            return _sine_product(grid, self.amplitude)
         # edge: boundary strip of the given width
         dist = np.full(grid.n_nodes, np.inf)
-        for x, L in zip(xs, grid.lengths):
+        for x, L in zip(grid.meshes(), grid.lengths):
             dist = np.minimum(dist, np.minimum(x, L - x))
         return np.where(dist < self.width, self.amplitude, 0.0)
 

@@ -210,31 +210,22 @@ def baiocchi_forward(theta: np.ndarray, fb: FreeBoundary, grid: Grid, tg: TimeGr
                      liquid0_mask: np.ndarray | None = None) -> np.ndarray:
     """Rebuild the time-integrated variable from the temperature:
     y(t, xi) = int_{l(xi)}^{t} e^{-mu} theta ds off the initial liquid set
-    (l(xi) the crossing time read from the front), int_0^t on it.
-    Left-endpoint quadrature; mutually inverse with recover_temperature up
-    to O(dt) and the crossing-time threshold."""
+    (l(xi) the first node time whose front reaches xi), int_0^t on it.
+    Left-endpoint quadrature, summed in time order by one cumulative sum
+    from a +0.0 row; mutually inverse with recover_temperature up to O(dt)
+    and the crossing-time threshold."""
     if grid.dim != 1:
         raise ConfigError("the forward time-integration needs 1D crossing times; "
                           "2D fronts carry only the melted measure")
     n_t, n_nodes = theta.shape
     z = theta if mu is None else np.exp(-mu) * theta
-    xs = grid.meshes()[0]
-    crossing = np.full(n_nodes, np.inf)
+    reached = fb.fronts[:, None] >= grid.meshes()[0]  # a NaN front reaches no node
+    crossing = np.where(reached.any(axis=0), tg.nodes[reached.argmax(axis=0)], np.inf)
     if liquid0_mask is not None:
         crossing[liquid0_mask] = 0.0
-    for n in range(n_t):
-        f = fb.fronts[n]
-        if not np.isnan(f):
-            newly = (xs <= f) & (crossing == np.inf)
-            crossing[newly] = tg.nodes[n]
-    out = np.zeros_like(theta)
-    acc = np.zeros(n_nodes)
-    for n in range(1, n_t):
-        t_left = tg.nodes[n - 1]
-        contrib = np.where(t_left >= crossing, z[n], 0.0)
-        acc = acc + tg.dt * contrib
-        out[n] = acc
-    return out
+    contrib = tg.dt * np.where(tg.nodes[: n_t - 1, None] >= crossing, z[1:], 0.0)
+    # the +0.0 start turns a -0.0 first contribution into +0.0
+    return np.cumsum(np.concatenate([np.zeros((1, n_nodes)), contrib]), axis=0)
 
 
 # ---------------------------------------------------------------------------

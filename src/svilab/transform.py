@@ -71,10 +71,11 @@ def zero_order(mu_tilde: np.ndarray, grad_mu: np.ndarray, lap_mu: np.ndarray) ->
 def effective_reaction(rs: ReactionSpec, c0: np.ndarray, exp_mu: np.ndarray,
                        exp_neg_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     """F_eff(t, y) = c0 y + e^{-mu} F(t, xi, e^mu y) with c0 = zero_order(...)
-    and e^mu, e^{-mu} at the same node."""
-    if y.shape != c0.shape:
+    and e^mu, e^{-mu} at the same node; ValueError unless c0 broadcasts to the
+    shape of y, a field or a stack of them."""
+    out = c0 * y  # numpy's ValueError when the shapes do not broadcast at all
+    if out.shape != y.shape:
         raise ValueError("coefficient field size mismatch")
-    out = c0 * y
     if rs.kind != "zero" and rs.alpha != 0.0:
         out = out + exp_neg_mu * rs.value(exp_mu * y)
     return out

@@ -105,7 +105,7 @@ def test_energy_check_zero_run():
     cfg = SolveConfig(dt=tg.dt)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                      InitialData("sine", 0.0), cfg, sample_paths(tg, 0, seed=0))
-    rep = energy_check(sol, InitialData("sine", 0.0))
+    rep = energy_check(sol)
     assert rep.energy_ratio == 0.0
     assert rep.energy_ratio <= 10.0 and rep.multiplier_ratio <= 10.0
 
@@ -118,7 +118,7 @@ def test_energy_check_heat_identity():
     x = InitialData("sine", 1.0)
     sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(), x, cfg,
                      sample_paths(tg, 0, seed=0))
-    rep = energy_check(sol, x)
+    rep = energy_check(sol)
     assert rep.energy_ratio <= 1.0 + 10.0 * tg.dt
     assert rep.multiplier_ratio <= 10.0
     assert rep.energy_ratio <= 10.0 and rep.multiplier_ratio <= 10.0
@@ -132,7 +132,7 @@ def test_energy_check_noisy_paths():
     )
     for pid in range(5):
         sol = spec.solve(pid)
-        rep = energy_check(sol, spec.initial)
+        rep = energy_check(sol)
         assert rep.energy_ratio <= 10.0 and rep.multiplier_ratio <= 10.0
 
 
@@ -421,7 +421,7 @@ def test_functional_stats_equal_the_formulas_they_replace(size):
 
 def test_path_functionals_keys():
     g, tg, sol = pinned_solution(nt=50, T=0.05)
-    vals = path_functionals(sol, InitialData("sine", 0.0))
+    vals = path_functionals(sol)
     assert set(vals) == {
         "sup_y_l2_sq", "int_h1_sq", "int_beta_sq", "int_lap_sq", "delta_sq",
         "int_dydt_l2", "int_dydt_l2_sq", "energy_ratio", "multiplier_ratio",

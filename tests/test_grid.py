@@ -11,6 +11,7 @@ from svilab.grid import (
     build_grid,
     inner,
     norm_l2,
+    normal_derivative,
     seminorm_h1,
     stiffness_inner,
 )
@@ -195,6 +196,8 @@ def test_stacked_operators_equal_per_row_calls(bc, dim):
         (norm_l2(g, U), lambda u, v: norm_l2(g, u)),
         (seminorm_h1(g, U), lambda u, v: seminorm_h1(g, u)),
         (apply_laplacian(g, U), lambda u, v: apply_laplacian(g, u)),
+        (boundary_inner(g, U, V), lambda u, v: boundary_inner(g, u, v)),
+        (normal_derivative(g, U), lambda u, v: normal_derivative(g, u)),
     ):
         assert got.shape == U.shape[: got.ndim]
         assert np.array_equal(got, [[one(u, v) for u, v in zip(us, vs)]
@@ -219,6 +222,8 @@ def test_stacked_operators_equal_per_row_calls(bc, dim):
         lambda: seminorm_h1(g, bad),
         lambda: apply_laplacian(g, bad),
         lambda: apply_gradient(g, bad),
+        lambda: boundary_inner(g, U[0], bad),
+        lambda: normal_derivative(g, bad),
     ):
         with pytest.raises(ValueError):
             fn()

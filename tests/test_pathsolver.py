@@ -779,6 +779,49 @@ def test_boundary_lift_linear_profile():
     assert np.max(np.abs(sol.y[-1] - expect)) <= 0.01 * rate * tg.T
 
 
+def test_the_first_stored_state_is_the_evaluated_initial_datum():
+    # the energy checks read the datum x as sol.y[0]: bit for bit x.evaluate(grid)
+    c1 = (parse_coefficient("const(0.5) * sin(1)", [1.0]),)
+    specs = [
+        ProblemSpec(n=31, T=0.05, n_steps=50, coefficients=c1, seed=3,
+                    initial=InitialData("sine", 1.3)),
+        ProblemSpec(n=31, bc_kind=NEUMANN, T=0.05, n_steps=50, coefficients=c1, seed=3,
+                    initial=InitialData("cutoff", 0.9, radius=0.2)),
+        ProblemSpec(dim=2, lengths=(1.0, 1.5), n=11, T=0.02, n_steps=10, seed=3,
+                    coefficients=(parse_coefficient("const(0.5) * sin(1) * cos(2)",
+                                                    [1.0, 1.5]),),
+                    initial=InitialData("cone", 0.3, center=(0.3, 0.6), radius=0.4)),
+        # the stiff transport of test_solve_path_retries_on_stiff_transport: refined
+        ProblemSpec(n=63, T=0.2, n_steps=40, seed=5,
+                    coefficients=(parse_coefficient("const(1.5) * sin(2)", [1.0]),),
+                    initial=InitialData("cone", 0.7, center=(0.4,), radius=0.3)),
+    ]
+    for spec in specs:
+        sol = spec.solve(0)
+        assert sol.y[0].tobytes() == spec.initial.evaluate(sol.grid).tobytes()
+    assert sol.diagnostics.refine_level >= 1
+    g, tg, cs, cfg = specs[0].build()
+    em = direct_em_solve(g, tg, cs, ReactionSpec(), ForcingSpec(), specs[0].initial, cfg,
+                         specs[0].sample(0))
+    assert em.y[0].tobytes() == specs[0].initial.evaluate(g).tobytes()
+
+
+def test_initial_data_center_needs_one_value_per_axis():
+    g1, g2 = build_grid(1, [1.0], 15, DIRICHLET), build_grid(2, [1.0, 2.0], 7, DIRICHLET)
+    for kind in ("sine", "cone", "cutoff"):
+        with pytest.raises(ConfigError, match=r"center needs 2 value\(s\) on a 2D grid, got 1"):
+            InitialData(kind, 1.0, center=(0.5,)).evaluate(g2)
+        with pytest.raises(ConfigError, match=r"center needs 1 value\(s\) on a 1D grid, got 2"):
+            InitialData(kind, 1.0, center=(0.5, 0.5)).evaluate(g1)
+    assert np.array_equal(InitialData("cone", 1.0, center=(0.5, 1.0)).evaluate(g2),
+                          InitialData("cone", 1.0).evaluate(g2))
+    # the sine datum and the sine forcing share one product of sine modes
+    x, y = g2.meshes()
+    want = 0.7 * np.sin(np.pi * x / 1.0) * np.sin(np.pi * y / 2.0)
+    assert InitialData("sine", 0.7).evaluate(g2).tobytes() == want.tobytes()
+    assert ForcingSpec("sine", 0.7).value(g2).tobytes() == want.tobytes()
+
+
 def test_problem_spec_roundtrip():
     import pickle
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig, zero_coeffs
 from svilab.penalty import beta_eps, graph_contains
 from svilab.signorini import (
+    C2_TARGET,
+    PROBE_SAMPLES,
+    _random_fields,
     apply_operator,
     assemble_coeffs,
     assemble_form_value,
@@ -165,7 +170,7 @@ def test_boundary_potential_check():
     x = InitialData("sine", 0.0)
     sol = solve_signorini_path(g, tg, EMPTY, ReactionSpec(), f, x, cfg,
                                sample_paths(tg, 0, seed=0))
-    ratio, ok = boundary_potential_check(sol, x)
+    ratio, ok = boundary_potential_check(sol)
     assert ok and ratio <= 1.0
 
 
@@ -183,7 +188,7 @@ def test_coercivity_probe_pure_dirichlet_form():
     # no mu, no reaction: <A y, y> = |grad y|^2 exactly: C2 ~ 1, C3 ~ 0
     g = build_grid(1, [1.0], 63, NEUMANN)
     coeffs = zero_coeffs(g)
-    rep = probe_form_constants(g, coeffs, eps=1e30, n_samples=128, seed=0)
+    rep = probe_form_constants(g, coeffs, eps=1e30, seed=0)
     assert rep.c2 == pytest.approx(1.0, abs=1e-9)
     assert rep.c3 == pytest.approx(0.0, abs=1e-9)
     assert rep.violations == 0
@@ -201,8 +206,8 @@ def test_coercivity_probe_monotone_penalty_helps():
         without = assemble_form_value(g, coeffs, y, y, eps=1e30)
         with_pen = assemble_form_value(g, coeffs, y, y, eps=1e-3)
         assert with_pen >= without - 1e-12
-    rep_pen = probe_form_constants(g, coeffs, eps=1e-3, n_samples=128, seed=0)
-    rep_off = probe_form_constants(g, coeffs, eps=1e30, n_samples=128, seed=0)
+    rep_pen = probe_form_constants(g, coeffs, eps=1e-3, seed=0)
+    rep_off = probe_form_constants(g, coeffs, eps=1e30, seed=0)
     assert rep_pen.c2 >= rep_off.c2 - 1e-12
 
 
@@ -229,8 +234,53 @@ def test_coercivity_probe_noisy_coefficients_no_violations():
     cs = CoeffSpec((parse_coefficient("const(0.5) * cos(1)", [1.0]),))
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths,
                              60, 30.0)
-    rep = probe_form_constants(g, coeffs, eps=1e-3, n_samples=128, seed=1)
+    rep = probe_form_constants(g, coeffs, eps=1e-3, seed=1)
     assert rep.violations == 0
     assert rep.c2 > 0.0
-    with pytest.raises(ValueError):
-        probe_form_constants(g, coeffs, eps=1e-3, n_samples=50)
+
+
+def _probe_loop(g, coeffs, eps, seed):
+    """c1, c2, c3, c4 and the violations of probe_form_constants, by one form
+    assembly per sample and per pair; c3_theory from the probe itself."""
+    fields = _random_fields(g, np.random.default_rng(seed), PROBE_SAMPLES)
+    c3_theory = probe_form_constants(g, coeffs, eps, seed=seed).c3_theory
+    a_vals = np.array([assemble_form_value(g, coeffs, y, y, eps) for y in fields])
+    s_vals = stiffness_inner(g, fields, fields)
+    h_vals = inner(g, fields, fields)
+    violations = int(np.sum(a_vals < C2_TARGET * s_vals - c3_theory * h_vals - 1e-9))
+    c3 = float(max(0.0, np.max((C2_TARGET * s_vals - a_vals) / np.maximum(h_vals, 1e-300))))
+    with np.errstate(divide="ignore"):
+        c2 = float(min(1.0, np.min((a_vals + c3 * h_vals)
+                                   / np.where(s_vals > 1e-12, s_vals, np.inf))))
+    v_norms = np.sqrt(s_vals + h_vals)
+    c1 = c4 = 0.0
+    for i in range(0, PROBE_SAMPLES, 2):
+        y, phi = fields[i], fields[i + 1]
+        val = assemble_form_value(g, coeffs, y, phi, eps)
+        c1 = max(c1, abs(val) / max(v_norms[i] * v_norms[i + 1], 1e-300))
+        d = y - phi
+        hd = inner(g, d, d)
+        val = (assemble_form_value(g, coeffs, y, d, eps)
+               - assemble_form_value(g, coeffs, phi, d, eps))
+        if hd > 1e-14:
+            c4 = max(c4, -val / hd)
+    return [c1, c2, c3, c4, violations]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rs", [ReactionSpec(), ReactionSpec("linear", 0.3),
+                                ReactionSpec("saturating", 0.7)])
+def test_probe_on_stacks_equals_the_per_sample_loop(dim, rs):
+    g = build_grid(dim, [1.0, 1.5][:dim], 63 if dim == 1 else 13, NEUMANN)
+    text = "const(0.5) * cos(1)" + " * cos(2)" * (dim - 1)
+    noisy = assemble_coeffs(g, CoeffSpec((parse_coefficient(text, [1.0, 1.5][:dim]),)), rs,
+                            ForcingSpec(), sample_paths(TimeGrid(0.2, 100), 1, seed=8), 60, 30.0)
+    # a negative zero-order coefficient and outflux make the form non-monotone: c4 > 0
+    unstable = replace(zero_coeffs(g, rs=rs), zero_order=np.full(g.n_nodes, -30.0),
+                       dmu_dnu=np.full(g.n_nodes, -2.0))
+    for coeffs, eps in ((noisy, 1e-3), (noisy, 1e30), (unstable, 1e30)):
+        rep = probe_form_constants(g, coeffs, eps, seed=3)
+        got = [rep.c1, rep.c2, rep.c3, rep.c4, rep.violations]
+        assert [float(v).hex() for v in got] == [float(v).hex()
+                                                 for v in _probe_loop(g, coeffs, eps, 3)]
+    assert rep.c4 > 0.0

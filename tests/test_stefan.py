@@ -176,6 +176,51 @@ def test_interior_melting_monotone_and_round_trip():
     assert err <= 10.0 * (tg.dt * np.max(theta0) + fb.tol_fb)
 
 
+def _baiocchi_loop(theta, fb, grid, tg, mu=None, liquid0_mask=None):
+    """baiocchi_forward as one crossing update and one accumulation per time step."""
+    z = theta if mu is None else np.exp(-mu) * theta
+    xs = grid.meshes()[0]
+    crossing = np.full(theta.shape[1], np.inf)
+    if liquid0_mask is not None:
+        crossing[liquid0_mask] = 0.0
+    for n, f in enumerate(fb.fronts):
+        if not np.isnan(f):
+            crossing[(xs <= f) & (crossing == np.inf)] = tg.nodes[n]
+    out, acc = np.zeros_like(theta), np.zeros(theta.shape[1])
+    for n in range(1, theta.shape[0]):
+        acc = acc + tg.dt * np.where(tg.nodes[n - 1] >= crossing, z[n], 0.0)
+        out[n] = acc
+    return out
+
+
+def test_baiocchi_forward_equals_the_step_loop():
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    tg = TimeGrid(0.1, 20)
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(-0.5, 2.0, size=(tg.N + 1, g.n_nodes))
+    theta[1, :5] = -0.0  # a -0.0 first contribution, which the loop's +0.0 start makes +0.0
+    mu = rng.normal(scale=0.3, size=theta.shape)
+    fronts = np.full(tg.N + 1, np.nan)
+    fronts[4:] = np.linspace(0.1, 0.8, tg.N - 3)
+    fronts[9] = 0.3  # a retreat: crossings keep their first time
+    fb = replace(extract_free_boundary(theta, 1e-3, g, tg), fronts=fronts)
+    mask = g.meshes()[0] < 0.2
+    for kw in ({}, {"mu": mu}, {"liquid0_mask": mask}, {"mu": mu, "liquid0_mask": mask}):
+        got = baiocchi_forward(theta, fb, g, tg, **kw)
+        assert got.tobytes() == _baiocchi_loop(theta, fb, g, tg, **kw).tobytes(), kw
+    assert not np.signbit(baiocchi_forward(theta, fb, g, tg, liquid0_mask=mask)[1, :5]).any()
+    # a melt that the lab solved, with its own front and noise exponent
+    gi, tgi, cfgi, sdi = verify._interior_melting()
+    paths = sample_paths(TimeGrid(0.05, 4000), 1, seed=31)
+    sol, fbi = solve_stefan_batch(gi, tgi, CoeffSpec((parse_coefficient("const(0.4) * sin(1)",
+                                                                        [1.0]),)),
+                                  sdi, cfgi, [paths])[0]
+    theta = recover_temperature(sol)
+    args = (theta, fbi, gi, tgi)
+    assert (baiocchi_forward(*args, mu=sol.mu, liquid0_mask=sdi.liquid_mask).tobytes()
+            == _baiocchi_loop(*args, mu=sol.mu, liquid0_mask=sdi.liquid_mask).tobytes())
+
+
 def test_round_trip_trivials():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(0.1, 10)

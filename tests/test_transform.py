@@ -99,6 +99,20 @@ def test_effective_reaction_linear_growth_bound():
         assert np.all(np.abs(out) <= alpha_bar * np.abs(y) + 1e-12)
 
 
+def test_effective_reaction_broadcasts_a_field_against_a_stack():
+    rng = np.random.default_rng(6)
+    c0, mu = rng.normal(size=(2, 20))
+    Y = rng.normal(size=(3, 20))
+    e, e_neg = np.exp(mu), np.exp(-mu)
+    for rs in (ReactionSpec(), ReactionSpec("linear", 0.4), ReactionSpec("saturating", 0.9)):
+        got = effective_reaction(rs, c0, e, e_neg, Y)
+        assert np.array_equal(got, [effective_reaction(rs, c0, e, e_neg, y) for y in Y])
+    # the field must broadcast to y's shape: a stack against one state does not
+    for c, y in ((c0[:-1], Y), (np.stack([c0] * 2), Y), (np.stack([c0] * 3), Y[0])):
+        with pytest.raises(ValueError):
+            effective_reaction(ReactionSpec(), c, e, e_neg, y)
+
+
 def test_effective_reaction_linear_in_y():
     n = 40
     rng = np.random.default_rng(5)
