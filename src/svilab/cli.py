@@ -28,8 +28,8 @@ from .analysis import (FunctionalStats, cauchy_rate_study, complementarity_repor
 from .errors import ConfigError, NumericalFailure
 from .floatfmt import WIDTH, g17_matrix, records, text_matrix
 from .noise import parse_coefficient
-from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, solved, zero_coeffs
-from .signorini import boundary_potential_check, probe_form_constants
+from .pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, solved
+from .signorini import assemble_coeffs, boundary_potential_check, probe_form_constants
 from .stefan import StefanData, solve_stefan_batch
 from .transform import ReactionSpec
 from .verify import CHECKS, run_checks
@@ -541,7 +541,11 @@ def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     g = sol.grid
     trace_min = float(sol.y[:, g.boundary_mask].min())
     ratio, ok = boundary_potential_check(sol, slack=cfg.slack)
-    coeffs = zero_coeffs(g, rs=spec.reaction)
+    # the form at the run's coefficients where |mu| first peaks: stored node k
+    # is node k * headroom of the sampled path
+    k = int(np.argmax(np.abs(sol.mu).max(axis=1)))
+    coeffs = assemble_coeffs(g, spec.build()[2], spec.reaction, spec.forcing,
+                             spec.sample(cfg.path_id), k * spec.headroom, spec.mu_cap)
     rep = probe_form_constants(g, coeffs, spec.eps, seed=spec.seed)
     tol = cfg.slack * spec.eps
     checks = [

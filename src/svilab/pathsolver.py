@@ -35,7 +35,8 @@ iteration (nodes with y < 0 get dt/eps added to the diagonal), which
 terminates finitely on this piecewise-linear system, row by row of the
 stack, by the march's `ImplicitSolver(grid, dt, theta)`.  It holds
 A = I - dt theta Lap in one form, the stencil `grid.apply_laplacian`, and
-solves with it: tridiagonal LAPACK solves on A's bands in 1D; in 2D
+solves with it: tridiagonal LAPACK solves on A's bands in 1D (dgtsv, from
+scipy's LAPACK extension loaded without the scipy.linalg package); in 2D
 `conjugate_gradients`, an in-house CG.  On a Dirichlet grid it runs in the
 type-I discrete sine basis that diagonalises A (`SineBasis`): there the
 system is the diagonal lam + c, with c the median of the solve's extra
@@ -65,13 +66,16 @@ break the guard; the march records each path's largest margin
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import grid as gridmod
 from . import noise as noisemod
@@ -82,6 +86,47 @@ from .noise import BrownianPathSet, CoeffSpec, SpaceFields, TimeGrid
 from .transform import ReactionSpec
 
 MAX_HALVINGS = 3  # dt halvings a path may take to meet the transport guard
+
+
+def _flapack_from_file():
+    """scipy's `scipy.linalg._flapack` extension, loaded from its file and
+    entered in sys.modules under its own name, or None when no file is found
+    or it does not load.  The scipy.linalg package's __init__ (~0.25 s of
+    imports the lab never uses) does not run; a later `import scipy.linalg`
+    finds the module in sys.modules and shares it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy, does not import it
+    for root in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+            except ImportError:
+                return None
+            sys.modules[name] = module
+            return module
+    return None
+
+
+def _load_dgtsv():
+    """LAPACK dgtsv: from the extension file, or, since `_flapack` is private
+    scipy API, from the public scipy.linalg.lapack when that fails."""
+    module = _flapack_from_file()
+    if module is None:
+        from scipy.linalg.lapack import dgtsv
+
+        return dgtsv
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 @dataclass(frozen=True)

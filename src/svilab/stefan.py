@@ -18,10 +18,10 @@ theta_b * t, supplied to the solver as an exact ghost-value lift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import grid as gridmod
 from .errors import ConfigError, NumericalFailure
@@ -232,8 +232,11 @@ def baiocchi_forward(theta: np.ndarray, fb: FreeBoundary, grid: Grid, tg: TimeGr
 # classical similarity oracle (fixed boundary temperature, unit diffusivity)
 
 
+_erf = np.vectorize(math.erf, otypes=[float])  # erf on arrays, without scipy.special
+
+
 def _transcendental(lam: float, stefan_number: float) -> float:
-    return lam * np.exp(lam * lam) * erf(lam) - stefan_number / np.sqrt(np.pi)
+    return lam * np.exp(lam * lam) * math.erf(lam) - stefan_number / np.sqrt(np.pi)
 
 
 def similarity_oracle(stefan_number: float, t: float):
@@ -263,7 +266,7 @@ def similarity_oracle(stefan_number: float, t: float):
 
     def profile(x):
         x = np.asarray(x, dtype=float)
-        theta = stefan_number * (1.0 - erf(x / (2.0 * np.sqrt(t))) / erf(lam))
+        theta = stefan_number * (1.0 - _erf(x / (2.0 * np.sqrt(t))) / math.erf(lam))
         return np.where(x <= front, np.maximum(theta, 0.0), 0.0)
 
     return front, profile

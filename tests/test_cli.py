@@ -16,7 +16,8 @@ from svilab.cli import (_SCHEMA, MODES, CsvWriter, RunConfig, dispatch, main, pa
                         write_trajectory)
 from svilab.errors import ConfigError
 from svilab.noise import parse_coefficient
-from svilab.pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec
+from svilab.pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
+from svilab.signorini import assemble_coeffs, probe_form_constants
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -518,6 +519,32 @@ def test_signorini_mode(tmp_path):
     summary = (out / "summary.csv").read_text()
     assert "boundary_trace_min" in summary
     assert "coercivity_violations" in summary
+
+
+def test_signorini_mode_probes_the_runs_noise(tmp_path):
+    # the shipped Signorini config with noise: its form rows are the probe at
+    # the run's coefficients where |mu| first peaks, not at zero coefficients
+    text = (ROOT / "configs" / "signorini.cfg").read_text().replace(
+        "[run]", "[noise]\nm = 1\nmu1 = const(2.0) * cos(1)\n\n[run]")
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    rows = {name: float(value) for name, value, *_ in
+            (row.split(",") for row in (out / "summary.csv").read_text().splitlines()[2:])}
+    cfg = parse_config(write(tmp_path, text), {})
+    spec = cfg.spec
+    sol = spec.solve(cfg.path_id)
+    k = int(np.argmax(np.abs(sol.mu).max(axis=1)))
+    coeffs = assemble_coeffs(sol.grid, spec.build()[2], spec.reaction, spec.forcing,
+                             spec.sample(cfg.path_id), k * spec.headroom, spec.mu_cap)
+    assert np.array_equal(coeffs.mu, sol.mu[k]) and np.abs(coeffs.mu).max() > 1.0
+    noisy = probe_form_constants(sol.grid, coeffs, spec.eps, seed=spec.seed)
+    zero = probe_form_constants(sol.grid, zero_coeffs(sol.grid, rs=spec.reaction), spec.eps,
+                                seed=spec.seed)
+    expected = {"coercivity_violations": noisy.violations, "coercivity_c2": noisy.c2,
+                "coercivity_c3": noisy.c3, "boundedness_c1": noisy.c1,
+                "monotonicity_c4": noisy.c4}
+    assert {name: rows[name] for name in expected} == expected
+    assert (noisy.c2, noisy.c3) != (zero.c2, zero.c3)
 
 
 def test_verify_mode_subset(tmp_path):

@@ -572,17 +572,53 @@ def test_1d_bands_are_the_matrix_bands(bc, n):
         assert same_bits(band, np.diag(A, k)), k
 
 
-def test_importing_svilab_loads_no_sparse_module():
-    # the package applies A as a stencil; scipy.sparse serves only the tests' oracles
+def fresh_python(code: str) -> str:
+    """The stdout of `code` in a fresh interpreter that imports this svilab."""
     src = str(Path(svilab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_svilab_loads_no_sparse_module():
+    # the package applies A as a stencil, scipy.sparse and scipy.special serve only the
+    # tests' oracles, and dgtsv comes from the LAPACK extension without its package
     code = ("import pkgutil, sys, svilab\n"
             "for m in pkgutil.iter_modules(svilab.__path__): __import__('svilab.' + m.name)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "import scipy.linalg.lapack\n"
+            "print(scipy.linalg.lapack.dgtsv is svilab.pathsolver.dgtsv)")
+    assert fresh_python(code).split("\n")[:2] == ["['scipy.linalg._flapack']", "True"]
+
+
+# random diagonally dominant tridiagonal systems, several right-hand sides each
+GTSV_BATCH = """
+import hashlib, sys
+import numpy as np
+from svilab.pathsolver import dgtsv
+rng = np.random.default_rng(4)
+digest = hashlib.sha256()
+for n in (2, 3, 31, 255):
+    for _ in range(8):
+        dl, du = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+        *_, x, info = dgtsv(dl, 2.0 + rng.uniform(0.0, 1.0, n), du, rng.normal(size=(n, 3)))
+        assert info == 0
+        digest.update(x.tobytes())
+print('scipy.linalg' in sys.modules, digest.hexdigest())
+"""
+
+
+def test_dgtsv_falls_back_to_the_public_lapack_import():
+    # no extension suffix finds the _flapack file, so the loader takes scipy.linalg.lapack
+    fallback = ("import importlib.machinery\n"
+                "importlib.machinery.EXTENSION_SUFFIXES = []\n" + GTSV_BATCH +
+                "import scipy.linalg.lapack\n"
+                "assert dgtsv is scipy.linalg.lapack.dgtsv\n")
+    loaded, via_file = fresh_python(GTSV_BATCH).split()
+    public, via_public = fresh_python(fallback).split()
+    assert (loaded, public) == ("False", "True")
+    assert via_file == via_public
 
 
 @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)], ids=["square", "rectangle"])

@@ -284,3 +284,21 @@ def test_probe_on_stacks_equals_the_per_sample_loop(dim, rs):
         assert [float(v).hex() for v in got] == [float(v).hex()
                                                  for v in _probe_loop(g, coeffs, eps, 3)]
     assert rep.c4 > 0.0
+
+
+@pytest.mark.parametrize("dim, n", [(1, 63), (2, 15)])
+def test_random_fields_in_one_draw_equal_the_per_sample_draws(dim, n):
+    # per sample: four mode weights of scale 1/(1 + mode), then 0.1 x node noise
+    g = build_grid(dim, [1.5, 1.0][:dim], n, NEUMANN)
+    modes = [np.prod([np.cos(mode * np.pi * x / L) for x, L in zip(g.meshes(), g.lengths)],
+                     axis=0) for mode in range(4)]
+    for seed in (0, 5):
+        rng = np.random.default_rng(seed)
+        loop = np.empty((PROBE_SAMPLES, g.n_nodes))
+        for i in range(PROBE_SAMPLES):
+            f = np.zeros(g.n_nodes)
+            for mode, term in enumerate(modes):
+                f += rng.normal(scale=1.0 / (1 + mode)) * term
+            loop[i] = f + 0.1 * rng.normal(size=g.n_nodes)
+        got = _random_fields(g, np.random.default_rng(seed), PROBE_SAMPLES)
+        assert got.tobytes() == loop.tobytes()

@@ -114,6 +114,38 @@ def test_similarity_oracle_root_and_scaling():
         similarity_oracle(-1.0, 1.0)
 
 
+
+def scipy_erf_front(st, t):
+    """The oracle's bisection with scipy.special.erf in place of math.erf."""
+    def residual(lam):
+        return lam * np.exp(lam * lam) * erf(lam) - st / np.sqrt(np.pi)
+
+    lo, hi = 0.0, 1.0
+    while residual(hi) < 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-12:
+            break
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * (0.5 * (lo + hi)) * np.sqrt(t)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.25, 1.0])
+@pytest.mark.parametrize("st", [1e-6, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0])
+def test_similarity_front_is_the_scipy_erf_bisection(st, t):
+    # math.erf and scipy's erf differ by an ulp on some inputs, far from the root
+    # the residual's sign does not: the front, verify's reference, keeps its bits
+    front, profile = similarity_oracle(st, t)
+    assert front.hex() == scipy_erf_front(st, t).hex()
+    x = np.linspace(0.0, front, 33)[:-1]
+    lam = front / (2.0 * np.sqrt(t))
+    expected = st * (1.0 - erf(x / (2.0 * np.sqrt(t))) / erf(lam))
+    assert np.allclose(profile(x), expected, rtol=1e-13, atol=1e-15 * st)
+
 def test_similarity_benchmark_front():
     # deterministic melting from a heated wall reproduces 2 lambda sqrt(T)
     st = 1.0
