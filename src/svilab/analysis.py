@@ -277,8 +277,7 @@ def map_paths(fn, jobs, workers: int = 1) -> list:
     `workers`.  Its workers run the code as it stood when they were forked,
     and exit with the interpreter.  A call whose worker dies raises
     BrokenProcessPool and drops the pool.  Each call returns a list of
-    results whose first item is a path id; all of them come back sorted by
-    it."""
+    results; they come back joined in job order."""
     global _pool
     jobs = list(jobs)
     size = min(workers, len(jobs))
@@ -294,7 +293,7 @@ def map_paths(fn, jobs, workers: int = 1) -> list:
             raise
     else:
         results = [fn(j) for j in jobs]
-    return sorted((r for batch in results for r in batch), key=lambda r: r[0])
+    return [r for batch in results for r in batch]
 
 
 def _ensemble_worker(args):

@@ -137,7 +137,7 @@ class SolveConfig:
     theta: float = 1.0
     eps: float | tuple[float, ...] = 1e-3  # or one per path of a batch
     newton_tol: float = 1e-10
-    newton_max: int = 100
+    newton_max: int = 200
     mu_cap: float = 30.0
 
     def __post_init__(self):

@@ -65,10 +65,10 @@ class StefanData:
 class FreeBoundary:
     """Interface of the melted region per time step.
 
-    fronts: in 1D the interpolated front position of the anchored melted
-    component (NaN while nothing is melted, and in 2D).  melted_measure:
-    quadrature measure of {y > tol_fb}.  n_components flags disconnected
-    positivity sets (reported, not an error).
+    fronts: in 1D the interpolated upper edge of the melted run that
+    extract_free_boundary selects (NaN while nothing is melted, and in 2D).
+    melted_measure: quadrature measure of {y > tol_fb}.  n_components flags
+    disconnected positivity sets (reported, not an error).
     """
 
     tg: TimeGrid
@@ -92,54 +92,41 @@ def build_svi_source(sd: StefanData, grid: Grid) -> np.ndarray:
     return np.where(sd.liquid_mask, sd.theta0, -sd.rho)
 
 
-def _components_1d(mask: np.ndarray):
-    """Connected runs of True values: list of (start, stop) index pairs."""
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(np.int8), [0]])))
-    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
-
-
 def extract_free_boundary(traj_y: np.ndarray, tol_fb: float, grid: Grid,
                           tg: TimeGrid, anchor_mask: np.ndarray | None = None) -> FreeBoundary:
-    """Per-step interface of {y > tol_fb}.
+    """Per-step interface of {y > tol_fb}, every step at once.
 
-    In 1D the front is the upper edge of the connected melted component
-    containing the anchor (default: the slice argmax), located by linear
-    interpolation of the tol_fb crossing.  Disconnected positivity sets are
-    reported through n_components.
+    In 1D the front is the upper edge of one melted run: the run through the
+    first melted anchor node, or, on a step where no anchor node is melted
+    (or no anchor is given), the run through the step's peak.  The edge is
+    the tol_fb crossing, interpolated linearly between the run's last node
+    and the next, or that last node at the end of the grid.  The front is
+    NaN on a step with nothing melted, and on every step in 2D.
+    n_components counts the melted runs (-1 in 2D): disconnected positivity
+    sets are reported, not an error.
     """
-    n_t = traj_y.shape[0]
-    fronts = np.full(n_t, np.nan)
-    measure = np.zeros(n_t)
-    n_comp = np.zeros(n_t, dtype=int)
-    xs = grid.meshes()[0] if grid.dim == 1 else None
-    for n in range(n_t):
-        y = traj_y[n]
-        melted = y > tol_fb
-        measure[n] = float(np.sum(grid.weights[melted]))
-        if grid.dim != 1:
-            n_comp[n] = -1
-            continue
-        runs = _components_1d(melted)
-        n_comp[n] = len(runs)
-        if not runs:
-            continue
-        if anchor_mask is not None and np.any(anchor_mask & melted):
-            anchored = [r for r in runs if np.any(anchor_mask[r[0]:r[1]])]
-            run = anchored[0] if anchored else runs[int(np.argmax([y[a:b].max() for a, b in runs]))]
-        else:
-            peak = int(np.argmax(y))
-            run = next((r for r in runs if r[0] <= peak < r[1]), runs[0])
-        last = run[1] - 1
-        x_last = xs[last]
-        if last + 1 < grid.n_nodes:
-            # linear interpolation to the tol_fb crossing
-            y0, y1 = y[last], y[last + 1]
-            frac = (y0 - tol_fb) / (y0 - y1) if y0 != y1 else 0.0
-            fronts[n] = x_last + frac * grid.h[0]
-        else:
-            fronts[n] = x_last
-    return FreeBoundary(tg=tg, tol_fb=tol_fb, fronts=fronts, melted_measure=measure,
-                        n_components=n_comp)
+    melted = traj_y > tol_fb
+    measure = np.array([np.sum(grid.weights[row]) for row in melted], dtype=float)
+    n_t, n = melted.shape
+    if grid.dim != 1:
+        return FreeBoundary(tg=tg, tol_fb=tol_fb, fronts=np.full(n_t, np.nan),
+                            melted_measure=measure, n_components=np.full(n_t, -1))
+    node = np.where(melted, traj_y, -np.inf).argmax(axis=1)
+    if anchor_mask is not None:
+        hit = melted & anchor_mask
+        node = np.where(hit.any(axis=1), hit.argmax(axis=1), node)
+    # per step, the first unmelted index at or past each node (n if none)
+    stop = np.minimum.accumulate(np.where(melted, n, np.arange(n))[:, ::-1], axis=1)[:, ::-1]
+    steps = np.arange(n_t)
+    last = stop[steps, node] - 1
+    y0, y1 = traj_y[steps, last], traj_y[steps, np.minimum(last + 1, n - 1)]
+    frac = np.divide(y0 - tol_fb, y0 - y1, out=np.zeros(n_t), where=y0 != y1)
+    x_last = grid.meshes()[0][last]
+    fronts = np.where(last + 1 < n, x_last + frac * grid.h[0], x_last)
+    return FreeBoundary(tg=tg, tol_fb=tol_fb,
+                        fronts=np.where(melted.any(axis=1), fronts, np.nan),
+                        melted_measure=measure,
+                        n_components=melted[:, 0] + np.sum(melted[:, 1:] > melted[:, :-1], axis=1))
 
 
 def recover_temperature(sol: PathSolution) -> np.ndarray:

@@ -129,8 +129,8 @@ def check_complementarity(workers: int = 1):
         forcing=ForcingSpec("const", -1.0),
         initial=InitialData("cone", 0.3, center=(0.3,), radius=0.2),
     )
-    return _fan_out((partial(_complementarity_problem, "pinned", pinned),
-                     partial(_complementarity_problem, "noisy", noisy)), workers)
+    return map_paths(_rows, (partial(_complementarity_problem, "pinned", pinned),
+                              partial(_complementarity_problem, "noisy", noisy)), workers)
 
 
 # 3 --------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def _signorini_coercivity():
 def check_signorini(workers: int = 1):
     """Criterion 6 in three independent jobs, on up to `workers` processes:
     the trace sweep, the mass drift and the coercivity probe."""
-    return _fan_out((_signorini_trace, _signorini_mass, _signorini_coercivity), workers)
+    return map_paths(_rows, (_signorini_trace, _signorini_mass, _signorini_coercivity), workers)
 
 
 # 7 --------------------------------------------------------------------------
@@ -324,15 +324,15 @@ def check_stefan(workers: int = 1):
     """Criterion 7 in three independent jobs, on up to `workers` processes:
     the similarity benchmark, interior melting with its Baiocchi round trip,
     and three noisy paths in one batched march."""
-    return _fan_out((_stefan_similarity, _stefan_interior, _stefan_noisy), workers)
+    return map_paths(_rows, (_stefan_similarity, _stefan_interior, _stefan_noisy), workers)
 
 
 # 8 --------------------------------------------------------------------------
 
 
 def _noise_worker(args):
-    """beta(T)^2 and sup |beta|^2 of the paths first..stop-1, keyed by first,
-    sampled in blocks of at most BATCH_VALUES values."""
+    """beta(T)^2 and sup |beta|^2 of the paths first..stop-1, sampled in
+    blocks of at most BATCH_VALUES values."""
     tg, seed, first, stop = args
     size = max(1, BATCH_VALUES // (tg.N + 1))
     beta_T_sq, delta_sq = [], []
@@ -340,7 +340,7 @@ def _noise_worker(args):
         block = sample_block(tg, 1, seed, range(lo, min(lo + size, stop)))
         beta_T_sq.append(block.values[:, 0, -1] ** 2)
         delta_sq.append(path_sup(block) ** 2)
-    return [(first, np.concatenate(beta_T_sq), np.concatenate(delta_sq))]
+    return [(np.concatenate(beta_T_sq), np.concatenate(delta_sq))]
 
 
 def check_noise_stats(workers: int = 1):
@@ -353,8 +353,8 @@ def check_noise_stats(workers: int = 1):
     size = -(-n // workers)
     blocks = map_paths(_noise_worker, [(tg, 8888, lo, min(lo + size, n))
                                        for lo in range(0, n, size)], workers)
-    beta_T_sq = np.concatenate([b[1] for b in blocks])
-    delta_sq = np.concatenate([b[2] for b in blocks])
+    beta_T_sq = np.concatenate([b[0] for b in blocks])
+    delta_sq = np.concatenate([b[1] for b in blocks])
     se = np.sqrt(2.0) * T / np.sqrt(n)
     dev = abs(float(beta_T_sq.mean()) - T) / se
     rows = [("noise_var_beta_T_dev_se", dev, 3.0, dev <= 3.0)]
@@ -431,17 +431,11 @@ def check_determinism(workers: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _part_worker(args):
-    index, part = args
-    return [(index, part())]
-
-
-def _fan_out(parts, workers: int) -> list:
-    """The rows of independent parts, callables that return rows, run as
-    jobs of map_paths.  Rows come back in part order, so the worker count
-    never changes them."""
-    results = map_paths(_part_worker, enumerate(parts), workers)
-    return [row for _, rows in results for row in rows]
+def _rows(part):
+    """The rows of one independent part, a callable that returns rows: a job
+    of map_paths, which joins them in part order, so the worker count never
+    changes them."""
+    return part()
 
 
 CHECKS = {

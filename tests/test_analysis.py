@@ -263,8 +263,8 @@ def test_map_paths_forks_no_idle_workers(monkeypatch, calls, sizes):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "closed", [])
     for workers, n_jobs in calls:
-        jobs = iter(range(n_jobs - 1, -1, -1))  # any iterable, results sorted by id
-        assert map_paths(_echo, jobs, workers) == [(j, -j) for j in range(n_jobs)]
+        jobs = iter(range(n_jobs - 1, -1, -1))  # any iterable, results in job order
+        assert map_paths(_echo, jobs, workers) == [(j, -j) for j in reversed(range(n_jobs))]
     assert _InlinePool.sizes == sizes
     assert _InlinePool.closed == sizes[:-1]  # each replaced pool is shut down
 

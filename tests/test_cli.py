@@ -16,7 +16,8 @@ from svilab.cli import (_SCHEMA, MODES, CsvWriter, RunConfig, dispatch, main, pa
                         write_trajectory)
 from svilab.errors import ConfigError
 from svilab.noise import parse_coefficient
-from svilab.pathsolver import ForcingSpec, InitialData, PathSolution, ProblemSpec, zero_coeffs
+from svilab.pathsolver import (ForcingSpec, InitialData, PathSolution, ProblemSpec, SolveConfig,
+                               zero_coeffs)
 from svilab.signorini import assemble_coeffs, probe_form_constants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +90,19 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.spec.eps == 1e-3
     assert cfg.mode == "run"
     assert cfg.spec.n_steps == 50
+
+
+def test_solve_defaults_agree_everywhere():
+    # a solve built from SolveConfig directly gets the budgets a config file gets
+    solve, spec = SolveConfig(dt=1.0), ProblemSpec()
+    schema = {key: _SCHEMA[sec][key][1] for sec, key in (
+        ("time", "theta"), ("penalty", "eps"), ("run", "newton_tol"), ("run", "newton_max"),
+        ("run", "mu_cap"))}
+    for key, default in schema.items():
+        if key == "eps":
+            (default,) = default  # the schema holds a list of eps values
+        assert getattr(solve, key) == getattr(spec, key) == default, key
+        assert type(getattr(solve, key)) is type(getattr(spec, key)) is type(default), key
 
 
 def test_validation_collects_all_errors(tmp_path):

@@ -1,16 +1,19 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from svilab import verify
+from svilab.cli import parse_config
 from svilab.errors import ConfigError, NumericalFailure
 from svilab.grid import DIRICHLET, build_grid
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import SolveConfig
 from svilab.stefan import (
     StefanData,
+    _reduction,
     baiocchi_forward,
     build_svi_source,
     extract_free_boundary,
@@ -21,6 +24,8 @@ from svilab.stefan import (
 )
 
 from test_batch import _assert_same
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EMPTY = CoeffSpec(())
 
@@ -94,6 +99,90 @@ def test_extract_free_boundary_empty_and_components():
     fb2 = extract_free_boundary(traj, 1e-2, g, tg, anchor_mask=anchor)
     assert fb2.n_components[0] == 2
     assert fb2.fronts[0] < 0.5  # the anchored (left) component's edge
+
+
+def _front_loop(traj_y, tol_fb, grid, tg, anchor_mask=None):
+    """extract_free_boundary as it was: a per-step loop over the lists of melted runs."""
+    n_t = traj_y.shape[0]
+    fronts = np.full(n_t, np.nan)
+    measure = np.zeros(n_t)
+    n_comp = np.zeros(n_t, dtype=int)
+    xs = grid.meshes()[0] if grid.dim == 1 else None
+    for n in range(n_t):
+        y = traj_y[n]
+        melted = y > tol_fb
+        measure[n] = float(np.sum(grid.weights[melted]))
+        if grid.dim != 1:
+            n_comp[n] = -1
+            continue
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], melted.astype(np.int8), [0]])))
+        runs = list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+        n_comp[n] = len(runs)
+        if not runs:
+            continue
+        if anchor_mask is not None and np.any(anchor_mask & melted):
+            anchored = [r for r in runs if np.any(anchor_mask[r[0]:r[1]])]
+            run = anchored[0] if anchored else runs[int(np.argmax([y[a:b].max() for a, b in runs]))]
+        else:
+            peak = int(np.argmax(y))
+            run = next((r for r in runs if r[0] <= peak < r[1]), runs[0])
+        last = run[1] - 1
+        if last + 1 < grid.n_nodes:
+            y0, y1 = y[last], y[last + 1]
+            frac = (y0 - tol_fb) / (y0 - y1) if y0 != y1 else 0.0
+            fronts[n] = xs[last] + frac * grid.h[0]
+        else:
+            fronts[n] = xs[last]
+    return fronts, measure, n_comp
+
+
+def _assert_front_is_the_loop(traj_y, tol_fb, grid, anchor_mask=None):
+    tg = TimeGrid(1.0, 1)  # carried, not read
+    fb = extract_free_boundary(traj_y, tol_fb, grid, tg, anchor_mask=anchor_mask)
+    want = _front_loop(traj_y, tol_fb, grid, tg, anchor_mask)
+    for key, arr in zip(("fronts", "melted_measure", "n_components"), want):
+        got = getattr(fb, key)
+        assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), key
+    return fb
+
+
+def test_free_boundary_equals_the_step_loop():
+    rng = np.random.default_rng(29)
+    with np.errstate(all="raise"):
+        for case in range(1500):
+            n = int(rng.integers(3, 40))
+            g = build_grid(1, [float(rng.uniform(0.5, 3.0))], n, DIRICHLET)
+            # one decimal, so peaks tie and neighbours share values
+            traj = np.round(rng.normal(size=(int(rng.integers(1, 7)), n)), 1)
+            tol = (0.0, 0.3, -0.1)[case % 3]
+            anchor = (None, rng.random(n) < 0.3,
+                      (rng.random(n) < 0.5) & ~(traj > tol).any(axis=0))[case // 3 % 3]
+            _assert_front_is_the_loop(traj, tol, g, anchor)
+        g2 = build_grid(2, [1.0, 1.5], 7, DIRICHLET)
+        fb = _assert_front_is_the_loop(rng.normal(size=(5, g2.n_nodes)), 0.1, g2)
+        assert np.isnan(fb.fronts).all() and (fb.n_components == -1).all()
+    # the lab's own melts: the heated-wall benchmark and the noisy interior paths
+    run = parse_config(ROOT / "configs" / "stefan_benchmark.cfg")
+    g, tg, cs, cfg = run.spec.build()
+    sd = StefanData(theta0=run.theta0.evaluate(g), rho=run.rho,
+                    heated_boundary_temp=run.boundary_temp)
+    *_, anchor, tol = _reduction(g, sd, cfg, None)
+    ((sol, _),) = solve_stefan_batch(g, tg, cs, sd, cfg, [run.spec.sample(0)])
+    assert np.isfinite(_assert_front_is_the_loop(sol.y, tol, g, anchor).fronts[1:]).all()
+    g, tg, cs, sd, cfg, paths = _noisy_interior()
+    *_, anchor, tol = _reduction(g, sd, cfg, None)
+    for sol, _ in solve_stefan_batch(g, tg, cs, sd, cfg, paths):
+        _assert_front_is_the_loop(sol.y, tol, g, anchor)
+    # two melted anchored runs: the first wins over the taller second
+    g = build_grid(1, [1.0], 9, DIRICHLET)
+    y = np.array([[0.0, 1.0, 0.5, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0]])
+    anchor = np.isin(np.arange(9), (2, 6))
+    fb = _assert_front_is_the_loop(y, 0.1, g, anchor)
+    assert fb.fronts[0] == g.meshes()[0][2] + (0.5 - 0.1) / 0.5 * g.h[0]
+    # an anchor that is not melted: the peak's run wins
+    fb = _assert_front_is_the_loop(y, 0.1, g, np.arange(9) == 4)
+    assert fb.fronts[0] == g.meshes()[0][6] + (3.0 - 0.1) / 3.0 * g.h[0]
+    assert list(fb.n_components) == [2]
 
 
 def test_similarity_oracle_root_and_scaling():
