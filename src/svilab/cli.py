@@ -89,10 +89,10 @@ def _at_least(lo):
 _SCHEMA = {
     "domain": {"dim": (int, 1), "lengths": (_floats, None), "n": (int, 63),
                "bc": (str.lower, gridmod.DIRICHLET)},
-    "time": {"t": (float, 0.1), "dt": (float, 1e-3), "theta": (float, 1.0)},
+    "time": {"t": (float, 0.1), "dt": (float, 1e-3), "theta": (float, ProblemSpec.theta)},
     "noise": {"m": (int, 0), "seed": (int, 0)},  # mu1..muK handled separately
     "reaction": {"kind": (str.lower, "zero"), "alpha": (float, 0.0)},
-    "penalty": {"eps": (_floats, (1e-3,))},
+    "penalty": {"eps": (_floats, (ProblemSpec.eps,))},
     "forcing": {"kind": (str.lower, "zero"), "amplitude": (float, 0.0), "width": (float, 0.1)},
     "initial": {"kind": (str.lower, "sine"), "amplitude": (float, 0.0), "center": (_floats, ()),
                 "radius": (float, None)},
@@ -103,8 +103,9 @@ _SCHEMA = {
     },
     "run": {
         "mode": (str.lower, "run"), "n_paths": (int, 1), "path_id": (int, 0), "workers": (int, 1),
-        "slack": (float, 10.0), "newton_tol": (float, 1e-10), "newton_max": (int, 200),
-        "mu_cap": (float, 30.0), "headroom": (int, 8), "mesh_levels": (int, 3),
+        "slack": (float, 10.0), "newton_tol": (float, ProblemSpec.newton_tol),
+        "newton_max": (int, ProblemSpec.newton_max), "mu_cap": (float, ProblemSpec.mu_cap),
+        "headroom": (int, ProblemSpec.headroom), "mesh_levels": (int, 3),
     },
     "verify": {"checks": (_names, ("all",))},
     "output": {"dir": (str, "out")},

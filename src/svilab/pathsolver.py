@@ -22,7 +22,8 @@ views of the blocks), and the run's SolveConfig and ImplicitSolver:
       (I - dt theta Lap) y1 + dt beta_eps(y1)
           = y0 + dt [ (1-theta) Lap y0 - F_eff(t, y0) - g . grad y0 + f~ ],
 
-  with an optional BoundaryLift ghost value;
+  with an optional ghost value for a left boundary value rising at a
+  given rate (the Stefan reduction's lift);
 - `signorini.step_signorini` (solve_signorini_path) moves the penalty and
   a Robin diagonal to the boundary nodes of a Neumann grid;
 - the Euler-Maruyama rule of direct_em_solve integrates the original
@@ -217,24 +218,17 @@ class ForcingSpec:
     `coeff_block` evaluates it once per block of run-grid rows.
 
     kinds: 'zero', 'const', 'sine' (product of first sine modes), 'edge'
-    (amplitude on the strip within `width` of the boundary), 'field'
-    (explicit values).  `transformed` marks a source already living in the
-    transformed variables, which then bypasses the e^{-mu} scaling (used by
-    the Stefan reduction).
+    (amplitude on the strip within `width` of the boundary).
     """
 
     kind: str = "zero"
     amplitude: float = 0.0
     width: float = 0.1
-    transformed: bool = False
-    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         errors = []
-        if self.kind not in ("zero", "const", "sine", "edge", "field"):
-            errors.append(f"kind must be zero|const|sine|edge|field, got {self.kind!r}")
-        if self.kind == "field" and self.values is None:
-            errors.append("kind 'field' needs explicit values")
+        if self.kind not in ("zero", "const", "sine", "edge"):
+            errors.append(f"kind must be zero|const|sine|edge, got {self.kind!r}")
         if not np.isfinite(self.amplitude):
             errors.append(f"amplitude must be finite, got {self.amplitude}")
         if not 0 <= self.width < np.inf:
@@ -247,11 +241,6 @@ class ForcingSpec:
             return grid.zeros()
         if self.kind == "const":
             return np.full(grid.n_nodes, self.amplitude)
-        if self.kind == "field":
-            vals = np.asarray(self.values, dtype=float)
-            if vals.shape != (grid.n_nodes,):
-                raise ValueError("forcing field does not match the grid")
-            return vals.copy()
         if self.kind == "sine":
             return _sine_product(grid, self.amplitude)
         # edge: boundary strip of the given width
@@ -259,17 +248,6 @@ class ForcingSpec:
         for x, L in zip(grid.meshes(), grid.lengths):
             dist = np.minimum(dist, np.minimum(x, L - x))
         return np.where(dist < self.width, self.amplitude, 0.0)
-
-
-@dataclass(frozen=True)
-class BoundaryLift:
-    """Time-linear Dirichlet value y(0, t) = rate * t at the left end (1D).
-
-    Realized as the exact ghost-value correction at the boundary-adjacent
-    node; only the Stefan similarity benchmark uses it.
-    """
-
-    rate: float
 
 
 BLOCK_VALUES = 2**14  # coefficient values per field in one block of run-grid rows
@@ -721,23 +699,25 @@ def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray | 
 
 def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next: StepCoeffs,
                   cfg: SolveConfig, solver: ImplicitSolver,
-                  lift: BoundaryLift | None = None) -> NewtonResult:
+                  lift: float | None = None) -> NewtonResult:
     """One theta-step of the penalized interior obstacle problem, of each row
     of a stack of states, with coefficients stacked alike, by the march's
     ImplicitSolver(grid, cfg.dt, cfg.theta).
 
-    A BoundaryLift enters as its ghost value at the theta-weighted time
-    between coeffs.t and coeffs_next.t; the step reads nothing else of
-    coeffs_next.  Returns Newton's result.  The dt it is given meets the
-    transport guard dt * sup|g| / h <= 1: refinement picked it.
+    `lift`, a rate r, is the 1D Dirichlet value y(0, t) = r t at the left
+    end: it enters as the exact ghost value at the boundary-adjacent node,
+    at the theta-weighted time between coeffs.t and coeffs_next.t; the step
+    reads nothing else of coeffs_next.  Returns Newton's result.  The dt it
+    is given meets the transport guard dt * sup|g| / h <= 1: refinement
+    picked it.
     """
     if y_n.ndim != 2 or y_n.shape[1] != grid.n_nodes:
         raise ValueError("state size mismatch")
     source = coeffs.source
     if lift is not None:
         ghost = grid.zeros()
-        ghost[0] = (cfg.theta * lift.rate * coeffs_next.t
-                    + (1.0 - cfg.theta) * lift.rate * coeffs.t) / grid.h[0] ** 2
+        ghost[0] = (cfg.theta * lift * coeffs_next.t
+                    + (1.0 - cfg.theta) * lift * coeffs.t) / grid.h[0] ** 2
         source = source + ghost
     explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, y_n) if cfg.theta < 1.0 else 0.0
     rhs = y_n + cfg.dt * (explicit - coeffs.reaction(y_n)
@@ -782,9 +762,11 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
 
 
 def coeff_block(grid: Grid, fields: SpaceFields, stack: noisemod.PathStack, rows: range,
-                rs: ReactionSpec, forcing: ForcingSpec, em: bool = False) -> StepCoeffs:
+                rs: ReactionSpec, forcing: ForcingSpec | np.ndarray,
+                em: bool = False) -> StepCoeffs:
     """The coefficients at the nodes `rows` of the paths of `stack`: one row
-    per node, with a path axis after it.
+    per node, with a path axis after it.  `forcing` as an array is a source
+    already in the transformed variables, which skips the e^{-mu} scaling.
 
     A Neumann grid adds dmu/dnu; `em` adds the noise factor of the
     Euler-Maruyama rule.  Nodes beyond the mu cap are evaluated too, without
@@ -796,10 +778,10 @@ def coeff_block(grid: Grid, fields: SpaceFields, stack: noisemod.PathStack, rows
     grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, stack, rows)
     with np.errstate(over="ignore", invalid="ignore"):
         exp_mu, exp_neg_mu = np.exp(mu), np.exp(-mu)
-        if forcing.kind == "zero":
+        if isinstance(forcing, np.ndarray):
+            source = np.broadcast_to(forcing, mu.shape)
+        elif forcing.kind == "zero":
             source = np.zeros_like(mu)
-        elif forcing.transformed:
-            source = np.broadcast_to(forcing.value(grid), mu.shape)
         else:
             source = transform.effective_source(mu, forcing.value(grid))
     noisy = fields.m > 0
@@ -818,10 +800,11 @@ def mu_cap_failure(peak: float, t: float, mu_cap: float) -> NumericalFailure:
     return NumericalFailure(f"|mu| reached {peak:.3g} at t={t:.4g}, beyond the cap {mu_cap}")
 
 
-def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
-           x: InitialData | np.ndarray, cfg: SolveConfig, paths, refine, rule) -> list:
+def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
+           forcing: ForcingSpec | np.ndarray, x: InitialData | np.ndarray, cfg: SolveConfig,
+           paths, refine, rule) -> list:
     """March a batch of Brownian paths, a sequence of path sets, from x with
-    a step rule.
+    a step rule; `forcing` is as `coeff_block` takes it.
 
     Returns, per path, its PathSolution or the NumericalFailure that stopped
     it.  A path leaves the batch at its failure with the error its solve
@@ -983,15 +966,13 @@ def _one(outcomes: list) -> PathSolution:
 
 def solve_path_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
                      forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
-                     paths, boundary_lift: BoundaryLift | None = None) -> list:
+                     paths) -> list:
     """solve_path for a sequence of path sets in one march: per path its
     PathSolution or the NumericalFailure its solve_path raises."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("solve_path needs a Dirichlet grid")
-    if boundary_lift is not None and grid.dim != 1:
-        raise ConfigError("boundary lift is only supported in 1D")
     return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement,
-                  partial(step_interior, grid, lift=boundary_lift))
+                  partial(step_interior, grid))
 
 
 def solve_path(
@@ -1003,7 +984,6 @@ def solve_path(
     x: InitialData | np.ndarray,
     cfg: SolveConfig,
     paths: BrownianPathSet,
-    boundary_lift: BoundaryLift | None = None,
 ) -> PathSolution:
     """March the penalized transformed equation along one Brownian path.
 
@@ -1011,7 +991,7 @@ def solve_path(
     halved dt restrict the same realization.  The returned trajectories
     live on the nodes of `tg` regardless of the internal refinement.
     """
-    return _one(solve_path_batch(grid, tg, cs, rs, forcing, x, cfg, [paths], boundary_lift))
+    return _one(solve_path_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
 
 
 def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
@@ -1021,9 +1001,6 @@ def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
     its PathSolution or the NumericalFailure its solve raises."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("direct_em_solve needs a Dirichlet grid")
-    if forcing.transformed:
-        raise ConfigError("direct_em_solve integrates the original equation; "
-                          "forcing must live in the original variables")
     f = forcing.value(grid) if forcing.kind != "zero" else None
 
     def em_step(X, c, c_next, cfg, solver):
@@ -1064,7 +1041,9 @@ def direct_em_solve(
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything needed to reproduce one path-wise solve, picklable so
-    ensembles can be distributed across worker processes."""
+    ensembles can be distributed across worker processes.  The solve's
+    numerical parameters default to SolveConfig's, and the config schema
+    reads its defaults from here."""
 
     dim: int = 1
     lengths: tuple[float, ...] = (1.0,)
@@ -1072,16 +1051,16 @@ class ProblemSpec:
     bc_kind: str = gridmod.DIRICHLET
     T: float = 0.25
     n_steps: int = 250
-    theta: float = 1.0
+    theta: float = SolveConfig.theta
     coefficients: tuple = ()
     seed: int = 0
     reaction: ReactionSpec = dc_field(default_factory=ReactionSpec)
     forcing: ForcingSpec = dc_field(default_factory=ForcingSpec)
     initial: InitialData = dc_field(default_factory=InitialData)
-    eps: float | tuple[float, ...] = 1e-3  # or one per path of solve_paths
-    newton_tol: float = 1e-10
-    newton_max: int = 200
-    mu_cap: float = 30.0
+    eps: float | tuple[float, ...] = SolveConfig.eps  # or one per path of solve_paths
+    newton_tol: float = SolveConfig.newton_tol
+    newton_max: int = SolveConfig.newton_max
+    mu_cap: float = SolveConfig.mu_cap
     headroom: int = 8
 
     def build(self):

@@ -13,13 +13,16 @@ boundary as the interface of {y > tol_fb}.
 
 The classical fixed-boundary-temperature benchmark is obtained by heating
 one end: the time-integrated variable then carries the boundary value
-theta_b * t, supplied to the solver as an exact ghost-value lift.
+theta_b * t, supplied to the interior step rule as an exact ghost-value
+lift.  The reduction hands the march its source field and that lift
+itself; the general solvers take neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,13 +31,13 @@ from .errors import ConfigError, NumericalFailure
 from .grid import Grid
 from .noise import BrownianPathSet, CoeffSpec, TimeGrid
 from .pathsolver import (
-    BoundaryLift,
-    ForcingSpec,
     PathSolution,
     SolveConfig,
+    _march,
     _one,
+    _pick_refinement,
     solve_path,  # noqa: F401  (bound here for perfbench's tracer, whose selftest wraps it)
-    solve_path_batch,
+    step_interior,
 )
 from .transform import ReactionSpec
 
@@ -140,24 +143,24 @@ def recover_temperature(sol: PathSolution) -> np.ndarray:
 
 
 def _reduction(grid: Grid, sd: StefanData, cfg: SolveConfig, tol_fb: float | None):
-    """The melting problem as an obstacle solve: its source, boundary lift,
-    front anchor and tol_fb (10 eps unless given)."""
+    """The melting problem as an obstacle solve: its source f0, already in the
+    transformed variables; the rate of its boundary lift (None without a
+    heated boundary); its front anchor; and tol_fb (10 eps unless given)."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("the Stefan reduction lives on a Dirichlet grid")
     f0 = build_svi_source(sd, grid)
-    forcing = ForcingSpec("field", transformed=True, values=tuple(f0))
-    lift = None
+    rate = None
     if sd.heated_boundary_temp > 0.0:
         if grid.dim != 1:
             raise ConfigError("the heated-boundary benchmark is 1D only")
-        lift = BoundaryLift(rate=sd.heated_boundary_temp)
+        rate = sd.heated_boundary_temp
     if tol_fb is None:
         tol_fb = 10.0 * cfg.eps
     anchor = sd.liquid_mask if np.any(sd.liquid_mask) else None
-    if anchor is None and lift is not None:
+    if anchor is None and rate is not None:
         anchor = np.zeros(grid.n_nodes, dtype=bool)
         anchor[0] = True
-    return forcing, lift, anchor, tol_fb
+    return f0, rate, anchor, tol_fb
 
 
 def _melt(sol: PathSolution, tol_fb: float, anchor: np.ndarray | None):
@@ -185,9 +188,9 @@ def solve_stefan_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, sd: StefanData,
     """solve_stefan_svi for a sequence of path sets in one march: per path
     its (sol, fb) or the NumericalFailure its solve_stefan_svi raises; the
     temperature is recover_temperature(sol)."""
-    forcing, lift, anchor, tol_fb = _reduction(grid, sd, cfg, tol_fb)
-    outs = solve_path_batch(grid, tg, cs, ReactionSpec(), forcing, np.zeros(grid.n_nodes), cfg,
-                            paths, boundary_lift=lift)
+    f0, rate, anchor, tol_fb = _reduction(grid, sd, cfg, tol_fb)
+    outs = _march(grid, tg, cs, ReactionSpec(), f0, np.zeros(grid.n_nodes), cfg, paths,
+                  _pick_refinement, partial(step_interior, grid, lift=rate))
     return [out if isinstance(out, NumericalFailure) else _melt(out, tol_fb, anchor)
             for out in outs]
 

@@ -126,6 +126,36 @@ def test_2d_batch_with_contact(cg_stops):
     assert solo_stops >= 1 and sum(cg_stops) == 2 * solo_stops
 
 
+def test_a_failed_linear_solve_ends_only_its_path(monkeypatch):
+    # a row whose linear solve fails leaves Newton with that error, not a
+    # NewtonError, and leaves the batch; the other rows keep their solo bits
+    spec = ProblemSpec(
+        dim=2, lengths=(1.0, 1.0), n=9, T=0.02, n_steps=20, seed=7,
+        coefficients=(parse_coefficient("const(0.5) * sin(1) * cos(1)", [1.0, 1.0]),),
+        reaction=ReactionSpec("linear", 0.3), forcing=ForcingSpec("const", -1.0),
+        initial=InitialData("cone", 0.3, center=(0.3, 0.3), radius=0.3),
+    )
+    ids = range(3)
+    solo = [spec.solve(pid) for pid in ids]
+    err = NumericalFailure("injected linear-solve failure")
+    full_stacks = []
+    solve = ImplicitSolver.solve
+
+    def failing(self, extra_diag, b, x0=None, active=None):
+        x, failures = solve(self, extra_diag, b, x0, active)
+        if len(b) == len(ids):  # every path live and unaccepted: row j is path j
+            full_stacks.append(None)
+            if len(full_stacks) == 7:  # a Newton iteration a few steps into the march
+                failures[1] = err
+        return x, failures
+
+    monkeypatch.setattr(ImplicitSolver, "solve", failing)
+    out = spec.solve_paths(ids)
+    assert len(full_stacks) == 7  # path 1 left the stack at the failure
+    assert out[1] is err
+    _assert_same([out[0], out[2]], [solo[0], solo[2]])
+
+
 def test_batch_failures_keep_their_solo_messages():
     # mu = 3 W(t): three paths pass the cap; with one Newton iteration a path
     # fails at its first contact, and the others never touch the obstacle

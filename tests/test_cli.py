@@ -580,6 +580,40 @@ def test_verify_mode_subset(tmp_path):
     assert summary.count("fail") == 0
 
 
+# small configs of the modes that print a report; section.key = value over MINIMAL
+REPORTING = {
+    "run": {"noise.m": "1", "noise.mu1": "const(0.5) * sin(1)", "forcing.kind": "const",
+            "forcing.amplitude": "-0.5", "initial.amplitude": "0.5"},
+    "rate-eps": {"penalty.eps": "1e-1, 2.5e-2, 6.25e-3, 1.5625e-3", "forcing.kind": "const",
+                 "forcing.amplitude": "-1.0"},
+    "rate-mesh": {"domain.n": "7", "initial.amplitude": "1.0", "run.mesh_levels": "2"},
+    "stefan": {"time.t": "0.02", "penalty.eps": "1e-6", "stefan.boundary_temp": "1.0"},
+    "signorini": {"domain.bc": "neumann", "forcing.kind": "edge", "forcing.amplitude": "-1.0",
+                  "forcing.width": "0.15"},
+    "verify": {"verify.checks": "heat_oracle"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REPORTING))
+def test_mode_prints_its_report(tmp_path, capsys, mode):
+    # without --quiet: one PASS/FAIL line per summary row where the mode
+    # prints its rows, else its one-line report, and never a traceback
+    out = tmp_path / "out"
+    conf = set_key(MINIMAL.format(out=out), "run", "mode", mode)
+    for key, value in REPORTING[mode].items():
+        conf = set_key(conf, *key.split("."), value)
+    assert main(["--config", str(write(tmp_path, conf))]) == 0
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    lines = printed.out.splitlines()
+    if mode in ("run", "signorini", "verify"):
+        rows = [row.split(",") for row in (out / "summary.csv").read_text().splitlines()[2:]]
+        assert rows and [line.split(":")[0] for line in lines] == [
+            f"{status.upper()} {name}" for name, _, _, status in rows]
+    else:
+        assert len(lines) == 1 and lines[0].startswith(f"{mode}: ")
+
+
 def test_missing_config_file():
     assert main(["--config", "/nonexistent/x.cfg", "--quiet"]) == 1
 
@@ -789,6 +823,14 @@ def test_bad_value_is_one_config_error_naming_its_key(tmp_path, capsys, key, val
     assert code == 1
     assert len(errors) == 1 and errors[0].startswith("config error:") and key in errors[0]
     assert not out.exists()
+
+
+def test_forcing_kind_names_the_config_catalog(tmp_path, capsys):
+    # the Stefan reduction's source field is no forcing kind a config can name
+    conf = set_key(FULL.format(out=tmp_path / "out"), "forcing", "kind", "field")
+    assert main(["--config", str(write(tmp_path, conf)), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: forcing.kind must be zero|const|sine|edge, got 'field'"]
 
 
 @pytest.mark.parametrize("dt", ["0.03", "0.07", "1.0"])

@@ -32,6 +32,7 @@ compare against; the file keeps the arrays of the cases not named:
 """
 
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +42,16 @@ from svilab.grid import DIRICHLET, NEUMANN, build_grid
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
     BLOCK_VALUES,
-    BoundaryLift,
     ForcingSpec,
     InitialData,
     SineBasis,
     SolveConfig,
+    _march,
+    _one,
+    _pick_refinement,
     direct_em_solve,
     solve_path,
+    step_interior,
 )
 from svilab.signorini import solve_signorini_path
 from svilab.transform import ReactionSpec
@@ -79,13 +83,14 @@ def _solve_2d():
 
 
 def _lift():
+    # the Stefan reduction's boundary lift, the interior step rule with its rate
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(0.05, 50)
-    return solve_path(g, tg, _cs("const(0.4) * sin(1)"), ReactionSpec(),
-                      ForcingSpec("sine", -0.3), InitialData("sine", 0.0),
-                      SolveConfig(dt=tg.dt, theta=0.5, eps=1e-6),
-                      sample_paths(TimeGrid(0.05, 400), 1, seed=31),
-                      boundary_lift=BoundaryLift(0.4))
+    return _one(_march(g, tg, _cs("const(0.4) * sin(1)"), ReactionSpec(),
+                       ForcingSpec("sine", -0.3), InitialData("sine", 0.0),
+                       SolveConfig(dt=tg.dt, theta=0.5, eps=1e-6),
+                       [sample_paths(TimeGrid(0.05, 400), 1, seed=31)], _pick_refinement,
+                       partial(step_interior, g, lift=0.4)))
 
 
 def _signorini():

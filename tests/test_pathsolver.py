@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import warnings
@@ -17,14 +18,16 @@ from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
-    BoundaryLift,
     ForcingSpec,
     InitialData,
     ImplicitSolver,
     ProblemSpec,
     SineBasis,
     SolveConfig,
+    _march,
     _median,
+    _one,
+    _pick_refinement,
     conjugate_gradients,
     direct_em_solve,
     identity,
@@ -33,6 +36,7 @@ from svilab.pathsolver import (
     zero_coeffs,
 )
 from svilab.penalty import beta_eps
+from svilab.signorini import solve_signorini_path
 from svilab.transform import ReactionSpec
 
 from matrices import implicit_matrix
@@ -342,16 +346,28 @@ def test_solve_path_rejects_bad_input():
     tg = TimeGrid(0.1, 10)
     cfg = SolveConfig(dt=tg.dt)
     paths = sample_paths(tg, 0, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="solve_path needs a Dirichlet grid"):
         solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                    InitialData("sine", 1.0), cfg, paths)
+    with pytest.raises(ConfigError, match="direct_em_solve needs a Dirichlet grid"):
+        direct_em_solve(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
+                        InitialData("sine", 1.0), cfg, paths)
     gd = build_grid(1, [1.0], 31, DIRICHLET)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="solve_signorini_path needs a Neumann grid"):
+        solve_signorini_path(gd, tg, EMPTY, ReactionSpec(), ForcingSpec(),
+                             InitialData("sine", 1.0), cfg, paths)
+    with pytest.raises(ConfigError, match="must be sampled on the run grid"):
         solve_path(gd, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                    InitialData("sine", 1.0), cfg, sample_paths(TimeGrid(0.1, 15), 0, seed=0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="initial data must be nonnegative"):
         solve_path(gd, tg, EMPTY, ReactionSpec(), ForcingSpec(),
                    np.full(gd.n_nodes, -1.0), cfg, paths)
+    with pytest.raises(ConfigError, match="initial data does not match the grid"):
+        solve_path(gd, tg, EMPTY, ReactionSpec(), ForcingSpec(),
+                   np.ones(gd.n_nodes + 1), cfg, paths)
+    with pytest.raises(ConfigError, match="coefficient count 1 != path component count 0"):
+        solve_path(gd, tg, coeffs1("const(0.5) * sin(1)"), ReactionSpec(), ForcingSpec(),
+                   InitialData("sine", 1.0), cfg, paths)
 
 
 def test_solve_path_2d_smoke():
@@ -806,8 +822,9 @@ def test_boundary_lift_linear_profile():
     cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     paths = sample_paths(tg, 0, seed=0)
     rate = 0.4
-    sol = solve_path(g, tg, EMPTY, ReactionSpec(), ForcingSpec(),
-                     InitialData("sine", 0.0), cfg, paths, boundary_lift=BoundaryLift(rate))
+    # the interior step rule with the rate, as the Stefan reduction marches it
+    sol = _one(_march(g, tg, EMPTY, ReactionSpec(), ForcingSpec(), InitialData("sine", 0.0), cfg,
+                      [paths], _pick_refinement, partial(step_interior, g, lift=rate)))
     x = g.meshes()[0]
     # quasi-steady oracle: y = r t (1-x) + v(x) with v'' = r(1-x), v(0)=v(1)=0
     v = rate * (x**2 / 2.0 - x**3 / 6.0 - x / 3.0)

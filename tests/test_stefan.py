@@ -8,7 +8,7 @@ from scipy.special import erf
 from svilab import verify
 from svilab.cli import parse_config
 from svilab.errors import ConfigError, NumericalFailure
-from svilab.grid import DIRICHLET, build_grid
+from svilab.grid import DIRICHLET, NEUMANN, build_grid
 from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import SolveConfig
 from svilab.stefan import (
@@ -47,6 +47,20 @@ def test_build_svi_source():
         StefanData(theta0=np.full(g.n_nodes, -1.0), rho=1.0)
     with pytest.raises(ConfigError):
         StefanData(theta0=np.zeros(g.n_nodes), rho=0.0)
+
+
+def test_the_reduction_rejects_a_grid_it_cannot_lift():
+    tg = TimeGrid(0.1, 10)
+    cfg = SolveConfig(dt=tg.dt)
+    paths = sample_paths(tg, 0, seed=0)
+    gn = build_grid(1, [1.0], 31, NEUMANN)
+    with pytest.raises(ConfigError, match="the Stefan reduction lives on a Dirichlet grid"):
+        solve_stefan_svi(gn, tg, EMPTY, StefanData(theta0=gn.zeros(), rho=1.0), cfg, paths)
+    # the heated boundary's lift is a 1D ghost value; this is its only dimension check
+    g2 = build_grid(2, [1.0, 1.0], 7, DIRICHLET)
+    sd = StefanData(theta0=g2.zeros(), rho=1.0, heated_boundary_temp=1.0)
+    with pytest.raises(ConfigError, match="the heated-boundary benchmark is 1D only"):
+        solve_stefan_svi(g2, tg, EMPTY, sd, cfg, paths)
 
 
 def test_all_solid_stays_pinned():
