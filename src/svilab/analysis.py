@@ -66,11 +66,33 @@ def complementarity_report(traj_X: np.ndarray, traj_eta: np.ndarray,
                            grid: Grid, tg: TimeGrid) -> ComplementarityReport:
     if traj_X.shape != traj_eta.shape or traj_X.shape[0] != tg.N + 1:
         raise ValueError("trajectories are not aligned")
-    pairing_per_t = gridmod.inner(grid, traj_X, -traj_eta)
+    return _complementarity([(traj_X, traj_eta)], grid, tg)
+
+
+def solution_complementarity(sol: PathSolution, steps: int) -> ComplementarityReport:
+    """complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg) from blocks
+    of `steps` stored steps: X = e^mu y and e^mu beta_eps(y) are formed one
+    block at a time, so memory does not grow with the run."""
+    def blocks():
+        for n0 in range(0, sol.tg.N + 1, steps):
+            e_mu = np.exp(sol.mu[n0:n0 + steps])
+            yield e_mu * sol.y[n0:n0 + steps], e_mu * sol.eta[n0:n0 + steps]
+    return _complementarity(blocks(), sol.grid, sol.tg)
+
+
+def _complementarity(blocks, grid: Grid, tg: TimeGrid) -> ComplementarityReport:
+    """The report over (X, eta) blocks of consecutive steps.  min and max are
+    exact and the per-step pairings are joined before the one sum, so the
+    bits do not depend on the blocking."""
+    min_X, max_eta, pairing_per_t = np.inf, -np.inf, []
+    for X, eta in blocks:
+        min_X = np.minimum(min_X, X.min())  # propagates NaN, as X.min() does
+        max_eta = np.maximum(max_eta, eta.max())
+        pairing_per_t.append(gridmod.inner(grid, X, -eta))
     return ComplementarityReport(
-        min_X=float(traj_X.min()),
-        max_eta=float(traj_eta.max()),
-        pairing=float(np.sum(pairing_per_t[:-1]) * tg.dt),
+        min_X=float(min_X),
+        max_eta=float(max_eta),
+        pairing=float(np.sum(np.concatenate(pairing_per_t)[:-1]) * tg.dt),
     )
 
 

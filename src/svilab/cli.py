@@ -16,15 +16,18 @@ import configparser
 import hashlib
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import GeneratorType
 
 import numpy as np
 
 from . import __version__
 from . import grid as gridmod
-from .analysis import (FunctionalStats, cauchy_rate_study, complementarity_report, energy_check,
-                       ensemble_run, path_batches)
+from .analysis import (FunctionalStats, cauchy_rate_study, energy_check, ensemble_run,
+                       path_batches, solution_complementarity)
+from .analysis import complementarity_report  # noqa: F401  (perfbench's tracer wraps it)
 from .errors import ConfigError, NumericalFailure
 from .floatfmt import WIDTH, g17_matrix, records, text_matrix
 from .noise import parse_coefficient
@@ -324,6 +327,9 @@ class CsvWriter:
         except OSError as exc:  # a directory in the way, no permission, a full disk
             raise ConfigError(f"output.dir = {str(self.out_dir)!r}: cannot write {name}: "
                               f"{exc.strerror}")
+        finally:
+            if isinstance(rows, GeneratorType):  # ends a block writer's helper thread
+                rows.close()
         return path
 
 
@@ -332,50 +338,89 @@ class CsvWriter:
 _BLOCK_ROWS = 8192
 
 
-def _trajectory_blocks(sol: PathSolution):
-    """trajectory.csv lines in blocks, bytes equal to formatting each cell by _fmt.
+def _block_steps(sol: PathSolution) -> int:
+    return max(1, _BLOCK_ROWS // sol.grid.n_nodes)
+
+
+def _trajectory_block(sol: PathSolution, nodes: np.ndarray, n0: int, steps: int) -> np.ndarray:
+    """trajectory.csv lines of the time steps n0 to n0 + steps, as one byte
+    array, equal to formatting each cell by _fmt.
 
     "%.17g" % x and format(x, ".17g") print a float alike, and "%d" % j is
-    str(j).  The node columns repeat, so they are formatted once.  A block's
-    lines are the rows of one NUL-padded byte matrix, in which t, the node
-    columns, each of the y, X and eta cells and each separator fill a fixed
-    range of columns; one compaction M[M != 0] removes the padding, as no
-    CSV text holds a NUL.  The cells are formatted by floatfmt.g17_matrix.
+    str(j).  `nodes` holds the node columns, formatted once as they repeat.
+    The lines are the rows of one NUL-padded byte matrix, in which t, the
+    node columns, each of the y, X and eta cells and each separator fill a
+    fixed range of columns; one compaction M[M != 0] removes the padding, as
+    no CSV text holds a NUL.  The cells are formatted by floatfmt.g17_matrix.
     They repeat (X has the bits of y where mu is 0, eta is mostly 0), so
-    each distinct value of a block is formatted once, told apart by bit
+    each distinct value of the block is formatted once, told apart by bit
     pattern: float equality would merge 0.0 with -0.0 and print "0" where
-    "-0" is due.  X and eta are formed per block, e^mu times y and times
-    beta_eps(y) as PathSolution.X and eta_X form them, so the writer holds
-    one block of them at a time.
+    "-0" is due.  X and eta are formed here, e^mu times y and times
+    beta_eps(y) as PathSolution.X and eta_X form them, so a block holds only
+    its own steps of them.  It reads `sol` and nothing else, so two threads
+    may format two blocks at once.
+    """
+    g, nodes_n = sol.grid, sol.grid.n_nodes
+    times = text_matrix(["%.17g," % t for t in sol.tg.nodes[n0:n0 + steps].tolist()])
+    y = sol.y[n0:n0 + steps]
+    e_mu = np.exp(sol.mu[n0:n0 + steps])
+    # 1-D, so the inverse is 1-D on every numpy version
+    cells = np.concatenate([y.ravel(), (e_mu * y).ravel(),
+                            (e_mu * sol.eta[n0:n0 + steps]).ravel()], dtype=np.float64)
+    bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    text = records(g17_matrix(bits.view(np.float64)))
+    fields = [("t", times.shape[1]), ("node", nodes.shape[1])]
+    for name in ("y", "X", "eta"):
+        fields += [(name, WIDTH), (name + " end", 1)]
+    lines = np.empty((len(times), nodes_n), dtype=[(f, f"V{size}") for f, size in fields])
+    lines["t"] = records(times)[:, None]
+    lines["node"] = records(nodes)
+    for i, (name, end) in enumerate(zip(("y", "X", "eta"), b",,\n")):
+        cell = inverse[i * lines.size:(i + 1) * lines.size]
+        lines[name] = np.take(text, cell).reshape(lines.shape)
+        lines[name + " end"] = bytes([end])
+    m = lines.view(np.uint8)
+    return m[m != 0]
+
+
+def _trajectory_blocks(sol: PathSolution):
+    """trajectory.csv lines in blocks of whole time steps, in file order,
+    formatted on two threads.
+
+    A block's numpy passes (the dedupe, g17_matrix, the matrix assembly and
+    its compaction) run over 10^4 to 10^6 elements and release the GIL, so
+    one helper thread formats the odd blocks while this thread formats the
+    even ones and hands each block on in turn.  The helper is at most one
+    block ahead: at most two blocks are being formatted while one is
+    written, so memory stays flat however long the trajectory is.  A single
+    block is formatted here alone.  The helper is shut down when the
+    generator ends, is closed or raises; an exception from either thread
+    reaches the caller as it was raised.
     """
     g, nodes_n = sol.grid, sol.grid.n_nodes
     xs = g.meshes()
     xi1 = xs[1] if g.dim == 2 else np.zeros(nodes_n)
     nodes = text_matrix(["%d,%.17g,%.17g," % c for c in zip(range(nodes_n), xs[0].tolist(),
                                                             xi1.tolist())])
-    t_nodes = sol.tg.nodes
-    steps = max(1, _BLOCK_ROWS // nodes_n)
-    for n0 in range(0, len(t_nodes), steps):
-        times = text_matrix(["%.17g," % t for t in t_nodes[n0:n0 + steps].tolist()])
-        y = sol.y[n0:n0 + steps]
-        e_mu = np.exp(sol.mu[n0:n0 + steps])
-        # 1-D, so the inverse is 1-D on every numpy version
-        cells = np.concatenate([y.ravel(), (e_mu * y).ravel(),
-                                (e_mu * sol.eta[n0:n0 + steps]).ravel()], dtype=np.float64)
-        bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-        text = records(g17_matrix(bits.view(np.float64)))
-        fields = [("t", times.shape[1]), ("node", nodes.shape[1])]
-        for name in ("y", "X", "eta"):
-            fields += [(name, WIDTH), (name + " end", 1)]
-        lines = np.empty((len(times), nodes_n), dtype=[(f, f"V{size}") for f, size in fields])
-        lines["t"] = records(times)[:, None]
-        lines["node"] = records(nodes)
-        for i, (name, end) in enumerate(zip(("y", "X", "eta"), b",,\n")):
-            cell = inverse[i * lines.size:(i + 1) * lines.size]
-            lines[name] = np.take(text, cell).reshape(lines.shape)
-            lines[name + " end"] = bytes([end])
-        m = lines.view(np.uint8)
-        yield m[m != 0]
+    steps = _block_steps(sol)
+    starts = range(0, len(sol.tg.nodes), steps)
+    if len(starts) == 1:
+        yield _trajectory_block(sol, nodes, 0, steps)
+        return
+    helper = ThreadPoolExecutor(1)
+    try:
+        odd = helper.submit(_trajectory_block, sol, nodes, starts[1], steps)
+        for k in range(0, len(starts), 2):
+            yield _trajectory_block(sol, nodes, starts[k], steps)
+            if k + 1 == len(starts):
+                break
+            done = odd
+            if k + 3 < len(starts):  # the helper starts on its next block at once
+                odd = helper.submit(_trajectory_block, sol, nodes, starts[k + 3], steps)
+            yield done.result()
+            del done  # written: free it before the next block is formatted
+    finally:
+        helper.shutdown(cancel_futures=True)
 
 
 def write_summary(writer: CsvWriter, checks):
@@ -398,7 +443,7 @@ def _mode_run(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     spec = cfg.spec
     sol = spec.solve(cfg.path_id)
     write_trajectory(writer, sol)
-    rep = complementarity_report(sol.X, sol.eta_X, sol.grid, sol.tg)
+    rep = solution_complementarity(sol, _block_steps(sol))
     erep = energy_check(sol)
     tol = cfg.slack * spec.eps
     checks = [

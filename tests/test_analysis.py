@@ -23,6 +23,7 @@ from svilab.analysis import (
     map_paths,
     path_batches,
     path_functionals,
+    solution_complementarity,
 )
 from svilab.errors import NumericalFailure
 from svilab.grid import (
@@ -77,6 +78,21 @@ def test_complementarity_positive_run_pairs_exactly():
     assert rep.pairing == 0.0  # beta_eps vanishes wherever y > 0
     assert rep.max_eta == 0.0
     assert rep.min_X >= 0.0
+
+
+@pytest.mark.parametrize("steps", [1, 7, 100, 301, 1000])
+def test_solution_complementarity_by_blocks_has_the_bits_of_the_whole_run(steps):
+    g, tg, sol = pinned_solution()
+    assert sol.eta.min() < 0 and not sol.mu.any()  # contact, and X has the bits of y
+    mu = np.random.default_rng(3).standard_normal(sol.y.shape)
+    y = sol.y.copy()
+    y[5, 3], y[200, 0] = np.nan, -np.inf  # min_X propagates NaN as X.min() does
+    for sol in (sol, PathSolution(g, tg, sol.y, sol.eta, mu, None),
+                PathSolution(g, tg, y, sol.eta, mu, None)):
+        whole = complementarity_report(sol.X, sol.eta_X, g, tg)
+        blocks = solution_complementarity(sol, steps)
+        assert np.array([*vars(blocks).values()]).tobytes() == \
+            np.array([*vars(whole).values()]).tobytes(), (blocks, whole)
 
 
 def test_complementarity_pinned_eps_sweep():

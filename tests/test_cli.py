@@ -3,7 +3,9 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -279,6 +281,90 @@ def test_trajectory_blocks_match_per_cell_format_on_special_values(tmp_path, dim
     assert_trajectory_bytes(tmp_path, sol)
 
 
+STEPS_63 = cli._BLOCK_ROWS // 63  # time steps in one block of a 1D n = 63 trajectory
+
+
+def random_solution(n_steps: int, seed: int = 7) -> PathSolution:
+    """A 1D n = 63 solution of random y, eta and mu with SPECIAL values in
+    the first step of each block."""
+    g, tg, _, _ = ProblemSpec(dim=1, lengths=(1.0,), n=63, n_steps=n_steps).build()
+    assert g.n_nodes == 63
+    rng = np.random.default_rng(seed)
+    shape = (tg.N + 1, g.n_nodes)
+    y, eta, mu = rng.standard_normal(shape), rng.random(shape), rng.standard_normal(shape)
+    y[::STEPS_63, :len(SPECIAL)] = SPECIAL
+    eta[::STEPS_63, -len(SPECIAL):] = SPECIAL
+    mu[::STEPS_63, :len(SPECIAL)] = mu[::STEPS_63, -len(SPECIAL):] = 0.0
+    return PathSolution(grid=g, tg=tg, y=y, eta=eta, mu=mu, diagnostics=None)
+
+
+@pytest.mark.parametrize("blocks, last_steps", [
+    (1, STEPS_63), (2, STEPS_63), (3, STEPS_63), (4, STEPS_63),
+    (2, 5),  # a short last block formatted by the helper thread
+    (3, 5),  # and by the calling thread
+], ids=["1", "2", "3", "4", "2-short-last", "3-short-last"])
+def test_trajectory_blocks_match_per_cell_format_for_each_block_count(tmp_path, blocks,
+                                                                       last_steps):
+    # the calling thread formats the even blocks, a helper thread the odd ones
+    sol = random_solution((blocks - 1) * STEPS_63 + last_steps - 1)
+    assert [len(b) > 0 for b in cli._trajectory_blocks(sol)] == [True] * blocks
+    threads = threading.active_count()
+    assert_trajectory_bytes(tmp_path, sol)
+    assert threading.active_count() == threads
+
+
+def test_trajectory_blocks_keep_their_bytes_when_the_threads_switch_often(tmp_path):
+    # a switch interval of 1 us interleaves the two formatting threads at
+    # nearly every bytecode, so shared state between them would show here
+    sol = random_solution(6 * STEPS_63 + 4, seed=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_trajectory_bytes(tmp_path, sol)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2, 3])
+def test_a_block_that_fails_to_format_reaches_the_caller_and_ends_the_helper(
+        tmp_path, monkeypatch, failing):
+    sol = random_solution(4 * STEPS_63 - 1)
+    block, raised = cli._trajectory_block, []
+
+    def format_block(sol, nodes, n0, steps):
+        if n0 == failing * steps:
+            raised.append(FloatingPointError(f"block {failing} fails"))
+            raise raised[0]
+        return block(sol, nodes, n0, steps)
+
+    monkeypatch.setattr(cli, "_trajectory_block", format_block)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"^block {failing} fails$") as exc:
+        write_trajectory(CsvWriter(tmp_path, "0" * 64), sol)
+    assert exc.value is raised[0]
+    assert threading.active_count() == threads
+
+
+def test_a_write_that_fails_mid_file_ends_the_helper(tmp_path, monkeypatch):
+    sol = random_solution(4 * STEPS_63 - 1)
+    sizes = []
+
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            sizes.append(len(data))
+            if len(sizes) == 3:  # the header, block 0, then block 1
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: FullDisk(), raising=False)
+    threads = threading.active_count()
+    with pytest.raises(ConfigError) as exc:
+        write_trajectory(CsvWriter(tmp_path, "0" * 64), sol)
+    assert str(exc.value) == (f"output.dir = {str(tmp_path)!r}: cannot write trajectory.csv: "
+                              "No space left on device")
+    assert len(sizes) == 3 and threading.active_count() == threads
+
+
 def test_trajectory_blocks_match_per_cell_format_when_x_repeats_y(tmp_path):
     # mu = 0 gives X the bits of y, and eta = 0 is one value in every block,
     # while y holds both zeros: a dedupe by float value would print one of
@@ -329,6 +415,29 @@ def test_trajectory_writer_memory_does_not_grow_with_the_steps(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_trajectory_writer_peak_at_n_and_2n_steps_differs_by_less_than_one_block(tmp_path):
+    """Two threads format at most two blocks while a third is written, so
+    the tracemalloc peak of write_trajectory on a 1D n = 255 solution is
+    the same at N and at 2N steps, within one block's formatted bytes."""
+    peaks, block = [], 0
+    for n_steps in (1000, 2000):
+        g, tg, _, _ = ProblemSpec(dim=1, lengths=(1.0,), n=255, n_steps=n_steps).build()
+        shape = (tg.N + 1, g.n_nodes)
+        rng = np.random.default_rng(n_steps + 1)
+        sol = PathSolution(grid=g, tg=tg, y=rng.standard_normal(shape),
+                           eta=-rng.random(shape), mu=rng.standard_normal(shape),
+                           diagnostics=None)
+        block = max(block, *map(len, cli._trajectory_blocks(sol)))
+        writer = CsvWriter(tmp_path / str(n_steps), "0" * 64)
+        tracemalloc.start()
+        try:
+            write_trajectory(writer, sol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < block, (peaks, block)
 
 
 def test_seed_and_paths_overrides(tmp_path):
