@@ -229,6 +229,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     if v["run.n_paths"] < min_paths:
         errors.append(f"run.n_paths must be >= {min_paths} in {mode} mode, "
                       f"got {v['run.n_paths']}")
+    last_id = v["run.path_id"] + v["run.n_paths"] - 1  # sampled in blocks of uint64 ids
+    if last_id >= 2**64:
+        errors.append(f"run.path_id + run.n_paths - 1 must be below 2**64, got {last_id}")
 
     # the first missing key lies in 1..len(mu_texts) + 1 when any is missing
     missing = [k for k in range(1, min(m, len(mu_texts) + 1) + 1) if k not in mu_texts]
@@ -546,7 +549,7 @@ def _mode_stefan(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     front_sum, melted, measure_sum = np.zeros(tg.N + 1), np.zeros(tg.N + 1, int), np.zeros(tg.N + 1)
     finals = []
     for _, lo, stop in path_batches(spec, cfg.n_paths):
-        paths = [spec.sample(cfg.path_id + i) for i in range(lo, stop)]
+        paths = spec.sample(range(cfg.path_id + lo, cfg.path_id + stop))
         for sol, fb in solved(solve_stefan_batch(g, tg, cs, sd, scfg, paths, tol_fb)):
             front_sum += np.where(np.isnan(fb.fronts), 0.0, fb.fronts)
             melted += ~np.isnan(fb.fronts)
@@ -591,7 +594,7 @@ def _mode_signorini(cfg: RunConfig, writer: CsvWriter, quiet: bool) -> int:
     # is node k * headroom of the sampled path
     k = int(np.argmax(np.abs(sol.mu).max(axis=1)))
     coeffs = assemble_coeffs(g, spec.build()[2], spec.reaction, spec.forcing,
-                             spec.sample(cfg.path_id), k * spec.headroom, spec.mu_cap)
+                             spec.sample([cfg.path_id]), k * spec.headroom, spec.mu_cap)
     rep = probe_form_constants(g, coeffs, spec.eps, seed=spec.seed)
     tol = cfg.slack * spec.eps
     checks = [

@@ -7,20 +7,20 @@ The stream of component k of a path is that of
 Philox(SeedSequence(seed, spawn_key=(path_id, k))); philox_key computes its
 key with numpy's SeedSequence hash, for one id or for a whole array of ids
 in one vectorized pass, and one reused Philox, reset to each key, draws the
-normals.  sample_block samples a block of paths into one PathStack,
-sample_paths one path as the BrownianPathSet the solvers take, and both
-give the same bits.  An Euler-Maruyama step takes its increments as
-differences of the values.
+normals.  sample_block samples a block of paths into one PathStack, the
+one form of a batch from sampling to the march; sample_paths samples one
+path as the BrownianPathSet the solo solvers take, a stack of one to them
+(PathStack.of), and both give the same bits.  An Euler-Maruyama step takes
+its increments as differences of the values.
 
 The coefficient evaluators take a PathStack, the (P, m, N+1) values of
 the P paths of a batch on one time grid, and read blocks of time rows of
-it; stack_paths builds one from a sequence of path sets.  The values strided
-by a factor are the same realization on a grid coarser by that factor,
-which is how a march restricts its stack to a run grid.  Each coefficient
-is a separable product mu_k(t, xi) = a_k(t) * b_k(xi) (one spatial factor
-per axis in 2D) drawn from a closed catalog with analytic time derivative,
-gradient, and Laplacian, so the transformed equation's coefficients are
-exact in space.
+it.  The values strided by a factor are the same realization on a grid
+coarser by that factor, which is how a march restricts its stack to a run
+grid.  Each coefficient is a separable product mu_k(t, xi) = a_k(t) * b_k(xi)
+(one spatial factor per axis in 2D) drawn from a closed catalog with
+analytic time derivative, gradient, and Laplacian, so the transformed
+equation's coefficients are exact in space.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "philox_key",
     "sample_block",
     "sample_paths",
-    "stack_paths",
     "eval_mu",
     "eval_mu_tilde",
     "eval_mu_derivs",
@@ -86,10 +85,13 @@ class BrownianPathSet:
     (m, N+1) with values[:, 0] = 0."""
 
     tg: TimeGrid
-    m: int
     seed: int
     path_id: int
     values: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[0]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written with
@@ -220,11 +222,16 @@ def _draw(tg: TimeGrid, m: int, seed: int, ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathStack:
-    """The values of P path sets on one time grid in one array: values has
-    shape (P, m, N+1), row i the values of the i-th path set."""
+    """The values of P paths on one time grid in one array: values has
+    shape (P, m, N+1), row i the values of the i-th path."""
 
     tg: TimeGrid
     values: np.ndarray
+
+    @classmethod
+    def of(cls, paths: BrownianPathSet) -> "PathStack":
+        """The stack of one path set."""
+        return cls(paths.tg, paths.values[None])
 
     @property
     def m(self) -> int:
@@ -235,27 +242,14 @@ class PathStack:
         return replace(self, values=self.values[keep])
 
 
-def _check_count(m: int, counts) -> None:
-    bad = [c for c in counts if c != m]
-    if bad:
-        raise ValueError(f"coefficient count {m} does not match path count {bad[0]}")
-
-
-def stack_paths(paths, m: int) -> PathStack:
-    """A sequence of path sets with m components each, on one time grid, as
-    one PathStack."""
-    _check_count(m, [p.m for p in paths])
-    if any(p.tg != paths[0].tg for p in paths):
-        raise ValueError("path sets of one evaluation must share their time grid")
-    return PathStack(paths[0].tg, np.stack([p.values for p in paths]))
-
-
 def sample_block(tg: TimeGrid, m: int, seed: int, path_ids) -> PathStack:
-    """The paths path_ids in one pass: row i of the stack is
-    sample_paths(tg, m, seed, path_ids[i]).values, bit for bit."""
+    """The paths path_ids, ids in [0, 2**64), in one pass: row i of the
+    stack is sample_paths(tg, m, seed, path_ids[i]).values, bit for bit."""
     ids = np.asarray(path_ids)
     if ids.size and ids.min() < 0:
         raise ValueError("expected non-negative integer")
+    if ids.size and int(ids.max()) >= 2**64:
+        raise ValueError("a block's path ids must lie below 2**64")
     return PathStack(tg, _draw(tg, m, seed, ids.astype(np.uint64)))
 
 
@@ -269,15 +263,13 @@ def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianP
     sample_block; philox_key computes the key.
     """
     values = _draw(tg, m, seed, operator.index(path_id))[0]
-    return BrownianPathSet(tg=tg, m=m, seed=seed, path_id=path_id, values=values)
+    return BrownianPathSet(tg=tg, seed=seed, path_id=path_id, values=values)
 
 
-def path_sup(paths):
+def path_sup(stack: PathStack) -> np.ndarray:
     """sup over components and grid times of |beta_k(t_n)| (delta of the
-    run): a float for a path set, one value per path for a PathStack."""
-    if isinstance(paths, PathStack):
-        return np.abs(paths.values).max(axis=(1, 2), initial=0.0)
-    return float(np.max(np.abs(paths.values), initial=0.0))
+    run), one value per path of the stack."""
+    return np.abs(stack.values).max(axis=(1, 2), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +457,8 @@ def space_fields(cs: CoeffSpec, grid: Grid) -> SpaceFields:
 def _path_rows(fields: SpaceFields, stack: PathStack, rows: range):
     """t_n at the nodes n in rows, and the values there of a PathStack:
     (m, len(rows), P), a view."""
-    _check_count(fields.m, [stack.m])
+    if stack.m != fields.m:
+        raise ValueError(f"coefficient count {fields.m} does not match path count {stack.m}")
     vals = np.moveaxis(stack.values[:, :, rows.start:rows.stop], 0, -1)
     return np.arange(rows.start, rows.stop) * stack.tg.dt, vals
 

@@ -1,12 +1,12 @@
 """Path-wise time integration: one march, three step rules.
 
-`_march` carries a batch of Brownian paths over the time grid for every
-solver; the single-path solvers are batches of one.  The state is a stack
-with one row per path.  The march validates the initial datum, stacks the
-path sets once (`noise.stack_paths`: a batch shares one time grid), picks
-every path's run grid from one transport bound per halving level over that
-stack, builds the time-independent coefficient fields once, and marches the
-paths of each level apart on a strided slice of the stack.  It evaluates
+`_march` carries a batch of Brownian paths, one `noise.PathStack` from
+sampling to the march, over the time grid for every solver; the single-path
+solvers are batches of one.  The state is a stack with one row per path.
+The march validates the initial datum and the stack, picks every path's run
+grid from one transport bound per halving level over that stack, builds
+the time-independent coefficient fields once, and marches the paths of
+each level apart on a strided slice of the stack.  It evaluates
 the coefficients of all their paths for blocks of consecutive run-grid nodes
 from that slice (`coeff_block`), checks the mu cap there, stores the
 trajectories at stride 2^level and fills each path's `Diagnostics`.
@@ -83,7 +83,7 @@ from . import noise as noisemod
 from . import penalty, transform
 from .errors import ConfigError, NewtonError, NumericalFailure, StabilityError
 from .grid import Grid
-from .noise import BrownianPathSet, CoeffSpec, SpaceFields, TimeGrid
+from .noise import BrownianPathSet, CoeffSpec, PathStack, SpaceFields, TimeGrid
 from .transform import ReactionSpec
 
 MAX_HALVINGS = 3  # dt halvings a path may take to meet the transport guard
@@ -728,7 +728,7 @@ def step_interior(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next: 
 
 
 def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
-                     stack: noisemod.PathStack) -> list:
+                     stack: PathStack) -> list:
     """Per path of the stack, the smallest halving level at which an upper
     bound of dt * sup|g| / h over its run-grid nodes is at most 1, or the
     StabilityError naming its best margin: one bound per level, over the
@@ -761,7 +761,7 @@ def _pick_refinement(grid: Grid, tg: TimeGrid, fields: SpaceFields,
     return out
 
 
-def coeff_block(grid: Grid, fields: SpaceFields, stack: noisemod.PathStack, rows: range,
+def coeff_block(grid: Grid, fields: SpaceFields, stack: PathStack, rows: range,
                 rs: ReactionSpec, forcing: ForcingSpec | np.ndarray,
                 em: bool = False) -> StepCoeffs:
     """The coefficients at the nodes `rows` of the paths of `stack`: one row
@@ -802,24 +802,23 @@ def mu_cap_failure(peak: float, t: float, mu_cap: float) -> NumericalFailure:
 
 def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
            forcing: ForcingSpec | np.ndarray, x: InitialData | np.ndarray, cfg: SolveConfig,
-           paths, refine, rule) -> list:
-    """March a batch of Brownian paths, a sequence of path sets, from x with
-    a step rule; `forcing` is as `coeff_block` takes it.
+           paths: PathStack, refine, rule) -> list:
+    """March a batch of Brownian paths, one PathStack, from x with a step
+    rule; `forcing` is as `coeff_block` takes it.
 
     Returns, per path, its PathSolution or the NumericalFailure that stopped
     it.  A path leaves the batch at its failure with the error its solve
     alone raises, and the others go on; every path gets the bits it gets in
     a batch of one.
-    The path sets share one time grid, tg or a refinement of it, and are
-    stacked once.  refine(grid, tg, fields, stack) returns, per path of that
-    stack, its halving level or the StabilityError its solve raises; it
-    alone serves the transport guard.  The paths of one level march as one
-    batch, on the stack's values strided to that level's run grid.  refine
-    is None only for the Euler-Maruyama rule, which has no transport term:
-    it marches on tg, its state is X = e^mu y, and its coefficient records
-    hold the noise factor.  cfg.eps holds one value or one per path; each
-    batch hands the rule a run SolveConfig whose eps is the column of its
-    rows' values.
+    The stack is sampled on tg or a refinement of it.  refine(grid, tg,
+    fields, stack) returns, per path of the stack, its halving level or the
+    StabilityError its solve raises; it alone serves the transport guard.
+    The paths of one level march as one batch, on the stack's values
+    strided to that level's run grid.  refine is None only for the
+    Euler-Maruyama rule, which has no transport term: it marches on tg, its
+    state is X = e^mu y, and its coefficient records hold the noise factor.
+    cfg.eps holds one value or one per path; each batch hands the rule a
+    run SolveConfig whose eps is the column of its rows' values.
     rule(y, c, c_next, cfg, solver), the one signature of every step rule
     (`step_interior` and `signorini.step_signorini` with the grid and any
     further option bound by `functools.partial`), advances the stack of
@@ -828,13 +827,11 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
     and ImplicitSolver, and returns newton_penalized_solve's result.  The
     returned trajectories hold y on the nodes of tg.
     """
-    for p in paths:
-        if cs.m != p.m:
-            raise ConfigError(f"coefficient count {cs.m} != path component count {p.m}")
-    batch = noisemod.stack_paths(paths, cs.m)  # one row per path, on their one time grid
-    if batch.tg.N % tg.N != 0 or abs(batch.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
+    if cs.m != paths.m:
+        raise ConfigError(f"coefficient count {cs.m} != path component count {paths.m}")
+    if paths.tg.N % tg.N != 0 or abs(paths.tg.T - tg.T) > 1e-12 * max(1.0, tg.T):
         raise ConfigError(
-            f"path sets (N={batch.tg.N}, T={batch.tg.T}) must be sampled on the run grid "
+            f"path sets (N={paths.tg.N}, T={paths.tg.T}) must be sampled on the run grid "
             f"(N={tg.N}, T={tg.T}) or a refinement of it"
         )
     x_field = x.evaluate(grid) if isinstance(x, InitialData) else np.asarray(x, dtype=float)
@@ -842,16 +839,17 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
         raise ConfigError("initial data does not match the grid")
     if np.min(x_field) < 0:
         raise ConfigError("initial data must be nonnegative")
+    n_paths = len(paths.values)
     eps = np.asarray(cfg.eps, dtype=float)
     if eps.ndim == 0:
-        eps = np.full(len(paths), eps)
-    elif eps.shape != (len(paths),):
-        raise ConfigError(f"eps holds {eps.size} values for a batch of {len(paths)} paths")
+        eps = np.full(n_paths, eps)
+    elif eps.shape != (n_paths,):
+        raise ConfigError(f"eps holds {eps.size} values for a batch of {n_paths} paths")
 
     em = refine is None  # the Euler-Maruyama march, the one without refinement
     fields = noisemod.space_fields(cs, grid)
     # per path its level or its StabilityError, later its outcome
-    out = refine(grid, tg, fields, batch) if refine else [0] * len(paths)
+    out = refine(grid, tg, fields, paths) if refine else [0] * n_paths
     levels = {}
     for i, level in enumerate(out):
         if not isinstance(level, NumericalFailure):
@@ -860,7 +858,7 @@ def _march(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
     for level, members in levels.items():
         run_tg = tg.refined(2**level)
         # the members' values on the run grid, one row per live path
-        stack = noisemod.PathStack(run_tg, batch.values[members, :, :: batch.tg.N // run_tg.N])
+        stack = PathStack(run_tg, paths.values[members, :, :: paths.tg.N // run_tg.N])
         delta = noisemod.path_sup(stack)
         P, stride, N, dt = len(members), 2**level, run_tg.N, run_tg.dt
         run_cfg = replace(cfg, dt=dt, eps=eps[members, None])
@@ -966,8 +964,8 @@ def _one(outcomes: list) -> PathSolution:
 
 def solve_path_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
                      forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
-                     paths) -> list:
-    """solve_path for a sequence of path sets in one march: per path its
+                     paths: PathStack) -> list:
+    """solve_path for a stack of paths in one march: per path its
     PathSolution or the NumericalFailure its solve_path raises."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("solve_path needs a Dirichlet grid")
@@ -991,14 +989,14 @@ def solve_path(
     halved dt restrict the same realization.  The returned trajectories
     live on the nodes of `tg` regardless of the internal refinement.
     """
-    return _one(solve_path_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
+    return _one(solve_path_batch(grid, tg, cs, rs, forcing, x, cfg, PathStack.of(paths)))
 
 
 def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
                     forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
-                    paths) -> list:
-    """direct_em_solve for a sequence of path sets in one march: per path
-    its PathSolution or the NumericalFailure its solve raises."""
+                    paths: PathStack) -> list:
+    """direct_em_solve for a stack of paths in one march: per path its
+    PathSolution or the NumericalFailure its solve raises."""
     if grid.bc_kind != gridmod.DIRICHLET:
         raise ConfigError("direct_em_solve needs a Dirichlet grid")
     f = forcing.value(grid) if forcing.kind != "zero" else None
@@ -1031,7 +1029,7 @@ def direct_em_solve(
     left endpoint.  The implicit penalty keeps the step stable in contact
     at any dt, where an explicit one needs dt <= 2 eps.  Handed the same path
     set, it sees the Brownian increments that solve_path's transform sees."""
-    return _one(direct_em_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
+    return _one(direct_em_batch(grid, tg, cs, rs, forcing, x, cfg, PathStack.of(paths)))
 
 
 # ---------------------------------------------------------------------------
@@ -1071,9 +1069,10 @@ class ProblemSpec:
                           self.mu_cap)
         return g, tg, cs, cfg
 
-    def sample(self, path_id: int) -> BrownianPathSet:
-        tg = TimeGrid(self.T, self.n_steps * self.headroom)
-        return noisemod.sample_paths(tg, len(self.coefficients), self.seed, path_id)
+    def sample(self, path_ids) -> PathStack:
+        """The paths of an iterable of ids on the headroom grid, one row each."""
+        return noisemod.sample_block(TimeGrid(self.T, self.n_steps * self.headroom),
+                                     len(self.coefficients), self.seed, list(path_ids))
 
     def _marching(self):
         """The (solo, batch) march functions of bc_kind, interior or
@@ -1088,10 +1087,11 @@ class ProblemSpec:
 
     def solve(self, path_id: int) -> PathSolution:
         (solo, _), args = self._marching()
-        return solo(*args, self.sample(path_id))
+        tg = TimeGrid(self.T, self.n_steps * self.headroom)
+        return solo(*args, noisemod.sample_paths(tg, len(self.coefficients), self.seed, path_id))
 
     def solve_paths(self, path_ids) -> list:
         """Per path id, its PathSolution or the NumericalFailure that its
         solve raises, from one march over all of them."""
         (_, batch), args = self._marching()
-        return batch(*args, [self.sample(pid) for pid in path_ids])
+        return batch(*args, self.sample(path_ids))

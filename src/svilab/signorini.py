@@ -34,7 +34,7 @@ from . import grid as gridmod
 from . import noise as noisemod
 from .errors import ConfigError
 from .grid import Grid
-from .noise import BrownianPathSet, CoeffSpec, TimeGrid
+from .noise import BrownianPathSet, CoeffSpec, PathStack, TimeGrid
 from .pathsolver import (
     ForcingSpec,
     ImplicitSolver,
@@ -59,13 +59,14 @@ PROBE_SAMPLES = 128  # random fields of the form probe, taken in pairs for c1 an
 
 
 def assemble_coeffs(grid: Grid, cs: CoeffSpec, rs: ReactionSpec, forcing: ForcingSpec,
-                    paths: BrownianPathSet, n: int, mu_cap: float) -> StepCoeffs:
-    """The march's coefficient record at node n of `paths` on a Neumann grid,
-    for the probes; raises like the march when |mu| passes mu_cap there."""
+                    paths: PathStack, n: int, mu_cap: float) -> StepCoeffs:
+    """The march's coefficient record at node n of the first path of a
+    stack on a Neumann grid, for the probes; raises like the march when |mu|
+    passes mu_cap there."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("Signorini problems need a Neumann grid (boundary nodes included)")
-    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), noisemod.stack_paths([paths], cs.m),
-                         range(n, n + 1), rs, forcing).row(0).take(0)
+    coeffs = coeff_block(grid, noisemod.space_fields(cs, grid), paths, range(n, n + 1), rs,
+                         forcing).row(0).take(0)
     peak = float(np.max(np.abs(coeffs.mu)))
     if peak > mu_cap:
         raise mu_cap_failure(peak, coeffs.t, mu_cap)
@@ -121,9 +122,9 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next:
 
 def solve_signorini_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
                           forcing: ForcingSpec, x: InitialData | np.ndarray, cfg: SolveConfig,
-                          paths) -> list:
-    """solve_signorini_path for a sequence of path sets in one march: per
-    path its PathSolution or the NumericalFailure its solve raises."""
+                          paths: PathStack) -> list:
+    """solve_signorini_path for a stack of paths in one march: per path its
+    PathSolution or the NumericalFailure its solve raises."""
     if grid.bc_kind != gridmod.NEUMANN:
         raise ConfigError("solve_signorini_path needs a Neumann grid")
     return _march(grid, tg, cs, rs, forcing, x, cfg, paths, _pick_refinement,
@@ -141,7 +142,7 @@ def solve_signorini_path(
     paths: BrownianPathSet,
 ) -> PathSolution:
     """March the boundary-penalized problem along one Brownian path."""
-    return _one(solve_signorini_batch(grid, tg, cs, rs, forcing, x, cfg, [paths]))
+    return _one(solve_signorini_batch(grid, tg, cs, rs, forcing, x, cfg, PathStack.of(paths)))
 
 
 def boundary_potential_check(sol: PathSolution, slack: float = 10.0):

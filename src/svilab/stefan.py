@@ -29,7 +29,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import ConfigError, NumericalFailure
 from .grid import Grid
-from .noise import BrownianPathSet, CoeffSpec, TimeGrid
+from .noise import BrownianPathSet, CoeffSpec, PathStack, TimeGrid
 from .pathsolver import (
     PathSolution,
     SolveConfig,
@@ -179,14 +179,14 @@ def solve_stefan_svi(
 ):
     """Obstacle solve of the melting problem: returns (PathSolution of the
     time-integrated variable, temperature trajectory, FreeBoundary)."""
-    sol, fb = _one(solve_stefan_batch(grid, tg, cs, sd, cfg, [paths], tol_fb))
+    sol, fb = _one(solve_stefan_batch(grid, tg, cs, sd, cfg, PathStack.of(paths), tol_fb))
     return sol, recover_temperature(sol), fb
 
 
 def solve_stefan_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, sd: StefanData,
-                       cfg: SolveConfig, paths, tol_fb: float | None = None) -> list:
-    """solve_stefan_svi for a sequence of path sets in one march: per path
-    its (sol, fb) or the NumericalFailure its solve_stefan_svi raises; the
+                       cfg: SolveConfig, paths: PathStack, tol_fb: float | None = None) -> list:
+    """solve_stefan_svi for a stack of paths in one march: per path its
+    (sol, fb) or the NumericalFailure its solve_stefan_svi raises; the
     temperature is recover_temperature(sol)."""
     f0, rate, anchor, tol_fb = _reduction(grid, sd, cfg, tol_fb)
     outs = _march(grid, tg, cs, ReactionSpec(), f0, np.zeros(grid.n_nodes), cfg, paths,

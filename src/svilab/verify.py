@@ -184,7 +184,7 @@ def check_energy(workers: int = 1):
 
 def _consistency_worker(args):
     spec, first, stop = args
-    masters = [spec.sample(pid) for pid in range(first, stop)]
+    masters = spec.sample(range(first, stop))
     marches = []  # transform, then EM, at n_steps and at 2 n_steps: a path's solo order
     for n_steps in (spec.n_steps, 2 * spec.n_steps):
         g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
@@ -252,8 +252,8 @@ def _signorini_mass():
 def _signorini_coercivity():
     """The form probe at moderate path sup, on the mass problem's grid."""
     g = _SIGNORINI_MASS.build()[0]
-    paths = sample_paths(TimeGrid(0.2, 100), 1, seed=8)
-    delta = path_sup(paths)
+    paths = sample_block(TimeGrid(0.2, 100), 1, 8, [0])
+    delta = float(path_sup(paths)[0])
     cs = CoeffSpec(_c1("const(0.5) * cos(1)"))
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths, 60, 30.0)
     rep = probe_form_constants(g, coeffs, eps=1e-3, seed=1)
@@ -279,7 +279,7 @@ def _stefan_similarity():
     cfg = SolveConfig(dt=tg.dt, eps=1e-6)
     sd = StefanData(theta0=np.zeros(g.n_nodes), rho=1.0, heated_boundary_temp=st)
     ((_, fb),) = solved(solve_stefan_batch(g, tg, CoeffSpec(()), sd, cfg,
-                                           [sample_paths(tg, 0, seed=0)]))
+                                           sample_block(tg, 0, 0, [0])))
     front_exact, _ = similarity_oracle(st, tg.T)
     rel = abs(fb.fronts[-1] - front_exact) / front_exact
     return [("stefan_similarity_front_rel_error", rel, 0.02, rel <= 0.02),
@@ -313,7 +313,7 @@ def _stefan_noisy():
     """Interior melting on three noisy paths, in one march: monotone fronts."""
     gi, tgi, cfgi, sdi = _interior_melting()
     csn = CoeffSpec(_c1("const(0.4) * sin(1)"))
-    paths = [sample_paths(TimeGrid(0.05, 4000), 1, seed=31, path_id=pid) for pid in range(3)]
+    paths = sample_block(TimeGrid(0.05, 4000), 1, 31, range(3))
     drops = [fbn.max_front_drop() for _, fbn in
              solved(solve_stefan_batch(gi, tgi, csn, sdi, cfgi, paths))]
     worst = float(max(drops))

@@ -11,10 +11,18 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from svilab import analysis, pathsolver, signorini, verify
+from svilab import analysis, noise, pathsolver, signorini, verify
 from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
+from svilab.noise import (
+    BrownianPathSet,
+    CoeffSpec,
+    PathStack,
+    TimeGrid,
+    parse_coefficient,
+    sample_block,
+    sample_paths,
+)
 from svilab.pathsolver import (
     ForcingSpec,
     ImplicitSolver,
@@ -194,10 +202,8 @@ def test_paths_that_fail_inside_a_coefficient_block_leave_the_stack():
     )
     ids = [1, 2, 3, 5, 6]
     block_rows = pathsolver.BLOCK_VALUES // (len(ids) * spec.n)
-    first_over = {}
-    for pid in ids:
-        over = np.abs(spec.sample(pid).values[0, ::spec.headroom]) > spec.mu_cap
-        first_over[pid] = int(over.argmax()) if over.any() else None
+    over = np.abs(spec.sample(ids).values[:, 0, ::spec.headroom]) > spec.mu_cap
+    first_over = {pid: int(row.argmax()) if row.any() else None for pid, row in zip(ids, over)}
     assert first_over[1] is first_over[3] is first_over[6] is None
     assert 0 < first_over[2] % block_rows < block_rows - 1
     assert 0 < first_over[5] % block_rows < block_rows - 1
@@ -219,9 +225,9 @@ def test_refinement_alone_keeps_the_transport_guard(bc, texts):
     g = build_grid(1, [1.0], 31, bc)
     tg = TimeGrid(0.2, 40)
     cs = CoeffSpec(tuple(parse_coefficient(t, [1.0]) for t in texts))
-    paths = [sample_paths(TimeGrid(0.2, 320), len(texts), seed=5, path_id=pid)
-             for pid in range(16)]
-    paths.insert(5, replace(paths[5], values=paths[5].values / 100))  # one quiet path: level 0
+    paths = sample_block(TimeGrid(0.2, 320), len(texts), 5, range(16))
+    quiet = paths.values[5] / 100  # one quiet path: level 0
+    paths = replace(paths, values=np.insert(paths.values, 5, quiet, axis=0))
     batch, solo = ((solve_path_batch, solve_path) if bc == DIRICHLET
                    else (solve_signorini_batch, solve_signorini_path))
     args = (g, tg, cs, ReactionSpec(), ForcingSpec("const", -1.0), InitialData("sine", 0.5),
@@ -236,7 +242,8 @@ def test_refinement_alone_keeps_the_transport_guard(bc, texts):
         assert "unreachable within the retry budget" in str(exc)
     # every path, its level, margins and its own error's best margin included,
     # is the path of its solve alone
-    _assert_same(out, [_solo(lambda: solo(*args, p)) for p in paths])
+    _assert_same(out, [_solo(lambda: solo(*args, BrownianPathSet(paths.tg, 5, 0, v)))
+                       for v in paths.values])
 
 
 def test_signorini_batch_of_three():
@@ -245,10 +252,11 @@ def test_signorini_batch_of_three():
     args = (g, tg, CoeffSpec((parse_coefficient("const(0.4) * cos(1)", [1.0]),)),
             ReactionSpec("linear", 0.3), ForcingSpec("edge", -2.0, width=0.15),
             InitialData("cutoff", 1.0, radius=0.2), SolveConfig(dt=tg.dt, theta=0.75, eps=1e-3))
-    paths = [sample_paths(TimeGrid(0.1, 400), 1, seed=12, path_id=pid) for pid in range(3)]
-    solo = [solve_signorini_path(*args, p) for p in paths]
+    solo = [solve_signorini_path(*args, sample_paths(TimeGrid(0.1, 400), 1, 12, pid))
+            for pid in range(3)]
     assert any(np.any(s.eta < 0) for s in solo)  # the boundary constraint is active
-    _assert_same(solve_signorini_batch(*args, paths), solo)
+    _assert_same(solve_signorini_batch(*args, sample_block(TimeGrid(0.1, 400), 1, 12, range(3))),
+                 solo)
 
 
 def test_em_batch_of_three():
@@ -257,8 +265,9 @@ def test_em_batch_of_three():
     args = (g, tg, CoeffSpec((parse_coefficient("cos(0.5,2.0) * sin(1)", [1.0]),)),
             ReactionSpec("linear", 0.3), ForcingSpec("sine", 0.5), InitialData("sine", 1.0),
             SolveConfig(dt=tg.dt, theta=0.75))
-    paths = [sample_paths(TimeGrid(0.1, 200), 1, seed=11, path_id=pid) for pid in range(3)]
-    _assert_same(direct_em_batch(*args, paths), [direct_em_solve(*args, p) for p in paths])
+    solo = [direct_em_solve(*args, sample_paths(TimeGrid(0.1, 200), 1, 11, pid))
+            for pid in range(3)]
+    _assert_same(direct_em_batch(*args, sample_block(TimeGrid(0.1, 200), 1, 11, range(3))), solo)
 
 
 SWEEP = (1e-2, 1e-3, 1e-4)
@@ -280,7 +289,8 @@ def test_eps_sweep_on_one_path_equals_solo_solves(rule):
     path = sample_paths(TimeGrid(0.1, 400), 1, seed=12)
     solo = [solo_solve(*args, replace(cfg, eps=eps), path) for eps in SWEEP]
     assert all(np.any(s.eta < 0) for s in solo)  # in contact at every eps
-    _assert_same(batch(*args, replace(cfg, eps=SWEEP), [path] * len(SWEEP)), solo)
+    copies = sample_block(path.tg, 1, 12, [0] * len(SWEEP))
+    _assert_same(batch(*args, replace(cfg, eps=SWEEP), copies), solo)
 
 
 def test_eps_needs_one_value_per_path():
@@ -313,7 +323,8 @@ def test_each_eps_sweep_is_one_march(monkeypatch):
 def _solo_gaps(spec, pid):
     """A path's consistency gaps from four solo solves on its master path:
     transform, then EM, at n_steps and at 2 n_steps."""
-    master = spec.sample(pid)
+    master = sample_paths(TimeGrid(spec.T, spec.n_steps * spec.headroom),
+                          len(spec.coefficients), spec.seed, pid)
     gaps = []
     for n_steps in (spec.n_steps, 2 * spec.n_steps):
         g, tg, cs, cfg = replace(spec, n_steps=n_steps).build()
@@ -336,6 +347,47 @@ def test_consistency_worker_gaps_equal_solo_solves():
     split = verify._consistency_worker((spec, 0, 3)) + verify._consistency_worker((spec, 3, 7))
     assert split == solo
     assert verify._consistency_worker((spec, 0, 7)) == solo
+
+
+def test_batches_sample_one_block(monkeypatch):
+    # solve_paths and the consistency jobs draw their paths as one
+    # sample_block stack, with the bits of the solo solves' path sets
+    spec = ProblemSpec(
+        n=31, T=0.2, n_steps=40, seed=5,
+        coefficients=(parse_coefficient("const(1.5) * sin(2)", [1.0]),),
+        reaction=ReactionSpec("saturating", 0.5), initial=InitialData("sine", 1.0),
+    )
+    solo = [spec.solve(pid) for pid in range(5)]
+    gaps = [_solo_gaps(spec, pid) for pid in range(5)]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("a batch drew a path through sample_paths")
+
+    monkeypatch.setattr(noise, "sample_paths", raising)
+    monkeypatch.setattr(verify, "sample_paths", raising)
+    _assert_same(spec.solve_paths(range(5)), solo)
+    assert verify._consistency_worker((spec, 0, 5)) == gaps
+    assert spec.solve_paths([]) == []
+    with pytest.raises(AssertionError, match="sample_paths"):
+        spec.solve(0)
+
+
+def test_march_checks_the_stacks_component_count():
+    g = build_grid(1, [1.0], 15, DIRICHLET)
+    tg = TimeGrid(0.1, 10)
+    cs = CoeffSpec((parse_coefficient("const(0.5) * sin(1)", [1.0]),))
+    args = (g, tg, cs, ReactionSpec(), ForcingSpec(), InitialData("sine", 1.0),
+            SolveConfig(dt=tg.dt))
+    for paths in (sample_block(tg, 2, 1, range(3)), sample_block(tg, 0, 1, [0])):
+        with pytest.raises(ConfigError) as exc:
+            solve_path_batch(*args, paths)
+        assert str(exc.value) == f"coefficient count 1 != path component count {paths.m}"
+    # a path set's component count is that of its values
+    one_row = BrownianPathSet(tg, 0, 0, sample_block(tg, 1, 0, [0]).values[0])
+    assert one_row.m == 1 and PathStack.of(one_row).m == 1
+    cs2 = CoeffSpec(cs.coefficients * 2)
+    with pytest.raises(ConfigError, match="coefficient count 2 != path component count 1"):
+        solve_path(g, tg, cs2, *args[3:], one_row)
 
 
 def test_transform_consistency_rows_do_not_depend_on_workers():

@@ -658,7 +658,7 @@ def test_signorini_mode_probes_the_runs_noise(tmp_path):
     sol = spec.solve(cfg.path_id)
     k = int(np.argmax(np.abs(sol.mu).max(axis=1)))
     coeffs = assemble_coeffs(sol.grid, spec.build()[2], spec.reaction, spec.forcing,
-                             spec.sample(cfg.path_id), k * spec.headroom, spec.mu_cap)
+                             spec.sample([cfg.path_id]), k * spec.headroom, spec.mu_cap)
     assert np.array_equal(coeffs.mu, sol.mu[k]) and np.abs(coeffs.mu).max() > 1.0
     noisy = probe_form_constants(sol.grid, coeffs, spec.eps, seed=spec.seed)
     zero = probe_form_constants(sol.grid, zero_coeffs(sol.grid, rs=spec.reaction), spec.eps,
@@ -906,6 +906,7 @@ def set_key(text, section, key, value):
     ("time.t", "inf", "run"),
     ("time.dt", "nan", "run"),
     ("run.path_id", "-1", "run"),
+    ("run.path_id", "18446744073709551616", "stefan"),  # blocks sample ids below 2**64
     ("run.newton_max", "0", "run"),
     ("initial.radius", "0", "run"),
     ("domain.lengths", "nan", "run"),

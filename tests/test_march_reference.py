@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from svilab.grid import DIRICHLET, NEUMANN, build_grid
-from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
+from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_block, sample_paths
 from svilab.pathsolver import (
     BLOCK_VALUES,
     ForcingSpec,
@@ -89,7 +89,7 @@ def _lift():
     return _one(_march(g, tg, _cs("const(0.4) * sin(1)"), ReactionSpec(),
                        ForcingSpec("sine", -0.3), InitialData("sine", 0.0),
                        SolveConfig(dt=tg.dt, theta=0.5, eps=1e-6),
-                       [sample_paths(TimeGrid(0.05, 400), 1, seed=31)], _pick_refinement,
+                       sample_block(TimeGrid(0.05, 400), 1, 31, [0]), _pick_refinement,
                        partial(step_interior, g, lift=0.4)))
 
 

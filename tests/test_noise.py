@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import svilab
+from svilab import noise
 from svilab.errors import ConfigError
 from svilab.grid import DIRICHLET, NEUMANN, apply_gradient, apply_laplacian, build_grid
 from svilab.noise import (
@@ -18,13 +20,7 @@ from svilab.noise import (
     sample_block,
     sample_paths,
     space_fields,
-    stack_paths,
 )
-
-
-def stack(*paths):
-    """The stack the evaluators take, of path sets with one component count."""
-    return stack_paths(list(paths), paths[0].m)
 
 
 def spec_1d(*coeff_texts, length=1.0):
@@ -80,8 +76,8 @@ def test_path_values_reject_negative_m():
 def test_sampling_empty():
     tg = TimeGrid(1.0, 8)
     p = sample_paths(tg, 0, seed=1)
-    assert p.values.shape == (0, 9)
-    assert path_sup(p) == 0.0
+    assert p.values.shape == (0, 9) and p.m == 0
+    assert path_sup(PathStack.of(p)).tolist() == [0.0]
 
 
 def test_variance_monte_carlo():
@@ -144,6 +140,17 @@ def test_philox_key_of_an_id_array_gives_each_id_its_words():
         sample_block(TimeGrid(1.0, 4), 1, 0, [3, -1])
 
 
+def test_block_ids_from_2_to_the_64_are_a_value_error():
+    # ids past uint64 reach only sample_paths (philox_key's int branch)
+    tg = TimeGrid(1.0, 4)
+    for ids in ([2**64], [0, 2**64 + 5], range(2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError) as exc:
+            sample_block(tg, 1, 0, ids)
+        assert str(exc.value) == "a block's path ids must lie below 2**64"
+    top = sample_block(tg, 1, 0, [2**64 - 1])
+    assert np.array_equal(top.values[0], sample_paths(tg, 1, 0, 2**64 - 1).values)
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_block_draws_equal_sample_paths(m):
     tg = TimeGrid(0.5, 40)
@@ -163,24 +170,19 @@ def test_path_sup_of_a_stack_is_per_path():
         block = sample_block(tg, m, 3, range(6))
         sups = path_sup(block)
         assert sups.shape == (6,)
-        assert sups.tolist() == [path_sup(sample_paths(tg, m, 3, pid)) for pid in range(6)]
-    manual = [BrownianPathSet(tg=TimeGrid(1.0, 2), m=1, seed=0, path_id=i, values=np.array([v]))
-              for i, v in enumerate(([0.0, 0.3, -0.7], [0.0, 0.2, 0.1]))]
-    assert path_sup(stack(*manual)).tolist() == [0.7, 0.2]
+        assert sups.tolist() == [path_sup(PathStack.of(sample_paths(tg, m, 3, pid)))[0]
+                                 for pid in range(6)]
+    manual = PathStack(TimeGrid(1.0, 2), np.array([[[0.0, 0.3, -0.7]], [[0.0, 0.2, 0.1]]]))
+    assert path_sup(manual).tolist() == [0.7, 0.2]
 
 
-def test_stack_paths_checks_counts_and_time_grids():
+def test_stack_take_and_evaluator_count_check():
     tg = TimeGrid(1.0, 8)
-    one, two = sample_paths(tg, 1, seed=1), sample_paths(tg, 2, seed=1, path_id=1)
-    s = stack(two, sample_paths(tg, 2, seed=1, path_id=2))
+    two = sample_paths(tg, 2, seed=1, path_id=1)
+    s = sample_block(tg, 2, 1, [1, 2])
     assert s.values.shape == (2, 2, 9) and np.array_equal(s.values[0], two.values)
     assert np.array_equal(s.take(np.array([1])).values, s.values[1:])
-    with pytest.raises(ValueError) as exc:
-        stack_paths([two, one], 2)
-    assert str(exc.value) == "coefficient count 2 does not match path count 1"
-    with pytest.raises(ValueError) as exc:
-        stack_paths([one, sample_paths(TimeGrid(1.0, 16), 1, seed=1)], 1)
-    assert str(exc.value) == "path sets of one evaluation must share their time grid"
+    assert np.array_equal(PathStack.of(two).values, s.values[:1])
     g = build_grid(1, [1.0], 7, DIRICHLET)
     with pytest.raises(ValueError) as exc:  # a stack against fields of another count
         eval_mu(space_fields(spec_1d("const(1.0) * const(1.0)"), g), s, range(2))
@@ -191,11 +193,12 @@ def test_path_sup():
     tg = TimeGrid(1.0, 2)
     p = sample_paths(tg, 1, seed=0)
     manual = BrownianPathSet(
-        tg=tg, m=1, seed=0, path_id=0,
+        tg=tg, seed=0, path_id=0,
         values=np.array([[0.0, 0.3, -0.7]]),
     )
-    assert path_sup(manual) == pytest.approx(0.7)
-    assert path_sup(p) >= abs(p.values[0, -1])
+    assert manual.m == 1  # read from the values
+    assert path_sup(PathStack.of(manual)).tolist() == [pytest.approx(0.7)]
+    assert path_sup(PathStack.of(p))[0] >= abs(p.values[0, -1])
 
 
 def test_parse_coefficient_errors():
@@ -213,47 +216,50 @@ def test_eval_mu_trivial_cases():
     g = build_grid(1, [1.0], 15, DIRICHLET)
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=3)
+    ps = PathStack.of(p)
     cs0 = spec_1d("const(0.0) * const(1.0)")
-    assert np.all(eval_mu(space_fields(cs0, g), stack(p), range(5, 6))[0, 0] == 0.0)
+    assert np.all(eval_mu(space_fields(cs0, g), ps, range(5, 6))[0, 0] == 0.0)
     cs = spec_1d("const(2.5) * const(1.0)")
-    assert np.all(eval_mu(space_fields(cs, g), stack(p), range(0, 1))[0, 0] == 0.0)  # beta(0) = 0
+    assert np.all(eval_mu(space_fields(cs, g), ps, range(0, 1))[0, 0] == 0.0)  # beta(0) = 0
     expect = 2.5 * p.values[0, 4]
-    assert np.allclose(eval_mu(space_fields(cs, g), stack(p), range(4, 5))[0, 0], expect)
+    assert np.allclose(eval_mu(space_fields(cs, g), ps, range(4, 5))[0, 0], expect)
     with pytest.raises(ValueError):
         two = spec_1d("const(1.0) * const(1.0)", "const(1.0) * const(1.0)")
-        eval_mu(space_fields(two, g), stack(p), range(4, 5))[0, 0]
+        eval_mu(space_fields(two, g), ps, range(4, 5))[0, 0]
 
 
 def test_eval_mu_tilde():
     g = build_grid(1, [1.0], 15, DIRICHLET)
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=4)
+    ps = PathStack.of(p)
     # time-constant mu: mu~ = mu^2/2
     c = 1.7
     cs = spec_1d(f"const({c}) * const(1.0)")
     t = tg.nodes[6]
-    assert np.allclose(eval_mu_tilde(space_fields(cs, g), stack(p), range(6, 7))[0, 0], 0.5 * c * c)
+    assert np.allclose(eval_mu_tilde(space_fields(cs, g), ps, range(6, 7))[0, 0], 0.5 * c * c)
     # mu = t * b(xi): mu~ = b*beta(t) + t^2 b^2 / 2
     cs2 = spec_1d("linear(0.0,1.0) * sin(1)")
     x = g.meshes()[0]
     b = np.sin(np.pi * x)
     expect = b * p.values[0, 6] + 0.5 * t * t * b * b
-    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), stack(p), range(6, 7))[0, 0], expect)
+    assert np.allclose(eval_mu_tilde(space_fields(cs2, g), ps, range(6, 7))[0, 0], expect)
     zero = space_fields(spec_1d("const(0.0) * const(1.0)"), g)
-    assert np.all(eval_mu_tilde(zero, stack(p), range(6, 7))[0, 0] == 0.0)
+    assert np.all(eval_mu_tilde(zero, ps, range(6, 7))[0, 0] == 0.0)
 
 
 def test_eval_mu_derivs_analytic():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(1.0, 10)
     p = sample_paths(tg, 1, seed=5)
+    ps = PathStack.of(p)
     # spatially constant coefficient: all derivatives vanish
     fields = space_fields(spec_1d("const(2.0) * const(3.0)"), g)
-    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(fields, stack(p), range(3, 4)))
+    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(fields, ps, range(3, 4)))
     assert np.all(grad[0] == 0.0) and np.all(lap == 0.0) and np.all(gvec[0] == 0.0)
     # sine mode: exact analytic derivatives
     cs = spec_1d("const(1.0) * sin(1)")
-    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(space_fields(cs, g), stack(p), range(3, 4)))
+    grad, lap, gvec = (a[0, 0] for a in eval_mu_derivs(space_fields(cs, g), ps, range(3, 4)))
     x = g.meshes()[0]
     beta = p.values[0, 3]
     assert np.allclose(grad[0], np.pi * np.cos(np.pi * x) * beta)
@@ -266,10 +272,11 @@ def test_analytic_derivs_match_grid_operators():
     g = build_grid(1, [1.0], 255, DIRICHLET)
     tg = TimeGrid(1.0, 8)
     p = sample_paths(tg, 2, seed=6)
+    ps = PathStack.of(p)
     cs = spec_1d("const(0.7) * sin(2)", "linear(0.2,0.5) * poly(0.1,0.3,-0.2)")
     fields = space_fields(cs, g)
-    mu = eval_mu(fields, stack(p), range(5, 6))[0, 0]
-    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, stack(p), range(5, 6)))
+    mu = eval_mu(fields, ps, range(5, 6))[0, 0]
+    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, ps, range(5, 6)))
     fd_grad = apply_gradient(g, mu)[0]
     fd_lap = apply_laplacian(g, mu)
     scale = max(np.max(np.abs(grad[0])), 1e-12)
@@ -284,9 +291,7 @@ def test_delta_squared_band():
     # E delta^2 in [T, 4T]: lower bound E beta(T)^2, upper Doob's L2
     tg = TimeGrid(1.0, 256)
     n = 2000
-    d2 = np.empty(n)
-    for pid in range(n):
-        d2[pid] = path_sup(sample_paths(tg, 1, seed=11, path_id=pid)) ** 2
+    d2 = path_sup(sample_block(tg, 1, 11, range(n))) ** 2
     mean = d2.mean()
     assert 1.0 <= mean <= 4.0
 
@@ -302,18 +307,25 @@ def test_block_rows_equal_one_row_blocks(dim, texts):
     p, q = (sample_paths(TimeGrid(0.3, 12), len(texts), seed=21, path_id=i) for i in (0, 1))
     for fn in (eval_mu, eval_mu_tilde, eval_noise, lambda *a: eval_mu_derivs(*a)[0],
                lambda *a: eval_mu_derivs(*a)[1], lambda *a: eval_mu_derivs(*a)[2]):
-        block = fn(fields, stack(p), range(3, 13))  # through the last node
+        block = fn(fields, PathStack.of(p), range(3, 13))  # through the last node
         assert block.shape[:2] == (10, 1) and block.shape[-1] == g.n_nodes
         for i, n in enumerate(range(3, 13)):
-            assert np.array_equal(block[i], fn(fields, stack(p), range(n, n + 1))[0])
+            assert np.array_equal(block[i], fn(fields, PathStack.of(p), range(n, n + 1))[0])
         # each path of a stack gets what it gets alone
-        both = fn(fields, stack(p, q), range(3, 13))
+        both = fn(fields, sample_block(TimeGrid(0.3, 12), len(texts), 21, [0, 1]), range(3, 13))
         assert np.array_equal(both[:, :1], block)
-        assert np.array_equal(both[:, 1:], fn(fields, stack(q), range(3, 13)))
+        assert np.array_equal(both[:, 1:], fn(fields, PathStack.of(q), range(3, 13)))
     # the noise factor of node n uses the increment to n + 1, and none at the last node
-    last = eval_noise(fields, stack(p), range(12, 13))[0, 0]
+    last = eval_noise(fields, PathStack.of(p), range(12, 13))[0, 0]
     assert np.all(last == 0.0)
-    one = eval_noise(fields, stack(p), range(4, 5))[0, 0]
+    one = eval_noise(fields, PathStack.of(p), range(4, 5))[0, 0]
     expect = sum((p.values[k, 5] - p.values[k, 4]) * c.time.value(4 * p.tg.dt) * fields.value[k]
                  for k, c in enumerate(fields.coefficients))
     assert np.allclose(one, expect, rtol=1e-14, atol=0.0)
+
+
+def test_every_export_resolves():
+    # a name dropped from a module but left in its __all__ fails here
+    for module in (svilab, noise):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -16,7 +16,7 @@ import svilab
 from svilab import pathsolver
 from svilab.errors import ConfigError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
+from svilab.noise import CoeffSpec, PathStack, TimeGrid, parse_coefficient, sample_paths
 from svilab.pathsolver import (
     ForcingSpec,
     InitialData,
@@ -29,6 +29,7 @@ from svilab.pathsolver import (
     _one,
     _pick_refinement,
     conjugate_gradients,
+    direct_em_batch,
     direct_em_solve,
     identity,
     solve_path,
@@ -824,7 +825,7 @@ def test_boundary_lift_linear_profile():
     rate = 0.4
     # the interior step rule with the rate, as the Stefan reduction marches it
     sol = _one(_march(g, tg, EMPTY, ReactionSpec(), ForcingSpec(), InitialData("sine", 0.0), cfg,
-                      [paths], _pick_refinement, partial(step_interior, g, lift=rate)))
+                      PathStack.of(paths), _pick_refinement, partial(step_interior, g, lift=rate)))
     x = g.meshes()[0]
     # quasi-steady oracle: y = r t (1-x) + v(x) with v'' = r(1-x), v(0)=v(1)=0
     v = rate * (x**2 / 2.0 - x**3 / 6.0 - x / 3.0)
@@ -854,8 +855,8 @@ def test_the_first_stored_state_is_the_evaluated_initial_datum():
         assert sol.y[0].tobytes() == spec.initial.evaluate(sol.grid).tobytes()
     assert sol.diagnostics.refine_level >= 1
     g, tg, cs, cfg = specs[0].build()
-    em = direct_em_solve(g, tg, cs, ReactionSpec(), ForcingSpec(), specs[0].initial, cfg,
-                         specs[0].sample(0))
+    em = _one(direct_em_batch(g, tg, cs, ReactionSpec(), ForcingSpec(), specs[0].initial, cfg,
+                              specs[0].sample([0])))
     assert em.y[0].tobytes() == specs[0].initial.evaluate(g).tobytes()
 
 

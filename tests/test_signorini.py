@@ -6,7 +6,7 @@ import pytest
 from svilab.errors import ConfigError
 from svilab.grid import (DIRICHLET, NEUMANN, build_grid, inner, normal_derivative,
                          stiffness_inner)
-from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
+from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_block, sample_paths
 from svilab.pathsolver import ForcingSpec, InitialData, SolveConfig, zero_coeffs
 from svilab.penalty import beta_eps, graph_contains
 from svilab.signorini import (
@@ -50,7 +50,7 @@ def test_boundary_data_geometry():
     # the probes' coefficient record is a Neumann grid's only
     with pytest.raises(ConfigError, match="need a Neumann grid"):
         assemble_coeffs(gd, EMPTY, ReactionSpec(), ForcingSpec(),
-                        sample_paths(TimeGrid(0.1, 10), 0, seed=0), 0, 30.0)
+                        sample_block(TimeGrid(0.1, 10), 0, 0, [0]), 0, 30.0)
 
 
 def test_normal_derivative_stencil():
@@ -90,7 +90,7 @@ def test_form_matches_operator_route():
     # two assembly routes agree to machine precision
     g = build_grid(1, [1.0], 63, NEUMANN)
     tg = TimeGrid(0.1, 50)
-    paths = sample_paths(tg, 1, seed=3)
+    paths = sample_block(tg, 1, 3, [0])
     cs = CoeffSpec((parse_coefficient("const(0.8) * poly(0.5,0.3,-0.2)", [1.0]),))
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.5), ForcingSpec(), paths,
                              20, 30.0)
@@ -105,7 +105,7 @@ def test_form_matches_operator_route():
     # 2D, with a corner-active field
     g2 = build_grid(2, [1.0, 1.5], 11, NEUMANN)
     cs2 = CoeffSpec((parse_coefficient("const(0.5) * poly(0.2,0.4,0.0) * cos(1)", [1.0, 1.5]),))
-    paths2 = sample_paths(tg, 1, seed=4)
+    paths2 = sample_block(tg, 1, 4, [0])
     coeffs2 = assemble_coeffs(g2, cs2, ReactionSpec(), ForcingSpec(), paths2,
                               10, 30.0)
     y = rng.normal(size=g2.n_nodes)
@@ -230,7 +230,7 @@ def test_coercivity_probe_constant_sample_closed_form():
 def test_coercivity_probe_noisy_coefficients_no_violations():
     g = build_grid(1, [1.0], 63, NEUMANN)
     tg = TimeGrid(0.2, 100)
-    paths = sample_paths(tg, 1, seed=8)
+    paths = sample_block(tg, 1, 8, [0])
     cs = CoeffSpec((parse_coefficient("const(0.5) * cos(1)", [1.0]),))
     coeffs = assemble_coeffs(g, cs, ReactionSpec("linear", 0.3), ForcingSpec(), paths,
                              60, 30.0)
@@ -274,7 +274,7 @@ def test_probe_on_stacks_equals_the_per_sample_loop(dim, rs):
     g = build_grid(dim, [1.0, 1.5][:dim], 63 if dim == 1 else 13, NEUMANN)
     text = "const(0.5) * cos(1)" + " * cos(2)" * (dim - 1)
     noisy = assemble_coeffs(g, CoeffSpec((parse_coefficient(text, [1.0, 1.5][:dim]),)), rs,
-                            ForcingSpec(), sample_paths(TimeGrid(0.2, 100), 1, seed=8), 60, 30.0)
+                            ForcingSpec(), sample_block(TimeGrid(0.2, 100), 1, 8, [0]), 60, 30.0)
     # a negative zero-order coefficient and outflux make the form non-monotone: c4 > 0
     unstable = replace(zero_coeffs(g, rs=rs), zero_order=np.full(g.n_nodes, -30.0),
                        dmu_dnu=np.full(g.n_nodes, -2.0))

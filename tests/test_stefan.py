@@ -9,7 +9,7 @@ from svilab import verify
 from svilab.cli import parse_config
 from svilab.errors import ConfigError, NumericalFailure
 from svilab.grid import DIRICHLET, NEUMANN, build_grid
-from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_paths
+from svilab.noise import CoeffSpec, TimeGrid, parse_coefficient, sample_block, sample_paths
 from svilab.pathsolver import SolveConfig
 from svilab.stefan import (
     StefanData,
@@ -181,7 +181,7 @@ def test_free_boundary_equals_the_step_loop():
     sd = StefanData(theta0=run.theta0.evaluate(g), rho=run.rho,
                     heated_boundary_temp=run.boundary_temp)
     *_, anchor, tol = _reduction(g, sd, cfg, None)
-    ((sol, _),) = solve_stefan_batch(g, tg, cs, sd, cfg, [run.spec.sample(0)])
+    ((sol, _),) = solve_stefan_batch(g, tg, cs, sd, cfg, run.spec.sample([0]))
     assert np.isfinite(_assert_front_is_the_loop(sol.y, tol, g, anchor).fronts[1:]).all()
     g, tg, cs, sd, cfg, paths = _noisy_interior()
     *_, anchor, tol = _reduction(g, sd, cfg, None)
@@ -346,10 +346,10 @@ def test_baiocchi_forward_equals_the_step_loop():
     assert not np.signbit(baiocchi_forward(theta, fb, g, tg, liquid0_mask=mask)[1, :5]).any()
     # a melt that the lab solved, with its own front and noise exponent
     gi, tgi, cfgi, sdi = verify._interior_melting()
-    paths = sample_paths(TimeGrid(0.05, 4000), 1, seed=31)
+    paths = sample_block(NOISY_TG, 1, 31, [0])
     sol, fbi = solve_stefan_batch(gi, tgi, CoeffSpec((parse_coefficient("const(0.4) * sin(1)",
                                                                         [1.0]),)),
-                                  sdi, cfgi, [paths])[0]
+                                  sdi, cfgi, paths)[0]
     theta = recover_temperature(sol)
     args = (theta, fbi, gi, tgi)
     assert (baiocchi_forward(*args, mu=sol.mu, liquid0_mask=sdi.liquid_mask).tobytes()
@@ -385,12 +385,15 @@ def test_noisy_stefan_fronts_monotone():
         assert np.isfinite(sol.y).all()
 
 
+NOISY_TG = TimeGrid(0.05, 4000)  # the sampling grid of the noisy interior melt
+
+
 def _noisy_interior():
-    """The noisy interior melt of the acceptance check and its three paths."""
+    """The noisy interior melt of the acceptance check and its three paths,
+    one stack; path set pid of a solo solve is sample_paths(NOISY_TG, 1, 31, pid)."""
     g, tg, cfg, sd = verify._interior_melting()
     cs = CoeffSpec((parse_coefficient("const(0.4) * sin(1)", [1.0]),))
-    paths = [sample_paths(TimeGrid(0.05, 4000), 1, seed=31, path_id=pid) for pid in range(3)]
-    return g, tg, cs, sd, cfg, paths
+    return g, tg, cs, sd, cfg, sample_block(NOISY_TG, 1, 31, range(3))
 
 
 def _assert_same_melt(got, want):
@@ -407,9 +410,10 @@ def test_stefan_batch_equals_solo_solves():
     # 0.0 whatever the march does: compare the solves themselves
     g, tg, cs, sd, cfg, paths = _noisy_interior()
     batch = solve_stefan_batch(g, tg, cs, sd, cfg, paths)
-    assert len(batch) == len(paths)
-    for got, p in zip(batch, paths):
-        _assert_same_melt(got, solve_stefan_svi(g, tg, cs, sd, cfg, p))
+    assert len(batch) == len(paths.values)
+    for pid, got in enumerate(batch):
+        _assert_same_melt(got, solve_stefan_svi(g, tg, cs, sd, cfg,
+                                                sample_paths(NOISY_TG, 1, 31, pid)))
         assert np.isfinite(got[1].fronts[-1])
     # the boundary lift and the front's anchor take the same route: the front
     # follows the first liquid bump, while y peaks in the taller second one
@@ -420,9 +424,10 @@ def test_stefan_batch_equals_solo_solves():
     bumps = np.clip(1.0 - np.abs(x - 0.3) / 0.1, 0.0, 1.0) + 4.0 * np.clip(
         1.0 - np.abs(x - 0.7) / 0.1, 0.0, 1.0)
     sdh = StefanData(theta0=bumps, rho=5.0, heated_boundary_temp=1.0)
-    p = sample_paths(tgh, 0, seed=0)
-    (got,) = solve_stefan_batch(gh, tgh, EMPTY, sdh, cfgh, [p], tol_fb=1e-4)
-    _assert_same_melt(got, solve_stefan_svi(gh, tgh, EMPTY, sdh, cfgh, p, tol_fb=1e-4))
+    (got,) = solve_stefan_batch(gh, tgh, EMPTY, sdh, cfgh, sample_block(tgh, 0, 0, [0]),
+                                tol_fb=1e-4)
+    _assert_same_melt(got, solve_stefan_svi(gh, tgh, EMPTY, sdh, cfgh, sample_paths(tgh, 0, seed=0),
+                                            tol_fb=1e-4))
     assert got[1].fronts[-1] < 0.5 < x[np.argmax(got[0].y[-1])]
 
 
@@ -433,7 +438,8 @@ def test_stefan_batch_failure_leaves_only_its_path():
     capped = replace(cfg, mu_cap=0.07)
     batch = solve_stefan_batch(g, tg, cs, sd, capped, paths)
     with pytest.raises(NumericalFailure) as solo:
-        solve_stefan_svi(g, tg, cs, sd, capped, paths[0])
+        solve_stefan_svi(g, tg, cs, sd, capped, sample_paths(NOISY_TG, 1, 31, 0))
     assert type(batch[0]) is type(solo.value) and str(batch[0]) == str(solo.value)
-    for got, p in zip(batch[1:], paths[1:]):
-        _assert_same_melt(got, solve_stefan_svi(g, tg, cs, sd, capped, p))
+    for pid in (1, 2):
+        _assert_same_melt(batch[pid], solve_stefan_svi(g, tg, cs, sd, capped,
+                                                       sample_paths(NOISY_TG, 1, 31, pid)))

@@ -4,14 +4,10 @@ from hypothesis import given, strategies as st
 
 from svilab.errors import ConfigError
 from svilab.grid import DIRICHLET, build_grid
-from svilab.noise import TimeGrid, parse_coefficient, CoeffSpec, sample_paths, eval_mu, eval_mu_tilde, eval_mu_derivs, space_fields, stack_paths
+from svilab.noise import TimeGrid, parse_coefficient, CoeffSpec, sample_paths, eval_mu, eval_mu_tilde, eval_mu_derivs, space_fields, PathStack
 from svilab.pathsolver import PathSolution
 from svilab.penalty import beta_eps
 from svilab.transform import ReactionSpec, effective_reaction, effective_source, zero_order
-
-
-def stack(p):
-    return stack_paths([p], p.m)
 
 
 def test_sign_preservation():
@@ -65,14 +61,15 @@ def test_effective_reaction_term_oracle():
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(1.0, 8)
     p = sample_paths(tg, 2, seed=9)
+    ps = PathStack.of(p)
     cs = CoeffSpec((
         parse_coefficient("const(0.8) * sin(1)", [1.0]),
         parse_coefficient("cos(0.5,2.0) * poly(0.2,0.1,0.4)", [1.0]),
     ))
     fields = space_fields(cs, g)
-    mu = eval_mu(fields, stack(p), range(5, 6))[0, 0]
-    mt = eval_mu_tilde(fields, stack(p), range(5, 6))[0, 0]
-    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, stack(p), range(5, 6)))
+    mu = eval_mu(fields, ps, range(5, 6))[0, 0]
+    mt = eval_mu_tilde(fields, ps, range(5, 6))[0, 0]
+    grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, ps, range(5, 6)))
     rng = np.random.default_rng(3)
     y = rng.normal(size=g.n_nodes)
     out = _reaction(ReactionSpec("zero"), mu, mt, grad, lap, y)
@@ -85,14 +82,15 @@ def test_effective_reaction_linear_growth_bound():
     g = build_grid(1, [1.0], 63, DIRICHLET)
     tg = TimeGrid(1.0, 8)
     p = sample_paths(tg, 1, seed=10)
+    ps = PathStack.of(p)
     cs = CoeffSpec((parse_coefficient("const(1.3) * sin(2)", [1.0]),))
     rs = ReactionSpec("saturating", 0.7)
     rng = np.random.default_rng(4)
     for idx in (2, 5, 8):
         fields = space_fields(cs, g)
-        mu = eval_mu(fields, stack(p), range(idx, idx + 1))[0, 0]
-        mt = eval_mu_tilde(fields, stack(p), range(idx, idx + 1))[0, 0]
-        grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, stack(p), range(idx, idx + 1)))
+        mu = eval_mu(fields, ps, range(idx, idx + 1))[0, 0]
+        mt = eval_mu_tilde(fields, ps, range(idx, idx + 1))[0, 0]
+        grad, lap, _ = (a[0, 0] for a in eval_mu_derivs(fields, ps, range(idx, idx + 1)))
         alpha_bar = rs.alpha + np.max(np.abs(mt)) + np.max(grad[0] ** 2 + np.abs(lap))
         y = rng.normal(size=g.n_nodes)
         out = _reaction(rs, mu, mt, grad, lap, y)
