@@ -184,6 +184,10 @@ def fit_rate(eps: np.ndarray, errors: np.ndarray) -> RateFit:
     errors = np.asarray(errors, dtype=float)
     if np.all(errors <= 1e-14):
         return RateFit(eps, errors, np.nan, np.nan, 0.0, degenerate=True)
+    if np.any(errors <= 0):
+        zero = ", ".join(f"{e:g}" for e in eps[errors <= 0])
+        raise NumericalFailure(f"the error against the reference is 0 at eps {zero} but not at "
+                               "every eps, so no log-log rate can be fitted")
     le, lv = np.log(eps), np.log(errors)
     slope, intercept = np.polyfit(le, lv, 1)
     resid = float(np.sqrt(np.mean((lv - (slope * le + intercept)) ** 2)))

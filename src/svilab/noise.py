@@ -4,14 +4,14 @@ Paths are sampled from counter-based Philox streams keyed on
 (seed, path_id, k), so distinct Brownian components and distinct paths are
 independent and any subset can be regenerated reproducibly, in parallel.
 The stream of component k of a path is that of
-Philox(SeedSequence(seed, spawn_key=(path_id, k))); philox_key computes its
-key with numpy's SeedSequence hash, for one id or for a whole array of ids
-in one vectorized pass, and one reused Philox, reset to each key, draws the
-normals.  sample_block samples a block of paths into one PathStack, the
-one form of a batch from sampling to the march; sample_paths samples one
-path as the BrownianPathSet the solo solvers take, a stack of one to them
-(PathStack.of), and both give the same bits.  An Euler-Maruyama step takes
-its increments as differences of the values.
+Philox(SeedSequence(seed, spawn_key=(path_id, k))); philox_key computes the
+keys of an array of ids in one vectorized pass of numpy's SeedSequence hash,
+and one reused Philox, reset to each key, draws the normals.  sample_block
+is the one sampler: it samples a block of paths, ids in [0, 2**64), into one
+PathStack, the one form of a batch from sampling to the march.  sample_paths
+is its block of one, as the BrownianPathSet the solo solvers take (a stack
+of one to them, PathStack.of).  An Euler-Maruyama step takes its increments
+as differences of the values.
 
 The coefficient evaluators take a PathStack, the (P, m, N+1) values of
 the P paths of a batch on one time grid, and read blocks of time rows of
@@ -95,8 +95,9 @@ class BrownianPathSet:
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written with
-# explicit 32-bit masks so that one code hashes a Python int or a uint64
-# array of path ids; uint64 products wrap, and the mask keeps their low word
+# explicit 32-bit masks so that one code hashes the seed's and k's words as
+# Python ints and a uint64 array of path ids; uint64 products wrap, and the
+# mask keeps their low word
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _XSHIFT = 16
@@ -172,21 +173,16 @@ def _key(seed: int, words) -> tuple:
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
-def philox_key(seed: int, path_id, k: int):
-    """The Philox key of component k of path path_id: the two uint64 words
-    of SeedSequence(seed, spawn_key=(path_id, k)).generate_state(2, uint64).
-
-    path_id is one int, which gives a pair of ints, or a uint64 array of
-    ids, which gives a (P, 2) uint64 array.  An id below 2**32 is one word
-    of the spawn key and a larger one two, as numpy makes them.
-    """
+def philox_key(seed: int, path_ids: np.ndarray, k: int) -> np.ndarray:
+    """The (P, 2) uint64 Philox keys of component k of the paths path_ids, a
+    uint64 array: row i is SeedSequence(seed, spawn_key=(path_ids[i], k))
+    .generate_state(2, uint64).  An id below 2**32 is one word of the spawn
+    key and a larger one two, as numpy makes them."""
     seed = operator.index(seed)
-    if not isinstance(path_id, np.ndarray):
-        return _key(seed, _int_words(operator.index(path_id)) + _int_words(k))
-    keys = np.empty((path_id.size, 2), dtype=np.uint64)
-    wide = path_id > _MASK32
+    keys = np.empty((path_ids.size, 2), dtype=np.uint64)
+    wide = path_ids > _MASK32
     for sel, n_words in ((~wide, 1), (wide, 2)):
-        ids = path_id[sel]
+        ids = path_ids[sel]
         if ids.size:
             words = [ids & _MASK32, ids >> 32][:n_words]
             keys[sel] = np.stack(_key(seed, words + _int_words(k)), axis=-1)
@@ -196,28 +192,6 @@ def philox_key(seed: int, path_id, k: int):
 # Every draw sets the whole state of this Philox first (its key, counter 0,
 # an empty buffer), so no draw sees what an earlier one left behind.
 _GENERATOR = np.random.Generator(np.random.Philox(0))
-
-
-def _draw(tg: TimeGrid, m: int, seed: int, ids) -> np.ndarray:
-    """(P, m, N+1) values of the paths ids, one int or a uint64 array of P
-    ids: component k of a path is the Philox stream of its key, its
-    increments sqrt(dt) times standard normals."""
-    if m < 0:
-        raise ConfigError(f"m must be >= 0, got {m}")
-    block = isinstance(ids, np.ndarray)
-    values = np.zeros((ids.size if block else 1, m, tg.N + 1))
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for k in range(m):
-        keys = philox_key(seed, ids, k)
-        for row, key in zip(values[:, k, 1:], keys.tolist() if block else [keys]):
-            state["state"]["key"] = key
-            _GENERATOR.bit_generator.state = state
-            _GENERATOR.standard_normal(out=row)
-    inc = values[..., 1:]
-    inc *= np.sqrt(tg.dt)
-    np.cumsum(inc, axis=-1, out=inc)
-    return values
 
 
 @dataclass(frozen=True)
@@ -242,27 +216,45 @@ class PathStack:
         return replace(self, values=self.values[keep])
 
 
+def _path_id(path_id) -> int:
+    try:
+        return operator.index(path_id)
+    except TypeError:
+        raise TypeError(f"a path id must be an integer, got {path_id!r}") from None
+
+
 def sample_block(tg: TimeGrid, m: int, seed: int, path_ids) -> PathStack:
-    """The paths path_ids, ids in [0, 2**64), in one pass: row i of the
-    stack is sample_paths(tg, m, seed, path_ids[i]).values, bit for bit."""
-    ids = np.asarray(path_ids)
-    if ids.size and ids.min() < 0:
+    """m independent Brownian paths on the nodes of tg for each of path_ids,
+    integer ids in [0, 2**64), in one pass: row i of the stack holds the
+    (m, N+1) values of path path_ids[i], its component k the Philox stream
+    keyed philox_key(seed, path_ids[i], k) with increments sqrt(dt) times
+    standard normals, so a row is a function of its id alone."""
+    if m < 0:
+        raise ConfigError(f"m must be >= 0, got {m}")
+    ids = [_path_id(i) for i in path_ids]
+    if ids and min(ids) < 0:
         raise ValueError("expected non-negative integer")
-    if ids.size and int(ids.max()) >= 2**64:
+    if ids and max(ids) >= 2**64:
         raise ValueError("a block's path ids must lie below 2**64")
-    return PathStack(tg, _draw(tg, m, seed, ids.astype(np.uint64)))
+    ids = np.array(ids, dtype=np.uint64)
+    values = np.zeros((ids.size, m, tg.N + 1))
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k in range(m):
+        for row, key in zip(values[:, k, 1:], philox_key(seed, ids, k).tolist()):
+            state["state"]["key"] = key
+            _GENERATOR.bit_generator.state = state
+            _GENERATOR.standard_normal(out=row)
+    inc = values[..., 1:]
+    inc *= np.sqrt(tg.dt)
+    np.cumsum(inc, axis=-1, out=inc)
+    return PathStack(tg, values)
 
 
 def sample_paths(tg: TimeGrid, m: int, seed: int, path_id: int = 0) -> BrownianPathSet:
-    """m independent Brownian paths on the nodes of tg.
-
-    The one definition of the sampling: component k of path path_id comes
-    from the Philox stream keyed (seed, path_id, k), the stream of
-    Philox(SeedSequence(seed, spawn_key=(path_id, k))), so identical
-    arguments give bitwise-identical values.  This is the block of one of
-    sample_block; philox_key computes the key.
-    """
-    values = _draw(tg, m, seed, operator.index(path_id))[0]
+    """The m Brownian paths of path id path_id: row 0 of sample_block's
+    block of one, as the BrownianPathSet the solo solvers take."""
+    values = sample_block(tg, m, seed, [path_id]).values[0]
     return BrownianPathSet(tg=tg, seed=seed, path_id=path_id, values=values)
 
 

@@ -5,7 +5,7 @@ Run via the CLI's verify mode or directly from the test suite; both share
 these implementations, so the gate has a single source of truth.  The checks
 call the code they gate: criterion 4 reads the ensemble's per-path
 functionals, and criterion 8 samples its paths through sample_block (the
-block form of sample_paths), reads them with path_sup and takes its
+lab's one sampler), reads them with path_sup and takes its
 half-widths from FunctionalStats.of, the ensemble's statistics rule.
 
 Every check takes `workers`.  The complementarity, energy,

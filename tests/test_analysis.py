@@ -164,6 +164,13 @@ def test_fit_rate_and_validation():
         RateFit(np.array([1e-3, 1e-2]), np.array([1.0, 2.0]), 1.0, 0.0, 0.0)
 
 
+def test_fit_rate_with_some_zero_errors_is_a_numerical_failure():
+    eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    with pytest.raises(NumericalFailure) as exc:
+        fit_rate(eps, np.array([3e-2, 1e-3, 0.0, 0.0]))
+    assert "is 0 at eps 0.001, 0.0001 but not at every eps" in str(exc.value)
+
+
 def test_cauchy_rate_pinned_deterministic():
     # the pinned contact set gives e(eps) ~ eps: slope near 1, passes 0.45
     spec = ProblemSpec(

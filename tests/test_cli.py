@@ -562,6 +562,37 @@ def test_rate_eps_mode(tmp_path):
     assert "cauchy_slope" in (out / "summary.csv").read_text()
 
 
+def test_rate_eps_mode_with_an_exact_eps_fails_numerically_naming_it(tmp_path, capsys):
+    # at eps 1e-200 the solve equals its eps/4 reference to the last bit
+    conf = textwrap.dedent(
+        """
+        [domain]
+        n = 7
+        [time]
+        t = 0.01
+        dt = 1e-3
+        [noise]
+        m = 1
+        mu1 = const(0.5) * sin(1)
+        [penalty]
+        eps = 0.1, 0.01, 0.001, 1e-200
+        [forcing]
+        kind = const
+        amplitude = -1.0
+        [run]
+        mode = rate-eps
+        [output]
+        dir = {out}
+        """
+    ).format(out=tmp_path / "out")
+    assert main(["--config", str(write(tmp_path, conf))]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("FAIL numerical: the error against the reference is 0 at eps 1e-200 ")
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[2] == "numerical_failure,1,0,fail" and "eps 1e-200" in summary[3]
+
+
 def test_rate_mesh_mode(tmp_path):
     conf = textwrap.dedent(
         """

@@ -84,9 +84,7 @@ def test_variance_monte_carlo():
     # E beta(T)^2 = T within 3 standard errors over 1e4 paths
     tg = TimeGrid(1.0, 32)
     n = 10_000
-    sq = np.empty(n)
-    for pid in range(n):
-        sq[pid] = sample_paths(tg, 1, seed=2024, path_id=pid).values[0, -1] ** 2
+    sq = sample_block(tg, 1, 2024, range(n)).values[:, 0, -1] ** 2
     se = np.sqrt(2.0) * 1.0 / np.sqrt(n)
     assert abs(sq.mean() - 1.0) <= 3 * se
 
@@ -94,9 +92,7 @@ def test_variance_monte_carlo():
 def test_mean_is_centered():
     tg = TimeGrid(2.0, 16)
     n = 10_000
-    vals = np.empty(n)
-    for pid in range(n):
-        vals[pid] = sample_paths(tg, 1, seed=7, path_id=pid).values[0, -1]
+    vals = sample_block(tg, 1, 7, range(n)).values[:, 0, -1]
     se = np.sqrt(2.0) / np.sqrt(n)
     assert abs(vals.mean()) <= 3 * se
 
@@ -112,17 +108,20 @@ def _random_int(rng, max_bits):
 
 
 def test_philox_key_is_the_seed_sequence_key():
-    # seeds of 1 to 5 words (beyond the pool of 4), ids of 1 to 3 words, k of
-    # 1 or 2 words: one Python int at a time
+    # seeds of 1 to 5 words (beyond the pool of 4), ids of 1 or 2 words, k of
+    # 1 or 2 words: each (seed, k) keys an array of ids of mixed widths
     rng = np.random.default_rng(2026)
-    triples = [(_random_int(rng, 160), _random_int(rng, 96), _random_int(rng, 3))
-               for _ in range(600)]
-    triples += [(0, 0, 0), (2**32, 2**32 - 1, 1), (2**64 - 1, 2**64, 2**32)]
-    assert sum(s >= 2**32 for s, _, _ in triples) >= 100
-    assert sum(i >= 2**32 for _, i, _ in triples) >= 100
-    assert sum(k >= 1 for _, _, k in triples) >= 100
-    for seed, pid, k in triples:
-        assert list(philox_key(seed, pid, k)) == list(_seed_sequence_key(seed, pid, k))
+    pairs = [(_random_int(rng, 160), _random_int(rng, 3)) for _ in range(150)]
+    pairs += [(0, 0), (2**32, 1), (2**64 - 1, 2**32), (2**128, 2**32 + 1)]
+    assert sum(s >= 2**32 for s, _ in pairs) >= 100 and max(s for s, _ in pairs) >= 2**128
+    assert sum(k >= 1 for _, k in pairs) >= len(pairs) // 2
+    n_wide = 0
+    for seed, k in pairs:
+        ids = [_random_int(rng, 64) for _ in range(4)] + [0, 2**32 - 1, 2**32, 2**64 - 1]
+        n_wide += sum(i >= 2**32 for i in ids)
+        keys = philox_key(seed, np.array(ids, dtype=np.uint64), k)
+        assert np.array_equal(keys, [_seed_sequence_key(seed, pid, k) for pid in ids])
+    assert n_wide >= 2 * len(pairs) + 100
 
 
 def test_philox_key_of_an_id_array_gives_each_id_its_words():
@@ -135,20 +134,51 @@ def test_philox_key_of_an_id_array_gives_each_id_its_words():
             want = [_seed_sequence_key(seed, pid, k) for pid in ids]
             assert np.array_equal(keys, want)
     with pytest.raises(ValueError):
-        philox_key(-1, 0, 0)
+        philox_key(-1, np.zeros(1, dtype=np.uint64), 0)
     with pytest.raises(ValueError):
         sample_block(TimeGrid(1.0, 4), 1, 0, [3, -1])
 
 
 def test_block_ids_from_2_to_the_64_are_a_value_error():
-    # ids past uint64 reach only sample_paths (philox_key's int branch)
     tg = TimeGrid(1.0, 4)
-    for ids in ([2**64], [0, 2**64 + 5], range(2**64 - 1, 2**64 + 1)):
+    for ids in ([2**64], [0, 2**64 + 5], range(2**64 - 1, 2**64 + 1),
+                np.array([1, 2**64], dtype=object)):
         with pytest.raises(ValueError) as exc:
             sample_block(tg, 1, 0, ids)
         assert str(exc.value) == "a block's path ids must lie below 2**64"
+    with pytest.raises(ValueError) as exc:
+        sample_paths(tg, 1, 0, 2**64)
+    assert str(exc.value) == "a block's path ids must lie below 2**64"
     top = sample_block(tg, 1, 0, [2**64 - 1])
     assert np.array_equal(top.values[0], sample_paths(tg, 1, 0, 2**64 - 1).values)
+
+
+@pytest.mark.parametrize("ids", [[1.5], [0, 2.0], [[1, 2], [3, 4]], np.array([[1], [2]]),
+                                 ["3"], np.array([0, 1.5], dtype=object)])
+def test_block_ids_that_are_not_integers_are_a_type_error(ids):
+    with pytest.raises(TypeError, match="a path id must be an integer, got "):
+        sample_block(TimeGrid(1.0, 4), 1, 0, ids)
+
+
+def test_block_ids_may_be_any_integer_sequence():
+    tg = TimeGrid(1.0, 4)
+    want = sample_block(tg, 2, 5, [0, 3, 2**40]).values
+    for ids in (np.array([0, 3, 2**40]), np.array([0, 3, 2**40], dtype=np.uint64),
+                np.array([0, 3, 2**40], dtype=object), (np.int32(0), np.uint8(3), 2**40)):
+        assert np.array_equal(sample_block(tg, 2, 5, ids).values, want)
+    for empty in ([], np.asarray([]), range(0)):
+        assert sample_block(tg, 2, 5, empty).values.shape == (0, 2, 5)
+    with pytest.raises(TypeError, match="a path id must be an integer, got 1.0"):
+        sample_paths(tg, 1, 0, 1.0)
+
+
+def test_sample_paths_draws_through_sample_block(monkeypatch):
+    def raising(*args):
+        raise RuntimeError("drawn by sample_block")
+
+    monkeypatch.setattr(noise, "sample_block", raising)
+    with pytest.raises(RuntimeError, match="drawn by sample_block"):
+        sample_paths(TimeGrid(1.0, 4), 1, 0, 3)
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
