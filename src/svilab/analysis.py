@@ -8,13 +8,14 @@ trajectories.  A sample's mean, variance and confidence half-width follow
 one rule, FunctionalStats.of, which the CLI and the acceptance battery share.
 
 map_paths fans independent jobs out on one worker pool per process, forked
-by the first call that needs it and reused by the calls after it.
+by the first call that needs it and reused by the calls after it.  The pool
+machinery (concurrent.futures.process, multiprocessing) loads with that
+first call, not with this module, and the pool is shut down at exit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import atexit
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,13 +117,14 @@ class EnergyReport:
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> float:
     """max over entries of num / den, from 0: entries with num <= 1e-300 are
-    skipped, any other with den <= 0 gives inf, and NaN quotients are ignored."""
+    skipped, and any other whose num or den is not finite, or whose den is
+    <= 0, gives inf, so a bound over data that overflowed fails."""
     keep = ~(num <= 1e-300)
-    if np.any(den[keep] <= 0.0):
+    num, den = num[keep], den[keep]
+    if np.any(den <= 0.0) or not (np.isfinite(num).all() and np.isfinite(den).all()):
         return np.inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = num[keep] / den[keep]
-    return float(np.max(q, initial=0.0, where=~np.isnan(q)))
+    with np.errstate(over="ignore"):
+        return float(np.max(num / den, initial=0.0))
 
 
 def _step_norms(sol: PathSolution) -> tuple[np.ndarray, ...]:
@@ -283,11 +285,22 @@ def path_batches(spec: ProblemSpec, n_paths: int, workers: int = 1) -> list:
 
 
 # the worker pool map_paths reuses and its process count, once forked
-_pool: tuple[ProcessPoolExecutor, int] | None = None
+_pool = None
 
 
+def _fork_pool(size: int):
+    """A ProcessPoolExecutor of `size` processes, from concurrent.futures
+    imported here, at the first pooled call."""
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=size)
+
+
+@atexit.register
 def shutdown_pool() -> None:
-    """Shut the worker pool down; the next pooled call forks a new one."""
+    """Shut the worker pool down; the next pooled call forks a new one.  It
+    also runs at exit, while the modules the pool's finalizer calls still
+    exist, so the pool is never collected after they are torn down."""
     global _pool
     if _pool is not None:
         pool, _pool = _pool[0], None
@@ -308,10 +321,12 @@ def map_paths(fn, jobs, workers: int = 1) -> list:
     jobs = list(jobs)
     size = min(workers, len(jobs))
     if size > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         if _pool is not None and not size <= _pool[1] <= workers:
             shutdown_pool()
         if _pool is None:
-            _pool = (ProcessPoolExecutor(max_workers=size), size)
+            _pool = (_fork_pool(size), size)
         try:
             results = list(_pool[0].map(fn, jobs))
         except BrokenProcessPool:

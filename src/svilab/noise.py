@@ -189,9 +189,13 @@ def philox_key(seed: int, path_ids: np.ndarray, k: int) -> np.ndarray:
     return keys
 
 
-# Every draw sets the whole state of this Philox first (its key, counter 0,
-# an empty buffer), so no draw sees what an earlier one left behind.
-_GENERATOR = np.random.Generator(np.random.Philox(0))
+@functools.cache
+def _generator():
+    """The one Philox Generator of every draw, built at the first draw, so
+    that importing this module loads no numpy.random.  Every draw sets its
+    whole state first (its key, counter 0, an empty buffer), so no draw sees
+    what an earlier one left behind."""
+    return np.random.Generator(np.random.Philox(0))
 
 
 @dataclass(frozen=True)
@@ -241,10 +245,11 @@ def sample_block(tg: TimeGrid, m: int, seed: int, path_ids) -> PathStack:
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for k in range(m):
+        generator = _generator()
         for row, key in zip(values[:, k, 1:], philox_key(seed, ids, k).tolist()):
             state["state"]["key"] = key
-            _GENERATOR.bit_generator.state = state
-            _GENERATOR.standard_normal(out=row)
+            generator.bit_generator.state = state
+            generator.standard_normal(out=row)
     inc = values[..., 1:]
     inc *= np.sqrt(tg.dt)
     np.cumsum(inc, axis=-1, out=inc)

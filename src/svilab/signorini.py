@@ -101,8 +101,8 @@ def assemble_form_value(grid: Grid, coeffs: StepCoeffs, y: np.ndarray, phi: np.n
     return value
 
 
-def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next: StepCoeffs,
-                   cfg: SolveConfig, solver: ImplicitSolver):
+def step_signorini(grid: Grid, y_n: np.ndarray, start: np.ndarray, coeffs: StepCoeffs,
+                   coeffs_next: StepCoeffs, cfg: SolveConfig, solver: ImplicitSolver):
     """One theta-step of each row of a stack of states, by the march's
     ImplicitSolver(grid, cfg.dt, cfg.theta), with the arguments of
     `pathsolver.step_interior`; the boundary condition is enforced at the
@@ -116,7 +116,7 @@ def step_signorini(grid: Grid, y_n: np.ndarray, coeffs: StepCoeffs, coeffs_next:
         + coeffs.source
     )
     dt_scale = cfg.dt * cfg.theta * grid.flux_factor  # zero off the boundary
-    return newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, y_n, cfg.newton_tol,
+    return newton_penalized_solve(solver, rhs, dt_scale, cfg.eps, start, cfg.newton_tol,
                                   cfg.newton_max, linear_diag=dt_scale * coeffs_next.dmu_dnu)
 
 

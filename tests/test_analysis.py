@@ -2,7 +2,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -232,8 +231,8 @@ def test_ensemble_statistics_and_reduction_order(monkeypatch):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size and its
-    shutdown, runs inline."""
+    """Stands in for the pool `analysis._fork_pool` forks: records its size
+    and its shutdown, runs inline."""
 
     sizes = []
     closed = []
@@ -282,7 +281,7 @@ def _exit_on_one(job):
 def test_map_paths_forks_no_idle_workers(monkeypatch, calls, sizes):
     # a fork pool starts all max_workers processes at its first job, and the
     # process keeps one pool while it has from size to workers of them
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(analysis, "_fork_pool", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "closed", [])
     for workers, n_jobs in calls:
@@ -309,18 +308,22 @@ def test_a_dead_worker_breaks_only_its_call():
     assert map_paths(_echo, range(5), 2) == [(j, -j) for j in range(5)]
 
 
-def test_pool_workers_exit_with_the_interpreter():
+def _python(code: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on `code`, with this checkout's svilab."""
     src = str(Path(analysis.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import multiprocessing\n"
-            "from svilab.analysis import ensemble_run\n"
-            "from svilab.pathsolver import ProblemSpec\n"
-            "stats = ensemble_run(ProblemSpec(n=15, T=0.05, n_steps=20), 4, workers=2)\n"
-            "assert stats.n_paths == 4\n"
-            "print(*(p.pid for p in multiprocessing.active_children()))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    out = _python("import multiprocessing\n"
+                  "from svilab.analysis import ensemble_run\n"
+                  "from svilab.pathsolver import ProblemSpec\n"
+                  "stats = ensemble_run(ProblemSpec(n=15, T=0.05, n_steps=20), 4, workers=2)\n"
+                  "assert stats.n_paths == 4\n"
+                  "print(*(p.pid for p in multiprocessing.active_children()))")
     assert out.returncode == 0, out.stderr
     pids = [int(pid) for pid in out.stdout.split()]
     assert len(pids) == 2
@@ -329,17 +332,24 @@ def test_pool_workers_exit_with_the_interpreter():
             os.kill(pid, 0)
 
 
+def test_the_kept_pool_is_shut_down_before_module_teardown():
+    # modules still referenced at exit have their globals cleared in reverse
+    # import order, so the pool machinery, loaded by the first pooled call,
+    # goes before analysis: a kept pool collected after that finds its
+    # finalizer's modules gone and prints "Exception ignored ... weakref_cb"
+    out = _python("import sys\n"
+                  "from svilab import analysis\n"
+                  "assert analysis.map_paths(str, range(4), 2) == list('0123')\n"
+                  "sys.keep = [analysis, sys.modules['concurrent.futures.process']]\n")
+    assert out.returncode == 0 and not out.stderr, out.stderr
+
+
 @pytest.mark.usefixtures("fresh_pool")
 def test_a_verify_pass_forks_one_pool(monkeypatch):
     # signorini and stefan each fan three parts out to two workers
     built = []
-
-    class Counted(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", Counted)
+    fork = analysis._fork_pool
+    monkeypatch.setattr(analysis, "_fork_pool", lambda size: built.append(size) or fork(size))
     rows = run_checks(("signorini", "stefan"), workers=2, quiet=True)
     assert all(passed for *_, passed in rows)
     assert built == [2]
@@ -388,7 +398,7 @@ def _ratio_loop(num, den):
     for a, b in zip(num, den):
         if a <= 1e-300:
             continue
-        if b <= 0.0:
+        if b <= 0.0 or not (np.isfinite(a) and np.isfinite(b)):
             return np.inf
         out = max(out, a / b)
     return out

@@ -134,6 +134,51 @@ def test_2d_batch_with_contact(cg_stops):
     assert solo_stops >= 1 and sum(cg_stops) == 2 * solo_stops
 
 
+def _contact_2d_spec(**kw):
+    return ProblemSpec(
+        dim=2, lengths=(1.0, 1.0), n=9, forcing=ForcingSpec("const", -0.4),
+        initial=InitialData("cone", 1.0, center=(0.5, 0.5), radius=0.45), eps=1e-4, **kw)
+
+
+def test_2d_batch_mixes_refine_levels():
+    # each level's batch starts its Newton solves without a previous state,
+    # as each path's solve alone does, whatever level, of whatever size,
+    # marched before it
+    spec = _contact_2d_spec(
+        T=0.2, n_steps=20, seed=5,
+        coefficients=(parse_coefficient("const(4.0) * sin(1) * sin(1)", [1.0, 1.0]),))
+    ids = range(4)
+    solo = [spec.solve(pid) for pid in ids]
+    assert [s.diagnostics.refine_level for s in solo] == [2, 1, 0, 0]
+    assert all(np.any(s.eta < 0) for s in solo)
+    _assert_same(spec.solve_paths(ids), solo)
+    _assert_same(spec.solve_paths(reversed(ids)), solo[::-1])
+
+
+def test_2d_paths_that_fail_inside_a_coefficient_block_leave_the_stack():
+    # mu = W(t) sin(pi x) sin(pi y) capped at 0.5: of paths 0-4 (seed 5),
+    # paths 0 and 2 pass the cap inside a block of run-grid rows, away from
+    # its seams, path 0 while others are in partial contact; their previous
+    # states leave the batch with them, so the next steps start where the
+    # other paths' solves alone start
+    spec = _contact_2d_spec(
+        T=0.25, n_steps=100, seed=5, mu_cap=0.5,
+        coefficients=(parse_coefficient("const(1.0) * sin(1) * sin(1)", [1.0, 1.0]),))
+    ids = range(5)
+    block_rows = pathsolver.BLOCK_VALUES // (len(ids) * spec.n**2)
+    over = np.abs(spec.sample(ids).values[:, 0, ::spec.headroom]) > spec.mu_cap
+    first_over = [int(row.argmax()) if row.any() else None for row in over]
+    assert first_over[1] is first_over[3] is first_over[4] is None
+    assert 0 < first_over[0] % block_rows < block_rows - 1
+    assert 0 < first_over[2] % block_rows < block_rows - 1
+    assert first_over[0] // block_rows < first_over[2] // block_rows
+    solo = [_solo(lambda: spec.solve(pid)) for pid in ids]
+    assert [isinstance(s, NumericalFailure) for s in solo] == [True, False, True, False, False]
+    in_contact = [(s.y[first_over[0]] < 0).sum() for s in solo[1::2] + solo[4:]]
+    assert any(0 < nodes < spec.n**2 for nodes in in_contact)
+    _assert_same(spec.solve_paths(ids), solo)
+
+
 def test_a_failed_linear_solve_ends_only_its_path(monkeypatch):
     # a row whose linear solve fails leaves Newton with that error, not a
     # NewtonError, and leaves the batch; the other rows keep their solo bits

@@ -3,6 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import textwrap
 import threading
@@ -492,6 +494,20 @@ def test_newton_tolerance_scales_with_the_data(tmp_path):
     assert rows and all(row.endswith(",pass") for row in rows)
 
 
+def test_energy_rows_fail_when_their_norms_overflow(tmp_path):
+    # y stays finite, near 1e305, but its squared norms and the source's overflow
+    # to inf: the energy bounds are not met, not met vacuously at 0
+    huge = set_key(set_key(MINIMAL.format(out=tmp_path / "out"), "domain", "n", "7"),
+                   "time", "t", "0.01")
+    huge = set_key(set_key(huge, "forcing", "kind", "const"), "forcing", "amplitude", "1e308")
+    with np.errstate(over="ignore"):
+        assert main(["--config", str(write(tmp_path, huge)), "--quiet"]) == 0
+    rows = dict(row.split(",", 1) for row in
+                (tmp_path / "out" / "summary.csv").read_text().splitlines()[2:])
+    assert rows["energy_ratio"] == "inf,10,fail"
+    assert rows["multiplier_ratio"] == "inf,10,fail"
+
+
 def test_ensemble_mode(tmp_path):
     conf = textwrap.dedent(
         """
@@ -752,6 +768,29 @@ def test_mode_prints_its_report(tmp_path, capsys, mode):
             f"{status.upper()} {name}" for name, _, _, status in rows]
     else:
         assert len(lines) == 1 and lines[0].startswith(f"{mode}: ")
+
+
+def test_import_loads_no_pool_machinery_and_no_generator():
+    # a single-path run never forks and a run without noise never draws: the
+    # pool machinery loads with the first pooled call, numpy.random with the
+    # first draw of a path component
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "import svilab.cli\n"
+            "from svilab.noise import TimeGrid, sample_block\n"
+            "def loaded():\n"
+            "    return [m for m in ('concurrent.futures.process', 'numpy.random')\n"
+            "            if m in sys.modules]\n"
+            "print(*loaded(), sep=',')\n"
+            "sample_block(TimeGrid(1.0, 4), 0, 1, [0, 1])\n"
+            "print(*loaded(), sep=',')\n"
+            "sample_block(TimeGrid(1.0, 4), 1, 1, [0])\n"
+            "print(*loaded(), sep=',')\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["", "", "numpy.random", ""]
 
 
 def test_missing_config_file():

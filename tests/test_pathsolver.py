@@ -63,7 +63,7 @@ def march(grid, x, cfg, n_steps, source=None):
     src = source if source is not None else grid.zeros()
     for _ in range(n_steps):
         c = zero_stack(grid, source=src)
-        y = step_interior(grid, y, c, c, cfg, solver).y
+        y = step_interior(grid, y, y, c, c, cfg, solver).y
     return y[0]
 
 
@@ -72,7 +72,8 @@ def test_step_zero_fixed_point():
     cfg = SolveConfig(dt=1e-3)
     solver = ImplicitSolver(g, cfg.dt, cfg.theta)
     c = zero_stack(g)
-    y1, iters, resid = step_interior(g, g.zeros()[None], c, c, cfg, solver)[:3]
+    y0 = g.zeros()[None]
+    y1, iters, resid = step_interior(g, y0, y0, c, c, cfg, solver)[:3]
     assert np.all(y1 == 0.0)
     assert resid[0] <= cfg.newton_tol
 
@@ -89,7 +90,7 @@ def test_step_heat_eigen_decay_oracle():
         cfg = SolveConfig(dt=dt, theta=theta)
         x = np.sin(np.pi * g.meshes()[0])
         c = zero_stack(g)
-        y1 = step_interior(g, x[None], c, c, cfg, ImplicitSolver(g, dt, theta)).y[0]
+        y1 = step_interior(g, x[None], x[None], c, c, cfg, ImplicitSolver(g, dt, theta)).y[0]
         factor_h = (1.0 + (1.0 - theta) * dt * lam_h) / (1.0 - theta * dt * lam_h)
         assert np.allclose(y1, factor_h * x, atol=1e-12)
         # continuous-eigenvalue version agrees within spatial error
