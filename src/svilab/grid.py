@@ -165,34 +165,37 @@ def build_grid(dim: int, lengths, n: int, bc_kind: str = DIRICHLET) -> Grid:
     )
 
 
-def _pad(grid: Grid, U: np.ndarray) -> np.ndarray:
-    """One ghost layer on each grid axis of a reshaped field or stack: zero
-    on Dirichlet grids, the first interior node mirrored on Neumann grids
-    (filled by slices: np.pad takes several times as long on small stacks)."""
-    P = np.empty(U.shape[: U.ndim - grid.dim] + tuple(n + 2 for n in grid.shape))
-    P[(..., *[slice(1, -1)] * grid.dim)] = U
-    for axis in range(grid.dim):
-        for side, inside in ((0, 2), (-1, -3)):
-            ghost, mirror = [slice(None)] * grid.dim, [slice(None)] * grid.dim
-            ghost[axis], mirror[axis] = side, inside
-            P[(..., *ghost)] = 0.0 if grid.bc_kind == DIRICHLET else P[(..., *mirror)]
-    return P
+def _along(grid: Grid, axis: int):
+    """at(s): the index of s along grid axis `axis` of a reshaped field or
+    stack, every other axis whole."""
+    tail = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after this one
+    return lambda s: (..., s, *tail)
 
 
 def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Second-order centered Laplacian with the grid's ghost convention,
-    of a field or of each row of a stack."""
+    of a field or of each row of a stack.  Along each axis the neighbours of
+    every node are the flat field shifted by the axis' stride, one pass over
+    the whole stack; the first and last node of the axis, whose shifted
+    neighbour lies in another line of nodes, are formed apart from their
+    ghost (0.0 on Dirichlet grids, the inward neighbour mirrored on Neumann
+    grids) by the same subtraction and addition, so every node gets the bits
+    of the stencil on a ghosted copy of the field."""
     U = grid.reshape(u)
-    P = _pad(grid, U)
-    core = [slice(1, -1)] * grid.dim
+    flat = U.reshape(-1)
+    dirichlet = grid.bc_kind == DIRICHLET
     for axis in range(grid.dim):
-        lo = list(core)
-        hi = list(core)
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        term = 2.0 * U
-        np.subtract(P[(..., *lo)], term, out=term)
-        term += P[(..., *hi)]
+        at = _along(grid, axis)
+        step = grid.n ** (grid.dim - 1 - axis)  # the flat stride of the axis
+        term = np.multiply(U, 2.0, order="C")
+        terms = term.reshape(-1)  # a view: term is C-ordered whatever the layout of u
+        # u_{i-1} - 2 u_i, then + u_{i+1}
+        first = np.subtract(0.0 if dirichlet else U[at(1)], term[at(0)])
+        np.subtract(flat[:-step], terms[step:], out=terms[step:])
+        term[at(0)] = first
+        last = np.add(term[at(-1)], 0.0 if dirichlet else U[at(-2)])
+        np.add(terms[:-step], flat[step:], out=terms[:-step])
+        term[at(-1)] = last
         term /= grid.h[axis] ** 2
         if axis == 0:
             term += 0.0  # the sum over axes starts from +0.0: -0.0 + 0.0 is +0.0
@@ -206,18 +209,19 @@ def apply_gradient(grid: Grid, u: np.ndarray) -> list[np.ndarray]:
     """Centered gradient, second-order one-sided at the outermost nodes: one
     component per axis, each shaped like u (a field or a stack)."""
     U = grid.reshape(u)
+    flat = U.reshape(-1)
     comps = []
     for axis in range(grid.dim):
-        tail = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after this one
-
-        def at(s):
-            return (..., s, *tail)
-
-        g = np.zeros_like(U)
-        h = grid.h[axis]
-        g[at(slice(1, -1))] = (U[at(slice(2, None))] - U[at(slice(None, -2))]) / (2.0 * h)
-        g[at(0)] = (-3.0 * U[at(0)] + 4.0 * U[at(1)] - U[at(2)]) / (2.0 * h)
-        g[at(-1)] = (3.0 * U[at(-1)] - 4.0 * U[at(-2)] + U[at(-3)]) / (2.0 * h)
+        at = _along(grid, axis)
+        step = grid.n ** (grid.dim - 1 - axis)  # the flat stride of the axis
+        g = np.empty(U.shape)
+        h2 = 2.0 * grid.h[axis]
+        # centered differences of the flat field, then the end nodes one-sided
+        inner = g.reshape(-1)[step:-step]
+        np.subtract(flat[2 * step:], flat[: -2 * step], out=inner)
+        inner /= h2
+        g[at(0)] = (-3.0 * U[at(0)] + 4.0 * U[at(1)] - U[at(2)]) / h2
+        g[at(-1)] = (3.0 * U[at(-1)] - 4.0 * U[at(-2)] + U[at(-3)]) / h2
         comps.append(g.reshape(u.shape))
     return comps
 
@@ -249,23 +253,12 @@ def stiffness_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndar
     """
     if u.shape[-1:] != (grid.n_nodes,) or v.shape[-1:] != (grid.n_nodes,):
         raise ValueError("field size mismatch in stiffness form")
-    dirichlet = grid.bc_kind == DIRICHLET
-    ghosted = lambda f: _pad(grid, grid.reshape(f)) if dirichlet else grid.reshape(f)
-    U = ghosted(u)
-    V = U if v is u else ghosted(v)
+    U = grid.reshape(u)
+    V = U if v is u else grid.reshape(v)
     total = 0.0
     for axis in range(grid.dim):
-        # the edges along `axis`, including the ghost edges on Dirichlet grids
-        hi = [slice(1, -1) if dirichlet else slice(None)] * grid.dim
-        lo = list(hi)
-        hi[axis], lo[axis] = slice(1, None), slice(None, -1)
-        du = np.subtract(U[(..., *hi)], U[(..., *lo)], dtype=float)
-        du /= grid.h[axis]
-        if V is U:
-            dv = du
-        else:
-            dv = np.subtract(V[(..., *hi)], V[(..., *lo)], dtype=float)
-            dv /= grid.h[axis]
+        du = _edge_differences(grid, U, axis)
+        dv = du if V is U else _edge_differences(grid, V, axis)
         # edge length h along the axis times the transverse trapezoid weights
         w = grid.h[axis]
         for ax in range(grid.dim):
@@ -277,6 +270,23 @@ def stiffness_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float | np.ndar
         s = terms.reshape(terms.shape[: -grid.dim] + (-1,)).sum(axis=-1)
         total = total + (float(s) if s.ndim == 0 else s)
     return total
+
+
+def _edge_differences(grid: Grid, U: np.ndarray, axis: int) -> np.ndarray:
+    """(u_{i+1} - u_i) / h over the edges along `axis` of a reshaped field or
+    stack, with the edges to the zero ghost values on Dirichlet grids."""
+    at = _along(grid, axis)
+    dirichlet = grid.bc_kind == DIRICHLET
+    shape = list(U.shape)
+    shape[U.ndim - grid.dim + axis] += 1 if dirichlet else -1
+    du = np.empty(shape)
+    np.subtract(U[at(slice(1, None))], U[at(slice(None, -1))],
+                out=du[at(slice(1, -1) if dirichlet else slice(None))])
+    if dirichlet:
+        np.subtract(U[at(0)], 0.0, out=du[at(0)])
+        np.subtract(0.0, U[at(-1)], out=du[at(-1)])
+    du /= grid.h[axis]
+    return du
 
 
 def seminorm_h1(grid: Grid, u: np.ndarray) -> float | np.ndarray:

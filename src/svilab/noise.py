@@ -465,13 +465,26 @@ def _column(a, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(a, t.shape)[:, None]
 
 
+def _sum(terms, shape: tuple) -> np.ndarray:
+    """The sum from +0.0 of the arrays `terms`, in order, formed in the
+    first term's array (zeros of `shape` when there is none): its += 0.0
+    turns a -0.0 into the +0.0 that a sum from a zero fill gives."""
+    out = None
+    for term in terms:
+        if out is None:
+            out = term
+            out += 0.0
+        else:
+            out += term
+    return np.zeros(shape) if out is None else out
+
+
 def _combine(fields: SpaceFields, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k weights[k] a_k(t) b_k, one row per time and path: weights
     (m, rows, P)."""
-    out = np.zeros(weights.shape[1:] + fields.value.shape[1:])
-    for k, c in enumerate(fields.coefficients):
-        out += (weights[k] * _column(c.time.value(t), t))[..., None] * fields.value[k]
-    return out
+    return _sum(((weights[k] * _column(c.time.value(t), t))[..., None] * fields.value[k]
+                 for k, c in enumerate(fields.coefficients)),
+                weights.shape[1:] + fields.value.shape[1:])
 
 
 def eval_mu(fields: SpaceFields, stack: PathStack, rows: range) -> np.ndarray:
@@ -493,9 +506,18 @@ def eval_noise(fields: SpaceFields, stack: PathStack, rows: range) -> np.ndarray
 
 def eval_mu_tilde(fields: SpaceFields, stack: PathStack, rows: range) -> np.ndarray:
     """mu~(t_n, xi) = sum_k (d_t mu_k * beta_k(t_n) + mu_k^2 / 2) at the nodes n
-    in rows."""
+    in rows.  When every time factor is const, d_t mu_k is 0, so its term is
+    exactly +-0.0 and mu~ = sum_k (a_k b_k)^2 / 2 is one field, the same bits
+    at every node and path: a read-only broadcast of it."""
     t, values = _path_rows(fields, stack, rows)
-    out = np.zeros(values.shape[1:] + fields.value.shape[1:])
+    shape = values.shape[1:] + fields.value.shape[1:]
+    if all(c.time.kind == "const" for c in fields.coefficients):
+        out = np.zeros(fields.value.shape[1:])
+        for c, b in zip(fields.coefficients, fields.value):
+            mu_k = c.time.value(t) * b
+            out += 0.5 * mu_k * mu_k
+        return np.broadcast_to(out, shape)
+    out = np.zeros(shape)
     for k, c in enumerate(fields.coefficients):
         b = fields.value[k]
         mu_k = _column(c.time.value(t), t)[..., None] * b
@@ -509,10 +531,9 @@ def eval_mu_derivs(fields: SpaceFields, stack: PathStack, rows: range):
     grad."""
     t, values = _path_rows(fields, stack, rows)
     _, dim, n_nodes = fields.grad.shape
-    grad = np.zeros(values.shape[1:] + (dim, n_nodes))
-    lap = np.zeros(values.shape[1:] + (n_nodes,))
-    for k, c in enumerate(fields.coefficients):
-        scale = values[k] * _column(c.time.value(t), t)
-        grad += scale[..., None, None] * fields.grad[k]
-        lap += scale[..., None] * fields.lap[k]
+    scales = [values[k] * _column(c.time.value(t), t) for k, c in enumerate(fields.coefficients)]
+    grad = _sum((s[..., None, None] * b for s, b in zip(scales, fields.grad)),
+                values.shape[1:] + (dim, n_nodes))
+    lap = _sum((s[..., None] * b for s, b in zip(scales, fields.lap)),
+               values.shape[1:] + (n_nodes,))
     return grad, lap, -2.0 * grad

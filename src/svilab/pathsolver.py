@@ -16,7 +16,11 @@ differs, and the march hands every rule the same arguments after its grid:
 the stack of states, the stack its Newton solve starts from
 (`newton_start`: 2 y_n - y_{n-1} on a 2D Dirichlet grid, y_n elsewhere),
 the coefficient records of the step's two nodes (row views of the blocks),
-and the run's SolveConfig and ImplicitSolver:
+and the run's SolveConfig and ImplicitSolver.  A record carries only what
+its rule reads (`StepCoeffs`): mu, the source and the noise factor for the
+Euler-Maruyama rule; for the two transformed rules also mu~, grad mu,
+lap mu and the zero-order factor, g and sup|g| with noise, e^{+-mu} for a
+nonzero reaction and dmu/dnu on a Neumann grid.  The rules are:
 
 - `step_interior` (solve_path) is the theta-scheme of the penalized
   transformed equation,
@@ -64,7 +68,8 @@ halved dt (up to MAX_HALVINGS) using a finer restriction of the same path
 realization, then reported as failures.  A level is admitted only when
 an upper bound of dt * sup|g| / h is at most 1, so no step of the march can
 break the guard; the march records each path's largest margin
-(`Diagnostics.stability_margin`) and checks nothing more.
+(`Diagnostics.stability_margin`, 0 for the Euler-Maruyama rule, which has
+no transport term) and checks nothing more.
 """
 
 from __future__ import annotations
@@ -262,31 +267,40 @@ class StepCoeffs:
     row axis and `row(i)` is node i as a record of row views.  For a batch
     of paths every array has a path axis, after the row axis of a block, and
     `take(keep)` keeps the paths `keep` (an index array), or path `keep`
-    alone without the path axis (an int)."""
+    alone without the path axis (an int); both pass a None field through.
+
+    A record holds the fields its step rule reads and None for the others.
+    Every record has t, rs, mu and the source.  The transformed rules'
+    records (`step_interior`, `signorini.step_signorini`) add mu~, grad mu,
+    lap mu and the zero-order factor; g and its sup with noise; e^{+-mu}
+    when the reaction is nonzero, their only reader being
+    `transform.effective_reaction`; and dmu/dnu on a Neumann grid.  An
+    Euler-Maruyama record adds only the noise factor."""
 
     t: float
     rs: ReactionSpec
     mu: np.ndarray
-    mu_tilde: np.ndarray
-    grad_mu: np.ndarray  # (dim, n_nodes)
-    lap_mu: np.ndarray
-    zero_order: np.ndarray  # mu~ - |grad mu|^2 - lap mu
-    exp_mu: np.ndarray
-    exp_neg_mu: np.ndarray
-    g: np.ndarray | None  # transport field -2 grad mu; None without noise
-    g_sup: np.ndarray | None  # sup over nodes of |g_a|, per axis
     source: np.ndarray  # f~ = e^{-mu} f, or f itself when already transformed
+    mu_tilde: np.ndarray | None = None
+    grad_mu: np.ndarray | None = None  # (dim, n_nodes)
+    lap_mu: np.ndarray | None = None
+    zero_order: np.ndarray | None = None  # mu~ - |grad mu|^2 - lap mu
+    exp_mu: np.ndarray | None = None  # None when the reaction is zero
+    exp_neg_mu: np.ndarray | None = None
+    g: np.ndarray | None = None  # transport field -2 grad mu; None without noise
+    g_sup: np.ndarray | None = None  # sup over nodes of |g_a|, per axis
     dmu_dnu: np.ndarray | None = None  # Neumann grids only
     noise: np.ndarray | None = None  # sum_k mu_k dbeta_k, Euler-Maruyama only
 
     def row(self, i: int) -> "StepCoeffs":
-        return StepCoeffs(**{k: v if k == "rs" or v is None else v[i]
-                             for k, v in vars(self).items()})
+        t, rs, *arrays = vars(self).values()
+        return StepCoeffs(t[i], rs, *[None if a is None else a[i] for a in arrays])
 
     def take(self, keep: np.ndarray) -> "StepCoeffs":
         axis = np.ndim(self.t)  # a block's rows come before its paths
-        return StepCoeffs(**{k: v if k in ("t", "rs") or v is None else np.take(v, keep, axis)
-                             for k, v in vars(self).items()})
+        t, rs, *arrays = vars(self).values()
+        return StepCoeffs(t, rs, *[None if a is None else np.take(a, keep, axis)
+                                   for a in arrays])
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
         return transform.effective_reaction(self.rs, self.zero_order, self.exp_mu,
@@ -302,7 +316,9 @@ def zero_coeffs(grid: Grid, rs: ReactionSpec | None = None) -> StepCoeffs:
 
 @dataclass
 class Diagnostics:
-    """Per-run numerical record (on the run-level time grid)."""
+    """Per-run numerical record (on the run-level time grid).
+    stability_margin is the largest dt sup|g| / h over the run's steps, 0 for
+    the Euler-Maruyama rule, whose coefficient records carry no g."""
 
     newton_iters: np.ndarray
     residuals: np.ndarray
@@ -545,33 +561,39 @@ class ImplicitSolver:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """A y, of a field or of each row of a stack."""
-        return y - self.dt_theta * gridmod.apply_laplacian(self.grid, y)
+        out = gridmod.apply_laplacian(self.grid, y)
+        out *= self.dt_theta
+        return np.subtract(y, out, out=out)
 
-    def solve(self, extra_diag: np.ndarray, b: np.ndarray, x0=None, active=None):
+    def solve(self, extra_diag: np.ndarray | None, b: np.ndarray, x0=None, active=None):
         """x with (A + diag(extra_diag[r])) x[r] = b[r] for each row r of a
-        stack: LAPACK gtsv in 1D (what scipy's solve_banded calls for one sub-
-        and one super-diagonal, without its argument checks), in one call for
-        all rows without an extra diagonal; in 2D `conjugate_gradients` from
-        x0, row by row.  On a Dirichlet grid it runs in the sine basis
-        (`SineBasis.solve`) to |b - M x| < CG_RTOL |b|, up to round-off.  On a
-        Neumann grid it runs with the identity preconditioner on the
-        symmetric positive definite system W M x = W b, with W the trapezoid
-        weights over h0 h1 (1 inside, 1/2 on edges, 1/4 at corners), to
-        |W (b - M x)| < CG_RTOL |W b|.
+        stack, extra_diag None for none: LAPACK gtsv in 1D (what scipy's
+        solve_banded calls for one sub- and one super-diagonal, without its
+        argument checks), in one call for all rows without an extra
+        diagonal; in 2D `conjugate_gradients` from x0, row by row.  On a
+        Dirichlet grid it runs in the sine basis (`SineBasis.solve`) to
+        |b - M x| < CG_RTOL |b|, up to round-off.  On a Neumann grid it runs
+        with the identity preconditioner on the symmetric positive definite
+        system W M x = W b, with W the trapezoid weights over h0 h1 (1
+        inside, 1/2 on edges, 1/4 at corners), to |W (b - M x)| < CG_RTOL |W b|.
         `active`, one boolean field per row, lets row r of a Dirichlet solve
         stop early (`SineBasis.solve`) once the negative nodes of its solve to
         CG_RTOL are certain and are not active[r].
         Returns x and the rows whose solve failed, each with its error (their
         rows of x are meaningless)."""
-        x = np.zeros_like(b)
-        rows = range(len(b))  # the rows solved one at a time
         if self.dim == 1:
-            rows = np.flatnonzero(extra_diag.any(axis=-1)).tolist()
-            if len(rows) < len(b):
+            rows = [] if extra_diag is None else np.flatnonzero(extra_diag.any(axis=-1)).tolist()
+            if not rows:
                 # A is an M-matrix, so this cannot fail; gtsv solves each of several
-                # right-hand sides as it solves it alone, and the rows with an extra
-                # diagonal are solved again below
-                x = self._gtsv(self._main, b.T).T
+                # right-hand sides as it solves it alone
+                return self._gtsv(self._main, b.T).T, {}
+            # the rows with an extra diagonal are solved again below
+            x = self._gtsv(self._main, b.T).T if len(rows) < len(b) else np.zeros_like(b)
+        else:
+            rows = range(len(b))  # the rows solved one at a time
+            x = np.zeros_like(b)
+            if extra_diag is None:
+                extra_diag = np.zeros_like(b)
         failures = {}
         for row in rows:
             try:
@@ -640,47 +662,91 @@ def newton_penalized_solve(
     ends with comes from a solve to CG_RTOL.
     Rows that do not converge, or whose linear solve fails, go to
     `failures`.  Raises ValueError unless every eps is positive.
+    The iteration works on the whole stack while every row goes on, with no
+    linear diagonal term when linear_diag is None and no extra diagonal
+    while no node is active; once some rows end, it goes on with index
+    copies of the others.
     """
     penalty.check_eps(eps)
-    y = np.array(y_init, dtype=float)  # a copy
     P = len(rhs)
     penalized = dt_scale > 0.0
-    active = (y < 0.0) & penalized
+    everywhere = bool(np.all(penalized))
     # with every node penalized the next active set is the negative nodes, which
     # a sine-basis solve can certify before it converges
-    certify = solver.sine is not None and bool(np.all(penalized))
-    base = 0.0 if linear_diag is None else np.broadcast_to(linear_diag, rhs.shape)
+    certify = solver.sine is not None and everywhere
+
+    def active_set(x):
+        out = x < 0.0
+        if not everywhere:
+            out &= penalized
+        return out
+
     tol = newton_tol * np.maximum(1.0, np.abs(rhs).max(axis=-1, initial=0.0))
     iters = np.zeros(P, dtype=int)
     resid = np.zeros(P)
     failures = {}
-    todo = np.arange(P)  # the rows not yet accepted
+    y = None  # the stack of solutions, made once a row is accepted before another
+    # the rows still iterating (None while all are) and their rows of the data
+    rows, x, b, e, r_rhs, r_tol = None, y_init, linear_diag, eps, rhs, tol
+    if b is not None:
+        b = np.broadcast_to(b, rhs.shape)
+    shift = dt_scale / eps  # the extra diagonal of an active node
+    active = active_set(x)
     for it in range(1, newton_max + 1):
-        sel = todo if todo.size < P else slice(None)
-        b = base if linear_diag is None else base[sel]
-        e = eps[sel] if np.ndim(eps) else eps
+        extra = None
+        if b is not None:
+            extra = b + np.where(active, shift, 0.0)
+        elif active.any():
+            extra = np.where(active, shift, 0.0)
         # the last permitted iteration solves to CG_RTOL: a NewtonError quotes its residual
-        guess = active[sel] if certify and it < newton_max else None
-        y_sel, bad = solver.solve(b + np.where(active[sel], dt_scale / e, 0.0), rhs[sel],
-                                  x0=y[sel], active=guess)
-        y[sel] = y_sel
-        new_active = (y_sel < 0.0) & penalized
-        r = solver.apply(y_sel) + b * y_sel + dt_scale * penalty.penalize(y_sel, e) - rhs[sel]
-        resid[sel] = np.abs(r).max(axis=-1, initial=0.0)
-        iters[sel] = it
-        going = ~((new_active == active[sel]).all(axis=-1) & (resid[sel] <= tol[sel]))
+        guess = active if certify and it < newton_max else None
+        x, bad = solver.solve(extra, r_rhs, x0=x, active=guess)
+        new_active = active_set(x)
+        r = solver.apply(x)
+        if b is not None:
+            r += b * x
+        pen = penalty.penalize(x, e)
+        pen *= dt_scale
+        r += pen
+        r -= r_rhs
+        res = np.abs(r, out=r).max(axis=-1, initial=0.0)
+        going = (new_active != active).any(axis=-1) | ~(res <= r_tol)
+        at = slice(None) if rows is None else rows
+        resid[at] = res
+        iters[at] = it
         for j, exc in bad.items():
-            failures[int(todo[j])] = exc
+            failures[j if rows is None else int(rows[j])] = exc
             going[j] = False
-        active[sel] = new_active
-        todo = todo[going]
-        if not todo.size:
+        active = new_active
+        if going.size and going.all():
+            continue  # no row ends: the whole arrays go on, without index copies
+        if rows is None and not going.any():
+            y = x  # every row ends here
             break
-    for row in todo.tolist():
-        failures[row] = NewtonError(
-            f"semismooth Newton did not converge in {newton_max} iterations "
-            f"(last residual {resid[row]:.3e})"
-        )
+        if y is None:
+            y = np.empty_like(rhs)
+        ended = ~going
+        y[ended if rows is None else rows[ended]] = x[ended]
+        if not going.any():
+            break
+        rows = np.flatnonzero(going) if rows is None else rows[going]
+        x, active, r_rhs, r_tol = x[going], active[going], r_rhs[going], r_tol[going]
+        if b is not None:
+            b = b[going]
+        if np.ndim(e):
+            e = e[going]
+        if np.ndim(shift) == 2:
+            shift = shift[going]
+    else:  # the rows still going after newton_max iterations
+        if rows is None:
+            y, rows = x, range(P)
+        else:
+            y[rows] = x
+        for row in list(rows):
+            failures[int(row)] = NewtonError(
+                f"semismooth Newton did not converge in {newton_max} iterations "
+                f"(last residual {resid[row]:.3e})"
+            )
     return NewtonResult(y, int(iters.sum()), resid, iters, failures)
 
 
@@ -709,9 +775,14 @@ def _transport(grid: Grid, g: np.ndarray | None, y: np.ndarray) -> np.ndarray | 
     second-to-last axis; 0.0 without noise (g None)."""
     if g is None:
         return 0.0
-    out = np.zeros_like(y)
+    out = None
     for axis, dya in enumerate(gridmod.apply_gradient(grid, y)):
-        out += g[..., axis, :] * dya
+        term = g[..., axis, :] * dya
+        if out is None:
+            term += 0.0  # the sum starts from +0.0: -0.0 + 0.0 is +0.0
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -739,8 +810,14 @@ def step_interior(grid: Grid, y_n: np.ndarray, start: np.ndarray, coeffs: StepCo
                     + (1.0 - cfg.theta) * lift * coeffs.t) / grid.h[0] ** 2
         source = source + ghost
     explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, y_n) if cfg.theta < 1.0 else 0.0
-    rhs = y_n + cfg.dt * (explicit - coeffs.reaction(y_n)
-                          - _transport(grid, coeffs.g, y_n) + source)
+    # y_n + dt (explicit - F_eff - g . grad y_n + source), in the reaction's array
+    rhs = coeffs.reaction(y_n)
+    np.subtract(explicit, rhs, out=rhs)
+    if coeffs.g is not None:  # without noise the transport term is 0.0, and x - 0.0 is x
+        rhs -= _transport(grid, coeffs.g, y_n)
+    rhs += source
+    rhs *= cfg.dt
+    rhs += y_n
     return newton_penalized_solve(
         solver, rhs, cfg.dt, cfg.eps, start, cfg.newton_tol, cfg.newton_max
     )
@@ -787,31 +864,37 @@ def coeff_block(grid: Grid, fields: SpaceFields, stack: PathStack, rows: range,
     per node, with a path axis after it.  `forcing` as an array is a source
     already in the transformed variables, which skips the e^{-mu} scaling.
 
-    A Neumann grid adds dmu/dnu; `em` adds the noise factor of the
-    Euler-Maruyama rule.  Nodes beyond the mu cap are evaluated too, without
-    overflow warnings: the march stops at the first.
+    The record holds the fields its step rule reads (`StepCoeffs`): with
+    `em`, the Euler-Maruyama rule's, mu, the source and the noise factor;
+    otherwise the transformed equation's, e^{+-mu} only for a nonzero
+    reaction and dmu/dnu on a Neumann grid.  Nodes beyond the mu cap are
+    evaluated too, without overflow warnings: the march stops at the first.
     """
     t = np.arange(rows.start, rows.stop) * stack.tg.dt
     mu = noisemod.eval_mu(fields, stack, rows)
-    mu_tilde = noisemod.eval_mu_tilde(fields, stack, rows)
-    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, stack, rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        exp_mu, exp_neg_mu = np.exp(mu), np.exp(-mu)
         if isinstance(forcing, np.ndarray):
             source = np.broadcast_to(forcing, mu.shape)
         elif forcing.kind == "zero":
             source = np.zeros_like(mu)
         else:
             source = transform.effective_source(mu, forcing.value(grid))
+    if em:
+        return StepCoeffs(t=t, rs=rs, mu=mu, source=source,
+                          noise=noisemod.eval_noise(fields, stack, rows))
+    mu_tilde = noisemod.eval_mu_tilde(fields, stack, rows)
+    grad_mu, lap_mu, g = noisemod.eval_mu_derivs(fields, stack, rows)
+    exp_mu = exp_neg_mu = None
+    if rs.kind != "zero" and rs.alpha != 0.0:  # e^{+-mu} are read by a nonzero reaction only
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_mu, exp_neg_mu = np.exp(mu), np.exp(-mu)
     noisy = fields.m > 0
     return StepCoeffs(
-        t=t, rs=rs, mu=mu, mu_tilde=mu_tilde, grad_mu=grad_mu, lap_mu=lap_mu,
+        t=t, rs=rs, mu=mu, source=source, mu_tilde=mu_tilde, grad_mu=grad_mu, lap_mu=lap_mu,
         zero_order=transform.zero_order(mu_tilde, grad_mu, lap_mu),
         exp_mu=exp_mu, exp_neg_mu=exp_neg_mu,
         g=g if noisy else None, g_sup=np.abs(g).max(axis=-1) if noisy else None,
-        source=source,
         dmu_dnu=gridmod.normal_derivative(grid, mu) if grid.bc_kind == gridmod.NEUMANN else None,
-        noise=noisemod.eval_noise(fields, stack, rows) if em else None,
     )
 
 
@@ -1028,10 +1111,14 @@ def direct_em_batch(grid: Grid, tg: TimeGrid, cs: CoeffSpec, rs: ReactionSpec,
 
     def em_step(X, start, c, c_next, cfg, solver):
         explicit = (1.0 - cfg.theta) * gridmod.apply_laplacian(grid, X) if cfg.theta < 1.0 else 0.0
-        drift = explicit - rs.value(X)
+        # X + dt (explicit - F(X) + f) + X noise, in the reaction's array
+        rhs = rs.value(X)
+        np.subtract(explicit, rhs, out=rhs)
         if f is not None:
-            drift = drift + f
-        rhs = X + cfg.dt * drift + X * c.noise
+            rhs += f
+        rhs *= cfg.dt
+        rhs += X
+        rhs += X * c.noise
         return newton_penalized_solve(solver, rhs, cfg.dt, cfg.eps, start,
                                       max(cfg.newton_tol, 1e-12), cfg.newton_max)
 

@@ -61,9 +61,11 @@ def effective_source(mu: np.ndarray, f: np.ndarray) -> np.ndarray:
 def zero_order(mu_tilde: np.ndarray, grad_mu: np.ndarray, lap_mu: np.ndarray) -> np.ndarray:
     """mu~ - |grad mu|^2 - lap mu, the factor of y in F_eff; grad_mu holds
     one component per axis along its second-to-last axis."""
-    grad_sq = np.zeros_like(mu_tilde)
-    for axis in range(grad_mu.shape[-2]):
-        comp = grad_mu[..., axis, :]
+    # a square is never -0.0, so the sum of squares starts from the first
+    # with the bits of a sum from a zero fill
+    comps = [grad_mu[..., axis, :] for axis in range(grad_mu.shape[-2])]
+    grad_sq = comps[0] * comps[0]
+    for comp in comps[1:]:
         grad_sq += comp * comp
     return mu_tilde - grad_sq - lap_mu
 

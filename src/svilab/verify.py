@@ -193,8 +193,9 @@ def _consistency_worker(args):
     per_path = list(zip(*marches))
     solved([out for outs in per_path for out in outs])  # what the solo solves would raise first
     rows = []
-    for pid, (tr1, em1, tr2, em2) in zip(range(first, stop), per_path):
-        rows.append((pid, norm_l2(g, em1.X[-1] - tr1.X[-1]), norm_l2(g, em2.X[-1] - tr2.X[-1])))
+    for pid, sols in zip(range(first, stop), per_path):
+        tr1, em1, tr2, em2 = (np.exp(sol.mu[-1]) * sol.y[-1] for sol in sols)  # X at T
+        rows.append((pid, norm_l2(g, em1 - tr1), norm_l2(g, em2 - tr2)))
     return rows
 
 

@@ -609,6 +609,37 @@ def test_rate_eps_mode_with_an_exact_eps_fails_numerically_naming_it(tmp_path, c
     assert summary[2] == "numerical_failure,1,0,fail" and "eps 1e-200" in summary[3]
 
 
+def test_run_mode_norms_that_overflow_fail_their_rows_without_warnings(tmp_path):
+    # the energy norms of a solution near the float limit overflow to inf: the
+    # two energy rows fail on them, and no raw numpy warning reaches stderr
+    conf = textwrap.dedent(
+        """
+        [domain]
+        n = 7
+        [time]
+        t = 0.01
+        dt = 1e-3
+        [forcing]
+        kind = const
+        amplitude = 1e308
+        [run]
+        mode = run
+        [output]
+        dir = {out}
+        """
+    ).format(out=tmp_path / "out")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "svilab.cli", "--config", str(write(tmp_path, conf))],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert out.returncode == 0, out.stderr
+    assert "Warning" not in out.stderr and out.stderr == ""
+    assert "FAIL energy_ratio: inf" in out.stdout and "FAIL multiplier_ratio: inf" in out.stdout
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert "energy_ratio,inf,10,fail" in summary and "multiplier_ratio,inf,10,fail" in summary
+
+
 def test_rate_mesh_mode(tmp_path):
     conf = textwrap.dedent(
         """

@@ -229,6 +229,99 @@ def test_stacked_operators_equal_per_row_calls(bc, dim):
             fn()
 
 
+def _padded(g, U):
+    """U, a reshaped field or stack, with one ghost layer on each grid axis:
+    zero on Dirichlet grids, the inward neighbour mirrored on Neumann grids."""
+    P = np.empty(U.shape[: U.ndim - g.dim] + tuple(n + 2 for n in g.shape))
+    P[(..., *[slice(1, -1)] * g.dim)] = U
+    for axis in range(g.dim):
+        for side, inside in ((0, 2), (-1, -3)):
+            ghost, mirror = [slice(None)] * g.dim, [slice(None)] * g.dim
+            ghost[axis], mirror[axis] = side, inside
+            P[(..., *ghost)] = 0.0 if g.bc_kind == DIRICHLET else P[(..., *mirror)]
+    return P
+
+
+def _padded_laplacian(g, u):
+    """The stencil on a ghosted copy of u, the arithmetic of each node in
+    the order apply_laplacian must keep."""
+    U = g.reshape(u)
+    P = _padded(g, U)
+    out = 0.0
+    for axis in range(g.dim):
+        lo, hi = [slice(1, -1)] * g.dim, [slice(1, -1)] * g.dim
+        lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+        out = out + (P[(..., *lo)] - 2.0 * U + P[(..., *hi)]) / g.h[axis] ** 2
+    return out.reshape(u.shape)
+
+
+def _padded_stiffness(g, u, v):
+    """The Dirichlet form from the differences of ghosted copies of u and v."""
+    dirichlet = g.bc_kind == DIRICHLET
+    U, V = (_padded(g, g.reshape(f)) if dirichlet else g.reshape(f) for f in (u, v))
+    total = 0.0
+    for axis in range(g.dim):
+        hi = [slice(1, -1) if dirichlet else slice(None)] * g.dim
+        lo = list(hi)
+        hi[axis], lo[axis] = slice(1, None), slice(None, -1)
+        du = (U[(..., *hi)] - U[(..., *lo)]) / g.h[axis]
+        dv = (V[(..., *hi)] - V[(..., *lo)]) / g.h[axis]
+        w = g.h[axis]
+        for ax in range(g.dim):
+            if ax != axis:
+                w = w * g.axis_weights(ax).reshape([g.n if a == ax else 1 for a in range(g.dim)])
+        s = (w * du * dv).reshape(du.shape[: -g.dim] + (-1,)).sum(axis=-1)
+        total = total + s
+    return total
+
+
+def _sliced_gradient(g, u):
+    """The centered differences and one-sided ends on slices of u, axis by axis."""
+    U = g.reshape(u)
+    comps = []
+    for axis in range(g.dim):
+        def at(s):
+            return (..., s) + (slice(None),) * (g.dim - 1 - axis)
+        d = np.zeros_like(U)
+        h = g.h[axis]
+        d[at(slice(1, -1))] = (U[at(slice(2, None))] - U[at(slice(None, -2))]) / (2.0 * h)
+        d[at(0)] = (-3.0 * U[at(0)] + 4.0 * U[at(1)] - U[at(2)]) / (2.0 * h)
+        d[at(-1)] = (3.0 * U[at(-1)] - 4.0 * U[at(-2)] + U[at(-3)]) / (2.0 * h)
+        comps.append(d.reshape(u.shape))
+    return comps
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["field", "stack", "stack2"])
+def test_stencils_match_ghosted_copies_bit_for_bit(bc, dim, lead):
+    # the neighbours are shifts of the flat field and the ghost enters by the
+    # same operation as a neighbour, so every node has the bits of the padded
+    # stencil, signed zeros and subnormals too; likewise the stiffness form
+    # and the gradient against their slice-by-slice forms
+    g = build_grid(dim, [1.0, 1.5][:dim], 6, bc)
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=lead + (g.n_nodes,))
+    u[..., ::3] = 0.0
+    u[..., 1::4] = -0.0
+    u[..., 2::5] *= 1e-310
+    v = rng.normal(size=u.shape)
+    lap = apply_laplacian(g, u)
+    assert lap.shape == u.shape
+    assert np.array_equal(_bits(lap), _bits(_padded_laplacian(g, u)))
+    assert (_bits(lap) != _bits(-0.0)).all()  # the sum over axes starts from +0.0
+    # a Fortran-ordered stack and a strided view give the same bits
+    for w in (np.asfortranarray(u), np.repeat(u, 2, axis=-1)[..., ::2]):
+        assert np.array_equal(_bits(apply_laplacian(g, w)), _bits(lap))
+    for a, b in ((u, v), (u, u)):
+        assert np.array_equal(_bits(stiffness_inner(g, a, b)), _bits(_padded_stiffness(g, a, b)))
+    assert np.array_equal(_bits(apply_gradient(g, u)), _bits(_sliced_gradient(g, u)))
+
+
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_matrix_matches_operator(bc, dim):

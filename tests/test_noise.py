@@ -278,6 +278,26 @@ def test_eval_mu_tilde():
     assert np.all(eval_mu_tilde(zero, ps, range(6, 7))[0, 0] == 0.0)
 
 
+def test_mu_tilde_of_const_factors_is_one_field_with_the_general_bits():
+    # d_t a_k = 0: the general sum's d_t term is +-0.0, so the one field
+    # broadcast to every row and path has its bits; linear(a, 0.0) has the
+    # same mu but takes the general branch
+    g = build_grid(1, [1.0], 15, NEUMANN)  # the ends hold exact zeros of poly(0, 1, -1)
+    stack = sample_block(TimeGrid(1.0, 10), 2, 4, [0, 1, 2])
+    const = space_fields(spec_1d("const(1.3) * sin(1)", "const(-0.7) * poly(0.0,1.0,-1.0)"), g)
+    linear = space_fields(spec_1d("linear(1.3,0.0) * sin(1)",
+                                  "linear(-0.7,0.0) * poly(0.0,1.0,-1.0)"), g)
+    one = eval_mu_tilde(const, stack, range(2, 7))
+    general = eval_mu_tilde(linear, stack, range(2, 7))
+    assert one.shape == general.shape == (5, 3, g.n_nodes)
+    assert not one.flags.writeable and one.strides[:2] == (0, 0)
+    assert general.flags.writeable and general.strides[:2] != (0, 0)
+    assert np.array_equal(one.view(np.int64), general.view(np.int64))
+    empty = eval_mu_tilde(space_fields(spec_1d(), g), sample_block(TimeGrid(1.0, 10), 0, 4, [0]),
+                          range(2, 7))
+    assert empty.shape == (5, 1, g.n_nodes) and (empty.view(np.int64) == 0).all()
+
+
 def test_eval_mu_derivs_analytic():
     g = build_grid(1, [1.0], 31, DIRICHLET)
     tg = TimeGrid(1.0, 10)

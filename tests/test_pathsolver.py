@@ -14,9 +14,10 @@ from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 
 import svilab
 from svilab import pathsolver
-from svilab.errors import ConfigError, NumericalFailure, StabilityError
+from svilab.errors import ConfigError, NewtonError, NumericalFailure, StabilityError
 from svilab.grid import DIRICHLET, NEUMANN, build_grid, norm_l2
-from svilab.noise import CoeffSpec, PathStack, TimeGrid, parse_coefficient, sample_paths
+from svilab.noise import (CoeffSpec, PathStack, TimeGrid, parse_coefficient, sample_block,
+                          sample_paths, space_fields)
 from svilab.pathsolver import (
     ForcingSpec,
     InitialData,
@@ -259,6 +260,138 @@ def test_newton_checks_eps_once_per_solve(monkeypatch):
                                             np.zeros_like(rhs), 1e-10, 50)
     assert not res.failures and res.row_iters.min() >= 2
     assert len(calls) == 1
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _solo_newton(solver, rhs, dt_scale, eps, y0, tol, newton_max, linear_diag=None):
+    """newton_penalized_solve of each row of the stack alone."""
+    def row(a, i):
+        return a[i:i + 1] if np.ndim(a) == 2 else a
+    return [pathsolver.newton_penalized_solve(solver, rhs[i:i + 1], dt_scale, row(eps, i),
+                                              y0[i:i + 1], tol, newton_max, row(linear_diag, i))
+            for i in range(len(rhs))]
+
+
+def _assert_rows_are_solo(res, solos, rows):
+    for i in rows:
+        (solo_y,), (solo_resid,), (solo_iters,) = solos[i].y, solos[i].residual, solos[i].row_iters
+        assert not solos[i].failures and i not in res.failures
+        assert np.array_equal(_bits(res.y[i]), _bits(solo_y))
+        assert _bits(res.residual[i]) == _bits(solo_resid)
+        assert res.row_iters[i] == solo_iters
+
+
+def test_newton_row_with_a_nan_fails_alone():
+    # a NaN residual is never <= tol, so its row goes on until the cap and
+    # fails there; the other rows keep the bits of their solo solves
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    solver = ImplicitSolver(g, 1e-3, 1.0)
+    rhs = np.array([np.sin(np.pi * g.meshes()[0]) - c for c in (0.5, 0.9, 0.1)])
+    rhs[1, 7] = np.nan
+    eps = np.array([[1e-3], [1e-4], [1e-5]])
+    res = pathsolver.newton_penalized_solve(solver, rhs, 1e-3, eps, rhs, 1e-10, 12)
+    assert list(res.failures) == [1]
+    assert isinstance(res.failures[1], NewtonError)
+    assert "did not converge in 12 iterations (last residual nan)" in str(res.failures[1])
+    assert res.row_iters[1] == 12 and np.isnan(res.residual[1])
+    _assert_rows_are_solo(res, _solo_newton(solver, rhs, 1e-3, eps, rhs, 1e-10, 12), [0, 2])
+    assert res.iters == res.row_iters.sum()
+
+
+def test_newton_rows_accepted_apart_keep_their_solo_bits():
+    # Signorini's boundary penalty and Robin diagonal with one eps per row:
+    # one row is accepted an iteration before the others, so the rest go on
+    # as index copies of the stack
+    g = build_grid(1, [1.0], 31, NEUMANN)
+    dt, theta = 2e-3, 0.75
+    solver = ImplicitSolver(g, dt, theta)
+    dt_scale = dt * theta * g.flux_factor  # zero off the boundary
+    x = g.meshes()[0]
+    rhs = np.array([a * np.cos(np.pi * x) - b
+                    for a, b in ((1.0, 0.2), (2.0, 0.1), (0.5, 1.5), (1.0, -1.0))])
+    dmu = np.zeros_like(rhs)
+    dmu[:, [0, -1]] = np.random.default_rng(3).normal(size=(4, 2))
+    eps = np.array([[1e-2], [1e-4], [1e-6], [1e-3]])
+    args = (solver, rhs, dt_scale, eps, np.ones_like(rhs), 1e-10, 50, dt_scale * dmu)
+    res = pathsolver.newton_penalized_solve(*args)
+    assert not res.failures
+    assert len(set(res.row_iters.tolist())) > 1
+    _assert_rows_are_solo(res, _solo_newton(*args), range(4))
+
+
+def test_newton_row_whose_linear_solve_fails_leaves_the_others():
+    g = build_grid(1, [1.0], 31, DIRICHLET)
+    solver = ImplicitSolver(g, 1e-3, 1.0)
+    rhs = np.array([np.sin(np.pi * g.meshes()[0]) - c for c in (0.5, 0.9, 0.1)])
+    solos = _solo_newton(solver, rhs, 1e-3, 1e-4, rhs, 1e-10, 20)
+    solve_one = solver._solve_one
+    broken = rhs[1, 0]
+
+    def flaky(extra_diag, b, x0, active):
+        if b[0] == broken:
+            raise NumericalFailure("tridiagonal solve failed (info=3)")
+        return solve_one(extra_diag, b, x0, active)
+
+    solver._solve_one = flaky
+    res = pathsolver.newton_penalized_solve(solver, rhs, 1e-3, 1e-4, rhs, 1e-10, 20)
+    assert list(res.failures) == [1]
+    assert str(res.failures[1]) == "tridiagonal solve failed (info=3)"
+    assert res.row_iters[1] == 1
+    _assert_rows_are_solo(res, solos, [0, 2])
+
+
+def _block(rs=ReactionSpec(), em=False, bc=DIRICHLET):
+    g = build_grid(1, [1.0], 15, bc)
+    fields = space_fields(coeffs1("cos(0.5,2.0) * sin(1)"), g)
+    stack = sample_block(TimeGrid(0.1, 20), 1, 5, [0, 1, 2])
+    return pathsolver.coeff_block(g, fields, stack, range(3, 8), rs, ForcingSpec("const", -1.0),
+                                  em)
+
+
+ALWAYS = ("t", "rs", "mu", "source")
+TRANSFORMED = ALWAYS + ("mu_tilde", "grad_mu", "lap_mu", "zero_order", "g", "g_sup")
+
+
+def _carried(c):
+    return {k for k, v in vars(c).items() if v is not None}
+
+
+def test_coefficient_records_carry_what_their_rule_reads():
+    # e^{+-mu} only for a nonzero reaction, their one reader
+    plain = _block()
+    assert _carried(plain) == set(TRANSFORMED)
+    y = np.random.default_rng(1).normal(size=plain.mu.shape[1:])
+    assert np.array_equal(plain.row(2).reaction(y), plain.zero_order[2] * y)
+    rs = ReactionSpec("linear", 0.3)
+    reacting = _block(rs)
+    assert _carried(reacting) == set(TRANSFORMED) | {"exp_mu", "exp_neg_mu"}
+    assert np.array_equal(reacting.exp_mu, np.exp(reacting.mu))
+    assert np.array_equal(reacting.exp_neg_mu, np.exp(-reacting.mu))
+    c = reacting.row(2)
+    want = c.zero_order * y + np.exp(-c.mu) * rs.value(np.exp(c.mu) * y)
+    assert np.array_equal(c.reaction(y), want)
+    assert not np.array_equal(replace(c, exp_neg_mu=2.0 * c.exp_neg_mu).reaction(y), want)
+    # a Neumann grid adds dmu/dnu; Euler-Maruyama's record is mu, the source and the noise
+    assert _carried(_block(bc=NEUMANN)) == set(TRANSFORMED) | {"dmu_dnu"}
+    em = _block(rs, em=True)
+    assert _carried(em) == set(ALWAYS) | {"noise"}
+    assert np.array_equal(em.mu, plain.mu) and np.array_equal(em.source, plain.source)
+
+
+def test_record_rows_and_takes_pass_none_through():
+    for blk in (_block(), _block(em=True)):
+        row = blk.row(1)
+        assert _carried(row) == _carried(blk) and row.t == blk.t[1]
+        assert np.array_equal(row.mu, blk.mu[1])
+        kept = row.take(np.array([0, 2]))
+        assert _carried(kept) == _carried(blk)
+        assert np.array_equal(kept.mu, blk.mu[1, [0, 2]])
+        one = blk.take(np.array([1])).row(3).take(0)
+        assert _carried(one) == _carried(blk)
+        assert np.array_equal(one.source, blk.source[3, 1])
 
 
 def test_direct_em_matches_transform_when_deterministic():
